@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Iterable, Optional
 
 logger = logging.getLogger(__name__)
@@ -176,7 +177,7 @@ class LoopbackTransport:
             return
         handler, rank = entry
         delay = self._delays.get((src, dst), 0)
-        self.clock.after(delay, lambda h=handler, d=data: h(d), rank=rank)
+        self.clock.after(delay, partial(handler, data), rank=rank)
 
     def broadcast(self, src: str, data: bytes) -> None:
         for dst in self._endpoints:
@@ -207,6 +208,11 @@ class ClusterAgent:
         self.ping_period = max(1, election_timeout // 5)
         self._listeners: list[Callable[[str, int, list], None]] = []
         self._expiry: dict[str, object] = {}
+        self._peer_ids: dict[str, InstanceId] = {}  # address -> parsed id, valid ones only
+        # One guarded callback per timer kind, shared by every timer of that kind.
+        self._ping_tick_cb = engine.guard(self._ping_tick)
+        self._election_cb = engine.guard(self._periodic_election)
+        self._expiry_cb = engine.guard(self._expiry_check)
         # Register at construction so a boot ping from an instance that
         # starts first still reaches instances created later in the same
         # setup pass; deliveries are scheduled events, nothing fires early.
@@ -229,20 +235,17 @@ class ClusterAgent:
     def start(self) -> None:
         clock = self.engine.clock
         self._broadcast_ping()
-        clock.after(self.ping_period, self.engine.guard(self._ping_tick), rank=self.engine.rank_timer)
-        clock.after(self.state.election_timeout, self.engine.guard(self._periodic_election),
-                    rank=self.engine.rank_timer)
+        clock.after(self.ping_period, self._ping_tick_cb, rank=self.engine.rank_timer)
+        clock.after(self.state.election_timeout, self._election_cb, rank=self.engine.rank_timer)
 
     # --- timers --------------------------------------------------------------
     def _ping_tick(self) -> None:
         self._broadcast_ping()
-        self.engine.clock.after(self.ping_period, self.engine.guard(self._ping_tick),
-                                rank=self.engine.rank_timer)
+        self.engine.clock.after(self.ping_period, self._ping_tick_cb, rank=self.engine.rank_timer)
 
     def _periodic_election(self) -> None:
         self.run_election("election-result")
-        self.engine.clock.after(self.state.election_timeout,
-                                self.engine.guard(self._periodic_election),
+        self.engine.clock.after(self.state.election_timeout, self._election_cb,
                                 rank=self.engine.rank_timer)
 
     def _broadcast_ping(self) -> None:
@@ -260,22 +263,36 @@ class ClusterAgent:
             return
         if address == self.self_id.address:
             return
+        peer = self._peer_id(address)
+        if peer is None:
+            return
         now = self.engine.clock.now
-        revived = on_ping(self.peers, InstanceId.from_address(address), now)
+        revived = on_ping(self.peers, peer, now)
         self._arm_expiry(address, now)
         if revived:
             self.run_election("master-recovered")
 
+    def _peer_id(self, address: str) -> Optional[InstanceId]:
+        """The cached id of a ping's sender; None, logged, when the address is bad."""
+        peer = self._peer_ids.get(address)
+        if peer is None:
+            try:
+                peer = InstanceId.from_address(address)
+            except ValueError as exc:
+                logger.info("ignoring datagram: %s", exc)
+                return None
+            self._peer_ids[address] = peer
+        return peer
+
     def _arm_expiry(self, address: str, last_seen: int) -> None:
+        clock = self.engine.clock
         old = self._expiry.get(address)
         if old is not None:
-            self.engine.clock.cancel(old)
+            clock.cancel(old)
         fire_at = last_seen + self.state.election_timeout + 1
-        self._expiry[address] = self.engine.clock.at(
-            fire_at, self.engine.guard(lambda a=address: self._expiry_check(a)),
-            rank=self.engine.rank_timer)
+        self._expiry[address] = clock.at(fire_at, self._expiry_cb, rank=self.engine.rank_timer)
 
-    def _expiry_check(self, address: str) -> None:
+    def _expiry_check(self) -> None:
         dead = detect_failures(self.peers, self.engine.clock.now, self.state.election_timeout)
         if dead:
             self.run_election("election-result")

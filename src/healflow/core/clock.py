@@ -1,7 +1,9 @@
 """Virtual clock: deterministic discrete-event scheduling in milliseconds.
 
-All timers live on one priority queue ordered by (fire time, owner rank,
-creation sequence). The sequence number makes ties fire in creation order,
+All timers live on one priority queue of (fire time, owner rank, creation
+sequence, timer) tuples, so the heap compares plain integers and never the
+timers themselves; the sequence is unique, which keeps the timer slot out of
+every comparison. The sequence number makes ties fire in creation order,
 which is what keeps whole runs reproducible; the rank lets a co-simulation
 interleave several engines deterministically at equal timestamps.
 """
@@ -14,7 +16,11 @@ from typing import Callable
 
 
 class Timer:
-    """A scheduled callback. Cancelled timers stay in the heap but are skipped."""
+    """A scheduled callback, queued as the heap entry (time, rank, seq, timer).
+
+    Cancelling only flags the timer: its entry stays in the heap as a
+    tombstone until its fire time comes round, and is then skipped.
+    """
 
     __slots__ = ("time", "rank", "seq", "fn", "cancelled")
 
@@ -24,9 +30,6 @@ class Timer:
         self.seq = seq
         self.fn = fn
         self.cancelled = False
-
-    def __lt__(self, other: "Timer") -> bool:
-        return (self.time, self.rank, self.seq) < (other.time, other.rank, other.seq)
 
     def __repr__(self):
         state = " cancelled" if self.cancelled else ""
@@ -38,15 +41,16 @@ class VirtualClock:
 
     def __init__(self, start: int = 0):
         self.now = start
-        self._heap: list[Timer] = []
+        self._heap: list[tuple[int, int, int, Timer]] = []
         self._seq = itertools.count()
 
     def at(self, time: int, fn: Callable[[], None], rank: int = 0) -> Timer:
         """Schedule fn at an absolute virtual time (>= now)."""
         if time < self.now:
             raise ValueError(f"cannot schedule at {time}, clock is at {self.now}")
-        timer = Timer(time, rank, next(self._seq), fn)
-        heapq.heappush(self._heap, timer)
+        seq = next(self._seq)
+        timer = Timer(time, rank, seq, fn)
+        heapq.heappush(self._heap, (time, rank, seq, timer))
         return timer
 
     def after(self, delay: int, fn: Callable[[], None], rank: int = 0) -> Timer:
@@ -58,10 +62,6 @@ class VirtualClock:
     def cancel(timer: Timer) -> None:
         timer.cancelled = True
 
-    def pending(self) -> int:
-        """Number of live timers still queued."""
-        return sum(1 for t in self._heap if not t.cancelled)
-
     def run_until(self, t_end: int) -> None:
         """Fire every timer with fire time <= t_end, then rest at t_end.
 
@@ -70,10 +70,12 @@ class VirtualClock:
         """
         if t_end < self.now:
             raise ValueError(f"t_end {t_end} is before current time {self.now}")
-        while self._heap and self._heap[0].time <= t_end:
-            timer = heapq.heappop(self._heap)
+        heap = self._heap
+        pop = heapq.heappop
+        while heap and heap[0][0] <= t_end:
+            time, _, _, timer = pop(heap)
             if timer.cancelled:
                 continue
-            self.now = timer.time
+            self.now = time
             timer.fn()
         self.now = t_end

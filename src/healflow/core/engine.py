@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import random
 from collections import deque
+from functools import partial
 from typing import Any, Optional
 
 from ..cluster import ClusterAgent, InstanceId
@@ -249,18 +250,20 @@ class Engine:
         old = self._timers.get(key)
         if old is not None:
             self.clock.cancel(old)
-
-        def fire():
-            self._timers.pop(key, None)
-            self.log.add(self.clock.now, self.instance, "timer", spec.id, value=tag)
-            try:
-                self.nodes[spec.id].on_timer(tag)
-            except Exception as exc:  # noqa: BLE001
-                self._log_operator_error(spec.id, exc)
-            self._drain()
-
-        self._timers[key] = self.clock.at(self.clock.now + delay_ms, self.guard(fire),
+        self._timers[key] = self.clock.at(self.clock.now + delay_ms,
+                                          partial(self._fire_node_timer, spec.id, tag),
                                           rank=self.rank_timer)
+
+    def _fire_node_timer(self, node_id: str, tag: str) -> None:
+        if self.halted:
+            return
+        self._timers.pop((node_id, tag), None)
+        self.log.add(self.clock.now, self.instance, "timer", node_id, value=tag)
+        try:
+            self.nodes[node_id].on_timer(tag)
+        except Exception as exc:  # noqa: BLE001
+            self._log_operator_error(node_id, exc)
+        self._drain()
 
     def clear_node_timer(self, spec, tag: str) -> None:
         old = self._timers.pop((spec.id, tag), None)

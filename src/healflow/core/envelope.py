@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Optional
 
 # Payloads are plain JSON values: scalar number, string, bool, or a
@@ -11,7 +10,24 @@ from typing import Any, Optional
 Payload = Any
 
 
-@dataclass(frozen=True)
+def copy_json(value: Payload) -> Payload:
+    """Copy a JSON value: every dict and list is rebuilt, scalars are shared.
+
+    Payloads hold only JSON values (dicts with string keys, lists, strings,
+    numbers, bool and None), so for them this is a deep copy: key order is
+    kept and no container is shared with the original. Scalars are
+    immutable, so sharing them is safe. Tuples, sets and other objects are
+    not JSON and are shared as they are, not copied.
+    """
+    if isinstance(value, dict):
+        return {k: copy_json(v) if isinstance(v, (dict, list)) else v
+                for k, v in value.items()}
+    if isinstance(value, list):
+        return [copy_json(v) if isinstance(v, (dict, list)) else v for v in value]
+    return value
+
+
+@dataclass(frozen=True, slots=True)
 class Envelope:
     """One timestamped message travelling from a node egress to an ingress.
 
@@ -33,9 +49,16 @@ class Envelope:
             raise ValueError("egress index must be non-negative")
 
     def fork(self) -> "Envelope":
-        """Copy for one delivery; mutable payloads are deep-copied."""
-        if isinstance(self.payload, (dict, list)):
-            return replace(self, payload=copy.deepcopy(self.payload))
+        """Copy for one delivery.
+
+        A dict or list payload is copied with copy_json, which relies on the
+        payload being a JSON value; a scalar payload is immutable, so the
+        envelope itself is returned.
+        """
+        payload = self.payload
+        if isinstance(payload, (dict, list)):
+            return Envelope(self.time, self.topic, copy_json(payload), self.source,
+                            self.port, self.corr)
         return self
 
 

@@ -19,7 +19,7 @@ KINDS = ("emit", "deliver", "drop", "fault", "role-change", "timer")
 CSV_HEADER = ["time_ms", "instance", "event", "node", "port", "topic", "value"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimelineEntry:
     time: int
     instance: str

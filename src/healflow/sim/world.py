@@ -11,13 +11,13 @@ then engines in instance order.
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Optional
 
 from ..core.clock import VirtualClock
-from ..core.envelope import topic_matches
+from ..core.envelope import copy_json, topic_matches
 from ..core.timeline import TimelineLog
 
 RANK_FAULT = 0
@@ -86,15 +86,16 @@ class World:
 
     # --- pub/sub ---------------------------------------------------------------
     def publish(self, topic: str, payload, source: str) -> None:
-        """Deliver to every matching subscription, honoring net_delay faults."""
+        """Deliver to every matching subscription, honoring net_delay faults.
+
+        Each subscription gets its own copy_json copy of the payload.
+        """
         delay = self.delays.get(source, 0)
         for (instance, node_id, pattern) in self._subs:
             if not topic_matches(pattern, topic):
                 continue
-            item = copy.deepcopy(payload) if isinstance(payload, (dict, list)) else payload
             self.clock.after(
-                delay,
-                lambda i=instance, n=node_id, t=topic, p=item: self._deliver(i, n, t, p),
+                delay, partial(self._deliver, instance, node_id, topic, copy_json(payload)),
                 rank=self.ranks.get(instance, RANK_INSTANCE_BASE))
 
     def _deliver(self, instance: str, node_id: str, topic: str, payload) -> None:
@@ -108,17 +109,15 @@ class World:
     def start_devices(self) -> None:
         for dev in self.devices.values():
             if dev.kind == "periodicSensor":
-                self.clock.at(dev.period, lambda d=dev: self._sensor_tick(d),
-                              rank=RANK_WORLD)
+                self.clock.at(dev.period, partial(self._sensor_tick, dev), rank=RANK_WORLD)
             else:
                 for at, value in dev.reads:
-                    self.clock.at(at, lambda d=dev, v=value: self._device_emit(d, v),
-                                  rank=RANK_WORLD)
+                    self.clock.at(at, partial(self._device_emit, dev, value), rank=RANK_WORLD)
 
     def _sensor_tick(self, dev: VirtualDevice) -> None:
         # Reschedule before emitting so the next tick's timer predates any
         # timers armed by the cascade this emission triggers.
-        self.clock.after(dev.period, lambda: self._sensor_tick(dev), rank=RANK_WORLD)
+        self.clock.after(dev.period, partial(self._sensor_tick, dev), rank=RANK_WORLD)
         if not dev.online:
             return
         self._device_emit(dev, self.sensor_value(dev))
@@ -126,7 +125,7 @@ class World:
     def sensor_value(self, dev: VirtualDevice):
         """Draw the next reading: base + uniform noise, or the stuck value."""
         if dev.stuck is not None:
-            return copy.deepcopy(dev.stuck)
+            return copy_json(dev.stuck)
         rng = self._rngs[dev.id]
 
         def one(base, amp):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from healflow.core.clock import VirtualClock
 
@@ -38,10 +39,15 @@ def test_cancelled_timers_are_skipped():
     fired = []
     keep = clock.at(100, lambda: fired.append("keep"))
     drop = clock.at(100, lambda: fired.append("drop"))
+    late = clock.at(150, lambda: fired.append("late"))
     clock.cancel(drop)
+    clock.cancel(late)
+    clock.cancel(late)
     clock.run_until(200)
+    # Of three timers one stayed live, and only it fired.
     assert fired == ["keep"]
     assert not keep.cancelled
+    assert drop.cancelled and late.cancelled
 
 
 def test_callbacks_can_schedule_more_work():
@@ -76,10 +82,59 @@ def test_now_is_monotonic_through_a_run():
     assert seen == sorted(seen)
 
 
-def test_pending_counts_live_timers():
+MAX_TIMERS = 60
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_firing_order_is_key_order_without_cancelled_timers(data):
+    """Timers fire sorted by (time, rank, creation order), cancelled ones left out.
+
+    Callbacks schedule more timers, some at the current time, and cancel
+    others, pending or already fired. A timer scheduled at the current time
+    gets a rank no lower than the firing one, so its key sorts after it.
+    """
     clock = VirtualClock()
-    a = clock.at(10, lambda: None)
-    clock.at(20, lambda: None)
-    assert clock.pending() == 2
-    clock.cancel(a)
-    assert clock.pending() == 1
+    timers, keys, fired, cancelled = [], [], [], set()
+
+    def schedule(time, rank, via_after):
+        i = len(timers)
+        fn = lambda: fire(i)  # noqa: E731
+        if via_after:
+            timers.append(clock.after(time - clock.now, fn, rank=rank))
+        else:
+            timers.append(clock.at(time, fn, rank=rank))
+        keys.append((time, rank, i))
+
+    def cancel(j):
+        if j not in fired:
+            cancelled.add(j)
+        clock.cancel(timers[j])
+
+    def fire(i):
+        assert clock.now == keys[i][0]
+        fired.append(i)
+        for _ in range(data.draw(st.integers(0, 3), label="actions")):
+            if data.draw(st.booleans(), label="schedule") and len(timers) < MAX_TIMERS:
+                delay = data.draw(st.integers(0, 20), label="delay")
+                low = keys[i][1] if delay == 0 else 0
+                schedule(clock.now + delay, data.draw(st.integers(low, 3), label="rank"),
+                         data.draw(st.booleans(), label="after"))
+            else:
+                cancel(data.draw(st.integers(0, len(timers) - 1), label="cancel"))
+
+    for _ in range(data.draw(st.integers(1, 12), label="initial")):
+        schedule(data.draw(st.integers(0, 50), label="time"),
+                 data.draw(st.integers(0, 3), label="rank"),
+                 data.draw(st.booleans(), label="after"))
+    for j in data.draw(st.lists(st.integers(0, len(timers) - 1), max_size=4),
+                       label="cancel before run"):
+        cancel(j)
+    t_end = data.draw(st.integers(0, 80), label="t_end")
+    clock.run_until(t_end)
+
+    expected = sorted((i for i, key in enumerate(keys)
+                       if key[0] <= t_end and i not in cancelled), key=keys.__getitem__)
+    assert fired == expected
+    assert clock.now == t_end
+    assert [t.seq for t in timers] == sorted(t.seq for t in timers)

@@ -267,3 +267,18 @@ def test_redundancy_node_emits_commands_then_role():
         (0, {"action": "enable", "flow": "ingest"}),
         (1, {"role": "master"}),
     ]
+
+
+def test_ping_with_a_bad_address_is_logged_and_ignored(caplog):
+    clock, log, low, high = two_instances()
+    low.start()
+    high.start()
+    clock.run_until(1000)
+    transport = low.cluster.transport
+    with caplog.at_level("INFO", logger="healflow.cluster"):
+        transport.send("10.0.0.1", "192.168.1.54", b"SHEN/1 PING 10.0.0.999 0 0\n")
+        clock.run_until(2000)
+    assert "10.0.0.999" in caplog.text
+    assert list(low.cluster.peers.peers) == ["192.168.1.201"]
+    assert roles(log, "high") == [(0, "master")]
+    assert low.flow_enabled["ingest"] is False

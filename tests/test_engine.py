@@ -1,6 +1,11 @@
+import copy
+import json
+
 import pytest
+from hypothesis import given, strategies as st
 
 from healflow.core.engine import Engine, GraphInvalid
+from healflow.core.envelope import copy_json
 from healflow.core.graph import dispatch_targets
 from tests.conftest import build_graph, make_spec
 
@@ -150,3 +155,39 @@ def test_fan_out_payload_copies_are_independent():
     src = engine.graph.by_id["src"]
     engine.emit_from(src, 0, {"v": 2}, "t")
     assert seen[-1] == {"v": 2}
+
+
+def test_copy_json_keeps_key_order_nested_lists_bool_and_none():
+    value = {"z": [1, [2.5, {"k": None}]], "a": True, "m": False, "n": None, "s": "x"}
+    copied = copy_json(value)
+    assert copied == value
+    assert list(copied) == ["z", "a", "m", "n", "s"]
+    assert copied["a"] is True and copied["m"] is False and copied["n"] is None
+    assert copied["z"] is not value["z"]
+    assert copied["z"][1] is not value["z"][1]
+    assert copied["z"][1][1] is not value["z"][1][1]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=20)
+
+
+def _containers(value):
+    if isinstance(value, dict):
+        yield value
+        for v in value.values():
+            yield from _containers(v)
+    elif isinstance(value, list):
+        yield value
+        for v in value:
+            yield from _containers(v)
+
+
+@given(JSON_VALUES)
+def test_copy_json_matches_deepcopy_and_shares_no_container(value):
+    copied = copy_json(value)
+    assert json.dumps(copied) == json.dumps(copy.deepcopy(value))
+    originals = {id(c) for c in _containers(value)}
+    assert not originals & {id(c) for c in _containers(copied)}

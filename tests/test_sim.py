@@ -61,6 +61,30 @@ def test_net_delay_shifts_delivery_timestamp():
     assert entry.time == 500
 
 
+def test_publish_gives_each_subscriber_an_independent_copy():
+    dev = VirtualDevice(id="d", kind="periodicSensor", topic="lab/temp", period=100,
+                        stuck={"v": 1, "tags": [1, None, True]})
+    world = make_world(devices=[dev])
+    seen = {}
+
+    def mutate(topic, payload):
+        payload["v"] = 99
+        payload["tags"].append("x")
+
+    for rank, name in enumerate(("i0", "i1"), start=2):
+        graph = build_graph(make_spec("in", "mqtt-in", {"topic": "lab/temp"}))
+        engine = Engine(graph, instance=name, clock=world.clock, log=world.log,
+                        world=world, rank=rank)
+        engine.start()
+        engine.nodes["in"].on_external = mutate if name == "i0" else (
+            lambda topic, payload: seen.setdefault("i1", payload))
+    world.start_devices()
+    world.clock.run_until(100)
+    assert seen["i1"] == {"v": 1, "tags": [1, None, True]}
+    [emit] = world.log.emits("d")
+    assert emit.value == {"v": 1, "tags": [1, None, True]}
+
+
 # --- devices ---------------------------------------------------------------------
 
 def test_sensor_emits_every_period_with_zero_noise():
