@@ -1,5 +1,9 @@
 """Single-clock dataflow engine: hosts nodes, dispatches envelopes, runs timers.
 
+Every delivery into a node, wired or external, goes through Engine._enqueue:
+it logs one deliver, or a drop if the flow group is disabled or the engine
+halted, and queues an envelope holding the node's own payload copy.
+
 Cascade semantics: a delivery is processed to completion (the target node is
 invoked synchronously and may emit further envelopes, which queue behind it)
 before the clock moves to the next pending event. Operator exceptions are
@@ -142,7 +146,7 @@ class Engine:
                 controlled_flows=cfg["controlledFlows"], role_node=reds[0].id)
 
         if world is not None:
-            world.register_engine(instance, self, self.rank_deliver)
+            world.register_engine(instance, self)
 
     # --- lifecycle ----------------------------------------------------------
     def start(self) -> None:
@@ -163,7 +167,7 @@ class Engine:
         return self.log
 
     def halt(self) -> None:
-        """Stop processing; pending timers and deliveries become no-ops."""
+        """Stop processing: pending timers become no-ops, deliveries drops."""
         self.halted = True
 
     def guard(self, fn):
@@ -188,42 +192,29 @@ class Engine:
                   corr: Optional[str] = None) -> None:
         if self.halted:
             return
-        env = Envelope(time=self.clock.now, topic=topic, payload=payload,
-                       source=spec.id, port=port, corr=corr)
+        env = Envelope(self.clock.now, topic, payload, spec.id, port, corr)
         self.log.add(env.time, self.instance, "emit", spec.id, port, topic, payload)
         if port < len(spec.wires):
             for dst, ingress in spec.wires[port]:
-                target = self.graph.by_id[dst]
-                if self.flow_enabled.get(target.flow, True):
-                    self.log.add(env.time, self.instance, "deliver", dst, ingress,
-                                 topic, payload)
-                    self._queue.append((target, ingress, env.fork()))
-                else:
-                    self.log.add(env.time, self.instance, "drop", dst, ingress,
-                                 topic, payload)
+                self._enqueue(self.graph.by_id[dst], ingress, env)
         self._drain()
 
     def deliver_external(self, node_id: str, topic: str, payload,
                          ingress: Optional[int] = None,
                          corr: Optional[str] = None) -> None:
-        """Deliver from outside the wire graph (broker message or test drive)."""
-        if self.halted:
-            return
-        spec = self.graph.by_id.get(node_id)
-        if spec is None:
-            raise KeyError(f"unknown node {node_id!r}")
-        now = self.clock.now
-        if not self.flow_enabled.get(spec.flow, True):
-            self.log.add(now, self.instance, "drop", node_id, ingress, topic, payload)
-            return
-        self.log.add(now, self.instance, "deliver", node_id, ingress, topic, payload)
-        if ingress is None:
-            self._queue.append((spec, None, (topic, payload)))
-        else:
-            env = Envelope(time=now, topic=topic, payload=payload,
-                           source="<external>", port=0, corr=corr)
-            self._queue.append((spec, ingress, env))
+        """Deliver from outside the wire graph: a broker message (ingress None,
+        handled by on_external) or a test drive. A halted engine logs a drop."""
+        self._enqueue(self.graph.by_id[node_id], ingress,
+                      Envelope(self.clock.now, topic, payload, "<external>", 0, corr))
         self._drain()
+
+    def _enqueue(self, spec, ingress: Optional[int], env: Envelope) -> None:
+        """Log one deliver or drop for spec; a delivery queues its own copy of env."""
+        deliver = not self.halted and self.flow_enabled.get(spec.flow, True)
+        self.log.add(env.time, self.instance, "deliver" if deliver else "drop", spec.id,
+                     ingress, env.topic, env.payload)
+        if deliver:
+            self._queue.append((spec, ingress, env.fork()))
 
     def _drain(self) -> None:
         if self._draining:
@@ -231,14 +222,13 @@ class Engine:
         self._draining = True
         try:
             while self._queue:
-                spec, ingress, item = self._queue.popleft()
+                spec, ingress, env = self._queue.popleft()
                 node = self.nodes[spec.id]
                 try:
                     if ingress is None:
-                        topic, payload = item
-                        node.on_external(topic, payload)
+                        node.on_external(env.topic, env.payload)
                     else:
-                        node.on_input(item, ingress)
+                        node.on_input(env, ingress)
                 except Exception as exc:  # noqa: BLE001
                     self._log_operator_error(spec.id, exc)
         finally:

@@ -13,6 +13,8 @@ Payload = Any
 def copy_json(value: Payload) -> Payload:
     """Copy a JSON value: every dict and list is rebuilt, scalars are shared.
 
+    Envelope.fork, the single place payloads are copied, is its only caller.
+
     Payloads hold only JSON values (dicts with string keys, lists, strings,
     numbers, bool and None), so for them this is a deep copy: key order is
     kept and no container is shared with the original. Scalars are
@@ -31,8 +33,8 @@ def copy_json(value: Payload) -> Payload:
 class Envelope:
     """One timestamped message travelling from a node egress to an ingress.
 
-    Envelopes are immutable values; fan-out hands every ingress its own
-    payload copy so state can never leak between branches.
+    Envelopes are immutable values; the engine forks one for every delivery,
+    so state can never leak between branches, subscribers or the timeline.
     """
 
     time: int
@@ -49,7 +51,7 @@ class Envelope:
             raise ValueError("egress index must be non-negative")
 
     def fork(self) -> "Envelope":
-        """Copy for one delivery.
+        """Copy for one delivery; the single place payloads are copied.
 
         A dict or list payload is copied with copy_json, which relies on the
         payload being a JSON value; a scalar payload is immutable, so the

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 
 class FlowParseError(ValueError):
@@ -47,17 +47,6 @@ class NodeSpec:
     wires: list = field(default_factory=list)
 
 
-@dataclass
-class Wire:
-    src: str
-    src_port: int
-    dst: str
-    dst_port: int
-
-    def __str__(self):
-        return f"{self.src}[{self.src_port}] -> {self.dst}[{self.dst_port}]"
-
-
 class FlowGraph:
     """Parsed node/wire topology with per-node configuration."""
 
@@ -65,20 +54,12 @@ class FlowGraph:
         self.nodes = nodes
         self.by_id = {n.id: n for n in nodes}
 
-    def wires(self) -> list[Wire]:
-        out = []
-        for n in self.nodes:
-            for port, targets in enumerate(n.wires):
-                for dst, ingress in targets:
-                    out.append(Wire(n.id, port, dst, ingress))
-        return out
-
-    def targets(self, node_id: str, port: int) -> list[tuple[str, int]]:
-        """Wired (target, ingress) pairs for one egress, in declaration order."""
-        spec = self.by_id[node_id]
-        if port >= len(spec.wires):
-            return []
-        return list(spec.wires[port])
+    def wires(self) -> list[tuple[str, int, str, int]]:
+        """Every wire as (source id, egress, target id, ingress), in declaration order."""
+        return [(n.id, port, dst, ingress)
+                for n in self.nodes
+                for port, targets in enumerate(n.wires)
+                for dst, ingress in targets]
 
     def flow_groups(self) -> dict[str, bool]:
         """Initial enabled flag per flow-group (all members must agree)."""
@@ -162,20 +143,21 @@ def validate_graph(g: FlowGraph) -> list[Diagnostic]:
             diags.append(Diagnostic("error", n.id, problem))
 
     # Wire endpoints must exist and stay inside each node's declared ports.
-    for w in g.wires():
-        src = g.by_id.get(w.src)
-        dst = g.by_id.get(w.dst)
+    for src_id, port, dst_id, ingress in g.wires():
+        locus = f"{src_id}[{port}] -> {dst_id}[{ingress}]"
+        src = g.by_id.get(src_id)
+        dst = g.by_id.get(dst_id)
         if dst is None:
-            diags.append(Diagnostic("error", str(w), f"wire targets unknown node {w.dst!r}"))
+            diags.append(Diagnostic("error", locus, f"wire targets unknown node {dst_id!r}"))
             continue
         src_cls = kinds.get(src.kind) if src else None
         dst_cls = kinds.get(dst.kind)
-        if src_cls and w.src_port >= len(src_cls.egress_labels(src.config)):
-            diags.append(Diagnostic("error", str(w),
-                                    f"egress {w.src_port} not declared by {src.kind!r}"))
-        if dst_cls and w.dst_port >= dst_cls.ingress_count(dst.config):
-            diags.append(Diagnostic("error", str(w),
-                                    f"ingress {w.dst_port} not declared by {dst.kind!r}"))
+        if src_cls and port >= len(src_cls.egress_labels(src.config)):
+            diags.append(Diagnostic("error", locus,
+                                    f"egress {port} not declared by {src.kind!r}"))
+        if dst_cls and ingress >= dst_cls.ingress_count(dst.config):
+            diags.append(Diagnostic("error", locus,
+                                    f"ingress {ingress} not declared by {dst.kind!r}"))
 
     diags.extend(_find_cycles(g))
 
@@ -198,9 +180,9 @@ def validate_graph(g: FlowGraph) -> list[Diagnostic]:
 
 def _find_cycles(g: FlowGraph) -> list[Diagnostic]:
     adjacency: dict[str, list[str]] = {n.id: [] for n in g.nodes}
-    for w in g.wires():
-        if w.src in adjacency and w.dst in adjacency:
-            adjacency[w.src].append(w.dst)
+    for src_id, _, dst_id, _ in g.wires():
+        if src_id in adjacency and dst_id in adjacency:
+            adjacency[src_id].append(dst_id)
 
     diags = []
     WHITE, GRAY, BLACK = 0, 1, 2
@@ -233,9 +215,3 @@ def _find_cycles(g: FlowGraph) -> list[Diagnostic]:
             visit(node)
     return diags
 
-
-def dispatch_targets(g: FlowGraph, source: str, port: int) -> list[tuple[str, int]]:
-    """Pure wire resolution for one egress; the engine layers drop logic on top."""
-    if source not in g.by_id:
-        raise KeyError(f"unknown source node {source!r}")
-    return g.targets(source, port)

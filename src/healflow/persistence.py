@@ -5,8 +5,13 @@ Backing format is one append-compacted, human-readable file per instance:
     CKPT <nodeId> <timestamp> <record-as-compact-JSON>
     REG <deviceId> <kind> <endpoint> <lastSeen> <status>
 
+Id, kind and endpoint tokens percent-escape '%', whitespace and a lone "-"
+(UTF-8 bytes as %XX), so any string reloads unchanged; an empty endpoint is
+"-". Other tokens are written as they are, so files without '%' load as before.
+
 Appends are replayed on load with last-line-wins semantics; compact()
-rewrites the file down to the live state. A store built with path=None is
+rewrites the live state to a temp file and renames it over the store, so a
+failed compaction leaves the old file whole. A store built with path=None is
 memory-only but keeps the identical semantics, which is what simulated
 instance restarts rely on: the store object outlives the engine.
 """
@@ -15,11 +20,27 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
+from urllib.parse import unquote
 
 logger = logging.getLogger(__name__)
+
+_UNSAFE = re.compile(r"[%\s]|^-\Z")
+
+
+def _encode_token(token: str) -> str:
+    # Fast path: every whitespace character but " " is unprintable.
+    if token.isprintable() and " " not in token and "%" not in token and token != "-":
+        return token
+    return _UNSAFE.sub(lambda m: "".join(f"%{b:02X}" for b in m.group().encode()), token)
+
+
+def _decode_token(field: str) -> str:
+    return unquote(field) if "%" in field else field
 
 
 class StoreError(Exception):
@@ -56,7 +77,7 @@ class Store:
     def store_checkpoint(self, node_id: str, topic: str, payload: Any, timestamp: int) -> None:
         record = {"timestamp": timestamp, "topic": topic, "payload": payload}
         self._ckpt[node_id] = record
-        self._append_ckpt(node_id, record)
+        self._append(self._ckpt_line(node_id, record))
 
     def load_checkpoint(self, node_id: str) -> Optional[CheckpointRecord]:
         record = self._ckpt.get(node_id)
@@ -71,7 +92,7 @@ class Store:
             return
         record = {"timestamp": record["timestamp"], "topic": "", "payload": None}
         self._ckpt[node_id] = record
-        self._append_ckpt(node_id, record)
+        self._append(self._ckpt_line(node_id, record))
 
     # --- device registry ----------------------------------------------------
     def registry_upsert(self, device_id: str, kind: str = "device",
@@ -80,7 +101,7 @@ class Store:
         last_seen = max(now, prev.last_seen) if prev else now
         entry = RegistryEntry(device_id, kind, endpoint, last_seen, "online")
         self._reg[device_id] = entry
-        self._append_reg(entry)
+        self._append(self._reg_line(entry))
         return entry
 
     def registry_mark_lost(self, device_id: str, now: int) -> RegistryEntry:
@@ -90,7 +111,7 @@ class Store:
         # lastSeen is retained: losing a device is not seeing it.
         entry = RegistryEntry(device_id, prev.kind, prev.endpoint, prev.last_seen, "lost")
         self._reg[device_id] = entry
-        self._append_reg(entry)
+        self._append(self._reg_line(entry))
         return entry
 
     def registry_list(self) -> list[RegistryEntry]:
@@ -102,27 +123,24 @@ class Store:
             return
         lines = [self._ckpt_line(node_id, rec) for node_id, rec in sorted(self._ckpt.items())]
         lines += [self._reg_line(self._reg[k]) for k in sorted(self._reg)]
+        tmp = self.path.with_name(self.path.name + ".tmp")
         try:
-            self.path.write_text("".join(lines), encoding="utf-8")
+            tmp.write_text("".join(lines), encoding="utf-8")
+            os.replace(tmp, self.path)
         except OSError as exc:
+            tmp.unlink(missing_ok=True)
             raise StoreError(f"compact failed: {exc}") from exc
 
     @staticmethod
     def _ckpt_line(node_id: str, record: dict) -> str:
         body = json.dumps({"topic": record.get("topic", ""), "payload": record["payload"]},
                           separators=(",", ":"), sort_keys=True)
-        return f"CKPT {node_id} {record['timestamp']} {body}\n"
+        return f"CKPT {_encode_token(node_id)} {record['timestamp']} {body}\n"
 
     @staticmethod
     def _reg_line(entry: RegistryEntry) -> str:
-        return (f"REG {entry.device_id} {entry.kind} {entry.endpoint or '-'} "
-                f"{entry.last_seen} {entry.status}\n")
-
-    def _append_ckpt(self, node_id: str, record: dict) -> None:
-        self._append(self._ckpt_line(node_id, record))
-
-    def _append_reg(self, entry: RegistryEntry) -> None:
-        self._append(self._reg_line(entry))
+        return (f"REG {_encode_token(entry.device_id)} {_encode_token(entry.kind)} "
+                f"{_encode_token(entry.endpoint) or '-'} {entry.last_seen} {entry.status}\n")
 
     def _append(self, line: str) -> None:
         if self.path is None:
@@ -142,25 +160,18 @@ class Store:
                 if tag == "CKPT":
                     node_id, timestamp, body = rest.split(" ", 2)
                     parsed = json.loads(body)
-                    self._ckpt[node_id] = {"timestamp": int(timestamp),
-                                           "topic": parsed.get("topic", ""),
-                                           "payload": parsed.get("payload")}
+                    self._ckpt[_decode_token(node_id)] = {
+                        "timestamp": int(timestamp), "topic": parsed.get("topic", ""),
+                        "payload": parsed.get("payload")}
                 elif tag == "REG":
                     device_id, kind, endpoint, last_seen, status = rest.split(" ")
+                    device_id = _decode_token(device_id)
                     self._reg[device_id] = RegistryEntry(
-                        device_id, kind, "" if endpoint == "-" else endpoint,
+                        device_id, _decode_token(kind),
+                        "" if endpoint == "-" else _decode_token(endpoint),
                         int(last_seen), status)
                 else:
                     raise ValueError(f"unknown tag {tag!r}")
             except (ValueError, json.JSONDecodeError) as exc:
                 logger.warning("skipping corrupt store line %d in %s: %s",
                                lineno, self.path, exc)
-
-
-# Spec-level operation aliases.
-def store_checkpoint(store: Store, node_id: str, topic: str, payload, timestamp: int) -> None:
-    store.store_checkpoint(node_id, topic, payload, timestamp)
-
-
-def load_checkpoint(store: Store, node_id: str) -> Optional[CheckpointRecord]:
-    return store.load_checkpoint(node_id)

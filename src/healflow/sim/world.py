@@ -14,10 +14,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Optional
+from typing import Any
 
 from ..core.clock import VirtualClock
-from ..core.envelope import copy_json, topic_matches
+from ..core.envelope import topic_matches
 from ..core.timeline import TimelineLog
 
 RANK_FAULT = 0
@@ -60,15 +60,13 @@ class World:
         self.devices = {d.id: d for d in devices}
         self.services = {s.id: s for s in services}
         self.engines: dict[str, Any] = {}
-        self.ranks: dict[str, int] = {}
         self.delays: dict[str, int] = {}  # per-source constant net delay
         self._subs: dict[tuple[str, str, str], None] = {}
         self._rngs = {d: random.Random(f"{seed}/device/{d}") for d in self.devices}
 
     # --- engine attachment ----------------------------------------------------
-    def register_engine(self, instance: str, engine, rank: int) -> None:
+    def register_engine(self, instance: str, engine) -> None:
         self.engines[instance] = engine
-        self.ranks[instance] = rank
 
     def subscribe(self, instance: str, node_id: str, pattern: str) -> None:
         # Keyed so a restarted engine re-subscribing keeps the original order.
@@ -88,22 +86,18 @@ class World:
     def publish(self, topic: str, payload, source: str) -> None:
         """Deliver to every matching subscription, honoring net_delay faults.
 
-        Each subscription gets its own copy_json copy of the payload.
+        Subscribers share the payload: the receiving engine copies it per delivery.
         """
         delay = self.delays.get(source, 0)
         for (instance, node_id, pattern) in self._subs:
             if not topic_matches(pattern, topic):
                 continue
-            self.clock.after(
-                delay, partial(self._deliver, instance, node_id, topic, copy_json(payload)),
-                rank=self.ranks.get(instance, RANK_INSTANCE_BASE))
+            self.clock.after(delay, partial(self._deliver, instance, node_id, topic, payload),
+                             rank=self.engines[instance].rank_deliver)
 
     def _deliver(self, instance: str, node_id: str, topic: str, payload) -> None:
-        engine = self.engines.get(instance)
-        if engine is None or engine.halted:
-            self.log.add(self.clock.now, instance, "drop", node_id, None, topic, payload)
-            return
-        engine.deliver_external(node_id, topic, payload)
+        # Looked up when the delivery fires: a restart replaces the engine.
+        self.engines[instance].deliver_external(node_id, topic, payload)
 
     # --- devices ---------------------------------------------------------------
     def start_devices(self) -> None:
@@ -123,9 +117,9 @@ class World:
         self._device_emit(dev, self.sensor_value(dev))
 
     def sensor_value(self, dev: VirtualDevice):
-        """Draw the next reading: base + uniform noise, or the stuck value."""
+        """Draw the next reading: base + uniform noise, or the stuck value (uncopied)."""
         if dev.stuck is not None:
-            return copy_json(dev.stuck)
+            return dev.stuck
         rng = self._rngs[dev.id]
 
         def one(base, amp):

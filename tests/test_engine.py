@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from healflow.core.engine import Engine, GraphInvalid
 from healflow.core.envelope import copy_json
-from healflow.core.graph import dispatch_targets
 from tests.conftest import build_graph, make_spec
 
 
@@ -17,14 +16,6 @@ def fan_out_graph():
         make_spec("b", "debug"),
         make_spec("c", "debug"),
     )
-
-
-def test_dispatch_targets_in_declaration_order():
-    graph = fan_out_graph()
-    assert dispatch_targets(graph, "src", 0) == [("a", 0), ("b", 0), ("c", 0)]
-    assert dispatch_targets(graph, "a", 0) == []
-    with pytest.raises(KeyError):
-        dispatch_targets(graph, "nope", 0)
 
 
 def test_fan_out_delivers_to_each_ingress_in_order():
@@ -45,6 +36,29 @@ def test_delivery_to_disabled_flow_group_is_dropped():
     engine.run_until(100)
     kinds = [e.kind for e in engine.log if e.node == "gone"]
     assert kinds == ["drop"]
+
+
+def test_deliver_external_on_halted_engine_logs_one_drop_and_queues_nothing():
+    engine = Engine(fan_out_graph(), instance="i")
+    seen = []
+    engine.nodes["a"].on_input = lambda env, ingress: seen.append(env)
+    engine.halt()
+    engine.deliver_external("a", "t", {"v": 1}, ingress=0)
+    [entry] = list(engine.log)
+    assert (entry.kind, entry.node, entry.port, entry.value) == ("drop", "a", 0, {"v": 1})
+    assert seen == []
+
+
+def test_broker_delivery_to_disabled_flow_group_logs_drop_without_port():
+    graph = build_graph(make_spec("in", "mqtt-in", {"topic": "t"}, flow="dark",
+                                  enabled=False))
+    engine = Engine(graph, instance="i")
+    seen = []
+    engine.nodes["in"].on_external = lambda topic, payload: seen.append(payload)
+    engine.deliver_external("in", "t", 7)
+    [entry] = list(engine.log)
+    assert (entry.kind, entry.node, entry.port, entry.value) == ("drop", "in", None, 7)
+    assert seen == []
 
 
 def test_periodic_sensor_emission_count():

@@ -18,7 +18,7 @@ def test_minimal_two_node_document():
     graph = parse_flow(MINIMAL)
     assert len(graph.nodes) == 2
     assert len(graph.wires()) == 1
-    assert graph.targets("src", 0) == [("sink", 0)]
+    assert graph.by_id["src"].wires == [[("sink", 0)]]
 
 
 def test_defaults_are_filled():
@@ -107,7 +107,7 @@ def test_wire_beyond_declared_egress_is_flagged():
         make_spec("d", "debug"),
     )
     diags = validate_graph(graph)
-    assert any("egress 1" in d.message for d in diags)
+    assert any("egress 1" in d.message and d.locus == "r[1] -> d[0]" for d in diags)
 
 
 def test_wire_beyond_declared_ingress_is_flagged():
@@ -116,7 +116,7 @@ def test_wire_beyond_declared_ingress_is_flagged():
         make_spec("d", "debug"),
     )
     diags = validate_graph(graph)
-    assert any("ingress 3" in d.message for d in diags)
+    assert any("ingress 3" in d.message and d.locus == "r[0] -> d[3]" for d in diags)
 
 
 def test_balancing_egress_count_follows_config():

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -113,3 +114,51 @@ def test_write_failure_raises_store_error(tmp_path):
     store = Store(tmp_path / "missing-dir" / "x.store")
     with pytest.raises(StoreError):
         store.store_checkpoint("n", "", 1, 1)
+
+
+@pytest.mark.parametrize("node_id, device_id, kind, endpoint", [
+    ("room 1", "room 1", "host", "10.0.0.5"),
+    ("a%b", "a%b", "50%", "x%y"),
+    ("-", "-", "-", "-"),
+    ("n", "d", "host", ""),
+    ("tab\there", "new\nline", "two words", "ep with space"),
+])
+def test_odd_tokens_survive_reload(tmp_path, node_id, device_id, kind, endpoint):
+    path = tmp_path / "i.store"
+    store = Store(path)
+    store.store_checkpoint(node_id, "t", {"v": 1}, 10)
+    store.registry_upsert(device_id, kind, endpoint, 20)
+    assert len(path.read_text().splitlines()) == 2
+
+    reloaded = Store(path)
+    record = reloaded.load_checkpoint(node_id)
+    assert (record.timestamp, record.topic, record.payload) == (10, "t", {"v": 1})
+    [entry] = reloaded.registry_list()
+    assert (entry.device_id, entry.kind, entry.endpoint, entry.last_seen, entry.status) == (
+        device_id, kind, endpoint, 20, "online")
+
+
+def test_plain_tokens_are_written_as_before(tmp_path):
+    path = tmp_path / "i.store"
+    store = Store(path)
+    store.store_checkpoint("node-1", "", 1, 5)
+    store.registry_upsert("dev-1", "host", "", 7)
+    assert path.read_text() == ('CKPT node-1 5 {"payload":1,"topic":""}\n'
+                                "REG dev-1 host - 7 online\n")
+
+
+def test_failed_compact_raises_and_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "i.store"
+    store = Store(path)
+    for i in range(3):
+        store.store_checkpoint("n", "", i, i)
+    before = path.read_text()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(StoreError):
+        store.compact()
+    assert path.read_text() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["i.store"]

@@ -65,7 +65,8 @@ def test_publish_gives_each_subscriber_an_independent_copy():
     dev = VirtualDevice(id="d", kind="periodicSensor", topic="lab/temp", period=100,
                         stuck={"v": 1, "tags": [1, None, True]})
     world = make_world(devices=[dev])
-    seen = {}
+    original = {"v": 1, "tags": [1, None, True]}
+    seen = []
 
     def mutate(topic, payload):
         payload["v"] = 99
@@ -77,12 +78,16 @@ def test_publish_gives_each_subscriber_an_independent_copy():
                         world=world, rank=rank)
         engine.start()
         engine.nodes["in"].on_external = mutate if name == "i0" else (
-            lambda topic, payload: seen.setdefault("i1", payload))
+            lambda topic, payload: seen.append(payload))
     world.start_devices()
-    world.clock.run_until(100)
-    assert seen["i1"] == {"v": 1, "tags": [1, None, True]}
-    [emit] = world.log.emits("d")
-    assert emit.value == {"v": 1, "tags": [1, None, True]}
+    world.clock.run_until(300)
+    # Three stuck readings: neither the mutating subscriber nor an earlier
+    # reading may leak into a later one, the world's emits or the deliveries.
+    assert seen == [original] * 3
+    assert [e.value for e in world.log.emits("d")] == [original] * 3
+    delivered = [e.value for e in world.log if e.kind == "deliver"]
+    assert delivered == [original] * 6
+    assert dev.stuck == original
 
 
 # --- devices ---------------------------------------------------------------------
