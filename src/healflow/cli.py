@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .core.graph import FlowGraph, FlowParseError, parse_flow, validate_graph
 from .core.timeline import entries_from_csv
-from .report import compute_report, default_bucket, format_report, render_marble
+from .report import compute_report, format_report, render_marble
 from .sim import ScenarioError, Simulation, parse_scenario
 
 EXIT_OK = 0
@@ -68,6 +68,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.bucket_ms is not None and args.bucket_ms < 1:
+        raise _CliError(f"--bucket-ms must be at least 1, got {args.bucket_ms}")
     graphs = _load_flows(args.flow)
     try:
         script = parse_scenario(_read(args.scenario))
@@ -79,9 +81,9 @@ def _cmd_run(args) -> int:
     nodes = args.nodes.split(",") if args.nodes else None
     if args.format == "marble":
         merged = FlowGraph([n for g in graphs for n in g.nodes])
-        bucket = args.bucket_ms or default_bucket(log.entries, merged)
         try:
-            output = render_marble(log.entries, bucket_ms=bucket, graph=merged, nodes=nodes)
+            output = render_marble(log.entries, bucket_ms=args.bucket_ms, graph=merged,
+                                   nodes=nodes)
         except ValueError as exc:
             raise _CliError(str(exc)) from exc
     else:

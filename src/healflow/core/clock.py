@@ -39,8 +39,8 @@ class Timer:
 class VirtualClock:
     """Monotonic virtual time plus the pending timer queue."""
 
-    def __init__(self, start: int = 0):
-        self.now = start
+    def __init__(self):
+        self.now = 0
         self._heap: list[tuple[int, int, int, Timer]] = []
         self._seq = itertools.count()
 

@@ -38,64 +38,6 @@ class UnknownFlowGroup(KeyError):
     pass
 
 
-class NodeContext:
-    """Everything a node may touch at runtime, owned by its engine."""
-
-    def __init__(self, engine: "Engine", spec):
-        self._engine = engine
-        self._spec = spec
-        self._rng: Optional[random.Random] = None
-
-    @property
-    def now(self) -> int:
-        return self._engine.clock.now
-
-    @property
-    def instance(self) -> str:
-        return self._engine.instance
-
-    @property
-    def rng(self) -> random.Random:
-        if self._rng is None:
-            self._rng = self._engine.node_rng(self._spec.id)
-        return self._rng
-
-    @property
-    def store(self) -> Store:
-        return self._engine.store
-
-    @property
-    def world(self):
-        return self._engine.world
-
-    @property
-    def cluster(self) -> Optional[ClusterAgent]:
-        return self._engine.cluster
-
-    def emit(self, port: int, payload, topic: str = "", corr: Optional[str] = None) -> None:
-        self._engine.emit_from(self._spec, port, payload, topic, corr)
-
-    def set_timer(self, tag: str, delay_ms: int) -> None:
-        """(Re)arm the node timer named tag; an existing one is cancelled."""
-        self._engine.set_node_timer(self._spec, tag, delay_ms)
-
-    def clear_timer(self, tag: str) -> None:
-        self._engine.clear_node_timer(self._spec, tag)
-
-    def set_flow(self, flow: str, enabled: bool) -> None:
-        self._engine.set_flow(flow, enabled)
-
-    def subscribe(self, pattern: str) -> None:
-        if self._engine.world is not None:
-            self._engine.world.subscribe(self._engine.instance, self._spec.id, pattern)
-
-    def log_fault(self, value) -> None:
-        self._engine.log.add(self.now, self.instance, "fault", self._spec.id, value=value)
-
-    def log_warning(self, message: str) -> None:
-        logger.warning("[%s/%s] %s", self.instance, self._spec.id, message)
-
-
 class Engine:
     """One runtime instance: a validated graph plus its live node state.
 
@@ -106,11 +48,10 @@ class Engine:
     def __init__(self, graph: FlowGraph, *, instance: str = "node", address: str = "127.0.0.1",
                  seed: int = 0, clock: Optional[VirtualClock] = None,
                  log: Optional[TimelineLog] = None, store: Optional[Store] = None,
-                 world=None, transport=None, rank: int = 0, validate: bool = True):
-        if validate:
-            errors = [d for d in validate_graph(graph) if d.severity == "error"]
-            if errors:
-                raise GraphInvalid(errors)
+                 world=None, transport=None, rank: int = 0):
+        errors = [d for d in validate_graph(graph) if d.severity == "error"]
+        if errors:
+            raise GraphInvalid(errors)
         from ..nodes import NODE_KINDS
 
         self.graph = graph
@@ -130,8 +71,7 @@ class Engine:
         self.halted = False
         self.flow_enabled = graph.flow_groups()
 
-        self.nodes = {spec.id: NODE_KINDS[spec.kind](spec, NodeContext(self, spec))
-                      for spec in graph.nodes}
+        self.nodes = {spec.id: NODE_KINDS[spec.kind](spec, self) for spec in graph.nodes}
         self._queue: deque = deque()
         self._draining = False
         self._timers: dict[tuple[str, str], Any] = {}
@@ -192,9 +132,11 @@ class Engine:
                   corr: Optional[str] = None) -> None:
         if self.halted:
             return
-        env = Envelope(self.clock.now, topic, payload, spec.id, port, corr)
-        self.log.add(env.time, self.instance, "emit", spec.id, port, topic, payload)
+        if port < 0:
+            raise ValueError("egress index must be non-negative")
+        self.log.add(self.clock.now, self.instance, "emit", spec.id, port, topic, payload)
         if port < len(spec.wires):
+            env = Envelope(topic, payload, corr)
             for dst, ingress in spec.wires[port]:
                 self._enqueue(self.graph.by_id[dst], ingress, env)
         self._drain()
@@ -204,14 +146,13 @@ class Engine:
                          corr: Optional[str] = None) -> None:
         """Deliver from outside the wire graph: a broker message (ingress None,
         handled by on_external) or a test drive. A halted engine logs a drop."""
-        self._enqueue(self.graph.by_id[node_id], ingress,
-                      Envelope(self.clock.now, topic, payload, "<external>", 0, corr))
+        self._enqueue(self.graph.by_id[node_id], ingress, Envelope(topic, payload, corr))
         self._drain()
 
     def _enqueue(self, spec, ingress: Optional[int], env: Envelope) -> None:
         """Log one deliver or drop for spec; a delivery queues its own copy of env."""
         deliver = not self.halted and self.flow_enabled.get(spec.flow, True)
-        self.log.add(env.time, self.instance, "deliver" if deliver else "drop", spec.id,
+        self.log.add(self.clock.now, self.instance, "deliver" if deliver else "drop", spec.id,
                      ingress, env.topic, env.payload)
         if deliver:
             self._queue.append((spec, ingress, env.fork()))

@@ -31,24 +31,16 @@ def copy_json(value: Payload) -> Payload:
 
 @dataclass(frozen=True, slots=True)
 class Envelope:
-    """One timestamped message travelling from a node egress to an ingress.
+    """One message as a node receives it: topic, payload and correlation id.
 
-    Envelopes are immutable values; the engine forks one for every delivery,
-    so state can never leak between branches, subscribers or the timeline.
+    When and from where it was sent is in the timeline, not here. Envelopes
+    are immutable values; the engine forks one for every delivery, so state
+    can never leak between branches, subscribers or the timeline.
     """
 
-    time: int
     topic: str
     payload: Payload
-    source: str
-    port: int = 0
     corr: Optional[str] = None
-
-    def __post_init__(self):
-        if self.time < 0:
-            raise ValueError("envelope time must be non-negative")
-        if self.port < 0:
-            raise ValueError("egress index must be non-negative")
 
     def fork(self) -> "Envelope":
         """Copy for one delivery; the single place payloads are copied.
@@ -59,8 +51,7 @@ class Envelope:
         """
         payload = self.payload
         if isinstance(payload, (dict, list)):
-            return Envelope(self.time, self.topic, copy_json(payload), self.source,
-                            self.port, self.corr)
+            return Envelope(self.topic, copy_json(payload), self.corr)
         return self
 
 

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, TYPE_CHECKING
+from typing import Any, Optional, TYPE_CHECKING
 
 from ..core.envelope import Envelope, is_number
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..core.engine import NodeContext
+    from ..core.engine import Engine
     from ..core.graph import NodeSpec
+
+logger = logging.getLogger(__name__)
 
 _MISSING = object()
 
@@ -67,6 +70,11 @@ class Node:
     Subclasses declare their wiring surface (ingress count, egress labels)
     and config schema as class attributes; the engine owns all invocation,
     so node code never needs its own synchronization.
+
+    At runtime a node calls emit, set_timer, clear_timer, log_fault and
+    log_warning, and reads now. It may also use these attributes of
+    self.engine: world (None without a co-simulation), store, cluster (None
+    without a redundancy node), instance and set_flow.
     """
 
     KIND = ""
@@ -74,9 +82,9 @@ class Node:
     EGRESS_LABELS: tuple = ("out",)
     CONFIG: dict = {}
 
-    def __init__(self, spec: "NodeSpec", ctx: "NodeContext"):
+    def __init__(self, spec: "NodeSpec", engine: "Engine"):
         self.spec = spec
-        self.ctx = ctx
+        self.engine = engine
 
     @property
     def id(self) -> str:
@@ -85,6 +93,27 @@ class Node:
     @property
     def cfg(self) -> dict:
         return self.spec.config
+
+    @property
+    def now(self) -> int:
+        return self.engine.clock.now
+
+    # --- runtime calls --------------------------------------------------
+    def emit(self, port: int, payload, topic: str = "", corr: Optional[str] = None) -> None:
+        self.engine.emit_from(self.spec, port, payload, topic, corr)
+
+    def set_timer(self, tag: str, delay_ms: int) -> None:
+        """(Re)arm the node timer named tag; an existing one is cancelled."""
+        self.engine.set_node_timer(self.spec, tag, delay_ms)
+
+    def clear_timer(self, tag: str) -> None:
+        self.engine.clear_node_timer(self.spec, tag)
+
+    def log_fault(self, value) -> None:
+        self.engine.log.add(self.now, self.engine.instance, "fault", self.id, value=value)
+
+    def log_warning(self, message: str) -> None:
+        logger.warning("[%s/%s] %s", self.engine.instance, self.id, message)
 
     # --- wiring surface -------------------------------------------------
     @classmethod
@@ -128,11 +157,11 @@ class Node:
         """Handle one delivery on a wired ingress."""
 
     def on_timer(self, tag: str) -> None:
-        """Handle a timer previously armed with ctx.set_timer(tag, ...)."""
+        """Handle a timer previously armed with self.set_timer(tag, ...)."""
 
     def on_external(self, topic: str, payload) -> None:
         """Handle a broker delivery (only subscription nodes accept these)."""
-        self.ctx.log_warning(f"node {self.id!r} ignores broker delivery on {topic!r}")
+        self.log_warning(f"node {self.id!r} ignores broker delivery on {topic!r}")
 
 
 NODE_KINDS: dict[str, type[Node]] = {}

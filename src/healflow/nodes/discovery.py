@@ -23,32 +23,32 @@ class HttpAware(Node):
         "period": Param("int", required=True, minimum=0, exclusive_min=True),
     }
 
-    def __init__(self, spec, ctx):
-        super().__init__(spec, ctx)
+    def __init__(self, spec, engine):
+        super().__init__(spec, engine)
         self._seen: dict = {}
 
     def on_start(self) -> None:
         self._probe()
-        self.ctx.set_timer("probe", self.cfg["period"])
+        self.set_timer("probe", self.cfg["period"])
 
     def on_timer(self, tag: str) -> None:
         self._probe()
-        self.ctx.set_timer("probe", self.cfg["period"])
+        self.set_timer("probe", self.cfg["period"])
 
     def _probe(self) -> None:
-        if self.ctx.world is None:
+        if self.engine.world is None:
             return
         ports = self.cfg["ports"]
         current = {}
-        for svc in self.ctx.world.services_up():
+        for svc in self.engine.world.services_up():
             if ports is None or svc.port in ports:
                 current[(svc.host, svc.port)] = svc.id
         for key in sorted(set(current) - set(self._seen)):
-            self.ctx.emit(0, {"event": "appeared", "service": current[key],
-                              "host": key[0], "port": key[1]})
+            self.emit(0, {"event": "appeared", "service": current[key],
+                          "host": key[0], "port": key[1]})
         for key in sorted(set(self._seen) - set(current)):
-            self.ctx.emit(1, {"event": "disappeared", "service": self._seen[key],
-                              "host": key[0], "port": key[1]})
+            self.emit(1, {"event": "disappeared", "service": self._seen[key],
+                          "host": key[0], "port": key[1]})
         self._seen = current
 
 
@@ -63,26 +63,26 @@ class NetworkAware(Node):
         "period": Param("int", required=True, minimum=0, exclusive_min=True),
     }
 
-    def __init__(self, spec, ctx):
-        super().__init__(spec, ctx)
+    def __init__(self, spec, engine):
+        super().__init__(spec, engine)
         self._seen: set = set()
 
     def on_start(self) -> None:
         self._scan()
-        self.ctx.set_timer("scan", self.cfg["period"])
+        self.set_timer("scan", self.cfg["period"])
 
     def on_timer(self, tag: str) -> None:
         self._scan()
-        self.ctx.set_timer("scan", self.cfg["period"])
+        self.set_timer("scan", self.cfg["period"])
 
     def _scan(self) -> None:
-        if self.ctx.world is None:
+        if self.engine.world is None:
             return
-        current = set(self.ctx.world.hosts())
+        current = set(self.engine.world.hosts())
         for host in sorted(current - self._seen):
-            self.ctx.emit(0, {"event": "joined", "host": host})
+            self.emit(0, {"event": "joined", "host": host})
         for host in sorted(self._seen - current):
-            self.ctx.emit(1, {"event": "left", "host": host})
+            self.emit(1, {"event": "left", "host": host})
         self._seen = current
 
 
@@ -108,12 +108,12 @@ class DeviceRegistry(Node):
         payload = env.payload
         if not isinstance(payload, dict) or payload.get("event") not in (
                 _ONLINE_EVENTS + _LOST_EVENTS):
-            self.ctx.emit(1, {"kind": "malformed", "value": payload}, env.topic, env.corr)
+            self.emit(1, {"kind": "malformed", "value": payload}, env.topic, env.corr)
             return
         event = payload["event"]
         device_id = payload.get("device") or payload.get("service") or payload.get("host")
         if not isinstance(device_id, str) or not device_id:
-            self.ctx.emit(1, {"kind": "missing-id", "value": payload}, env.topic, env.corr)
+            self.emit(1, {"kind": "missing-id", "value": payload}, env.topic, env.corr)
             return
         kind = payload.get("kind") or ("service" if "service" in payload else "host")
         endpoint = payload.get("host", "")
@@ -121,12 +121,11 @@ class DeviceRegistry(Node):
             endpoint = f"{endpoint}:{payload['port']}"
         try:
             if event in _ONLINE_EVENTS:
-                entry = self.ctx.store.registry_upsert(device_id, kind, endpoint, self.ctx.now)
+                entry = self.engine.store.registry_upsert(device_id, kind, endpoint, self.now)
             else:
-                entry = self.ctx.store.registry_mark_lost(device_id, self.ctx.now)
+                entry = self.engine.store.registry_mark_lost(device_id, self.now)
         except StoreError as exc:
-            self.ctx.emit(1, {"kind": "registry-error", "error": str(exc)},
-                          env.topic, env.corr)
+            self.emit(1, {"kind": "registry-error", "error": str(exc)}, env.topic, env.corr)
             return
-        self.ctx.emit(0, {"device": entry.device_id, "status": entry.status,
-                          "lastSeen": entry.last_seen}, env.topic, env.corr)
+        self.emit(0, {"device": entry.device_id, "status": entry.status,
+                      "lastSeen": entry.last_seen}, env.topic, env.corr)

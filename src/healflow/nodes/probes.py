@@ -30,14 +30,14 @@ class ThresholdCheck(Node):
     def on_input(self, env: Envelope, ingress: int) -> None:
         value = env.payload
         if not is_number(value):
-            self.ctx.emit(1, {"kind": "malformed", "value": value}, env.topic, env.corr)
+            self.emit(1, {"kind": "malformed", "value": value}, env.topic, env.corr)
             return
         if self.cfg["low"] <= value <= self.cfg["high"]:
-            self.ctx.emit(0, value, env.topic, env.corr)
+            self.emit(0, value, env.topic, env.corr)
         else:
-            self.ctx.emit(1, {"kind": "out-of-range", "value": value,
-                              "low": self.cfg["low"], "high": self.cfg["high"]},
-                          env.topic, env.corr)
+            self.emit(1, {"kind": "out-of-range", "value": value,
+                          "low": self.cfg["low"], "high": self.cfg["high"]},
+                      env.topic, env.corr)
 
 
 @register
@@ -57,19 +57,19 @@ class ReadingsWatcher(Node):
         "stuckCount": Param("int", default=2, minimum=2),
     }
 
-    def __init__(self, spec, ctx):
-        super().__init__(spec, ctx)
+    def __init__(self, spec, engine):
+        super().__init__(spec, engine)
         self._prev = None
         self._run = 0
 
     def on_input(self, env: Envelope, ingress: int) -> None:
         value = env.payload
         if not is_number(value):
-            self.ctx.emit(1, {"kind": "malformed", "value": value}, env.topic, env.corr)
+            self.emit(1, {"kind": "malformed", "value": value}, env.topic, env.corr)
             return
         if self._prev is None:
             self._prev, self._run = value, 1
-            self.ctx.emit(0, value, env.topic, env.corr)
+            self.emit(0, value, env.topic, env.corr)
             return
 
         delta = value - self._prev
@@ -84,10 +84,9 @@ class ReadingsWatcher(Node):
             anomaly = "min-change"
         self._prev = value
         if anomaly is None:
-            self.ctx.emit(0, value, env.topic, env.corr)
+            self.emit(0, value, env.topic, env.corr)
         else:
-            self.ctx.emit(1, {"kind": anomaly, "value": value, "delta": delta},
-                          env.topic, env.corr)
+            self.emit(1, {"kind": anomaly, "value": value, "delta": delta}, env.topic, env.corr)
 
 
 @register
@@ -105,12 +104,12 @@ class TimingCheck(Node):
         "tolerance": Param("number", default=0, minimum=0),
     }
 
-    def __init__(self, spec, ctx):
-        super().__init__(spec, ctx)
+    def __init__(self, spec, engine):
+        super().__init__(spec, engine)
         self._last_arrival = None
 
     def on_input(self, env: Envelope, ingress: int) -> None:
-        now = self.ctx.now
+        now = self.now
         if self._last_arrival is None:
             port = 1
         else:
@@ -124,7 +123,7 @@ class TimingCheck(Node):
             else:
                 port = 1
         self._last_arrival = now
-        self.ctx.emit(port, env.payload, env.topic, env.corr)
+        self.emit(port, env.payload, env.topic, env.corr)
 
 
 @register
@@ -148,25 +147,25 @@ class ResourceMonitor(Node):
     def on_input(self, env: Envelope, ingress: int) -> None:
         metric = self.cfg["metric"]
         if not isinstance(env.payload, dict):
-            self.ctx.emit(2, {"kind": "malformed", "value": env.payload}, env.topic, env.corr)
+            self.emit(2, {"kind": "malformed", "value": env.payload}, env.topic, env.corr)
             return
         if metric not in env.payload:
-            self.ctx.emit(2, {"kind": "missing-metric", "metric": metric}, env.topic, env.corr)
+            self.emit(2, {"kind": "missing-metric", "metric": metric}, env.topic, env.corr)
             return
         value = env.payload[metric]
         if not is_number(value):
-            self.ctx.emit(2, {"kind": "malformed", "metric": metric, "value": value},
-                          env.topic, env.corr)
+            self.emit(2, {"kind": "malformed", "metric": metric, "value": value},
+                      env.topic, env.corr)
             return
         near_min, near_max = self.cfg["nearMin"], self.cfg["nearMax"]
         if near_min is not None and value <= near_min:
-            self.ctx.emit(1, {"metric": metric, "value": value,
-                              "bound": "nearMin", "limit": near_min}, env.topic, env.corr)
+            self.emit(1, {"metric": metric, "value": value,
+                          "bound": "nearMin", "limit": near_min}, env.topic, env.corr)
         elif near_max is not None and value >= near_max:
-            self.ctx.emit(1, {"metric": metric, "value": value,
-                              "bound": "nearMax", "limit": near_max}, env.topic, env.corr)
+            self.emit(1, {"metric": metric, "value": value,
+                          "bound": "nearMax", "limit": near_max}, env.topic, env.corr)
         else:
-            self.ctx.emit(0, env.payload, env.topic, env.corr)
+            self.emit(0, env.payload, env.topic, env.corr)
 
 
 @register
@@ -190,14 +189,14 @@ class Heartbeat(Node):
     }
 
     def on_start(self) -> None:
-        self.ctx.set_timer("timeout", self.cfg["timeout"])
+        self.set_timer("timeout", self.cfg["timeout"])
 
     def on_input(self, env: Envelope, ingress: int) -> None:
-        self.ctx.set_timer("timeout", self.cfg["timeout"])
+        self.set_timer("timeout", self.cfg["timeout"])
         if self.cfg["mode"] == "active":
-            self.ctx.emit(0, self.cfg["ping"], env.topic, env.corr)
-        self.ctx.emit(1, self.cfg["ok"], env.topic, env.corr)
+            self.emit(0, self.cfg["ping"], env.topic, env.corr)
+        self.emit(1, self.cfg["ok"], env.topic, env.corr)
 
     def on_timer(self, tag: str) -> None:
-        self.ctx.set_timer("timeout", self.cfg["timeout"])
-        self.ctx.emit(2, self.cfg["error"])
+        self.set_timer("timeout", self.cfg["timeout"])
+        self.emit(2, self.cfg["error"])

@@ -39,8 +39,8 @@ class Compensate(Node):
                                  exclusive_min=True),
     }
 
-    def __init__(self, spec, ctx):
-        super().__init__(spec, ctx)
+    def __init__(self, spec, engine):
+        super().__init__(spec, engine)
         self.history: list = []
         self.confidence = 1.0
         self._topic = ""
@@ -49,30 +49,30 @@ class Compensate(Node):
         if len(self.history) >= self.cfg["historyMaxSize"]:
             del self.history[0]
         self.history.append(value)
-        self.ctx.set_timer("interval", self.cfg["interval"])
+        self.set_timer("interval", self.cfg["interval"])
 
     def on_start(self) -> None:
         # The cadence watchdog runs from node init, before any input arrives.
-        self.ctx.set_timer("interval", self.cfg["interval"])
+        self.set_timer("interval", self.cfg["interval"])
 
     def on_input(self, env: Envelope, ingress: int) -> None:
         self._topic = env.topic
         self._absorb(env.payload)
         self.confidence = 1.0
-        self.ctx.emit(0, {"value": env.payload, "substituted": False, "confidence": 1.0},
-                      env.topic, env.corr)
+        self.emit(0, {"value": env.payload, "substituted": False, "confidence": 1.0},
+                  env.topic, env.corr)
 
     def on_timer(self, tag: str) -> None:
         if not self.history:
             # Fabricating a value from nothing would defeat the pattern.
-            self.ctx.set_timer("interval", self.cfg["interval"])
-            self.ctx.emit(1, {"kind": "empty-history"})
+            self.set_timer("interval", self.cfg["interval"])
+            self.emit(1, {"kind": "empty-history"})
             return
         substitute = STRATEGIES[self.cfg["strategy"]](self.history)
         self.confidence *= self.cfg["confidenceDecay"]
         self._absorb(substitute)
-        self.ctx.emit(0, {"value": substitute, "substituted": True,
-                          "confidence": self.confidence}, self._topic)
+        self.emit(0, {"value": substitute, "substituted": True,
+                      "confidence": self.confidence}, self._topic)
 
 
 @register
@@ -91,23 +91,23 @@ class Checkpoint(Node):
     }
 
     def on_start(self) -> None:
-        record = self.ctx.store.load_checkpoint(self.id)
+        record = self.engine.store.load_checkpoint(self.id)
         if record is None:
             return
-        alive_time = self.ctx.now - record.timestamp
+        alive_time = self.now - record.timestamp
         if alive_time <= self.cfg["timeToLive"]:
             try:
-                self.ctx.store.clear_checkpoint(self.id)
+                self.engine.store.clear_checkpoint(self.id)
             except StoreError as exc:
-                self.ctx.log_fault({"kind": "store-error", "error": str(exc)})
-            self.ctx.emit(0, record.payload, record.topic)
+                self.log_fault({"kind": "store-error", "error": str(exc)})
+            self.emit(0, record.payload, record.topic)
 
     def on_input(self, env: Envelope, ingress: int) -> None:
         try:
-            self.ctx.store.store_checkpoint(self.id, env.topic, env.payload, self.ctx.now)
+            self.engine.store.store_checkpoint(self.id, env.topic, env.payload, self.now)
         except StoreError as exc:
-            self.ctx.log_fault({"kind": "store-error", "error": str(exc)})
-        self.ctx.emit(0, env.payload, env.topic, env.corr)
+            self.log_fault({"kind": "store-error", "error": str(exc)})
+        self.emit(0, env.payload, env.topic, env.corr)
 
 
 @register
@@ -125,15 +125,15 @@ class KalmanFilter(Node):
         "r": Param("number", required=True, minimum=0, exclusive_min=True),
     }
 
-    def __init__(self, spec, ctx):
-        super().__init__(spec, ctx)
+    def __init__(self, spec, engine):
+        super().__init__(spec, engine)
         self.estimate = None
         self.variance = None
 
     def on_input(self, env: Envelope, ingress: int) -> None:
         z = env.payload
         if not is_number(z):
-            self.ctx.emit(1, {"kind": "malformed", "value": z}, env.topic, env.corr)
+            self.emit(1, {"kind": "malformed", "value": z}, env.topic, env.corr)
             return
         if self.estimate is None:
             self.estimate = float(z)
@@ -143,4 +143,4 @@ class KalmanFilter(Node):
             gain = self.variance / (self.variance + self.cfg["r"])
             self.estimate += gain * (z - self.estimate)
             self.variance *= (1 - gain)
-        self.ctx.emit(0, self.estimate, env.topic, env.corr)
+        self.emit(0, self.estimate, env.topic, env.corr)

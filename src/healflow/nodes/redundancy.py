@@ -24,10 +24,10 @@ class Redundancy(Node):
     }
 
     def on_start(self) -> None:
-        if self.ctx.cluster is not None:
-            self.ctx.cluster.add_listener(self._on_transition)
+        if self.engine.cluster is not None:
+            self.engine.cluster.add_listener(self._on_transition)
 
     def _on_transition(self, role: str, epoch: int, commands: list) -> None:
         for action, flow in commands:
-            self.ctx.emit(0, {"action": action, "flow": flow})
-        self.ctx.emit(1, {"role": role})
+            self.emit(0, {"action": action, "flow": flow})
+        self.emit(1, {"role": role})

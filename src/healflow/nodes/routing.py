@@ -47,8 +47,8 @@ class Balancing(Node):
                 return ["weights must be positive integers"]
         return []
 
-    def __init__(self, spec, ctx):
-        super().__init__(spec, ctx)
+    def __init__(self, spec, engine):
+        super().__init__(spec, engine)
         if self.cfg["strategy"] == "weightedRoundRobin":
             self._cycle = [i for i, w in enumerate(self.cfg["weights"]) for _ in range(w)]
         else:
@@ -57,7 +57,7 @@ class Balancing(Node):
         self._rng = None
         if self.cfg["strategy"] == "random":
             seed = self.cfg["seed"]
-            self._rng = ctx.rng if seed is None else random.Random(seed)
+            self._rng = engine.node_rng(spec.id) if seed is None else random.Random(seed)
 
     def on_input(self, env: Envelope, ingress: int) -> None:
         if self._rng is not None:
@@ -65,7 +65,7 @@ class Balancing(Node):
         else:
             port = self._cycle[self._next]
             self._next = (self._next + 1) % len(self._cycle)
-        self.ctx.emit(port, env.payload, env.topic, env.corr)
+        self.emit(port, env.payload, env.topic, env.corr)
 
 
 @register
@@ -86,8 +86,8 @@ class Debounce(Node):
                           choices=("last", "first", "avg", "drop-extra")),
     }
 
-    def __init__(self, spec, ctx):
-        super().__init__(spec, ctx)
+    def __init__(self, spec, engine):
+        super().__init__(spec, engine)
         self._open = False
         self._pending: list = []
         self._topic = ""
@@ -95,14 +95,14 @@ class Debounce(Node):
     def on_input(self, env: Envelope, ingress: int) -> None:
         strategy = self.cfg["strategy"]
         if strategy == "avg" and not is_number(env.payload):
-            self.ctx.emit(1, {"kind": "malformed", "value": env.payload}, env.topic, env.corr)
+            self.emit(1, {"kind": "malformed", "value": env.payload}, env.topic, env.corr)
             return
         self._topic = env.topic
         if not self._open:
             self._open = True
             self._pending = []
-            self.ctx.set_timer("window", self.cfg["window"])
-            self.ctx.emit(0, env.payload, env.topic, env.corr)
+            self.set_timer("window", self.cfg["window"])
+            self.emit(0, env.payload, env.topic, env.corr)
         else:
             self._pending.append(env.payload)
 
@@ -118,8 +118,8 @@ class Debounce(Node):
             value = pending[0]
         else:
             value = sum(pending) / len(pending)
-        self.ctx.set_timer("window", self.cfg["window"])
-        self.ctx.emit(0, value, self._topic)
+        self.set_timer("window", self.cfg["window"])
+        self.emit(0, value, self._topic)
 
 
 @register
@@ -139,8 +139,8 @@ class ActionAudit(Node):
         "match": Param("str", default=None),
     }
 
-    def __init__(self, spec, ctx):
-        super().__init__(spec, ctx)
+    def __init__(self, spec, engine):
+        super().__init__(spec, engine)
         self._pending = None  # (corr, topic)
 
     def _matches(self, topic: str) -> bool:
@@ -150,26 +150,26 @@ class ActionAudit(Node):
     def on_input(self, env: Envelope, ingress: int) -> None:
         if ingress == 0:
             if self._pending is not None:
-                self.ctx.log_warning("new trigger supersedes a pending one")
+                self.log_warning("new trigger supersedes a pending one")
             self._pending = (env.corr, env.topic)
-            self.ctx.set_timer("timeout", self.cfg["timeout"])
+            self.set_timer("timeout", self.cfg["timeout"])
         else:
             if self._pending is None:
-                self.ctx.log_warning(f"ack on {env.topic!r} with no pending trigger")
+                self.log_warning(f"ack on {env.topic!r} with no pending trigger")
                 return
             if not self._matches(env.topic):
                 return
             corr, _ = self._pending
             self._pending = None
-            self.ctx.clear_timer("timeout")
-            self.ctx.emit(0, env.payload, env.topic, corr)
+            self.clear_timer("timeout")
+            self.emit(0, env.payload, env.topic, corr)
 
     def on_timer(self, tag: str) -> None:
         if self._pending is None:
             return
         corr, topic = self._pending
         self._pending = None
-        self.ctx.emit(1, {"kind": "timeout"}, topic, corr)
+        self.emit(1, {"kind": "timeout"}, topic, corr)
 
 
 @register
@@ -190,18 +190,18 @@ class ReplicationVoter(Node):
         "window": Param("int", required=True, minimum=0, exclusive_min=True),
     }
 
-    def __init__(self, spec, ctx):
-        super().__init__(spec, ctx)
+    def __init__(self, spec, engine):
+        super().__init__(spec, engine)
         self._values: list = []
         self._topic = ""
 
     def on_input(self, env: Envelope, ingress: int) -> None:
         if not self._values:
             self._topic = env.topic
-            self.ctx.set_timer("window", self.cfg["window"])
+            self.set_timer("window", self.cfg["window"])
         self._values.append(env.payload)
         if len(self._values) >= self.cfg["expected"]:
-            self.ctx.clear_timer("window")
+            self.clear_timer("window")
             self._decide()
 
     def on_timer(self, tag: str) -> None:
@@ -211,9 +211,9 @@ class ReplicationVoter(Node):
         values, self._values = self._values, []
         winner, tally = vote(values, self.cfg["quorum"])
         if winner is not _NO_CONSENSUS:
-            self.ctx.emit(0, winner, self._topic)
+            self.emit(0, winner, self._topic)
         else:
-            self.ctx.emit(1, {"tally": tally}, self._topic)
+            self.emit(1, {"tally": tally}, self._topic)
 
 
 _NO_CONSENSUS = object()
@@ -263,11 +263,11 @@ class FlowControl(Node):
         cmd = env.payload
         if (not isinstance(cmd, dict) or cmd.get("action") not in ("enable", "disable")
                 or not isinstance(cmd.get("flow"), str)):
-            self.ctx.emit(1, {"kind": "malformed", "value": cmd}, env.topic, env.corr)
+            self.emit(1, {"kind": "malformed", "value": cmd}, env.topic, env.corr)
             return
         try:
-            self.ctx.set_flow(cmd["flow"], cmd["action"] == "enable")
+            self.engine.set_flow(cmd["flow"], cmd["action"] == "enable")
         except UnknownFlowGroup:
-            self.ctx.emit(1, {"kind": "unknown-flow", "flow": cmd["flow"]}, env.topic, env.corr)
+            self.emit(1, {"kind": "unknown-flow", "flow": cmd["flow"]}, env.topic, env.corr)
             return
-        self.ctx.emit(0, {"action": cmd["action"], "flow": cmd["flow"]}, env.topic, env.corr)
+        self.emit(0, {"action": cmd["action"], "flow": cmd["flow"]}, env.topic, env.corr)

@@ -24,14 +24,18 @@ class Sensor(Node):
         "noiseAmp": Param("number", default=0.0, minimum=0),
     }
 
+    def __init__(self, spec, engine):
+        super().__init__(spec, engine)
+        self._rng = engine.node_rng(spec.id)
+
     def on_start(self) -> None:
-        self.ctx.set_timer("tick", self.cfg["period"])
+        self.set_timer("tick", self.cfg["period"])
 
     def on_timer(self, tag: str) -> None:
-        self.ctx.set_timer("tick", self.cfg["period"])
+        self.set_timer("tick", self.cfg["period"])
         amp = self.cfg["noiseAmp"]
-        value = self.cfg["base"] + (self.ctx.rng.uniform(-amp, amp) if amp else 0)
-        self.ctx.emit(0, value, self.cfg["topic"] or f"sensor/{self.id}")
+        value = self.cfg["base"] + (self._rng.uniform(-amp, amp) if amp else 0)
+        self.emit(0, value, self.cfg["topic"] or f"sensor/{self.id}")
 
 
 @register
@@ -63,13 +67,13 @@ class Rbe(Node):
     EGRESS_LABELS = ("out",)
     CONFIG = {}
 
-    def __init__(self, spec, ctx):
-        super().__init__(spec, ctx)
+    def __init__(self, spec, engine):
+        super().__init__(spec, engine)
         self._state: dict = {}
 
     def on_input(self, env: Envelope, ingress: int) -> None:
         if rbe_process(env.payload, self._state):
-            self.ctx.emit(0, env.payload, env.topic, env.corr)
+            self.emit(0, env.payload, env.topic, env.corr)
 
 
 @register
@@ -85,11 +89,11 @@ class Extract(Node):
     def on_input(self, env: Envelope, ingress: int) -> None:
         key = self.cfg["key"]
         if not isinstance(env.payload, dict):
-            self.ctx.emit(1, {"kind": "malformed", "value": env.payload}, env.topic, env.corr)
+            self.emit(1, {"kind": "malformed", "value": env.payload}, env.topic, env.corr)
         elif key not in env.payload:
-            self.ctx.emit(1, {"kind": "missing-key", "key": key}, env.topic, env.corr)
+            self.emit(1, {"kind": "missing-key", "key": key}, env.topic, env.corr)
         else:
-            self.ctx.emit(0, env.payload[key], env.topic, env.corr)
+            self.emit(0, env.payload[key], env.topic, env.corr)
 
 
 @register
@@ -104,10 +108,12 @@ class MqttIn(Node):
     }
 
     def on_start(self) -> None:
-        self.ctx.subscribe(self.cfg["topic"])
+        world = self.engine.world
+        if world is not None:
+            world.subscribe(self.engine.instance, self.id, self.cfg["topic"])
 
     def on_external(self, topic: str, payload) -> None:
-        self.ctx.emit(0, payload, topic)
+        self.emit(0, payload, topic)
 
 
 @register
@@ -121,11 +127,11 @@ class MqttOut(Node):
     }
 
     def on_input(self, env: Envelope, ingress: int) -> None:
-        if self.ctx.world is None:
-            self.ctx.log_warning("no broker attached, publish dropped")
+        if self.engine.world is None:
+            self.log_warning("no broker attached, publish dropped")
             return
-        self.ctx.world.publish(self.cfg["topic"] or env.topic, env.payload,
-                               source=self.ctx.instance)
+        self.engine.world.publish(self.cfg["topic"] or env.topic, env.payload,
+                                  source=self.engine.instance)
 
 
 @register
@@ -144,11 +150,11 @@ class HttpPost(Node):
 
     def on_input(self, env: Envelope, ingress: int) -> None:
         sid = self.cfg["service"]
-        world = self.ctx.world
+        world = self.engine.world
         svc = world.services.get(sid) if world is not None else None
         if svc is None:
-            self.ctx.emit(1, {"kind": "unknown-service", "service": sid}, env.topic, env.corr)
+            self.emit(1, {"kind": "unknown-service", "service": sid}, env.topic, env.corr)
         elif not svc.up:
-            self.ctx.emit(1, {"kind": "service-down", "service": sid}, env.topic, env.corr)
+            self.emit(1, {"kind": "service-down", "service": sid}, env.topic, env.corr)
         else:
-            self.ctx.emit(0, env.payload, f"service/{sid}", env.corr)
+            self.emit(0, env.payload, f"service/{sid}", env.corr)

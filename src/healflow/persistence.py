@@ -77,7 +77,8 @@ class Store:
     def store_checkpoint(self, node_id: str, topic: str, payload: Any, timestamp: int) -> None:
         record = {"timestamp": timestamp, "topic": topic, "payload": payload}
         self._ckpt[node_id] = record
-        self._append(self._ckpt_line(node_id, record))
+        if self.path is not None:
+            self._append(self._ckpt_line(node_id, record))
 
     def load_checkpoint(self, node_id: str) -> Optional[CheckpointRecord]:
         record = self._ckpt.get(node_id)
@@ -92,7 +93,8 @@ class Store:
             return
         record = {"timestamp": record["timestamp"], "topic": "", "payload": None}
         self._ckpt[node_id] = record
-        self._append(self._ckpt_line(node_id, record))
+        if self.path is not None:
+            self._append(self._ckpt_line(node_id, record))
 
     # --- device registry ----------------------------------------------------
     def registry_upsert(self, device_id: str, kind: str = "device",
@@ -101,7 +103,8 @@ class Store:
         last_seen = max(now, prev.last_seen) if prev else now
         entry = RegistryEntry(device_id, kind, endpoint, last_seen, "online")
         self._reg[device_id] = entry
-        self._append(self._reg_line(entry))
+        if self.path is not None:
+            self._append(self._reg_line(entry))
         return entry
 
     def registry_mark_lost(self, device_id: str, now: int) -> RegistryEntry:
@@ -111,7 +114,8 @@ class Store:
         # lastSeen is retained: losing a device is not seeing it.
         entry = RegistryEntry(device_id, prev.kind, prev.endpoint, prev.last_seen, "lost")
         self._reg[device_id] = entry
-        self._append(self._reg_line(entry))
+        if self.path is not None:
+            self._append(self._reg_line(entry))
         return entry
 
     def registry_list(self) -> list[RegistryEntry]:
@@ -143,8 +147,7 @@ class Store:
                 f"{_encode_token(entry.endpoint) or '-'} {entry.last_seen} {entry.status}\n")
 
     def _append(self, line: str) -> None:
-        if self.path is None:
-            return
+        """Append one record line; callers build it only for a file-backed store."""
         try:
             with self.path.open("a", encoding="utf-8") as fh:
                 fh.write(line)

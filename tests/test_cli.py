@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from healflow.cli import main
 
 
@@ -97,6 +99,17 @@ def test_marble_empty_timeline_exits_0(tmp_path, capsys):
                  "--format", "marble"])
     assert code == 0
     assert "no emissions" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bucket", ["0", "-5"])
+def test_marble_bucket_below_1_exits_2(fixture_path, capsys, bucket):
+    code = main(["run", "--flow", str(fixture_path("flow_a.json")),
+                 "--scenario", str(fixture_path("scenario_a.json")),
+                 "--format", "marble", "--bucket-ms", bucket])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert f"--bucket-ms must be at least 1, got {bucket}" in captured.err
+    assert captured.out == ""
 
 
 def test_report_loss_from_file(tmp_path, fixture_path, capsys):

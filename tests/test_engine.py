@@ -61,6 +61,16 @@ def test_broker_delivery_to_disabled_flow_group_logs_drop_without_port():
     assert seen == []
 
 
+def test_emit_on_negative_egress_is_an_operator_error_and_delivers_nothing():
+    graph = build_graph(make_spec("a", "rbe", wires=[[("b", 0)]]), make_spec("b", "debug"))
+    engine = Engine(graph, instance="i")
+    node = engine.nodes["a"]
+    node.on_input = lambda env, ingress: node.emit(-1, env.payload, env.topic, env.corr)
+    engine.deliver_external("a", "t", 1, ingress=0)
+    assert [(e.kind, e.node) for e in engine.log] == [("deliver", "a"), ("fault", "a")]
+    assert engine.log.entries[-1].value["kind"] == "operator-error"
+
+
 def test_periodic_sensor_emission_count():
     graph = build_graph(make_spec("s", "sensor", {"period": 60000}))
     engine = Engine(graph)
