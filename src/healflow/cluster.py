@@ -1,10 +1,11 @@
 """Multi-instance redundancy: ping protocol, failure detection, master election.
 
 The election needs no ballot exchange. Every instance broadcasts pings,
-keeps a liveness table of its peers, and computes the winner locally as a
-pure function of the alive set (highest last address octet, full address as
-tie-break). Because every instance evaluates the same function over the
-same set, they agree without further messages.
+keeps a liveness map of its peers, and computes the winner locally as a
+pure function of the alive set: the largest election_key, that is the
+highest last address octet with the full address as tie-break. Because
+every instance evaluates the same function over the same set, they agree
+without further messages.
 
 Wire protocol: ASCII lines over datagrams,
 
@@ -16,13 +17,10 @@ Unknown verbs are ignored with a log line.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Iterable, Optional
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_ELECTION_TIMEOUT = 15_000
 
 ROLE_MASTER = "master"
 ROLE_STANDBY = "standby"
@@ -32,52 +30,18 @@ class PingDecodeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class InstanceId:
-    address: str
-    last_octet: int
-    name: str
-
-    @classmethod
-    def from_address(cls, address: str, name: Optional[str] = None) -> "InstanceId":
-        parts = address.split(".")
-        if len(parts) != 4:
-            raise ValueError(f"not a dotted-quad address: {address!r}")
-        octets = []
-        for p in parts:
-            if not p.isdigit() or not 0 <= int(p) <= 255:
-                raise ValueError(f"bad octet {p!r} in {address!r}")
-            octets.append(int(p))
-        return cls(address=address, last_octet=octets[3], name=name or address)
-
-
-@dataclass
-class PeerInfo:
-    instance: InstanceId
-    last_seen: int
-    alive: bool = True
-
-
-@dataclass
-class PeerTable:
-    peers: dict = field(default_factory=dict)  # address -> PeerInfo
-
-    def alive_instances(self) -> list[InstanceId]:
-        return [p.instance for p in self.peers.values() if p.alive]
-
-
-@dataclass(frozen=True)
-class ClusterState:
-    self_id: InstanceId
-    role: str = ROLE_STANDBY
-    epoch: int = 0
-    election_timeout: int = DEFAULT_ELECTION_TIMEOUT
+def election_key(address) -> tuple[int, str]:
+    """(last octet, address) of a dotted-quad address; ValueError for anything else."""
+    parts = address.split(".") if isinstance(address, str) else ()
+    if len(parts) != 4 or not all(p.isascii() and p.isdigit() and int(p) <= 255 for p in parts):
+        raise ValueError(f"not a dotted-quad address: {address!r}")
+    return int(parts[3]), address
 
 
 # --- wire protocol ---------------------------------------------------------
 
-def encode_ping(self_id: InstanceId, epoch: int, now: int) -> bytes:
-    return f"SHEN/1 PING {self_id.address} {epoch} {now}\n".encode("ascii")
+def encode_ping(address: str, epoch: int, now: int) -> bytes:
+    return f"SHEN/1 PING {address} {epoch} {now}\n".encode("ascii")
 
 
 def decode_ping(data: bytes) -> tuple[str, int, int]:
@@ -95,60 +59,6 @@ def decode_ping(data: bytes) -> tuple[str, int, int]:
         return parts[2], int(parts[3]), int(parts[4])
     except ValueError as exc:
         raise PingDecodeError(f"malformed datagram: {text.strip()!r}") from exc
-
-
-# --- pure cluster operations -------------------------------------------------
-
-def on_ping(table: PeerTable, peer: InstanceId, now: int) -> bool:
-    """Record a ping. Returns True when the peer is new or back from dead."""
-    info = table.peers.get(peer.address)
-    if info is None:
-        table.peers[peer.address] = PeerInfo(peer, now, True)
-        return True
-    revived = not info.alive
-    info.last_seen = now
-    info.alive = True
-    return revived
-
-
-def detect_failures(table: PeerTable, now: int, election_timeout: int) -> list[InstanceId]:
-    """Flip peers silent for longer than the timeout; each is reported once.
-
-    A peer is still alive at exactly last_seen + timeout and dead one
-    virtual millisecond later.
-    """
-    newly_dead = []
-    for info in table.peers.values():
-        if info.alive and now - info.last_seen > election_timeout:
-            info.alive = False
-            newly_dead.append(info.instance)
-    return newly_dead
-
-
-def elect_master(alive: Iterable[InstanceId]) -> InstanceId:
-    """Winner is the highest last octet; full-address order breaks ties."""
-    candidates = list(alive)
-    if not candidates:
-        raise ValueError("cannot elect a master from an empty alive set")
-    return max(candidates, key=lambda i: (i.last_octet, i.address))
-
-
-def role_transition(state: ClusterState, alive: Iterable[InstanceId],
-                    controlled_flows: Iterable[str] = ()) -> tuple[ClusterState, list[tuple[str, str]]]:
-    """Recompute the role from the alive set (self is always alive).
-
-    Returns the next state plus enable/disable commands for the controlled
-    flow-groups; the epoch only advances on an actual transition.
-    """
-    winner = elect_master(list(alive) + [state.self_id])
-    is_master = winner.address == state.self_id.address
-    if is_master and state.role != ROLE_MASTER:
-        new = replace(state, role=ROLE_MASTER, epoch=state.epoch + 1)
-        return new, [("enable", f) for f in controlled_flows]
-    if not is_master and state.role == ROLE_MASTER:
-        new = replace(state, role=ROLE_STANDBY, epoch=state.epoch + 1)
-        return new, [("disable", f) for f in controlled_flows]
-    return state, []
 
 
 # --- transport ---------------------------------------------------------------
@@ -190,44 +100,40 @@ class LoopbackTransport:
 class ClusterAgent:
     """Per-engine cluster runtime: pings, liveness timers, elections.
 
+    The agent holds all cluster state as plain attributes: its `role` and
+    `epoch`, `election_timeout` and `ping_period`, its own election `key`,
+    and `peers`, a map from address to (election key, last ping time,
+    alive). A peer is alive until one virtual millisecond past
+    last ping + election timeout; its expiry timer is re-armed on every ping.
+
     Elections run whenever the alive set could have changed (a peer expires
-    or reappears) and on a periodic tick every election timeout. Listeners
-    registered by redundancy nodes get (role, epoch, commands) on every
-    transition.
+    or appears) and on a periodic tick every election timeout. The epoch
+    advances only on a role change, which logs one role-change entry and
+    calls the listeners registered by redundancy nodes with
+    (role, epoch, commands). Callbacks of a halted engine do nothing.
     """
 
-    def __init__(self, engine, self_id: InstanceId, election_timeout: int,
+    def __init__(self, engine, address: str, election_timeout: int,
                  transport: Optional[LoopbackTransport] = None,
                  controlled_flows: Iterable[str] = (), role_node: str = "cluster"):
         self.engine = engine
+        self.address = address
+        self.key = election_key(address)
+        self.role = ROLE_STANDBY
+        self.epoch = 0
+        self.election_timeout = election_timeout
+        self.ping_period = max(1, election_timeout // 5)
+        self.peers: dict[str, tuple[tuple[int, str], int, bool]] = {}
         self.transport = transport
-        self.state = ClusterState(self_id=self_id, election_timeout=election_timeout)
-        self.peers = PeerTable()
         self.controlled_flows = list(controlled_flows)
         self.role_node = role_node
-        self.ping_period = max(1, election_timeout // 5)
         self._listeners: list[Callable[[str, int, list], None]] = []
-        self._expiry: dict[str, object] = {}
-        self._peer_ids: dict[str, InstanceId] = {}  # address -> parsed id, valid ones only
-        # One guarded callback per timer kind, shared by every timer of that kind.
-        self._ping_tick_cb = engine.guard(self._ping_tick)
-        self._election_cb = engine.guard(self._periodic_election)
-        self._expiry_cb = engine.guard(self._expiry_check)
+        self._expiry: dict[str, object] = {}  # address -> pending expiry timer
         # Register at construction so a boot ping from an instance that
         # starts first still reaches instances created later in the same
         # setup pass; deliveries are scheduled events, nothing fires early.
-        if self.transport is not None:
-            self.transport.register(self.self_id.address,
-                                    engine.guard(self.receive_datagram),
-                                    rank=engine.rank_deliver)
-
-    @property
-    def role(self) -> str:
-        return self.state.role
-
-    @property
-    def self_id(self) -> InstanceId:
-        return self.state.self_id
+        if transport is not None:
+            transport.register(address, self.receive_datagram, rank=engine.rank_deliver)
 
     def add_listener(self, fn: Callable[[str, int, list], None]) -> None:
         self._listeners.append(fn)
@@ -235,78 +141,88 @@ class ClusterAgent:
     def start(self) -> None:
         clock = self.engine.clock
         self._broadcast_ping()
-        clock.after(self.ping_period, self._ping_tick_cb, rank=self.engine.rank_timer)
-        clock.after(self.state.election_timeout, self._election_cb, rank=self.engine.rank_timer)
+        clock.after(self.ping_period, self._ping_tick, rank=self.engine.rank_timer)
+        clock.after(self.election_timeout, self._periodic_election, rank=self.engine.rank_timer)
 
     # --- timers --------------------------------------------------------------
     def _ping_tick(self) -> None:
+        if self.engine.halted:
+            return
         self._broadcast_ping()
-        self.engine.clock.after(self.ping_period, self._ping_tick_cb, rank=self.engine.rank_timer)
+        self.engine.clock.after(self.ping_period, self._ping_tick, rank=self.engine.rank_timer)
 
     def _periodic_election(self) -> None:
+        if self.engine.halted:
+            return
         self.run_election("election-result")
-        self.engine.clock.after(self.state.election_timeout, self._election_cb,
+        self.engine.clock.after(self.election_timeout, self._periodic_election,
                                 rank=self.engine.rank_timer)
 
     def _broadcast_ping(self) -> None:
         if self.transport is not None:
-            self.transport.broadcast(self.self_id.address,
-                                     encode_ping(self.self_id, self.state.epoch,
-                                                 self.engine.clock.now))
+            self.transport.broadcast(self.address,
+                                     encode_ping(self.address, self.epoch, self.engine.clock.now))
 
     # --- datagram path ---------------------------------------------------------
     def receive_datagram(self, data: bytes) -> None:
+        """Record a peer's ping; a new or revived peer triggers an election."""
+        if self.engine.halted:
+            return
         try:
             address, epoch, sent_at = decode_ping(data)
         except PingDecodeError as exc:
             logger.info("ignoring datagram: %s", exc)
             return
-        if address == self.self_id.address:
+        if address == self.address:
             return
-        peer = self._peer_id(address)
-        if peer is None:
-            return
-        now = self.engine.clock.now
-        revived = on_ping(self.peers, peer, now)
-        self._arm_expiry(address, now)
-        if revived:
-            self.run_election("master-recovered")
-
-    def _peer_id(self, address: str) -> Optional[InstanceId]:
-        """The cached id of a ping's sender; None, logged, when the address is bad."""
-        peer = self._peer_ids.get(address)
+        peer = self.peers.get(address)
         if peer is None:
             try:
-                peer = InstanceId.from_address(address)
+                key = election_key(address)
             except ValueError as exc:
                 logger.info("ignoring datagram: %s", exc)
-                return None
-            self._peer_ids[address] = peer
-        return peer
-
-    def _arm_expiry(self, address: str, last_seen: int) -> None:
+                return
+            joined = True
+        else:
+            key, _, alive = peer
+            joined = not alive
         clock = self.engine.clock
+        now = clock.now
+        self.peers[address] = (key, now, True)
         old = self._expiry.get(address)
         if old is not None:
             clock.cancel(old)
-        fire_at = last_seen + self.state.election_timeout + 1
-        self._expiry[address] = clock.at(fire_at, self._expiry_cb, rank=self.engine.rank_timer)
+        self._expiry[address] = clock.at(now + self.election_timeout + 1, self._expire,
+                                         rank=self.engine.rank_timer)
+        if joined:
+            self.run_election("master-recovered")
 
-    def _expiry_check(self) -> None:
-        dead = detect_failures(self.peers, self.engine.clock.now, self.state.election_timeout)
-        if dead:
+    def _expire(self) -> None:
+        """Mark every peer silent for longer than the timeout dead, once."""
+        if self.engine.halted:
+            return
+        now = self.engine.clock.now
+        died = False
+        for address, (key, last_ping, alive) in self.peers.items():
+            if alive and now - last_ping > self.election_timeout:
+                self.peers[address] = (key, last_ping, False)
+                died = True
+        if died:
             self.run_election("election-result")
 
     # --- elections ----------------------------------------------------------
     def run_election(self, reason: str) -> None:
-        alive = self.peers.alive_instances()
-        new_state, commands = role_transition(self.state, alive, self.controlled_flows)
-        changed = new_state.role != self.state.role
-        self.state = new_state
-        if changed:
-            self.engine.log.add(self.engine.clock.now, self.engine.instance, "role-change",
-                                self.role_node,
-                                value={"role": new_state.role, "epoch": new_state.epoch,
-                                       "reason": reason})
-            for fn in self._listeners:
-                fn(new_state.role, new_state.epoch, commands)
+        """Take the role the alive set gives this agent; log and notify on a change."""
+        alive = [key for key, _, up in self.peers.values() if up]
+        role = ROLE_MASTER if max(alive, default=self.key) <= self.key else ROLE_STANDBY
+        if role == self.role:
+            return
+        self.role = role
+        self.epoch += 1
+        action = "enable" if role == ROLE_MASTER else "disable"
+        commands = [(action, flow) for flow in self.controlled_flows]
+        self.engine.log.add(self.engine.clock.now, self.engine.instance, "role-change",
+                            self.role_node,
+                            value={"role": role, "epoch": self.epoch, "reason": reason})
+        for fn in self._listeners:
+            fn(role, self.epoch, commands)

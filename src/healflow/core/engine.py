@@ -18,7 +18,7 @@ from collections import deque
 from functools import partial
 from typing import Any, Optional
 
-from ..cluster import ClusterAgent, InstanceId
+from ..cluster import ClusterAgent
 from ..persistence import Store
 from .clock import VirtualClock
 from .envelope import Envelope
@@ -81,8 +81,7 @@ class Engine:
         if reds:
             cfg = reds[0].config
             self.cluster = ClusterAgent(
-                self, InstanceId.from_address(address, instance),
-                election_timeout=cfg["electionTimeout"], transport=transport,
+                self, address, election_timeout=cfg["electionTimeout"], transport=transport,
                 controlled_flows=cfg["controlledFlows"], role_node=reds[0].id)
 
         if world is not None:
@@ -109,13 +108,6 @@ class Engine:
     def halt(self) -> None:
         """Stop processing: pending timers become no-ops, deliveries drops."""
         self.halted = True
-
-    def guard(self, fn):
-        """Wrap a callback so it dies silently once the engine is halted."""
-        def wrapped(*args, **kwargs):
-            if not self.halted:
-                fn(*args, **kwargs)
-        return wrapped
 
     def node_rng(self, node_id: str) -> random.Random:
         # String seeding hashes with sha512 internally, stable across runs.

@@ -163,6 +163,8 @@ class Store:
                 if tag == "CKPT":
                     node_id, timestamp, body = rest.split(" ", 2)
                     parsed = json.loads(body)
+                    if not isinstance(parsed, dict):
+                        raise ValueError("checkpoint body is not a JSON object")
                     self._ckpt[_decode_token(node_id)] = {
                         "timestamp": int(timestamp), "topic": parsed.get("topic", ""),
                         "payload": parsed.get("payload")}

@@ -191,6 +191,8 @@ def render_marble(entries: Iterable[TimelineEntry], *, bucket_ms: Optional[int] 
 
     if bucket_ms is None:
         bucket_ms = default_bucket(entries, graph)
+    elif bucket_ms < 1:
+        raise ValueError(f"bucket_ms must be at least 1, got {bucket_ms}")
     if not emits:
         return f"# marble bucket_ms={bucket_ms} (no emissions)\n"
 

@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from ..cluster import election_key
 from .world import Service, VirtualDevice
 
 FAULT_KINDS = (
@@ -63,30 +64,65 @@ class ScenarioScript:
     world: WorldSpec = field(default_factory=WorldSpec)
 
 
+def _objects(doc: dict, key: str, where: str = "") -> list[dict]:
+    """doc[key] as a list of JSON objects, empty when absent."""
+    items = doc.get(key, [])
+    if not isinstance(items, list) or not all(isinstance(i, dict) for i in items):
+        raise ScenarioError(f"{where}{key} must be a list of objects")
+    return items
+
+
+def _int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _parse_device(raw: dict) -> VirtualDevice:
     kind = raw.get("kind", "periodicSensor")
     if kind not in ("periodicSensor", "nfcReader"):
         raise ScenarioError(f"unknown device kind {kind!r}")
     if not raw.get("id") or not raw.get("topic"):
         raise ScenarioError("devices need an id and a topic")
+    where = f"device {raw['id']!r}"
     model = raw.get("valueModel") or {}
-    period = int(raw.get("period_ms", 0))
+    if not isinstance(model, dict):
+        raise ScenarioError(f"{where} valueModel must be an object")
+    period = _int(raw.get("period_ms", 0), f"{where} period_ms")
     if kind == "periodicSensor" and period <= 0:
-        raise ScenarioError(f"device {raw['id']!r} needs a positive period_ms")
-    reads = [(int(r["at_ms"]), r.get("value")) for r in raw.get("reads", [])]
+        raise ScenarioError(f"{where} needs a positive period_ms")
+    reads = [(_int(r.get("at_ms"), f"{where} read at_ms"), r.get("value"))
+             for r in _objects(raw, "reads", f"{where} ")]
     return VirtualDevice(
         id=raw["id"], kind=kind, topic=raw["topic"], period=period,
         base=model.get("base", 0.0), noise_amp=model.get("noiseAmp", 0.0),
         reads=sorted(reads), online=bool(raw.get("online", True)))
 
 
+def _parse_instance(raw: dict) -> InstanceSpec:
+    name = raw.get("name")
+    if not isinstance(name, str) or not name:
+        raise ScenarioError("instances need a name")
+    try:
+        election_key(raw.get("address"))
+    except ValueError as exc:
+        raise ScenarioError(f"instance {name!r}: {exc}") from None
+    return InstanceSpec(name=name, address=raw["address"])
+
+
 def _parse_world(raw: Optional[dict]) -> WorldSpec:
     raw = raw or {}
-    devices = [_parse_device(d) for d in raw.get("devices", [])]
-    services = [Service(id=s["id"], host=s.get("host", s["id"]), port=int(s.get("port", 80)))
-                for s in raw.get("services", [])]
-    instances = [InstanceSpec(name=i["name"], address=i["address"])
-                 for i in raw.get("instances", [])]
+    if not isinstance(raw, dict):
+        raise ScenarioError("world must be an object")
+    devices = [_parse_device(d) for d in _objects(raw, "devices", "world.")]
+    services = []
+    for s in _objects(raw, "services", "world."):
+        if not s.get("id"):
+            raise ScenarioError("services need an id")
+        services.append(Service(id=s["id"], host=s.get("host", s["id"]),
+                                port=_int(s.get("port", 80), f"service {s['id']!r} port")))
+    instances = [_parse_instance(i) for i in _objects(raw, "instances", "world.")]
     return WorldSpec(devices, services, instances)
 
 
@@ -108,7 +144,7 @@ def parse_scenario(text: str) -> ScenarioScript:
         raise ScenarioError("seed must be a non-negative integer")
 
     events = []
-    for raw in doc.get("events", []):
+    for raw in _objects(doc, "events"):
         kind = raw.get("kind")
         if kind not in FAULT_KINDS:
             raise ScenarioError(f"unknown fault kind {kind!r}")
@@ -119,6 +155,8 @@ def parse_scenario(text: str) -> ScenarioScript:
         if not isinstance(target, str) or not target:
             raise ScenarioError(f"fault {kind!r} needs a target id")
         params = raw.get("params") or {}
+        if not isinstance(params, dict):
+            raise ScenarioError(f"fault {kind!r} params must be an object")
         if kind == "net_delay":
             delay = params.get("delay_ms", 0)
             if not isinstance(delay, int) or delay < 0:

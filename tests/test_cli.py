@@ -112,6 +112,37 @@ def test_marble_bucket_below_1_exits_2(fixture_path, capsys, bucket):
     assert captured.out == ""
 
 
+SENSOR = {"id": "s", "topic": "t", "period_ms": 1000}
+MALFORMED_SCENARIOS = {
+    "events-object": {"events": {"at_ms": 0}},
+    "event-not-object": {"events": [1]},
+    "device-not-object": {"world": {"devices": [1]}},
+    "period-not-int": {"world": {"devices": [dict(SENSOR, period_ms="x")]}},
+    "params-list": {"world": {"devices": [SENSOR]},
+                    "events": [{"at_ms": 0, "kind": "value_noise", "target": "s",
+                                "params": [1]}]},
+    "world-not-object": {"world": [1]},
+    "reads-not-objects": {"world": {"devices": [dict(SENSOR, reads=[5])]}},
+    "value-model-list": {"world": {"devices": [dict(SENSOR, valueModel=[1])]}},
+    "service-without-id": {"world": {"services": [{"port": 80}]}},
+    "service-port-not-int": {"world": {"services": [{"id": "v", "port": "http"}]}},
+    "instance-without-address": {"world": {"instances": [{"name": "a"}]}},
+    "instance-address-out-of-range": {
+        "world": {"instances": [{"name": "a", "address": "10.0.0.300"}]}},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_SCENARIOS))
+def test_run_malformed_scenario_exits_2(tmp_path, fixture_path, capsys, shape):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({"seed": 1, "duration_ms": 1000,
+                                    **MALFORMED_SCENARIOS[shape]}))
+    code = main(["run", "--flow", str(fixture_path("flow_c.json")),
+                 "--scenario", str(scenario)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {scenario}: ")
+
+
 def test_report_loss_from_file(tmp_path, fixture_path, capsys):
     out = tmp_path / "t.csv"
     main(["run", "--flow", str(fixture_path("flow_c.json")),

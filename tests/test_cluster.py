@@ -1,46 +1,98 @@
 import itertools
+import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from healflow.cluster import (ClusterState, InstanceId, LoopbackTransport, PeerTable,
-                              PingDecodeError, decode_ping, detect_failures,
-                              elect_master, encode_ping, on_ping, role_transition)
+from healflow.cluster import (LoopbackTransport, PingDecodeError, decode_ping, election_key,
+                              encode_ping)
 from healflow.core.clock import VirtualClock
 from healflow.core.engine import Engine
 from healflow.core.timeline import TimelineLog
+from healflow.sim import Simulation, parse_scenario
 from tests.conftest import build_graph, make_spec
 
 
-def inst(address, name=None):
-    return InstanceId.from_address(address, name)
+def redundancy_graph(election_timeout=15000):
+    return build_graph(
+        make_spec("red", "redundancy",
+                  {"electionTimeout": election_timeout, "controlledFlows": ["ingest"]},
+                  flow="control", wires=[[("fctl", 0)], []]),
+        make_spec("fctl", "flow-control", flow="control"),
+        make_spec("work", "debug", flow="ingest", enabled=False),
+    )
 
 
-# --- identity ------------------------------------------------------------------
-
-def test_instance_id_parses_last_octet():
-    i = inst("192.168.1.201")
-    assert i.last_octet == 201
-    assert i.name == "192.168.1.201"
+def roles(log, instance):
+    return [(e.time, e.value["role"]) for e in log
+            if e.kind == "role-change" and e.instance == instance]
 
 
-def test_instance_id_rejects_bad_addresses():
-    for bad in ("192.168.1", "1.2.3.4.5", "a.b.c.d", "1.2.3.999"):
+# --- one agent, driven by hand ---------------------------------------------------------
+
+SELF = "192.168.1.54"
+HIGHER = "192.168.1.201"
+
+
+def agent(address=SELF):
+    """A started standalone engine whose cluster agent has no transport."""
+    engine = Engine(redundancy_graph(), instance="me", address=address, rank=2)
+    engine.start()
+    return engine
+
+
+def ping(engine, address, at):
+    """Advance the engine's clock to `at`, then hand its agent a ping from `address`."""
+    engine.run_until(at)
+    engine.cluster.receive_datagram(encode_ping(address, 0, at))
+
+
+def transitions(engine):
+    return [(e.time, e.value) for e in engine.log if e.kind == "role-change"]
+
+
+def spy_elections(engine):
+    """Record (time, reason) of every election the agent runs from now on."""
+    calls = []
+    run = engine.cluster.run_election
+
+    def spy(reason):
+        calls.append((engine.clock.now, reason))
+        run(reason)
+    engine.cluster.run_election = spy
+    return calls
+
+
+def spy_listener(engine):
+    calls = []
+    engine.cluster.add_listener(lambda *args: calls.append(args))
+    return calls
+
+
+# --- election key ------------------------------------------------------------------
+
+def test_election_key_parses_last_octet():
+    assert election_key("192.168.1.201") == (201, "192.168.1.201")
+
+
+def test_election_key_rejects_bad_addresses():
+    for bad in ("192.168.1", "1.2.3.4.5", "a.b.c.d", "1.2.3.999", "1.2.3.", "1.2.3.-1",
+                "1.2.3.٣", "", None, 42):
         with pytest.raises(ValueError):
-            inst(bad)
+            election_key(bad)
 
 
 # --- wire protocol -----------------------------------------------------------------
 
 def test_encode_ping_exact_line():
-    data = encode_ping(inst("192.168.1.201"), 3, 42000)
+    data = encode_ping("192.168.1.201", 3, 42000)
     assert data == b"SHEN/1 PING 192.168.1.201 3 42000\n"
 
 
 @given(st.integers(0, 255), st.integers(0, 10**6), st.integers(0, 10**9))
 def test_ping_round_trips(octet, epoch, now):
     address = f"10.0.0.{octet}"
-    assert decode_ping(encode_ping(inst(address), epoch, now)) == (address, epoch, now)
+    assert decode_ping(encode_ping(address, epoch, now)) == (address, epoch, now)
 
 
 def test_decode_rejects_unknown_verb():
@@ -54,34 +106,51 @@ def test_decode_rejects_garbage():
             decode_ping(blob)
 
 
-# --- peer table -------------------------------------------------------------------
+# --- peers and liveness -------------------------------------------------------------
 
 def test_on_ping_registers_and_refreshes():
-    table = PeerTable()
-    assert on_ping(table, inst("10.0.0.2"), 100) is True   # new peer
-    assert on_ping(table, inst("10.0.0.2"), 200) is False  # refresh
-    assert table.peers["10.0.0.2"].last_seen == 200
+    engine = agent()
+    elections = spy_elections(engine)
+    ping(engine, HIGHER, 100)   # new peer: election
+    ping(engine, HIGHER, 200)   # refresh: none
+    assert elections == [(100, "master-recovered")]
+    assert engine.cluster.peers[HIGHER] == (election_key(HIGHER), 200, True)
 
 
 def test_detection_boundary_alive_at_timeout_dead_after():
-    table = PeerTable()
-    on_ping(table, inst("10.0.0.2"), 0)
-    assert detect_failures(table, 15000, 15000) == []           # still alive
-    assert [i.address for i in detect_failures(table, 15001, 15000)] == ["10.0.0.2"]
+    engine = agent()
+    ping(engine, HIGHER, 0)
+    ping(engine, "192.168.1.12", 1)
+    engine.run_until(15000)
+    assert engine.cluster.peers[HIGHER][2] is True    # still alive at last + timeout
+    engine.run_until(15001)
+    # HIGHER's expiry checks every peer; the other is at exactly last + timeout
+    assert engine.cluster.peers[HIGHER][2] is False
+    assert engine.cluster.peers["192.168.1.12"][2] is True
+    engine.run_until(15002)
+    assert engine.cluster.peers["192.168.1.12"][2] is False
 
 
 def test_dead_peer_reported_once():
-    table = PeerTable()
-    on_ping(table, inst("10.0.0.2"), 0)
-    assert detect_failures(table, 20000, 15000) != []
-    assert detect_failures(table, 30000, 15000) == []
+    engine = agent()
+    notified = spy_listener(engine)
+    ping(engine, HIGHER, 0)
+    engine.run_until(60000)   # three more periodic elections after the death
+    assert transitions(engine) == [
+        (15001, {"role": "master", "epoch": 1, "reason": "election-result"})]
+    assert notified == [("master", 1, [("enable", "ingest")])]
 
 
 def test_revival_after_death():
-    table = PeerTable()
-    on_ping(table, inst("10.0.0.2"), 0)
-    detect_failures(table, 20000, 15000)
-    assert on_ping(table, inst("10.0.0.2"), 21000) is True
+    engine = agent()
+    ping(engine, HIGHER, 0)
+    engine.run_until(20000)
+    elections = spy_elections(engine)
+    ping(engine, HIGHER, 21000)
+    assert elections == [(21000, "master-recovered")]
+    assert engine.cluster.peers[HIGHER] == (election_key(HIGHER), 21000, True)
+    assert transitions(engine)[-1] == (
+        21000, {"role": "standby", "epoch": 2, "reason": "master-recovered"})
 
 
 # --- election ------------------------------------------------------------------
@@ -90,61 +159,139 @@ OCTETS = (12, 54, 201)
 
 
 def test_elect_master_all_subsets_brute_force():
-    ids = {o: inst(f"192.168.1.{o}") for o in OCTETS}
-    for size in range(1, len(OCTETS) + 1):
-        for subset in itertools.combinations(OCTETS, size):
-            winner = elect_master([ids[o] for o in subset])
-            assert winner.last_octet == max(subset)  # enumeration oracle
+    for own in OCTETS:
+        others = [o for o in OCTETS if o != own]
+        for size in range(len(others) + 1):
+            for subset in itertools.combinations(others, size):
+                engine = agent(f"192.168.1.{own}")
+                for o in subset:
+                    ping(engine, f"192.168.1.{o}", 0)
+                engine.run_until(15000)   # the first periodic election
+                expected = "master" if own == max(subset + (own,)) else "standby"
+                assert engine.cluster.role == expected, (own, subset)
 
 
 def test_elect_master_failover_to_next_octet():
-    alive = [inst("192.168.1.12"), inst("192.168.1.54")]
-    assert elect_master(alive).last_octet == 54
+    clock, log = VirtualClock(), TimelineLog()
+    transport = LoopbackTransport(clock)
+    engines = {o: Engine(redundancy_graph(), instance=str(o), address=f"192.168.1.{o}",
+                         clock=clock, log=log, transport=transport, rank=2 + i)
+               for i, o in enumerate(OCTETS)}
+    for engine in engines.values():
+        engine.start()
+    clock.run_until(20000)
+    engines[201].halt()
+    clock.run_until(60000)
+    assert roles(log, "201") == [(0, "master")]
+    takeover = roles(log, "54")[-1]
+    assert takeover[1] == "master" and 20000 < takeover[0] <= 20000 + 15001
+    assert roles(log, "12") == []
 
 
 def test_elect_master_tie_breaks_on_full_address():
-    a, b = inst("10.0.0.7"), inst("10.0.1.7")
-    assert elect_master([a, b]) == b
-    assert elect_master([b, a]) == b  # order independent
+    assert election_key("10.0.0.7") < election_key("10.0.1.7")
+    low = agent("10.0.0.7")
+    ping(low, "10.0.1.7", 0)
+    low.run_until(15000)
+    high = agent("10.0.1.7")
+    ping(high, "10.0.0.7", 0)
+    assert (low.cluster.role, high.cluster.role) == ("standby", "master")
 
 
-def test_elect_master_empty_set_errors():
-    with pytest.raises(ValueError):
-        elect_master([])
-
-
-@given(st.sets(st.integers(0, 255), min_size=1, max_size=6))
-def test_election_agreement_is_order_independent(octets):
-    ids = [inst(f"10.0.0.{o}") for o in octets]
-    winners = {elect_master(perm).address
-               for perm in itertools.permutations(ids)} if len(ids) <= 4 else {
-        elect_master(ids).address, elect_master(list(reversed(ids))).address}
-    assert len(winners) == 1
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_election_agreement_is_order_independent(data):
+    addresses = data.draw(st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 255)).map("10.0.{0[0]}.{0[1]}".format),
+        min_size=1, max_size=5, unique=True))
+    masters = []
+    for address in addresses:
+        engine = agent(address)
+        peers = [a for a in addresses if a != address]
+        for peer in data.draw(st.permutations(peers)):
+            ping(engine, peer, 0)
+        engine.run_until(15000)
+        if engine.cluster.role == "master":
+            masters.append(address)
+    assert masters == [max(addresses, key=election_key)]
 
 
 # --- role transitions -------------------------------------------------------------
 
 def test_standby_becomes_master_when_alone():
-    state = ClusterState(self_id=inst("192.168.1.54"))
-    new, commands = role_transition(state, [], ["ingest"])
-    assert new.role == "master"
-    assert new.epoch == 1
-    assert commands == [("enable", "ingest")]
+    engine = agent()
+    notified = spy_listener(engine)
+    engine.run_until(15000)
+    assert (engine.cluster.role, engine.cluster.epoch) == ("master", 1)
+    assert notified == [("master", 1, [("enable", "ingest")])]
+    assert engine.flow_enabled["ingest"] is True
 
 
 def test_master_steps_down_when_higher_octet_recovers():
-    state = ClusterState(self_id=inst("192.168.1.54"), role="master", epoch=1)
-    new, commands = role_transition(state, [inst("192.168.1.201")], ["ingest"])
-    assert new.role == "standby"
-    assert new.epoch == 2
-    assert commands == [("disable", "ingest")]
+    engine = agent()
+    engine.run_until(15000)
+    notified = spy_listener(engine)
+    ping(engine, HIGHER, 16000)
+    assert (engine.cluster.role, engine.cluster.epoch) == ("standby", 2)
+    assert notified == [("standby", 2, [("disable", "ingest")])]
+    assert engine.flow_enabled["ingest"] is False
 
 
 def test_no_change_no_commands():
-    state = ClusterState(self_id=inst("192.168.1.54"))
-    new, commands = role_transition(state, [inst("192.168.1.201")], ["ingest"])
-    assert new is state
-    assert commands == []
+    engine = agent()
+    notified = spy_listener(engine)
+    for t in range(0, 45001, 3000):
+        ping(engine, HIGHER, t)
+    engine.run_until(45000)   # three periodic elections, all standby
+    assert (engine.cluster.role, engine.cluster.epoch) == ("standby", 0)
+    assert transitions(engine) == []
+    assert notified == []
+    assert engine.log.emits("red") == []
+
+
+# --- random crash schedules ------------------------------------------------------------
+
+@st.composite
+def crash_schedules(draw):
+    """Instances, crash/restart events and the time membership last changed."""
+    count = draw(st.integers(2, 5))
+    octets = draw(st.lists(st.integers(1, 254), min_size=count, max_size=count, unique=True))
+    instances = [{"name": f"i{o}", "address": f"10.0.{o % 3}.{o}"} for o in octets]
+    events = draw(st.lists(st.fixed_dictionaries({
+        "at_ms": st.integers(0, 8000),
+        "kind": st.sampled_from(["instance_crash", "instance_restart"]),
+        "target": st.sampled_from([i["name"] for i in instances]),
+    }), max_size=8))
+    return instances, events, draw(st.sampled_from([200, 500, 1000]))
+
+
+@given(crash_schedules())
+@settings(max_examples=30, deadline=None)
+def test_one_master_with_the_largest_key_once_membership_is_stable(schedule):
+    instances, events, timeout = schedule
+    ping_period = timeout // 5
+    settled = max((e["at_ms"] for e in events), default=0) + timeout + ping_period
+    script = parse_scenario(json.dumps({"seed": 1, "duration_ms": settled, "events": events,
+                                        "world": {"instances": instances}}))
+    sim = Simulation([redundancy_graph(timeout) for _ in instances], script)
+    log = sim.run()
+
+    running = {n: e for n, e in sim.engines.items() if not e.halted}
+    masters = [n for n, e in running.items() if e.cluster.role == "master"]
+    expected = [max(running, key=lambda n: election_key(running[n].address))] if running else []
+    assert masters == expected
+
+    # Every role change flips the role and raises the epoch of that
+    # incarnation by one; a restart starts a fresh agent at standby, epoch 0.
+    state = {i["name"]: ("standby", 0) for i in instances}
+    for e in log:
+        if e.kind == "fault" and e.value["kind"] == "instance_restart":
+            state[e.node] = ("standby", 0)
+        elif e.kind == "role-change":
+            role, epoch = state[e.instance]
+            assert e.value["role"] != role
+            assert e.value["epoch"] == epoch + 1
+            state[e.instance] = (e.value["role"], e.value["epoch"])
 
 
 # --- transport --------------------------------------------------------------------
@@ -176,16 +323,6 @@ def test_loopback_drop():
 
 # --- live two-instance behavior ------------------------------------------------------
 
-def redundancy_graph():
-    return build_graph(
-        make_spec("red", "redundancy",
-                  {"electionTimeout": 15000, "controlledFlows": ["ingest"]},
-                  flow="control", wires=[[("fctl", 0)], []]),
-        make_spec("fctl", "flow-control", flow="control"),
-        make_spec("work", "debug", flow="ingest", enabled=False),
-    )
-
-
 def two_instances():
     clock = VirtualClock()
     log = TimelineLog()
@@ -195,11 +332,6 @@ def two_instances():
     high = Engine(redundancy_graph(), instance="high", address="192.168.1.201",
                   clock=clock, log=log, transport=transport, rank=3)
     return clock, log, low, high
-
-
-def roles(log, instance):
-    return [(e.time, e.value["role"]) for e in log
-            if e.kind == "role-change" and e.instance == instance]
 
 
 def test_highest_octet_claims_mastership_at_boot():
@@ -279,6 +411,6 @@ def test_ping_with_a_bad_address_is_logged_and_ignored(caplog):
         transport.send("10.0.0.1", "192.168.1.54", b"SHEN/1 PING 10.0.0.999 0 0\n")
         clock.run_until(2000)
     assert "10.0.0.999" in caplog.text
-    assert list(low.cluster.peers.peers) == ["192.168.1.201"]
+    assert list(low.cluster.peers) == ["192.168.1.201"]
     assert roles(log, "high") == [(0, "master")]
     assert low.flow_enabled["ingest"] is False

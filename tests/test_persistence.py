@@ -73,6 +73,17 @@ def test_corrupt_lines_are_skipped(tmp_path, caplog):
     assert store.registry_list()[0].device_id == "dev"
 
 
+def test_checkpoint_body_that_is_not_an_object_is_skipped(tmp_path, caplog):
+    path = tmp_path / "i.store"
+    path.write_text('CKPT a 1 [1]\nCKPT b 2 {"payload":7,"topic":"t"}\n')
+    with caplog.at_level("WARNING", logger="healflow.persistence"):
+        store = Store(path)
+    assert store.load_checkpoint("a") is None
+    good = store.load_checkpoint("b")
+    assert (good.timestamp, good.topic, good.payload) == (2, "t", 7)
+    assert "line 1" in caplog.text
+
+
 def test_registry_upsert_twice_single_entry():
     store = Store()
     store.registry_upsert("d", "host", "", 10)

@@ -1,3 +1,5 @@
+import pytest
+
 from healflow.core.timeline import TimelineEntry, TimelineLog, entries_from_csv, entries_to_csv
 from healflow.report import (compute_mttr, compute_report, default_bucket,
                              format_report, instance_uptime, render_marble)
@@ -152,6 +154,12 @@ def test_marble_unknown_node_filter_errors():
         assert "ghost" in str(exc)
     else:
         raise AssertionError("expected ValueError")
+
+
+@pytest.mark.parametrize("bucket", [0, -5])
+def test_marble_bucket_below_1_is_a_value_error(bucket):
+    with pytest.raises(ValueError, match="bucket_ms"):
+        render_marble([entry(0, "i", "emit", "s", 0, "t", 1)], bucket_ms=bucket)
 
 
 def test_default_bucket_prefers_graph_periods():
