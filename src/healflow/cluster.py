@@ -128,7 +128,7 @@ class ClusterAgent:
         self.controlled_flows = list(controlled_flows)
         self.role_node = role_node
         self._listeners: list[Callable[[str, int, list], None]] = []
-        self._expiry: dict[str, object] = {}  # address -> pending expiry timer
+        self._expiry: dict[str, list] = {}  # address -> pending expiry clock entry
         # Register at construction so a boot ping from an instance that
         # starts first still reaches instances created later in the same
         # setup pass; deliveries are scheduled events, nothing fires early.

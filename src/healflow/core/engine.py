@@ -16,7 +16,7 @@ import logging
 import random
 from collections import deque
 from functools import partial
-from typing import Any, Optional
+from typing import Optional
 
 from ..cluster import ClusterAgent
 from ..persistence import Store
@@ -74,7 +74,7 @@ class Engine:
         self.nodes = {spec.id: NODE_KINDS[spec.kind](spec, self) for spec in graph.nodes}
         self._queue: deque = deque()
         self._draining = False
-        self._timers: dict[tuple[str, str], Any] = {}
+        self._timers: dict[tuple[str, str], list] = {}  # (node, tag) -> clock entry
 
         self.cluster: Optional[ClusterAgent] = None
         reds = [s for s in graph.nodes if s.kind == "redundancy"]

@@ -12,9 +12,14 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 KINDS = ("emit", "deliver", "drop", "fault", "role-change", "timer")
+
+# The pseudo-instance that logs device readings and scripted faults.
+WORLD_INSTANCE = "world"
+# Emits on topics under this prefix are sink deliveries (http-post successes).
+SINK_TOPIC_PREFIX = "service/"
 
 CSV_HEADER = ["time_ms", "instance", "event", "node", "port", "topic", "value"]
 
@@ -57,25 +62,21 @@ class TimelineLog:
                 if e.kind == "emit" and (node is None or e.node == node)]
 
     def to_csv(self) -> str:
-        return entries_to_csv(self.entries)
-
-
-def entries_to_csv(entries: Iterable[TimelineEntry]) -> str:
-    """Serialize entries with the stable schema; values are compact JSON."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for e in entries:
-        writer.writerow([
-            e.time,
-            e.instance,
-            e.kind,
-            e.node,
-            "" if e.port is None else e.port,
-            e.topic,
-            json.dumps(e.value, separators=(",", ":"), sort_keys=True),
-        ])
-    return buf.getvalue()
+        """Serialize entries with the stable schema; values are compact JSON."""
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for e in self.entries:
+            writer.writerow([
+                e.time,
+                e.instance,
+                e.kind,
+                e.node,
+                "" if e.port is None else e.port,
+                e.topic,
+                json.dumps(e.value, separators=(",", ":"), sort_keys=True),
+            ])
+        return buf.getvalue()
 
 
 def entries_from_csv(text: str) -> list[TimelineEntry]:

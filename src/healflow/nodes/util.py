@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from ..core.envelope import Envelope
+from ..core.timeline import SINK_TOPIC_PREFIX
 from .base import Node, Param, register
 
 
@@ -138,8 +139,8 @@ class MqttOut(Node):
 class HttpPost(Node):
     """Deliver payloads to an external service in the world inventory.
 
-    A successful post emits on 'posted' with topic service/<id>; those
-    emissions are what delivery reports count as sink deliveries.
+    A successful post emits on 'posted' with topic SINK_TOPIC_PREFIX + id;
+    those emissions are what delivery reports count as sink deliveries.
     """
 
     KIND = "http-post"
@@ -157,4 +158,4 @@ class HttpPost(Node):
         elif not svc.up:
             self.emit(1, {"kind": "service-down", "service": sid}, env.topic, env.corr)
         else:
-            self.emit(0, env.payload, f"service/{sid}", env.corr)
+            self.emit(0, env.payload, SINK_TOPIC_PREFIX + sid, env.corr)

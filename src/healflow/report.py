@@ -1,7 +1,9 @@
 """Run reports: delivery/loss counts, MTTR samples, marble diagrams.
 
 Everything here is a pure function of a timeline, so reports can be
-recomputed from a CSV file at any point after a run.
+recomputed from a CSV file at any point after a run. `compute_report` is
+one fold over the entries in timeline order: it reads each entry once and
+never holds the timeline, so any iterable of entries will do.
 """
 
 from __future__ import annotations
@@ -11,9 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .core.graph import FlowGraph
-from .core.timeline import TimelineEntry
-
-SINK_TOPIC_PREFIX = "service/"
+from .core.timeline import SINK_TOPIC_PREFIX, WORLD_INSTANCE, TimelineEntry
 
 
 @dataclass
@@ -32,75 +32,52 @@ class RunReport:
 
 
 def compute_report(entries: Iterable[TimelineEntry]) -> RunReport:
-    entries = list(entries)
+    """Fold a timeline into its report in one pass.
+
+    - expected: world emits per source node;
+    - delivered: emits per sink topic;
+    - mttr_samples: one per failover, from the crash of the current master
+      to the first sink emit by an instance other than the crashed one;
+    - uptime: per instance that logged an entry, the time up to the last
+      entry minus its crash windows (a crash opens one, a restart closes it).
+    """
     report = RunReport()
-    report.expected = _world_emissions(entries)
-    report.delivered = _sink_deliveries(entries)
-    report.mttr_samples = compute_mttr(entries)
-    report.uptime = instance_uptime(entries)
-    return report
-
-
-def _world_emissions(entries) -> dict:
-    counts: dict[str, int] = {}
-    for e in entries:
-        if e.kind == "emit" and e.instance == "world":
-            counts[e.node] = counts.get(e.node, 0) + 1
-    return counts
-
-
-def _sink_deliveries(entries) -> dict:
-    counts: dict[str, int] = {}
-    for e in entries:
-        if e.kind == "emit" and e.topic.startswith(SINK_TOPIC_PREFIX):
-            counts[e.topic] = counts.get(e.topic, 0) + 1
-    return counts
-
-
-def compute_mttr(entries) -> list[int]:
-    """One sample per failover: master crash to the first sink delivery
-    emitted by any other instance."""
-    samples = []
+    expected, delivered, samples = report.expected, report.delivered, report.mttr_samples
+    instances: set[str] = set()
+    down_since: dict[str, int] = {}   # instance -> time of its open crash
+    downtime: dict[str, int] = {}     # instance -> ms in closed crash windows
     master: Optional[str] = None
     crash_at: Optional[int] = None
     crashed: Optional[str] = None
+    now = 0   # the current entry's time; after the loop, the last one's
     for e in entries:
-        if e.kind == "role-change" and isinstance(e.value, dict):
+        now = e.time
+        instances.add(e.instance)
+        kind = e.kind
+        if kind == "emit":
+            if e.instance == WORLD_INSTANCE:
+                expected[e.node] = expected.get(e.node, 0) + 1
+            if e.topic.startswith(SINK_TOPIC_PREFIX):
+                delivered[e.topic] = delivered.get(e.topic, 0) + 1
+                if crash_at is not None and e.instance not in (crashed, WORLD_INSTANCE):
+                    samples.append(now - crash_at)
+                    crash_at = crashed = None
+        elif kind == "role-change" and isinstance(e.value, dict):
             if e.value.get("role") == "master":
                 master = e.instance
-        elif e.kind == "fault" and isinstance(e.value, dict) \
-                and e.value.get("kind") == "instance_crash":
-            if e.node == master:
-                crash_at, crashed = e.time, e.node
-        elif (crash_at is not None and e.kind == "emit"
-              and e.topic.startswith(SINK_TOPIC_PREFIX)
-              and e.instance not in (crashed, "world")):
-            samples.append(e.time - crash_at)
-            crash_at = crashed = None
-    return samples
-
-
-def instance_uptime(entries) -> dict:
-    """Per-instance running time, clipped by crash/restart faults."""
-    entries = list(entries)
-    t_end = entries[-1].time if entries else 0
-    instances = sorted({e.instance for e in entries if e.instance != "world"})
-    up_since = {name: 0 for name in instances}
-    total = {name: 0 for name in instances}
-    for e in entries:
-        if e.kind != "fault" or not isinstance(e.value, dict):
-            continue
-        if e.value.get("kind") == "instance_crash" and e.node in up_since:
-            if up_since[e.node] is not None:
-                total[e.node] += e.time - up_since[e.node]
-                up_since[e.node] = None
-        elif e.value.get("kind") == "instance_restart" and e.node in up_since:
-            if up_since[e.node] is None:
-                up_since[e.node] = e.time
-    for name, since in up_since.items():
-        if since is not None:
-            total[name] += t_end - since
-    return total
+        elif kind == "fault" and isinstance(e.value, dict):
+            fault = e.value.get("kind")
+            if fault == "instance_crash":
+                if e.node == master:
+                    crash_at, crashed = now, e.node
+                down_since.setdefault(e.node, now)
+            elif fault == "instance_restart" and e.node in down_since:
+                downtime[e.node] = downtime.get(e.node, 0) + now - down_since.pop(e.node)
+    instances.discard(WORLD_INSTANCE)
+    # Up time is the end less the closed windows; an open window ends it early.
+    for name in sorted(instances):
+        report.uptime[name] = down_since.get(name, now) - downtime.get(name, 0)
+    return report
 
 
 def format_report(report: RunReport, metric: str, sink: Optional[str] = None) -> str:

@@ -9,10 +9,10 @@ from ..cluster import LoopbackTransport
 from ..core.clock import VirtualClock
 from ..core.engine import Engine
 from ..core.graph import FlowGraph
-from ..core.timeline import TimelineLog
+from ..core.timeline import WORLD_INSTANCE, TimelineLog
 from ..persistence import Store
 from .scenario import FaultEvent, InstanceSpec, ScenarioError, ScenarioScript, validate_script
-from .world import RANK_FAULT, RANK_INSTANCE_BASE, WORLD_INSTANCE, World
+from .world import RANK_FAULT, RANK_INSTANCE_BASE, World
 
 
 def apply_fault(fault: FaultEvent, world: World) -> None:
@@ -101,9 +101,3 @@ class Simulation:
             engine.start()
         else:
             apply_fault(fault, self.world)
-
-
-def run_scenario(flows: list[FlowGraph], script: ScenarioScript, *,
-                 seed: Optional[int] = None, store_dir: Optional[str] = None) -> TimelineLog:
-    """Co-simulate the scenario and return the merged timeline."""
-    return Simulation(flows, script, seed=seed, store_dir=store_dir).run()

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..cluster import election_key
+from ..core.timeline import WORLD_INSTANCE
 from .world import Service, VirtualDevice
 
 FAULT_KINDS = (
@@ -79,6 +80,15 @@ def _int(value, what: str) -> int:
         raise ScenarioError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _numbers(value, what: str, nonnegative: bool = False):
+    """value when it is a number or an object of numbers, none negative if asked."""
+    for v in value.values() if isinstance(value, dict) else (value,):
+        if type(v) not in (int, float) or (nonnegative and v < 0):
+            sort = "non-negative number" if nonnegative else "number"
+            raise ScenarioError(f"{what} must be a {sort} or an object of them, got {value!r}")
+    return value
+
+
 def _parse_device(raw: dict) -> VirtualDevice:
     kind = raw.get("kind", "periodicSensor")
     if kind not in ("periodicSensor", "nfcReader"):
@@ -96,7 +106,8 @@ def _parse_device(raw: dict) -> VirtualDevice:
              for r in _objects(raw, "reads", f"{where} ")]
     return VirtualDevice(
         id=raw["id"], kind=kind, topic=raw["topic"], period=period,
-        base=model.get("base", 0.0), noise_amp=model.get("noiseAmp", 0.0),
+        base=_numbers(model.get("base", 0.0), f"{where} valueModel.base"),
+        noise_amp=_numbers(model.get("noiseAmp", 0.0), f"{where} valueModel.noiseAmp", True),
         reads=sorted(reads), online=bool(raw.get("online", True)))
 
 
@@ -104,6 +115,8 @@ def _parse_instance(raw: dict) -> InstanceSpec:
     name = raw.get("name")
     if not isinstance(name, str) or not name:
         raise ScenarioError("instances need a name")
+    if name == WORLD_INSTANCE:
+        raise ScenarioError(f"instance name {name!r} is reserved for world events")
     try:
         election_key(raw.get("address"))
     except ValueError as exc:

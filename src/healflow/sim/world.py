@@ -1,10 +1,10 @@
 """The virtual world: devices, services, hosts and the pub/sub broker.
 
 Everything shares one clock and one timeline. Devices are world-owned (their
-emissions are logged under the pseudo-instance "world" and published to the
-broker); engines attach by registering themselves and subscribing node ids
-to topic patterns. Broker deliveries are scheduled events, never synchronous
-calls into another engine, which keeps the instance interleaving
+emissions are logged under the pseudo-instance WORLD_INSTANCE and published
+to the broker); engines attach by registering themselves and subscribing
+node ids to topic patterns. Broker deliveries are scheduled events, never
+synchronous calls into another engine, which keeps the instance interleaving
 deterministic: at equal timestamps, faults apply first, then world events,
 then engines in instance order.
 """
@@ -18,13 +18,11 @@ from typing import Any
 
 from ..core.clock import VirtualClock
 from ..core.envelope import topic_matches
-from ..core.timeline import TimelineLog
+from ..core.timeline import WORLD_INSTANCE, TimelineLog
 
 RANK_FAULT = 0
 RANK_WORLD = 1
 RANK_INSTANCE_BASE = 2
-
-WORLD_INSTANCE = "world"
 
 
 @dataclass
@@ -57,8 +55,9 @@ class World:
         self.clock = clock
         self.log = log
         self.seed = seed
-        self.devices = {d.id: d for d in devices}
-        self.services = {s.id: s for s in services}
+        # Own copies: faults mutate them, and a script may be run again.
+        self.devices = {d.id: VirtualDevice(**vars(d)) for d in devices}
+        self.services = {s.id: Service(**vars(s)) for s in services}
         self.engines: dict[str, Any] = {}
         self.delays: dict[str, int] = {}  # per-source constant net delay
         self._subs: dict[tuple[str, str, str], None] = {}

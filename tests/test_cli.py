@@ -124,11 +124,20 @@ MALFORMED_SCENARIOS = {
     "world-not-object": {"world": [1]},
     "reads-not-objects": {"world": {"devices": [dict(SENSOR, reads=[5])]}},
     "value-model-list": {"world": {"devices": [dict(SENSOR, valueModel=[1])]}},
+    "base-not-number": {"world": {"devices": [dict(SENSOR, valueModel={"base": "x"})]}},
+    "base-field-not-number": {
+        "world": {"devices": [dict(SENSOR, valueModel={"base": {"t": [1]}})]}},
+    "base-boolean": {"world": {"devices": [dict(SENSOR, valueModel={"base": True})]}},
+    "noise-negative": {"world": {"devices": [dict(SENSOR, valueModel={"noiseAmp": -1})]}},
+    "noise-field-not-number": {
+        "world": {"devices": [dict(SENSOR, valueModel={"noiseAmp": {"t": "x"}})]}},
     "service-without-id": {"world": {"services": [{"port": 80}]}},
     "service-port-not-int": {"world": {"services": [{"id": "v", "port": "http"}]}},
     "instance-without-address": {"world": {"instances": [{"name": "a"}]}},
     "instance-address-out-of-range": {
         "world": {"instances": [{"name": "a", "address": "10.0.0.300"}]}},
+    "instance-named-world": {
+        "world": {"instances": [{"name": "world", "address": "10.0.0.1"}]}},
 }
 
 

@@ -1,8 +1,10 @@
-import pytest
+from typing import Optional
 
-from healflow.core.timeline import TimelineEntry, TimelineLog, entries_from_csv, entries_to_csv
-from healflow.report import (compute_mttr, compute_report, default_bucket,
-                             format_report, instance_uptime, render_marble)
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from healflow.core.timeline import TimelineEntry, TimelineLog, entries_from_csv
+from healflow.report import compute_report, default_bucket, format_report, render_marble
 from tests.conftest import build_graph, make_spec
 
 
@@ -47,7 +49,7 @@ def failover_entries():
 
 
 def test_mttr_single_failover_sample():
-    assert compute_mttr(failover_entries()) == [9000]
+    assert compute_report(failover_entries()).mttr_samples == [9000]
 
 
 def test_mttr_needs_master_crash():
@@ -55,7 +57,7 @@ def test_mttr_needs_master_crash():
         entry(10, "world", "fault", "red-a", value={"kind": "instance_crash"}),
         entry(20, "red-b", "emit", "post", 0, "service/t", 1),
     ]
-    assert compute_mttr(entries) == []  # crashed instance was never master
+    assert compute_report(entries).mttr_samples == []  # crashed instance was never master
 
 
 def test_mttr_na_formatting():
@@ -106,7 +108,140 @@ def test_uptime_clips_crash_windows():
         entry(400, "world", "fault", "a", value={"kind": "instance_restart"}),
         entry(1000, "a", "emit", "n", 0, "", 1),
     ]
-    assert instance_uptime(entries) == {"a": 700}
+    assert compute_report(entries).uptime == {"a": 700}
+
+
+# --- the one-pass fold against the multi-pass reference -----------------------------
+# One pass per figure over a list: the definitions compute_report's single
+# fold must keep matching.
+
+def reference_report(entries):
+    entries = list(entries)
+    expected, delivered = {}, {}
+    for e in entries:
+        if e.kind == "emit" and e.instance == "world":
+            expected[e.node] = expected.get(e.node, 0) + 1
+    for e in entries:
+        if e.kind == "emit" and e.topic.startswith("service/"):
+            delivered[e.topic] = delivered.get(e.topic, 0) + 1
+    return expected, delivered, reference_mttr(entries), reference_uptime(entries)
+
+
+def reference_mttr(entries):
+    samples = []
+    master: Optional[str] = None
+    crash_at: Optional[int] = None
+    crashed: Optional[str] = None
+    for e in entries:
+        if e.kind == "role-change" and isinstance(e.value, dict):
+            if e.value.get("role") == "master":
+                master = e.instance
+        elif e.kind == "fault" and isinstance(e.value, dict) \
+                and e.value.get("kind") == "instance_crash":
+            if e.node == master:
+                crash_at, crashed = e.time, e.node
+        elif (crash_at is not None and e.kind == "emit"
+              and e.topic.startswith("service/")
+              and e.instance not in (crashed, "world")):
+            samples.append(e.time - crash_at)
+            crash_at = crashed = None
+    return samples
+
+
+def reference_uptime(entries):
+    t_end = entries[-1].time if entries else 0
+    instances = sorted({e.instance for e in entries if e.instance != "world"})
+    up_since = {name: 0 for name in instances}
+    total = {name: 0 for name in instances}
+    for e in entries:
+        if e.kind != "fault" or not isinstance(e.value, dict):
+            continue
+        if e.value.get("kind") == "instance_crash" and e.node in up_since:
+            if up_since[e.node] is not None:
+                total[e.node] += e.time - up_since[e.node]
+                up_since[e.node] = None
+        elif e.value.get("kind") == "instance_restart" and e.node in up_since:
+            if up_since[e.node] is None:
+                up_since[e.node] = e.time
+    for name, since in up_since.items():
+        if since is not None:
+            total[name] += t_end - since
+    return total
+
+
+def crash(time, node):
+    return entry(time, "world", "fault", node, value={"kind": "instance_crash"})
+
+
+def restart(time, node):
+    return entry(time, "world", "fault", node, value={"kind": "instance_restart"})
+
+
+# "b" crashes while "a" is master, "a" restarts without a crash, "d"
+# crashes without ever logging an entry of its own; then master "a" crashes
+# and a world emit on a sink topic does not count as its recovery.
+EDGE_TIMELINE = [
+    entry(0, "a", "role-change", "red", value={"role": "master"}),
+    entry(10, "b", "emit", "post", 0, "service/t", 1),
+    crash(20, "b"),
+    restart(30, "a"),
+    crash(40, "d"),
+    entry(50, "c", "emit", "post", 0, "service/t", 1),
+    restart(70, "b"),
+    crash(80, "a"),
+    entry(85, "world", "emit", "dev", 0, "service/t", 1),
+    entry(90, "c", "emit", "post", 0, "service/t", 1),
+    entry(100, "b", "emit", "post", 0, "service/t", 1),
+]
+
+
+def test_fold_edge_cases():
+    report = compute_report(EDGE_TIMELINE)
+    assert report.mttr_samples == [10]
+    assert report.uptime == {"a": 80, "b": 50, "c": 100}
+    assert report.expected == {"dev": 1}
+    assert report.delivered == {"service/t": 5}
+
+
+def _entries(kind, values):
+    # Few names, so masters crash and other instances deliver often; "d"
+    # never logs an entry of its own.
+    return st.tuples(st.integers(0, 40), st.sampled_from(("world", "a", "b")),
+                     st.just(kind), st.sampled_from(("a", "b", "d")),
+                     st.sampled_from(("lab/t", "service/x", "service/y")), values)
+
+
+ENTRY_PARTS = st.one_of(
+    _entries("emit", st.integers(0, 3)),
+    _entries("deliver", st.integers(0, 3)),
+    _entries("role-change", st.sampled_from(({"role": "master"}, {"role": "standby"}, None))),
+    _entries("fault", st.sampled_from(({"kind": "instance_crash"}, {"kind": "instance_restart"},
+                                       {"kind": "operator-error"}, None))),
+)
+
+
+@st.composite
+def timelines(draw):
+    time, out = 0, []
+    for delta, instance, kind, node, topic, value in draw(
+            st.lists(ENTRY_PARTS, min_size=10, max_size=60)):
+        time += delta
+        out.append(entry(time, instance, kind, node, 0, topic, value))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(timelines())
+@example(EDGE_TIMELINE)
+@example([])
+def test_fold_matches_the_multi_pass_reference(timeline):
+    """One pass over a one-shot generator gives every figure, in the same key order."""
+    report = compute_report(e for e in timeline)
+    expected, delivered, samples, uptime = reference_report(timeline)
+    assert list(report.expected.items()) == list(expected.items())
+    assert list(report.delivered.items()) == list(delivered.items())
+    assert report.mttr_samples == samples
+    assert list(report.uptime.items()) == list(uptime.items())
 
 
 # --- marble ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from healflow.core.engine import Engine
 from healflow.core.graph import parse_flow
 from healflow.core.timeline import TimelineLog
 from healflow.sim import (FaultEvent, ScenarioError, Simulation, VirtualDevice, World,
-                          apply_fault, parse_scenario, run_scenario)
+                          apply_fault, parse_scenario)
 from tests.conftest import build_graph, make_spec
 
 
@@ -257,7 +257,7 @@ def test_run_scenario_empty_script_steady_state():
         "world": {"devices": [{"id": "d", "kind": "periodicSensor",
                                "topic": "t", "period_ms": 1000}]},
         "events": []}))
-    log = run_scenario([parse_flow(SINK_FLOW)], script)
+    log = Simulation([parse_flow(SINK_FLOW)], script).run()
     assert len(log.emits("d")) == 5
     delivered = [e for e in log if e.kind == "deliver" and e.node == "in"]
     assert len(delivered) == 5
@@ -273,7 +273,7 @@ def test_conservation_each_emission_delivered_once_per_subscriber():
         "world": {"devices": [{"id": "d", "kind": "periodicSensor",
                                "topic": "t", "period_ms": 1000}]},
         "events": []}))
-    log = run_scenario([parse_flow(flow2)], script)
+    log = Simulation([parse_flow(flow2)], script).run()
     emits = len(log.emits("d"))
     delivers = [e for e in log if e.kind == "deliver"]
     assert emits == 3
@@ -292,7 +292,7 @@ def test_instance_crash_halts_engine_and_restart_revives():
             {"at_ms": 2500, "kind": "instance_crash", "target": "solo"},
             {"at_ms": 6500, "kind": "instance_restart", "target": "solo"},
         ]}))
-    log = run_scenario([parse_flow(SINK_FLOW)], script)
+    log = Simulation([parse_flow(SINK_FLOW)], script).run()
     delivered = [e.time for e in log if e.kind == "deliver" and e.node == "in"]
     dropped = [e.time for e in log if e.kind == "drop" and e.node == "in"]
     assert delivered == [1000, 2000, 7000, 8000, 9000, 10000]
@@ -318,7 +318,7 @@ def test_restart_preserves_store_and_replays_checkpoint(tmp_path):
             {"at_ms": 2500, "kind": "instance_crash", "target": "solo"},
             {"at_ms": 5500, "kind": "instance_restart", "target": "solo"},
         ]}))
-    log = run_scenario([parse_flow(flow)], script, store_dir=str(tmp_path))
+    log = Simulation([parse_flow(flow)], script, store_dir=str(tmp_path)).run()
     ckpt_times = [e.time for e in log.emits("ckpt")]
     # replay of the 2000ms reading right at restart, then live traffic resumes
     assert ckpt_times == [1000, 2000, 5500, 6000, 7000, 8000, 9000]
@@ -334,7 +334,7 @@ def test_service_down_is_visible_to_probe():
         "world": {"services": [{"id": "validator-1", "port": 80}],
                   "instances": [{"name": "solo", "address": "10.0.0.1"}]},
         "events": [{"at_ms": 1500, "kind": "service_down", "target": "validator-1"}]}))
-    log = run_scenario([parse_flow(flow)], script)
+    log = Simulation([parse_flow(flow)], script).run()
     events = [(e.time, e.value["event"]) for e in log.emits("probe")]
     assert (0, "appeared") in events
     assert (2000, "disappeared") in events
@@ -355,6 +355,30 @@ def test_merged_log_seed_determinism(fixture_path):
     script_text = fixture_path("scenario_c_loss.json").read_text()
     runs = []
     for _ in range(2):
-        log = run_scenario([f for f in flows], parse_scenario(script_text))
+        log = Simulation([f for f in flows], parse_scenario(script_text)).run()
         runs.append(log.to_csv())
     assert runs[0] == runs[1]
+
+
+# Faults at the very end of each run: a run that wrote them into the parsed
+# script would start the next run with the device offline and stuck, and
+# the services down.
+END_FAULTS = {
+    ("flow_a.json", "scenario_a.json"): [
+        ("device_offline", "dht-1", {}), ("stuck_value", "dht-1", {"value": 1}),
+        ("value_noise", "dht-1", {"amp": 9.0})],
+    ("flow_b.json", "scenario_b.json"): [
+        ("service_down", "validator-1", {}), ("service_down", "validator-2", {})],
+}
+
+
+@pytest.mark.parametrize("flow, scenario", list(END_FAULTS))
+def test_one_parsed_script_runs_twice_to_the_same_bytes(fixture_path, flow, scenario):
+    doc = json.loads(fixture_path(scenario).read_text())
+    doc["events"] += [{"at_ms": doc["duration_ms"], "kind": kind, "target": target,
+                       "params": params}
+                      for kind, target, params in END_FAULTS[flow, scenario]]
+    script = parse_scenario(json.dumps(doc))
+    graph = parse_flow(fixture_path(flow).read_text())
+    first = Simulation([graph], script).run().to_csv()
+    assert Simulation([graph], script).run().to_csv() == first
