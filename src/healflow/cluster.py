@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 from functools import partial
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 logger = logging.getLogger(__name__)
 
@@ -106,36 +106,37 @@ class ClusterAgent:
     alive). A peer is alive until one virtual millisecond past
     last ping + election timeout; its expiry timer is re-armed on every ping.
 
+    The agent is configured by the engine's first redundancy node, `spec`:
+    its electionTimeout sets the timeouts, and its id is the node of every
+    role-change entry. The address is the engine's.
+
     Elections run whenever the alive set could have changed (a peer expires
     or appears) and on a periodic tick every election timeout. The epoch
     advances only on a role change, which logs one role-change entry and
-    calls the listeners registered by redundancy nodes with
-    (role, epoch, commands). Callbacks of a halted engine do nothing.
+    calls the listeners registered by redundancy nodes with (role, epoch).
+    Callbacks of a halted engine do nothing.
     """
 
-    def __init__(self, engine, address: str, election_timeout: int,
-                 transport: Optional[LoopbackTransport] = None,
-                 controlled_flows: Iterable[str] = (), role_node: str = "cluster"):
+    def __init__(self, engine, spec, transport: Optional[LoopbackTransport] = None):
         self.engine = engine
-        self.address = address
-        self.key = election_key(address)
+        self.address = engine.address
+        self.key = election_key(self.address)
         self.role = ROLE_STANDBY
         self.epoch = 0
-        self.election_timeout = election_timeout
-        self.ping_period = max(1, election_timeout // 5)
+        self.election_timeout = spec.config["electionTimeout"]
+        self.ping_period = max(1, self.election_timeout // 5)
         self.peers: dict[str, tuple[tuple[int, str], int, bool]] = {}
         self.transport = transport
-        self.controlled_flows = list(controlled_flows)
-        self.role_node = role_node
-        self._listeners: list[Callable[[str, int, list], None]] = []
+        self.role_node = spec.id
+        self._listeners: list[Callable[[str, int], None]] = []
         self._expiry: dict[str, list] = {}  # address -> pending expiry clock entry
         # Register at construction so a boot ping from an instance that
         # starts first still reaches instances created later in the same
         # setup pass; deliveries are scheduled events, nothing fires early.
         if transport is not None:
-            transport.register(address, self.receive_datagram, rank=engine.rank_deliver)
+            transport.register(self.address, self.receive_datagram, rank=engine.rank_deliver)
 
-    def add_listener(self, fn: Callable[[str, int, list], None]) -> None:
+    def add_listener(self, fn: Callable[[str, int], None]) -> None:
         self._listeners.append(fn)
 
     def start(self) -> None:
@@ -219,10 +220,8 @@ class ClusterAgent:
             return
         self.role = role
         self.epoch += 1
-        action = "enable" if role == ROLE_MASTER else "disable"
-        commands = [(action, flow) for flow in self.controlled_flows]
         self.engine.log.add(self.engine.clock.now, self.engine.instance, "role-change",
                             self.role_node,
                             value={"role": role, "epoch": self.epoch, "reason": reason})
         for fn in self._listeners:
-            fn(role, self.epoch, commands)
+            fn(role, self.epoch)

@@ -76,16 +76,12 @@ class Engine:
         self._draining = False
         self._timers: dict[tuple[str, str], list] = {}  # (node, tag) -> clock entry
 
-        self.cluster: Optional[ClusterAgent] = None
-        reds = [s for s in graph.nodes if s.kind == "redundancy"]
-        if reds:
-            cfg = reds[0].config
-            self.cluster = ClusterAgent(
-                self, address, election_timeout=cfg["electionTimeout"], transport=transport,
-                controlled_flows=cfg["controlledFlows"], role_node=reds[0].id)
+        red = next((s for s in graph.nodes if s.kind == "redundancy"), None)
+        self.cluster: Optional[ClusterAgent] = (
+            ClusterAgent(self, red, transport) if red is not None else None)
 
         if world is not None:
-            world.register_engine(instance, self)
+            world.engines[instance] = self
 
     # --- lifecycle ----------------------------------------------------------
     def start(self) -> None:

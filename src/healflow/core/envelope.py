@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Any, Optional
 
 # Payloads are plain JSON values: scalar number, string, bool, or a
 # key-value record (lists allowed for tallies and similar aggregates).
 Payload = Any
+
+# Canonical compact JSON text of a value (sorted keys, no spaces): the one
+# encoder behind timeline values, store records and vote keys.
+encode_json = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
 def copy_json(value: Payload) -> Payload:

@@ -14,16 +14,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 
 class FlowParseError(ValueError):
-    def __init__(self, message: str, line: Optional[int] = None, col: Optional[int] = None):
-        if line is not None:
-            message = f"{message} (line {line}, column {col})"
-        super().__init__(message)
-        self.line = line
-        self.col = col
+    pass
 
 
 @dataclass
@@ -80,7 +74,8 @@ def parse_flow(text: str) -> FlowGraph:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise FlowParseError(f"flow syntax error: {exc.msg}", exc.lineno, exc.colno) from exc
+        raise FlowParseError(f"flow syntax error: {exc.msg} "
+                             f"(line {exc.lineno}, column {exc.colno})") from exc
 
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
         raise FlowParseError('flow document must be an object with a "nodes" list')
@@ -155,7 +150,7 @@ def validate_graph(g: FlowGraph) -> list[Diagnostic]:
         if src_cls and port >= len(src_cls.egress_labels(src.config)):
             diags.append(Diagnostic("error", locus,
                                     f"egress {port} not declared by {src.kind!r}"))
-        if dst_cls and ingress >= dst_cls.ingress_count(dst.config):
+        if dst_cls and ingress >= dst_cls.INGRESSES:
             diags.append(Diagnostic("error", locus,
                                     f"ingress {ingress} not declared by {dst.kind!r}"))
 

@@ -14,6 +14,8 @@ import json
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from .envelope import encode_json
+
 KINDS = ("emit", "deliver", "drop", "fault", "role-change", "timer")
 
 # The pseudo-instance that logs device readings and scripted faults.
@@ -42,14 +44,12 @@ class TimelineLog:
         self.entries: list[TimelineEntry] = []
 
     def add(self, time: int, instance: str, kind: str, node: str,
-            port: Optional[int] = None, topic: str = "", value: Any = None) -> TimelineEntry:
+            port: Optional[int] = None, topic: str = "", value: Any = None) -> None:
         if kind not in KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
         if self.entries and time < self.entries[-1].time:
             raise ValueError("timeline times must be non-decreasing")
-        entry = TimelineEntry(time, instance, kind, node, port, topic, value)
-        self.entries.append(entry)
-        return entry
+        self.entries.append(TimelineEntry(time, instance, kind, node, port, topic, value))
 
     def __len__(self):
         return len(self.entries)
@@ -74,7 +74,7 @@ class TimelineLog:
                 e.node,
                 "" if e.port is None else e.port,
                 e.topic,
-                json.dumps(e.value, separators=(",", ":"), sort_keys=True),
+                encode_json(e.value),
             ])
         return buf.getvalue()
 

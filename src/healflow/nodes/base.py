@@ -21,13 +21,13 @@ _MISSING = object()
 class Param:
     """One config field: type, default, and range constraints.
 
-    kind is one of: number, int, str, bool, list, record, choice, any.
-    Durations are plain integer milliseconds (kind="int").
+    kind is one of: number, int, str, list, choice, any. A field without a
+    default is required; a field with one also accepts null. Durations are
+    plain integer milliseconds (kind="int").
     """
 
     kind: str = "any"
     default: Any = _MISSING
-    required: bool = False
     minimum: Any = None
     maximum: Any = None
     exclusive_min: bool = False
@@ -46,12 +46,8 @@ def _check_value(name: str, value: Any, p: Param) -> list[str]:
         return [f"config {name!r} must be an integer"]
     if p.kind == "str" and not isinstance(value, str):
         return [f"config {name!r} must be a string"]
-    if p.kind == "bool" and not isinstance(value, bool):
-        return [f"config {name!r} must be a boolean"]
     if p.kind == "list" and not isinstance(value, list):
         return [f"config {name!r} must be a list"]
-    if p.kind == "record" and not isinstance(value, dict):
-        return [f"config {name!r} must be a record"]
     if p.kind == "choice" and value not in (p.choices or ()):
         return [f"config {name!r} must be one of {list(p.choices or ())}"]
     if p.minimum is not None and is_number(value):
@@ -120,10 +116,6 @@ class Node:
     def egress_labels(cls, config: dict) -> tuple:
         return cls.EGRESS_LABELS
 
-    @classmethod
-    def ingress_count(cls, config: dict) -> int:
-        return cls.INGRESSES
-
     # --- config validation ----------------------------------------------
     @classmethod
     def validate_config(cls, config: dict) -> list[str]:
@@ -133,11 +125,11 @@ class Node:
                 problems.append(f"unknown config key {key!r}")
         for name, p in cls.CONFIG.items():
             if name not in config:
-                if p.required:
+                if not p.has_default:
                     problems.append(f"missing required config {name!r}")
                 continue
             value = config[name]
-            if value is None and not p.required:
+            if value is None and p.has_default:
                 continue
             problems.extend(_check_value(name, value, p))
         if not problems:

@@ -20,7 +20,7 @@ class HttpAware(Node):
     EGRESS_LABELS = ("appeared", "disappeared")
     CONFIG = {
         "ports": Param("list", default=None),
-        "period": Param("int", required=True, minimum=0, exclusive_min=True),
+        "period": Param("int", minimum=0, exclusive_min=True),
     }
 
     def __init__(self, spec, engine):
@@ -60,7 +60,7 @@ class NetworkAware(Node):
     INGRESSES = 0
     EGRESS_LABELS = ("joined", "left")
     CONFIG = {
-        "period": Param("int", required=True, minimum=0, exclusive_min=True),
+        "period": Param("int", minimum=0, exclusive_min=True),
     }
 
     def __init__(self, spec, engine):

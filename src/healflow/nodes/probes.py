@@ -17,8 +17,8 @@ class ThresholdCheck(Node):
     KIND = "threshold-check"
     EGRESS_LABELS = ("reading", "error")
     CONFIG = {
-        "low": Param("number", required=True),
-        "high": Param("number", required=True),
+        "low": Param("number"),
+        "high": Param("number"),
     }
 
     @classmethod
@@ -100,7 +100,7 @@ class TimingCheck(Node):
     KIND = "timing-check"
     EGRESS_LABELS = ("tooFast", "normal", "tooSlow")
     CONFIG = {
-        "expected": Param("int", required=True, minimum=0, exclusive_min=True),
+        "expected": Param("int", minimum=0, exclusive_min=True),
         "tolerance": Param("number", default=0, minimum=0),
     }
 
@@ -133,7 +133,7 @@ class ResourceMonitor(Node):
     KIND = "resource-monitor"
     EGRESS_LABELS = ("ok", "alert", "error")
     CONFIG = {
-        "metric": Param("str", required=True),
+        "metric": Param("str"),
         "nearMin": Param("number", default=None),
         "nearMax": Param("number", default=None),
     }
@@ -185,7 +185,7 @@ class Heartbeat(Node):
         "ok": Param("any", default="ok"),
         "error": Param("any", default="heartbeat-error"),
         "mode": Param("choice", default="passive", choices=("passive", "active")),
-        "timeout": Param("int", required=True, minimum=0, exclusive_min=True),
+        "timeout": Param("int", minimum=0, exclusive_min=True),
     }
 
     def on_start(self) -> None:

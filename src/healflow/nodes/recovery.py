@@ -33,7 +33,7 @@ class Compensate(Node):
     EGRESS_LABELS = ("value", "error")
     CONFIG = {
         "historyMaxSize": Param("int", default=10, minimum=1, exclusive_min=True),
-        "interval": Param("int", required=True, minimum=0, exclusive_min=True),
+        "interval": Param("int", minimum=0, exclusive_min=True),
         "strategy": Param("choice", default="last", choices=tuple(STRATEGIES)),
         "confidenceDecay": Param("number", default=0.9, minimum=0, maximum=1,
                                  exclusive_min=True),
@@ -87,7 +87,7 @@ class Checkpoint(Node):
     KIND = "checkpoint"
     EGRESS_LABELS = ("out",)
     CONFIG = {
-        "timeToLive": Param("int", required=True, minimum=0, exclusive_min=True),
+        "timeToLive": Param("int", minimum=0, exclusive_min=True),
     }
 
     def on_start(self) -> None:
@@ -122,7 +122,7 @@ class KalmanFilter(Node):
     EGRESS_LABELS = ("estimate", "error")
     CONFIG = {
         "q": Param("number", default=0.0, minimum=0),
-        "r": Param("number", required=True, minimum=0, exclusive_min=True),
+        "r": Param("number", minimum=0, exclusive_min=True),
     }
 
     def __init__(self, spec, engine):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from ..cluster import ROLE_MASTER
 from .base import Node, Param, register
 
 
@@ -9,8 +10,10 @@ from .base import Node, Param, register
 class Redundancy(Node):
     """Bridge between the cluster agent and the flow layer.
 
-    On every role transition it emits enable/disable commands for the
-    controlled flow-groups (egress 0, wire it into a flow-control node) and
+    The engine's first redundancy node configures its cluster agent: its
+    electionTimeout sets the agent's timeouts. On every role transition the
+    node emits one enable (master) or disable (standby) command per flow in
+    its controlledFlows (egress 0, wire it into a flow-control node), then
     one role envelope (egress 1). Transitions are the only trigger, so a
     stable standby never emits anything.
     """
@@ -27,7 +30,8 @@ class Redundancy(Node):
         if self.engine.cluster is not None:
             self.engine.cluster.add_listener(self._on_transition)
 
-    def _on_transition(self, role: str, epoch: int, commands: list) -> None:
-        for action, flow in commands:
+    def _on_transition(self, role: str, epoch: int) -> None:
+        action = "enable" if role == ROLE_MASTER else "disable"
+        for flow in self.cfg["controlledFlows"]:
             self.emit(0, {"action": action, "flow": flow})
         self.emit(1, {"role": role})

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import random
 
 from ..core.engine import UnknownFlowGroup
-from ..core.envelope import Envelope, is_number, topic_matches
+from ..core.envelope import Envelope, encode_json, is_number, topic_matches
 from .base import Node, Param, register
 
 
@@ -21,7 +20,7 @@ class Balancing(Node):
 
     KIND = "balancing"
     CONFIG = {
-        "outputs": Param("int", required=True, minimum=2),
+        "outputs": Param("int", minimum=2),
         "strategy": Param("choice", default="roundRobin",
                           choices=("roundRobin", "weightedRoundRobin", "random")),
         "weights": Param("list", default=None),
@@ -81,7 +80,7 @@ class Debounce(Node):
     KIND = "debounce"
     EGRESS_LABELS = ("value", "error")
     CONFIG = {
-        "window": Param("int", required=True, minimum=0, exclusive_min=True),
+        "window": Param("int", minimum=0, exclusive_min=True),
         "strategy": Param("choice", default="last",
                           choices=("last", "first", "avg", "drop-extra")),
     }
@@ -135,7 +134,7 @@ class ActionAudit(Node):
     INGRESSES = 2
     EGRESS_LABELS = ("confirmed", "failed")
     CONFIG = {
-        "timeout": Param("int", required=True, minimum=0, exclusive_min=True),
+        "timeout": Param("int", minimum=0, exclusive_min=True),
         "match": Param("str", default=None),
     }
 
@@ -185,9 +184,9 @@ class ReplicationVoter(Node):
     KIND = "replication-voter"
     EGRESS_LABELS = ("value", "noConsensus")
     CONFIG = {
-        "expected": Param("int", required=True, minimum=2),
+        "expected": Param("int", minimum=2),
         "quorum": Param("choice", default="majority", choices=("majority", "unanimity")),
-        "window": Param("int", required=True, minimum=0, exclusive_min=True),
+        "window": Param("int", minimum=0, exclusive_min=True),
     }
 
     def __init__(self, spec, engine):
@@ -228,7 +227,7 @@ def vote(values: list, quorum: str = "majority"):
     tally: dict[str, int] = {}
     originals: dict[str, object] = {}
     for v in values:
-        key = json.dumps(v, sort_keys=True, separators=(",", ":"))
+        key = encode_json(v)
         tally[key] = tally.get(key, 0) + 1
         originals.setdefault(key, v)
     if not values:

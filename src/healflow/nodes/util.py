@@ -19,7 +19,7 @@ class Sensor(Node):
     INGRESSES = 0
     EGRESS_LABELS = ("out",)
     CONFIG = {
-        "period": Param("int", required=True, minimum=0, exclusive_min=True),
+        "period": Param("int", minimum=0, exclusive_min=True),
         "topic": Param("str", default=None),
         "base": Param("number", default=0.0),
         "noiseAmp": Param("number", default=0.0, minimum=0),
@@ -84,7 +84,7 @@ class Extract(Node):
     KIND = "extract"
     EGRESS_LABELS = ("value", "error")
     CONFIG = {
-        "key": Param("str", required=True),
+        "key": Param("str"),
     }
 
     def on_input(self, env: Envelope, ingress: int) -> None:
@@ -105,7 +105,7 @@ class MqttIn(Node):
     INGRESSES = 0
     EGRESS_LABELS = ("out",)
     CONFIG = {
-        "topic": Param("str", required=True),
+        "topic": Param("str"),
     }
 
     def on_start(self) -> None:
@@ -146,7 +146,7 @@ class HttpPost(Node):
     KIND = "http-post"
     EGRESS_LABELS = ("posted", "error")
     CONFIG = {
-        "service": Param("str", required=True),
+        "service": Param("str"),
     }
 
     def on_input(self, env: Envelope, ingress: int) -> None:

@@ -27,6 +27,8 @@ from pathlib import Path
 from typing import Any, Optional
 from urllib.parse import unquote
 
+from .core.envelope import encode_json
+
 logger = logging.getLogger(__name__)
 
 _UNSAFE = re.compile(r"[%\s]|^-\Z")
@@ -137,8 +139,7 @@ class Store:
 
     @staticmethod
     def _ckpt_line(node_id: str, record: dict) -> str:
-        body = json.dumps({"topic": record.get("topic", ""), "payload": record["payload"]},
-                          separators=(",", ":"), sort_keys=True)
+        body = encode_json({"topic": record.get("topic", ""), "payload": record["payload"]})
         return f"CKPT {_encode_token(node_id)} {record['timestamp']} {body}\n"
 
     @staticmethod

@@ -17,19 +17,19 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..cluster import election_key
+from ..core.envelope import is_number
 from ..core.timeline import WORLD_INSTANCE
 from .world import Service, VirtualDevice
 
-FAULT_KINDS = (
-    "device_offline", "device_online",
-    "instance_crash", "instance_restart",
-    "net_delay", "value_noise", "stuck_value",
-    "service_down", "service_up",
-)
-
-_DEVICE_FAULTS = ("device_offline", "device_online", "value_noise", "stuck_value")
-_INSTANCE_FAULTS = ("instance_crash", "instance_restart")
-_SERVICE_FAULTS = ("service_down", "service_up")
+# Each fault kind and what its target names: a device, an instance, a
+# service, or a source (a device or an instance).
+FAULT_TARGETS = {
+    "device_offline": "device", "device_online": "device",
+    "instance_crash": "instance", "instance_restart": "instance",
+    "net_delay": "source", "value_noise": "device", "stuck_value": "device",
+    "service_down": "service", "service_up": "service",
+}
+FAULT_KINDS = tuple(FAULT_TARGETS)
 
 
 class ScenarioError(ValueError):
@@ -74,16 +74,16 @@ def _objects(doc: dict, key: str, where: str = "") -> list[dict]:
 
 
 def _int(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{what} must be an integer, got {value!r}") from None
+    """value when it is a non-negative integer; bools, floats and strings are not."""
+    if type(value) is not int or value < 0:
+        raise ScenarioError(f"{what} must be a non-negative integer, got {value!r}")
+    return value
 
 
 def _numbers(value, what: str, nonnegative: bool = False):
     """value when it is a number or an object of numbers, none negative if asked."""
     for v in value.values() if isinstance(value, dict) else (value,):
-        if type(v) not in (int, float) or (nonnegative and v < 0):
+        if not is_number(v) or (nonnegative and v < 0):
             sort = "non-negative number" if nonnegative else "number"
             raise ScenarioError(f"{what} must be a {sort} or an object of them, got {value!r}")
     return value
@@ -149,21 +149,13 @@ def parse_scenario(text: str) -> ScenarioScript:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
 
-    duration = doc.get("duration_ms")
-    if not isinstance(duration, int) or duration < 0:
-        raise ScenarioError("duration_ms must be a non-negative integer")
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise ScenarioError("seed must be a non-negative integer")
+    duration = _int(doc.get("duration_ms"), "duration_ms")
+    seed = _int(doc.get("seed", 0), "seed")
 
     events = []
     for raw in _objects(doc, "events"):
         kind = raw.get("kind")
-        if kind not in FAULT_KINDS:
-            raise ScenarioError(f"unknown fault kind {kind!r}")
-        at = raw.get("at_ms")
-        if not isinstance(at, int) or at < 0:
-            raise ScenarioError(f"fault {kind!r} needs a non-negative at_ms")
+        at = _int(raw.get("at_ms"), f"fault {kind!r} at_ms")
         target = raw.get("target")
         if not isinstance(target, str) or not target:
             raise ScenarioError(f"fault {kind!r} needs a target id")
@@ -171,9 +163,11 @@ def parse_scenario(text: str) -> ScenarioScript:
         if not isinstance(params, dict):
             raise ScenarioError(f"fault {kind!r} params must be an object")
         if kind == "net_delay":
-            delay = params.get("delay_ms", 0)
-            if not isinstance(delay, int) or delay < 0:
-                raise ScenarioError("net_delay needs a non-negative delay_ms param")
+            _int(params.get("delay_ms", 0), "net_delay delay_ms")
+        if kind == "value_noise":
+            amp = params.get("amp", 0.0)
+            if not is_number(amp) or amp < 0:
+                raise ScenarioError(f"value_noise amp must be a non-negative number, got {amp!r}")
         events.append(FaultEvent(at=at, kind=kind, target=target, params=params))
     events.sort(key=lambda e: e.at)
     if events and events[-1].at > duration:
@@ -186,16 +180,15 @@ def parse_scenario(text: str) -> ScenarioScript:
 
 
 def validate_script(script: ScenarioScript, extra_instances: tuple = ()) -> None:
-    """Check every fault target against the declared world."""
-    device_ids = {d.id for d in script.world.devices}
-    service_ids = {s.id for s in script.world.services}
-    instance_ids = {i.name for i in script.world.instances} | set(extra_instances)
+    """Check every fault's kind, and its target against the declared world."""
+    world = script.world
+    ids = {"device": {d.id for d in world.devices},
+           "service": {s.id for s in world.services},
+           "instance": {i.name for i in world.instances} | set(extra_instances)}
+    ids["source"] = ids["device"] | ids["instance"]
     for event in script.events:
-        if event.kind in _DEVICE_FAULTS and event.target not in device_ids:
-            raise ScenarioError(f"{event.kind} targets unknown device {event.target!r}")
-        if event.kind in _SERVICE_FAULTS and event.target not in service_ids:
-            raise ScenarioError(f"{event.kind} targets unknown service {event.target!r}")
-        if event.kind in _INSTANCE_FAULTS and event.target not in instance_ids:
-            raise ScenarioError(f"{event.kind} targets unknown instance {event.target!r}")
-        if event.kind == "net_delay" and event.target not in device_ids | instance_ids:
-            raise ScenarioError(f"net_delay targets unknown source {event.target!r}")
+        if event.kind not in FAULT_KINDS:
+            raise ScenarioError(f"unknown fault kind {event.kind!r}")
+        target = FAULT_TARGETS[event.kind]
+        if event.target not in ids[target]:
+            raise ScenarioError(f"{event.kind} targets unknown {target} {event.target!r}")

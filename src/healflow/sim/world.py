@@ -2,11 +2,11 @@
 
 Everything shares one clock and one timeline. Devices are world-owned (their
 emissions are logged under the pseudo-instance WORLD_INSTANCE and published
-to the broker); engines attach by registering themselves and subscribing
-node ids to topic patterns. Broker deliveries are scheduled events, never
-synchronous calls into another engine, which keeps the instance interleaving
-deterministic: at equal timestamps, faults apply first, then world events,
-then engines in instance order.
+to the broker); engines attach by adding themselves to `engines` and
+subscribing node ids to topic patterns. Broker deliveries are scheduled
+events, never synchronous calls into another engine, which keeps the instance
+interleaving deterministic: at equal timestamps, faults apply first, then
+world events, then engines in instance order.
 """
 
 from __future__ import annotations
@@ -64,9 +64,6 @@ class World:
         self._rngs = {d: random.Random(f"{seed}/device/{d}") for d in self.devices}
 
     # --- engine attachment ----------------------------------------------------
-    def register_engine(self, instance: str, engine) -> None:
-        self.engines[instance] = engine
-
     def subscribe(self, instance: str, node_id: str, pattern: str) -> None:
         # Keyed so a restarted engine re-subscribing keeps the original order.
         self._subs[(instance, node_id, pattern)] = None

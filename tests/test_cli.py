@@ -138,6 +138,18 @@ MALFORMED_SCENARIOS = {
         "world": {"instances": [{"name": "a", "address": "10.0.0.300"}]}},
     "instance-named-world": {
         "world": {"instances": [{"name": "world", "address": "10.0.0.1"}]}},
+    "amp-not-number": {"world": {"devices": [SENSOR]},
+                       "events": [{"at_ms": 0, "kind": "value_noise", "target": "s",
+                                   "params": {"amp": "x"}}]},
+    "amp-negative": {"world": {"devices": [SENSOR]},
+                     "events": [{"at_ms": 0, "kind": "value_noise", "target": "s",
+                                 "params": {"amp": -1}}]},
+    "amp-object": {"world": {"devices": [SENSOR]},
+                   "events": [{"at_ms": 0, "kind": "value_noise", "target": "s",
+                               "params": {"amp": {}}}]},
+    "period-float": {"world": {"devices": [dict(SENSOR, period_ms=2.5)]}},
+    "period-string": {"world": {"devices": [dict(SENSOR, period_ms="100")]}},
+    "duration-boolean": {"duration_ms": True},
 }
 
 

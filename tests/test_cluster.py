@@ -69,6 +69,15 @@ def spy_listener(engine):
     return calls
 
 
+def commands(engine):
+    """(time, command) of every flow-control command the redundancy node emitted."""
+    return [(e.time, e.value) for e in engine.log.emits("red") if e.port == 0]
+
+
+ENABLE = {"action": "enable", "flow": "ingest"}
+DISABLE = {"action": "disable", "flow": "ingest"}
+
+
 # --- election key ------------------------------------------------------------------
 
 def test_election_key_parses_last_octet():
@@ -138,7 +147,8 @@ def test_dead_peer_reported_once():
     engine.run_until(60000)   # three more periodic elections after the death
     assert transitions(engine) == [
         (15001, {"role": "master", "epoch": 1, "reason": "election-result"})]
-    assert notified == [("master", 1, [("enable", "ingest")])]
+    assert notified == [("master", 1)]
+    assert commands(engine) == [(15001, ENABLE)]
 
 
 def test_revival_after_death():
@@ -223,7 +233,8 @@ def test_standby_becomes_master_when_alone():
     notified = spy_listener(engine)
     engine.run_until(15000)
     assert (engine.cluster.role, engine.cluster.epoch) == ("master", 1)
-    assert notified == [("master", 1, [("enable", "ingest")])]
+    assert notified == [("master", 1)]
+    assert commands(engine) == [(15000, ENABLE)]
     assert engine.flow_enabled["ingest"] is True
 
 
@@ -233,7 +244,8 @@ def test_master_steps_down_when_higher_octet_recovers():
     notified = spy_listener(engine)
     ping(engine, HIGHER, 16000)
     assert (engine.cluster.role, engine.cluster.epoch) == ("standby", 2)
-    assert notified == [("standby", 2, [("disable", "ingest")])]
+    assert notified == [("standby", 2)]
+    assert commands(engine) == [(15000, ENABLE), (16000, DISABLE)]
     assert engine.flow_enabled["ingest"] is False
 
 

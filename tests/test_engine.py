@@ -2,10 +2,10 @@ import copy
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from healflow.core.engine import Engine, GraphInvalid
-from healflow.core.envelope import copy_json
+from healflow.core.envelope import copy_json, encode_json
 from tests.conftest import build_graph, make_spec
 
 
@@ -215,3 +215,15 @@ def test_copy_json_matches_deepcopy_and_shares_no_container(value):
     assert json.dumps(copied) == json.dumps(copy.deepcopy(value))
     originals = {id(c) for c in _containers(value)}
     assert not originals & {id(c) for c in _containers(copied)}
+
+
+ENCODED_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=30)
+
+
+@given(ENCODED_VALUES)
+@example({"\u00e9t\u00e9": [[float("nan"), float("-inf")], {"\u03bb": 1, "a": [[]]}]})
+def test_encode_json_matches_compact_sorted_dumps(value):
+    assert encode_json(value) == json.dumps(value, separators=(",", ":"), sort_keys=True)

@@ -1,13 +1,15 @@
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from healflow.core.clock import VirtualClock
 from healflow.core.engine import Engine
 from healflow.core.graph import parse_flow
 from healflow.core.timeline import TimelineLog
-from healflow.sim import (FaultEvent, ScenarioError, Simulation, VirtualDevice, World,
-                          apply_fault, parse_scenario)
+from healflow.sim import (FaultEvent, ScenarioError, ScenarioScript, Simulation, VirtualDevice,
+                          World, apply_fault, parse_scenario)
 from tests.conftest import build_graph, make_spec
 
 
@@ -350,6 +352,12 @@ def test_flow_count_must_match_instances():
         Simulation([parse_flow(SINK_FLOW)], script)
 
 
+def test_fault_kind_outside_the_table_rejected_pre_run():
+    script = ScenarioScript(seed=1, duration=100, events=[FaultEvent(1, "explode", "d")])
+    with pytest.raises(ScenarioError, match="unknown fault kind 'explode'"):
+        Simulation([parse_flow(SINK_FLOW)], script)
+
+
 def test_merged_log_seed_determinism(fixture_path):
     flows = [parse_flow(fixture_path("flow_c.json").read_text())] * 2
     script_text = fixture_path("scenario_c_loss.json").read_text()
@@ -382,3 +390,71 @@ def test_one_parsed_script_runs_twice_to_the_same_bytes(fixture_path, flow, scen
     graph = parse_flow(fixture_path(flow).read_text())
     first = Simulation([graph], script).run().to_csv()
     assert Simulation([graph], script).run().to_csv() == first
+
+
+# --- random scenarios over the fixture flows and worlds ------------------------------
+
+DATA = Path(__file__).parent / "data"
+FIXTURE_FLOWS = ("flow_a.json", "flow_b.json", "flow_c.json")
+FIXTURE_WORLDS = ("scenario_a.json", "scenario_b.json", "scenario_c_loss.json")
+
+
+@st.composite
+def random_scenarios(draw):
+    """(flow file, scenario document): a fixture world with random faults.
+
+    A world without instances gets one, so crash and restart have a target.
+    """
+    flow = draw(st.sampled_from(FIXTURE_FLOWS))
+    doc = json.loads((DATA / draw(st.sampled_from(FIXTURE_WORLDS))).read_text())
+    world = doc["world"]
+    world.setdefault("instances", [{"name": "solo", "address": "10.0.0.1"}])
+    doc["duration_ms"] = min(doc["duration_ms"], 400_000)
+    devices = [d["id"] for d in world["devices"]]
+    services = [s["id"] for s in world.get("services", [])]
+    instances = [i["name"] for i in world["instances"]]
+    choices = [("instance_crash", instances, {}), ("instance_restart", instances, {}),
+               ("device_offline", devices, {}), ("device_online", devices, {}),
+               ("stuck_value", devices, {"value": 1.0}),
+               ("value_noise", devices, {"amp": 5.0})]
+    if services:
+        choices += [("service_down", services, {}), ("service_up", services, {})]
+    faults = draw(st.lists(st.tuples(st.sampled_from(choices),
+                                     st.integers(0, doc["duration_ms"])), max_size=10))
+    doc["events"] = [{"at_ms": at, "kind": kind, "target": draw(st.sampled_from(targets)),
+                      "params": params}
+                     for (kind, targets, params), at in faults]
+    return flow, doc
+
+
+@given(random_scenarios())
+@settings(max_examples=25, deadline=None)
+def test_random_faults_keep_determinism_and_the_delivery_rules(case):
+    flow, doc = case
+    script = parse_scenario(json.dumps(doc))
+    flows = [parse_flow((DATA / flow).read_text())] * len(doc["world"]["instances"])
+    sim = Simulation(flows, script)
+    log = sim.run()
+    assert Simulation(flows, script).run().to_csv() == log.to_csv()
+
+    entries = log.entries
+    graphs = {name: engine.graph for name, engine in sim.engines.items()}
+    for i, e in enumerate(entries):
+        if e.kind != "emit" or e.instance not in graphs:
+            continue
+        spec = graphs[e.instance].by_id[e.node]
+        wired = spec.wires[e.port] if e.port < len(spec.wires) else []
+        after = entries[i + 1:i + 1 + len(wired)]
+        assert [(a.time, a.instance, a.kind in ("deliver", "drop"), a.node, a.port)
+                for a in after] == [(e.time, e.instance, True, dst, ingress)
+                                    for dst, ingress in wired]
+
+    crashed = set()
+    for e in entries:
+        if e.kind == "fault" and e.instance == "world":
+            if e.value["kind"] == "instance_crash":
+                crashed.add(e.node)
+            elif e.value["kind"] == "instance_restart":
+                crashed.discard(e.node)
+        elif e.instance in crashed:
+            assert e.kind == "drop", e
