@@ -41,8 +41,9 @@ class UnknownFlowGroup(KeyError):
 class Engine:
     """One runtime instance: a validated graph plus its live node state.
 
-    The engine is single-threaded; envelopes and timeline entries are
-    immutable values, safe to hand to a reporter on another thread.
+    The engine is single-threaded. Envelopes and timeline entries cannot be
+    changed, but the timeline shares payload objects with the envelopes it
+    logs, so a logged payload is read-only.
     """
 
     def __init__(self, graph: FlowGraph, *, instance: str = "node", address: str = "127.0.0.1",

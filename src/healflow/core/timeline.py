@@ -4,6 +4,10 @@ The timeline is the single observable artifact of a run. Reports, marble
 diagrams and the golden-file tests all read it, so entry order must be fully
 deterministic: entries are appended in execution order and times never go
 backwards.
+
+Entries are named tuples and their values are read-only: an emit and its
+delivers log one payload object, and a timeline read back from CSV shares
+one decoded value between consecutive entries whose value texts are equal.
 """
 
 from __future__ import annotations
@@ -11,8 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .envelope import encode_json
 
@@ -26,8 +29,9 @@ SINK_TOPIC_PREFIX = "service/"
 CSV_HEADER = ["time_ms", "instance", "event", "node", "port", "topic", "value"]
 
 
-@dataclass(frozen=True, slots=True)
-class TimelineEntry:
+class TimelineEntry(NamedTuple):
+    """One logged event; ``value`` may be shared with other entries, so never mutate it."""
+
     time: int
     instance: str
     kind: str
@@ -62,38 +66,51 @@ class TimelineLog:
                 if e.kind == "emit" and (node is None or e.node == node)]
 
     def to_csv(self) -> str:
-        """Serialize entries with the stable schema; values are compact JSON."""
+        """Serialize entries with the stable schema; values are compact JSON.
+
+        An emit and its delivers log one payload object, so a value that is
+        the previous entry's object reuses that entry's text. csv.writer
+        writes a None port as an empty field.
+        """
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for e in self.entries:
-            writer.writerow([
-                e.time,
-                e.instance,
-                e.kind,
-                e.node,
-                "" if e.port is None else e.port,
-                e.topic,
-                encode_json(e.value),
-            ])
+        writerow = csv.writer(buf, lineterminator="\n").writerow
+        writerow(CSV_HEADER)
+        prev, text = object(), ""  # a fresh object is no entry's value
+        for time, instance, kind, node, port, topic, value in self.entries:
+            if value is not prev:
+                prev, text = value, encode_json(value)
+            writerow((time, instance, kind, node, port, topic, text))
         return buf.getvalue()
 
 
 def entries_from_csv(text: str) -> list[TimelineEntry]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != CSV_HEADER:
-        raise ValueError(f"unexpected timeline header: {header}")
-    out = []
-    for row in reader:
-        time_ms, instance, kind, node, port, topic, value = row
-        out.append(TimelineEntry(
-            time=int(time_ms),
-            instance=instance,
-            kind=kind,
-            node=node,
-            port=None if port == "" else int(port),
-            topic=topic,
-            value=json.loads(value),
-        ))
+    """Parse a timeline CSV, applying the rules that TimelineLog.add applies.
+
+    Consecutive rows with equal value texts share one decoded value. Any
+    malformed input raises ValueError, a malformed value the first time its
+    text is seen.
+    """
+    # No field is longer than the text; restore the process-wide limit after.
+    old_limit = csv.field_size_limit(len(text) + 1)
+    try:
+        reader = csv.reader(io.StringIO(text))
+        header = next(reader, None)
+        if header != CSV_HEADER:
+            raise ValueError(f"unexpected timeline header: {header}")
+        out = []
+        raw = value = None
+        for time, instance, kind, node, port, topic, value_text in reader:
+            if kind not in KINDS:
+                raise ValueError(f"unknown event kind {kind!r}")
+            time = int(time)
+            if out and time < out[-1].time:
+                raise ValueError("timeline times must be non-decreasing")
+            if value_text != raw:
+                raw, value = value_text, json.loads(value_text)
+            out.append(TimelineEntry(time, instance, kind, node,
+                                     None if port == "" else int(port), topic, value))
+    except csv.Error as exc:
+        raise ValueError(str(exc)) from exc
+    finally:
+        csv.field_size_limit(old_limit)
     return out

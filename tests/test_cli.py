@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from healflow.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*argv, capsys=None):
@@ -192,6 +198,27 @@ def test_report_rejects_non_timeline(tmp_path, capsys):
     junk = tmp_path / "x.csv"
     junk.write_text("a,b,c\n1,2,3\n")
     assert main(["report", "--timeline", str(junk), "--metric", "loss"]) == 2
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("5,a,emit,n,0,t,1\n6,a,bogus,n,0,t,1\n", "unknown event kind 'bogus'"),
+    ("5,a,emit,n,0,t,1\n1,a,emit,n,0,t,1\n", "timeline times must be non-decreasing"),
+], ids=["unknown-kind", "time-backwards"])
+def test_report_rejects_what_the_log_would_not_add(tmp_path, capsys, rows, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("time_ms,instance,event,node,port,topic,value\n" + rows)
+    assert main(["report", "--timeline", str(bad), "--metric", "loss"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli(fixture_path):
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-m", "healflow", "validate",
+                           "--flow", str(fixture_path("flow_a.json"))],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "ok" in done.stdout
 
 
 def test_report_is_pure_function_of_timeline(tmp_path, fixture_path, capsys):

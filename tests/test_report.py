@@ -1,9 +1,12 @@
+import csv
+import io
 from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from healflow.core.timeline import TimelineEntry, TimelineLog, entries_from_csv
+from healflow.core.envelope import encode_json
+from healflow.core.timeline import CSV_HEADER, KINDS, TimelineEntry, TimelineLog, entries_from_csv
 from healflow.report import compute_report, default_bucket, format_report, render_marble
 from tests.conftest import build_graph, make_spec
 
@@ -33,6 +36,82 @@ def test_csv_value_is_compact_sorted_json():
     log.add(0, "i", "emit", "n", 0, "", {"b": 1, "a": 2})
     line = log.to_csv().splitlines()[1]
     assert '""a"":2,""b"":1' in line  # csv-quoted compact JSON
+
+
+def test_csv_round_trip_of_a_value_past_the_csv_field_limit():
+    limit = csv.field_size_limit()
+    log = TimelineLog()
+    log.add(0, "a", "emit", "n", 0, "t", {"blob": "x" * 200_000})
+    assert entries_from_csv(log.to_csv()) == log.entries
+    assert csv.field_size_limit() == limit
+
+
+def test_csv_errors_load_as_value_errors():
+    limit = csv.field_size_limit()
+    with pytest.raises(ValueError):  # the csv reader takes the bare "\r" for a line end
+        entries_from_csv(",".join(CSV_HEADER) + '\n0,a\rb,emit,n,,t,1\n')
+    assert csv.field_size_limit() == limit
+
+
+def reference_csv(entries):
+    """The per-row encoder: csv.writer plus encode_json on every entry."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for e in entries:
+        writer.writerow([e.time, e.instance, e.kind, e.node, "" if e.port is None else e.port,
+                         e.topic, encode_json(e.value)])
+    return buf.getvalue()
+
+
+def csv_leaves_bare(name):
+    """True when csv.writer leaves a carriage return in ``name`` unquoted."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([name, ""])
+    return "\r" in name and not buf.getvalue().startswith('"')
+
+
+NAMES = st.text(st.sampled_from('a,"\n\r\u00e9\u6f22'), max_size=4)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | NAMES,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(NAMES, kids, max_size=3),
+    max_leaves=8)
+ROWS = st.tuples(st.integers(0, 5), NAMES, st.sampled_from(KINDS), NAMES,
+                 st.none() | st.integers(-5, 99), NAMES)
+
+
+@st.composite
+def logs(draw):
+    """Runs of consecutive entries that log one value object, as an emit and its delivers do."""
+    log, time = TimelineLog(), 0
+    runs = st.lists(st.tuples(JSON_VALUES, st.lists(ROWS, min_size=1, max_size=4)), max_size=8)
+    for value, rows in draw(runs):
+        for delta, instance, kind, node, port, topic in rows:
+            time += delta
+            log.add(time, instance, kind, node, port, topic, value)
+    return log
+
+
+def equal_values_of_other_types():
+    log = TimelineLog()
+    for value in (1, True, 1.0, 0, False, 0.0, -0.0):
+        log.add(0, "a", "emit", "n", 0, "t", value)
+    return log
+
+
+@settings(max_examples=200, deadline=None)
+@given(logs())
+@example(equal_values_of_other_types())
+def test_csv_codec_matches_the_per_row_reference(log):
+    text = log.to_csv()
+    assert text == reference_csv(log.entries)
+    if any(csv_leaves_bare(name) for e in log for name in (e.instance, e.node, e.topic)):
+        with pytest.raises(ValueError):  # the reader takes that "\r" for a line end
+            entries_from_csv(text)
+        return
+    parsed = entries_from_csv(text)
+    assert [e[:6] for e in parsed] == [e[:6] for e in log]
+    assert [encode_json(e.value) for e in parsed] == [encode_json(e.value) for e in log]
 
 
 # --- mttr -------------------------------------------------------------------------
