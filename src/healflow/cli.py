@@ -26,9 +26,10 @@ class _CliError(Exception):
         self.code = code
 
 
-def _read(path: str) -> str:
+def _read(path: str, newline=None) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline=newline) as f:
+            return f.read()
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}") from exc
 
@@ -101,7 +102,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    text = _read(args.timeline)
+    text = _read(args.timeline, newline="")
     try:
         entries = entries_from_csv(text)
     except (ValueError, IndexError) as exc:

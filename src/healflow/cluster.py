@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable
 
 logger = logging.getLogger(__name__)
 
@@ -108,7 +108,7 @@ class ClusterAgent:
 
     The agent is configured by the engine's first redundancy node, `spec`:
     its electionTimeout sets the timeouts, and its id is the node of every
-    role-change entry. The address is the engine's.
+    role-change entry. It pings from the engine's address over its world's transport.
 
     Elections run whenever the alive set could have changed (a peer expires
     or appears) and on a periodic tick every election timeout. The epoch
@@ -117,7 +117,7 @@ class ClusterAgent:
     Callbacks of a halted engine do nothing.
     """
 
-    def __init__(self, engine, spec, transport: Optional[LoopbackTransport] = None):
+    def __init__(self, engine, spec):
         self.engine = engine
         self.address = engine.address
         self.key = election_key(self.address)
@@ -126,15 +126,14 @@ class ClusterAgent:
         self.election_timeout = spec.config["electionTimeout"]
         self.ping_period = max(1, self.election_timeout // 5)
         self.peers: dict[str, tuple[tuple[int, str], int, bool]] = {}
-        self.transport = transport
+        self.transport = engine.world.transport
         self.role_node = spec.id
         self._listeners: list[Callable[[str, int], None]] = []
         self._expiry: dict[str, list] = {}  # address -> pending expiry clock entry
         # Register at construction so a boot ping from an instance that
         # starts first still reaches instances created later in the same
         # setup pass; deliveries are scheduled events, nothing fires early.
-        if transport is not None:
-            transport.register(self.address, self.receive_datagram, rank=engine.rank_deliver)
+        self.transport.register(self.address, self.receive_datagram, rank=engine.rank_deliver)
 
     def add_listener(self, fn: Callable[[str, int], None]) -> None:
         self._listeners.append(fn)
@@ -160,9 +159,8 @@ class ClusterAgent:
                                 rank=self.engine.rank_timer)
 
     def _broadcast_ping(self) -> None:
-        if self.transport is not None:
-            self.transport.broadcast(self.address,
-                                     encode_ping(self.address, self.epoch, self.engine.clock.now))
+        self.transport.broadcast(self.address,
+                                 encode_ping(self.address, self.epoch, self.engine.clock.now))
 
     # --- datagram path ---------------------------------------------------------
     def receive_datagram(self, data: bytes) -> None:

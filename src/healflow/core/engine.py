@@ -20,7 +20,6 @@ from typing import Optional
 
 from ..cluster import ClusterAgent
 from ..persistence import Store
-from .clock import VirtualClock
 from .envelope import Envelope
 from .graph import Diagnostic, FlowGraph, validate_graph
 from .timeline import TimelineLog
@@ -41,19 +40,20 @@ class UnknownFlowGroup(KeyError):
 class Engine:
     """One runtime instance: a validated graph plus its live node state.
 
-    The engine is single-threaded. Envelopes and timeline entries cannot be
+    It uses its world's clock, timeline and transport; an engine built
+    without a world gets a fresh World() of its own. The engine is
+    single-threaded. Envelopes and timeline entries cannot be
     changed, but the timeline shares payload objects with the envelopes it
     logs, so a logged payload is read-only.
     """
 
     def __init__(self, graph: FlowGraph, *, instance: str = "node", address: str = "127.0.0.1",
-                 seed: int = 0, clock: Optional[VirtualClock] = None,
-                 log: Optional[TimelineLog] = None, store: Optional[Store] = None,
-                 world=None, transport=None, rank: int = 0):
+                 seed: int = 0, store: Optional[Store] = None, world=None, rank: int = 0):
         errors = [d for d in validate_graph(graph) if d.severity == "error"]
         if errors:
             raise GraphInvalid(errors)
         from ..nodes import NODE_KINDS
+        from ..sim.world import World  # not at module level: healflow.sim imports this module
 
         self.graph = graph
         self.instance = instance
@@ -65,10 +65,10 @@ class Engine:
         # exactly on a deadline counts as activity and suppresses the timer.
         self.rank_deliver = 2 * rank
         self.rank_timer = 2 * rank + 1
-        self.clock = clock if clock is not None else VirtualClock()
-        self.log = log if log is not None else TimelineLog()
+        self.world = world if world is not None else World()
+        self.clock = self.world.clock
+        self.log = self.world.log
         self.store = store if store is not None else Store()
-        self.world = world
         self.halted = False
         self.flow_enabled = graph.flow_groups()
 
@@ -79,10 +79,8 @@ class Engine:
 
         red = next((s for s in graph.nodes if s.kind == "redundancy"), None)
         self.cluster: Optional[ClusterAgent] = (
-            ClusterAgent(self, red, transport) if red is not None else None)
-
-        if world is not None:
-            world.engines[instance] = self
+            ClusterAgent(self, red) if red is not None else None)
+        self.world.engines[instance] = self
 
     # --- lifecycle ----------------------------------------------------------
     def start(self) -> None:
@@ -98,7 +96,7 @@ class Engine:
             self.cluster.start()
 
     def run_until(self, t_end: int) -> TimelineLog:
-        """Drive a standalone engine's own clock; returns the log for convenience."""
+        """Drive the world's clock to t_end; returns the log for convenience."""
         self.clock.run_until(t_end)
         return self.log
 

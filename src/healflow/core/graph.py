@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .timeline import csv_safe
+
 
 class FlowParseError(ValueError):
     pass
@@ -88,6 +90,8 @@ def parse_flow(text: str) -> FlowGraph:
             raise FlowParseError("every node needs a non-empty string id")
         if raw["id"] in ids:
             raise FlowParseError(f"duplicate node id {raw['id']!r}")
+        if not csv_safe(raw["id"]):
+            raise FlowParseError(f"node id {raw['id']!r} holds a carriage return")
         ids.add(raw["id"])
 
     nodes = []

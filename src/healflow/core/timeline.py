@@ -29,6 +29,11 @@ SINK_TOPIC_PREFIX = "service/"
 CSV_HEADER = ["time_ms", "instance", "event", "node", "port", "topic", "value"]
 
 
+def csv_safe(name: str) -> bool:
+    """Whether a name survives to_csv: csv.writer leaves a bare carriage return unquoted."""
+    return "\r" not in name
+
+
 class TimelineEntry(NamedTuple):
     """One logged event; ``value`` may be shared with other entries, so never mutate it."""
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, TYPE_CHECKING
 
 from ..core.envelope import Envelope, is_number
+from ..core.timeline import csv_safe
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.engine import Engine
@@ -46,6 +47,8 @@ def _check_value(name: str, value: Any, p: Param) -> list[str]:
         return [f"config {name!r} must be an integer"]
     if p.kind == "str" and not isinstance(value, str):
         return [f"config {name!r} must be a string"]
+    if p.kind == "str" and not csv_safe(value):
+        return [f"config {name!r} must not hold a carriage return"]
     if p.kind == "list" and not isinstance(value, list):
         return [f"config {name!r} must be a list"]
     if p.kind == "choice" and value not in (p.choices or ()):
@@ -69,8 +72,8 @@ class Node:
 
     At runtime a node calls emit, set_timer, clear_timer, log_fault and
     log_warning, and reads now. It may also use these attributes of
-    self.engine: world (None without a co-simulation), store, cluster (None
-    without a redundancy node), instance and set_flow.
+    self.engine: world (the shared environment every engine lives in),
+    store, cluster (None without a redundancy node), instance and set_flow.
     """
 
     KIND = ""

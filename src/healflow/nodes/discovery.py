@@ -36,8 +36,6 @@ class HttpAware(Node):
         self.set_timer("probe", self.cfg["period"])
 
     def _probe(self) -> None:
-        if self.engine.world is None:
-            return
         ports = self.cfg["ports"]
         current = {}
         for svc in self.engine.world.services_up():
@@ -76,8 +74,6 @@ class NetworkAware(Node):
         self.set_timer("scan", self.cfg["period"])
 
     def _scan(self) -> None:
-        if self.engine.world is None:
-            return
         current = set(self.engine.world.hosts())
         for host in sorted(current - self._seen):
             self.emit(0, {"event": "joined", "host": host})

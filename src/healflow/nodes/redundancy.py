@@ -27,8 +27,7 @@ class Redundancy(Node):
     }
 
     def on_start(self) -> None:
-        if self.engine.cluster is not None:
-            self.engine.cluster.add_listener(self._on_transition)
+        self.engine.cluster.add_listener(self._on_transition)
 
     def _on_transition(self, role: str, epoch: int) -> None:
         action = "enable" if role == ROLE_MASTER else "disable"

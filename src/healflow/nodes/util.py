@@ -9,10 +9,10 @@ from .base import Node, Param, register
 
 @register
 class Sensor(Node):
-    """Engine-hosted periodic source for standalone runs.
+    """Engine-hosted periodic source, for flows tested without world devices.
 
     Emits base plus seeded uniform noise every period, first firing one full
-    period after start. Co-simulated runs model sensors in the world instead.
+    period after start. Scenario runs model sensors as world devices instead.
     """
 
     KIND = "sensor"
@@ -109,9 +109,7 @@ class MqttIn(Node):
     }
 
     def on_start(self) -> None:
-        world = self.engine.world
-        if world is not None:
-            world.subscribe(self.engine.instance, self.id, self.cfg["topic"])
+        self.engine.world.subscribe(self.engine.instance, self.id, self.cfg["topic"])
 
     def on_external(self, topic: str, payload) -> None:
         self.emit(0, payload, topic)
@@ -128,9 +126,6 @@ class MqttOut(Node):
     }
 
     def on_input(self, env: Envelope, ingress: int) -> None:
-        if self.engine.world is None:
-            self.log_warning("no broker attached, publish dropped")
-            return
         self.engine.world.publish(self.cfg["topic"] or env.topic, env.payload,
                                   source=self.engine.instance)
 
@@ -151,8 +146,7 @@ class HttpPost(Node):
 
     def on_input(self, env: Envelope, ingress: int) -> None:
         sid = self.cfg["service"]
-        world = self.engine.world
-        svc = world.services.get(sid) if world is not None else None
+        svc = self.engine.world.services.get(sid)
         if svc is None:
             self.emit(1, {"kind": "unknown-service", "service": sid}, env.topic, env.corr)
         elif not svc.up:

@@ -1,12 +1,10 @@
-"""Co-simulator: all instances, devices, broker and faults on one clock."""
+"""Co-simulator: all instances, devices, broker and faults in one World."""
 
 from __future__ import annotations
 
 from pathlib import Path
 from typing import Optional
 
-from ..cluster import LoopbackTransport
-from ..core.clock import VirtualClock
 from ..core.engine import Engine
 from ..core.graph import FlowGraph
 from ..core.timeline import WORLD_INSTANCE, TimelineLog
@@ -39,7 +37,7 @@ def apply_fault(fault: FaultEvent, world: World) -> None:
 
 
 class Simulation:
-    """One scenario run: flows per instance, scripted faults, merged timeline."""
+    """One scenario run: flows per instance and scripted faults, all in `world`."""
 
     def __init__(self, flows: list[FlowGraph], script: ScenarioScript, *,
                  seed: Optional[int] = None, store_dir: Optional[str] = None):
@@ -56,11 +54,8 @@ class Simulation:
                 f"{len(flows)} flow document(s) for {len(self.instances)} declared instance(s)")
         validate_script(script, extra_instances=tuple(i.name for i in self.instances))
 
-        self.clock = VirtualClock()
-        self.log = TimelineLog()
-        self.world = World(self.clock, self.log, seed=self.seed,
-                           devices=script.world.devices, services=script.world.services)
-        self.transport = LoopbackTransport(self.clock)
+        self.world = World(seed=self.seed, devices=script.world.devices,
+                           services=script.world.services)
 
         base = Path(store_dir) if store_dir else None
         if base is not None:
@@ -69,35 +64,34 @@ class Simulation:
             spec.name: Store(base / f"{spec.name}.store" if base else None)
             for spec in self.instances
         }
-        self.engines = {spec.name: self._build_engine(i) for i, spec in enumerate(self.instances)}
+        for index in range(len(self.instances)):
+            self._build_engine(index)
 
     def _build_engine(self, index: int) -> Engine:
         spec = self.instances[index]
         return Engine(self.flows[index], instance=spec.name, address=spec.address,
-                      seed=self.seed, clock=self.clock, log=self.log,
-                      store=self.stores[spec.name], world=self.world,
-                      transport=self.transport, rank=RANK_INSTANCE_BASE + index)
+                      seed=self.seed, store=self.stores[spec.name], world=self.world,
+                      rank=RANK_INSTANCE_BASE + index)
 
     def run(self) -> TimelineLog:
         for event in self.script.events:
-            self.clock.at(event.at, lambda e=event: self._apply(e), rank=RANK_FAULT)
+            self.world.clock.at(event.at, lambda e=event: self._apply(e), rank=RANK_FAULT)
         self.world.start_devices()
-        for name in self.engines:
-            self.engines[name].start()
-        self.clock.run_until(self.script.duration)
-        return self.log
+        for engine in self.world.engines.values():
+            engine.start()
+        self.world.clock.run_until(self.script.duration)
+        return self.world.log
 
     def _apply(self, fault: FaultEvent) -> None:
-        self.log.add(self.clock.now, WORLD_INSTANCE, "fault", fault.target,
-                     value={"kind": fault.kind, **({"params": fault.params}
-                                                   if fault.params else {})})
+        world = self.world
+        world.log.add(world.clock.now, WORLD_INSTANCE, "fault", fault.target,
+                      value={"kind": fault.kind, **({"params": fault.params}
+                                                    if fault.params else {})})
         if fault.kind == "instance_crash":
-            self.engines[fault.target].halt()
+            world.engines[fault.target].halt()
         elif fault.kind == "instance_restart":
             index = next(i for i, s in enumerate(self.instances) if s.name == fault.target)
-            self.engines[fault.target].halt()
-            engine = self._build_engine(index)
-            self.engines[fault.target] = engine
-            engine.start()
+            world.engines[fault.target].halt()
+            self._build_engine(index).start()
         else:
             apply_fault(fault, self.world)

@@ -18,7 +18,7 @@ from typing import Any, Optional
 
 from ..cluster import election_key
 from ..core.envelope import is_number
-from ..core.timeline import WORLD_INSTANCE
+from ..core.timeline import WORLD_INSTANCE, csv_safe
 from .world import Service, VirtualDevice
 
 # Each fault kind and what its target names: a device, an instance, a
@@ -80,6 +80,15 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _name(value, what: str) -> str:
+    """value when it is a non-empty string that the timeline CSV can hold."""
+    if not isinstance(value, str) or not value:
+        raise ScenarioError(f"{what} must be a non-empty string, got {value!r}")
+    if not csv_safe(value):
+        raise ScenarioError(f"{what} {value!r} holds a carriage return")
+    return value
+
+
 def _numbers(value, what: str, nonnegative: bool = False):
     """value when it is a number or an object of numbers, none negative if asked."""
     for v in value.values() if isinstance(value, dict) else (value,):
@@ -93,9 +102,9 @@ def _parse_device(raw: dict) -> VirtualDevice:
     kind = raw.get("kind", "periodicSensor")
     if kind not in ("periodicSensor", "nfcReader"):
         raise ScenarioError(f"unknown device kind {kind!r}")
-    if not raw.get("id") or not raw.get("topic"):
-        raise ScenarioError("devices need an id and a topic")
-    where = f"device {raw['id']!r}"
+    dev_id = _name(raw.get("id"), "device id")
+    where = f"device {dev_id!r}"
+    topic = _name(raw.get("topic"), f"{where} topic")
     model = raw.get("valueModel") or {}
     if not isinstance(model, dict):
         raise ScenarioError(f"{where} valueModel must be an object")
@@ -105,16 +114,14 @@ def _parse_device(raw: dict) -> VirtualDevice:
     reads = [(_int(r.get("at_ms"), f"{where} read at_ms"), r.get("value"))
              for r in _objects(raw, "reads", f"{where} ")]
     return VirtualDevice(
-        id=raw["id"], kind=kind, topic=raw["topic"], period=period,
+        id=dev_id, kind=kind, topic=topic, period=period,
         base=_numbers(model.get("base", 0.0), f"{where} valueModel.base"),
         noise_amp=_numbers(model.get("noiseAmp", 0.0), f"{where} valueModel.noiseAmp", True),
         reads=sorted(reads), online=bool(raw.get("online", True)))
 
 
 def _parse_instance(raw: dict) -> InstanceSpec:
-    name = raw.get("name")
-    if not isinstance(name, str) or not name:
-        raise ScenarioError("instances need a name")
+    name = _name(raw.get("name"), "instance name")
     if name == WORLD_INSTANCE:
         raise ScenarioError(f"instance name {name!r} is reserved for world events")
     try:
@@ -131,10 +138,9 @@ def _parse_world(raw: Optional[dict]) -> WorldSpec:
     devices = [_parse_device(d) for d in _objects(raw, "devices", "world.")]
     services = []
     for s in _objects(raw, "services", "world."):
-        if not s.get("id"):
-            raise ScenarioError("services need an id")
-        services.append(Service(id=s["id"], host=s.get("host", s["id"]),
-                                port=_int(s.get("port", 80), f"service {s['id']!r} port")))
+        sid = _name(s.get("id"), "service id")
+        services.append(Service(id=sid, host=s.get("host", sid),
+                                port=_int(s.get("port", 80), f"service {sid!r} port")))
     instances = [_parse_instance(i) for i in _objects(raw, "instances", "world.")]
     return WorldSpec(devices, services, instances)
 
@@ -156,9 +162,7 @@ def parse_scenario(text: str) -> ScenarioScript:
     for raw in _objects(doc, "events"):
         kind = raw.get("kind")
         at = _int(raw.get("at_ms"), f"fault {kind!r} at_ms")
-        target = raw.get("target")
-        if not isinstance(target, str) or not target:
-            raise ScenarioError(f"fault {kind!r} needs a target id")
+        target = _name(raw.get("target"), f"fault {kind!r} target")
         params = raw.get("params") or {}
         if not isinstance(params, dict):
             raise ScenarioError(f"fault {kind!r} params must be an object")

@@ -1,12 +1,12 @@
-"""The virtual world: devices, services, hosts and the pub/sub broker.
+"""The virtual world: devices, services, hosts, the pub/sub broker and the transport.
 
-Everything shares one clock and one timeline. Devices are world-owned (their
-emissions are logged under the pseudo-instance WORLD_INSTANCE and published
-to the broker); engines attach by adding themselves to `engines` and
-subscribing node ids to topic patterns. Broker deliveries are scheduled
-events, never synchronous calls into another engine, which keeps the instance
-interleaving deterministic: at equal timestamps, faults apply first, then
-world events, then engines in instance order.
+The world owns the run's one clock, timeline and ping transport. Devices are
+world-owned (their emissions are logged under the pseudo-instance
+WORLD_INSTANCE and published to the broker); engines attach by adding
+themselves to `engines` and subscribing node ids to topic patterns. Broker
+deliveries are scheduled events, never synchronous calls into another engine,
+which keeps the instance interleaving deterministic: at equal timestamps,
+faults apply first, then world events, then engines in instance order.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any
 
+from ..cluster import LoopbackTransport
 from ..core.clock import VirtualClock
 from ..core.envelope import topic_matches
 from ..core.timeline import WORLD_INSTANCE, TimelineLog
@@ -48,12 +49,13 @@ class Service:
 
 
 class World:
-    """Shared simulated environment for any number of engines."""
+    """Shared simulated environment for any number of engines, keyed by instance in `engines`."""
 
-    def __init__(self, clock: VirtualClock, log: TimelineLog, seed: int = 0,
-                 devices: list[VirtualDevice] = (), services: list[Service] = ()):
-        self.clock = clock
-        self.log = log
+    def __init__(self, seed: int = 0, devices: list[VirtualDevice] = (),
+                 services: list[Service] = ()):
+        self.clock = VirtualClock()
+        self.log = TimelineLog()
+        self.transport = LoopbackTransport(self.clock)
         self.seed = seed
         # Own copies: faults mutate them, and a script may be run again.
         self.devices = {d.id: VirtualDevice(**vars(d)) for d in devices}

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from healflow.cli import main
+from healflow.core.timeline import TimelineLog
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -168,6 +169,49 @@ def test_run_malformed_scenario_exits_2(tmp_path, fixture_path, capsys, shape):
                  "--scenario", str(scenario)])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {scenario}: ")
+
+
+CR_FLOW = {"nodes": [{"id": "in", "type": "mqtt-in", "config": {"topic": "t"},
+                      "wires": [[["out", 0]]]},
+                     {"id": "out", "type": "mqtt-out", "config": {"topic": "u"}}]}
+CR_SCENARIO = {"seed": 1, "duration_ms": 1000,
+               "world": {"devices": [SENSOR], "instances": [{"name": "a", "address": "10.0.0.1"}]}}
+CARRIAGE_RETURNS = {
+    "flow-node-id": (
+        {"nodes": [dict(CR_FLOW["nodes"][0], wires=[[["o\rut", 0]]]),
+                   dict(CR_FLOW["nodes"][1], id="o\rut")]}, CR_SCENARIO, "node id 'o\\rut'"),
+    "mqtt-out-topic": (
+        {"nodes": [CR_FLOW["nodes"][0], dict(CR_FLOW["nodes"][1], config={"topic": "u\r"})]},
+        CR_SCENARIO, "config 'topic'"),
+    "device-topic": (
+        CR_FLOW, dict(CR_SCENARIO, world={"devices": [dict(SENSOR, topic="t\r")]}),
+        "device 's' topic"),
+    "instance-name": (
+        CR_FLOW, dict(CR_SCENARIO, world={"instances": [{"name": "a\r", "address": "10.0.0.1"}]}),
+        "instance name"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CARRIAGE_RETURNS))
+def test_run_rejects_a_carriage_return_in_a_name(tmp_path, capsys, case):
+    flow_doc, scenario_doc, field_name = CARRIAGE_RETURNS[case]
+    flow, scenario = tmp_path / "f.json", tmp_path / "s.json"
+    flow.write_text(json.dumps(flow_doc))
+    scenario.write_text(json.dumps(scenario_doc))
+    code = main(["run", "--flow", str(flow), "--scenario", str(scenario),
+                 "--out", str(tmp_path / "t.csv")])
+    assert code == 2
+    assert field_name in capsys.readouterr().err
+
+
+def test_report_reads_a_quoted_carriage_return_unchanged(tmp_path, capsys):
+    log = TimelineLog()
+    log.add(0, "world", "emit", "s", 0, "t", 1)
+    log.add(0, "a", "emit", "post", 0, "service/x,\r", 1)
+    timeline = tmp_path / "t.csv"
+    timeline.write_bytes(log.to_csv().encode("utf-8"))
+    assert main(["report", "--timeline", str(timeline), "--metric", "loss"]) == 0
+    assert "sink service/x,\r: delivered=1 expected=1 loss=0" in capsys.readouterr().out
 
 
 def test_report_loss_from_file(tmp_path, fixture_path, capsys):

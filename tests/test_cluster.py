@@ -8,8 +8,7 @@ from healflow.cluster import (LoopbackTransport, PingDecodeError, decode_ping, e
                               encode_ping)
 from healflow.core.clock import VirtualClock
 from healflow.core.engine import Engine
-from healflow.core.timeline import TimelineLog
-from healflow.sim import Simulation, parse_scenario
+from healflow.sim import Simulation, World, parse_scenario
 from tests.conftest import build_graph, make_spec
 
 
@@ -35,7 +34,7 @@ HIGHER = "192.168.1.201"
 
 
 def agent(address=SELF):
-    """A started standalone engine whose cluster agent has no transport."""
+    """A started engine alone in its own world: its pings reach no peer."""
     engine = Engine(redundancy_graph(), instance="me", address=address, rank=2)
     engine.start()
     return engine
@@ -182,10 +181,10 @@ def test_elect_master_all_subsets_brute_force():
 
 
 def test_elect_master_failover_to_next_octet():
-    clock, log = VirtualClock(), TimelineLog()
-    transport = LoopbackTransport(clock)
+    world = World()
+    clock, log = world.clock, world.log
     engines = {o: Engine(redundancy_graph(), instance=str(o), address=f"192.168.1.{o}",
-                         clock=clock, log=log, transport=transport, rank=2 + i)
+                         world=world, rank=2 + i)
                for i, o in enumerate(OCTETS)}
     for engine in engines.values():
         engine.start()
@@ -288,7 +287,7 @@ def test_one_master_with_the_largest_key_once_membership_is_stable(schedule):
     sim = Simulation([redundancy_graph(timeout) for _ in instances], script)
     log = sim.run()
 
-    running = {n: e for n, e in sim.engines.items() if not e.halted}
+    running = {n: e for n, e in sim.world.engines.items() if not e.halted}
     masters = [n for n, e in running.items() if e.cluster.role == "master"]
     expected = [max(running, key=lambda n: election_key(running[n].address))] if running else []
     assert masters == expected
@@ -336,14 +335,12 @@ def test_loopback_drop():
 # --- live two-instance behavior ------------------------------------------------------
 
 def two_instances():
-    clock = VirtualClock()
-    log = TimelineLog()
-    transport = LoopbackTransport(clock)
+    world = World()
     low = Engine(redundancy_graph(), instance="low", address="192.168.1.54",
-                 clock=clock, log=log, transport=transport, rank=2)
+                 world=world, rank=2)
     high = Engine(redundancy_graph(), instance="high", address="192.168.1.201",
-                  clock=clock, log=log, transport=transport, rank=3)
-    return clock, log, low, high
+                  world=world, rank=3)
+    return world.clock, world.log, low, high
 
 
 def test_highest_octet_claims_mastership_at_boot():
@@ -380,9 +377,8 @@ def test_recovered_master_wins_the_next_election():
     clock.run_until(60000)
 
     # rebuild the high instance, as a simulated restart would
-    transport = low.cluster.transport
     high2 = Engine(redundancy_graph(), instance="high", address="192.168.1.201",
-                   clock=clock, log=log, transport=transport, rank=3)
+                   world=low.world, rank=3)
     high2.start()
     clock.run_until(120000)
     assert roles(log, "high")[-1][1] == "master"
@@ -392,13 +388,10 @@ def test_recovered_master_wins_the_next_election():
 
 
 def test_single_instance_elects_itself_at_first_periodic_election():
-    clock = VirtualClock()
-    log = TimelineLog()
-    engine = Engine(redundancy_graph(), instance="solo", address="10.0.0.9",
-                    clock=clock, log=log, rank=2)
+    engine = Engine(redundancy_graph(), instance="solo", address="10.0.0.9", rank=2)
     engine.start()
-    clock.run_until(30000)
-    assert roles(log, "solo") == [(15000, "master")]
+    engine.clock.run_until(30000)
+    assert roles(engine.log, "solo") == [(15000, "master")]
 
 
 def test_redundancy_node_emits_commands_then_role():

@@ -1,17 +1,12 @@
-from healflow.core.clock import VirtualClock
 from healflow.core.engine import Engine
-from healflow.core.timeline import TimelineLog
 from healflow.persistence import Store
 from healflow.sim import Service, VirtualDevice, World
 from tests.conftest import build_graph, make_spec
 
 
 def probe_engine(*specs, devices=(), services=(), store=None):
-    clock = VirtualClock()
-    log = TimelineLog()
-    world = World(clock, log, seed=1, devices=list(devices), services=list(services))
-    engine = Engine(build_graph(*specs), instance="i0", clock=clock, log=log,
-                    world=world, store=store, rank=2)
+    world = World(seed=1, devices=list(devices), services=list(services))
+    engine = Engine(build_graph(*specs), instance="i0", world=world, store=store, rank=2)
     return engine, world
 
 
@@ -68,6 +63,14 @@ def test_network_aware_sees_devices_and_instances():
     engine.start()
     hosts = sorted(v["host"] for _, v in [(e.time, e.value) for e in engine.log.emits("scan")])
     assert hosts == ["i0", "sensor-node-1"]
+
+
+def test_network_aware_of_a_world_less_engine_sees_its_own_instance():
+    engine = Engine(build_graph(make_spec("scan", "network-aware", {"period": 5000})),
+                    instance="solo")
+    engine.start()
+    assert [(e.time, e.value) for e in engine.log.emits("scan")] == [
+        (0, {"event": "joined", "host": "solo"})]
 
 
 def test_network_aware_device_offline_is_left_event():

@@ -71,6 +71,13 @@ def test_emit_on_negative_egress_is_an_operator_error_and_delivers_nothing():
     assert engine.log.entries[-1].value["kind"] == "operator-error"
 
 
+def test_engine_without_a_world_gets_one_of_its_own():
+    engine = Engine(fan_out_graph())
+    assert engine.world.clock is engine.clock
+    assert engine.world.log is engine.log
+    assert engine.world.engines == {"node": engine}
+
+
 def test_periodic_sensor_emission_count():
     graph = build_graph(make_spec("s", "sensor", {"period": 60000}))
     engine = Engine(graph)

@@ -4,19 +4,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from healflow.core.clock import VirtualClock
 from healflow.core.engine import Engine
 from healflow.core.graph import parse_flow
-from healflow.core.timeline import TimelineLog
 from healflow.sim import (FaultEvent, ScenarioError, ScenarioScript, Simulation, VirtualDevice,
                           World, apply_fault, parse_scenario)
 from tests.conftest import build_graph, make_spec
 
 
 def make_world(devices=(), services=()):
-    clock = VirtualClock()
-    log = TimelineLog()
-    return World(clock, log, seed=3, devices=list(devices), services=list(services))
+    return World(seed=3, devices=list(devices), services=list(services))
 
 
 # --- broker -----------------------------------------------------------------------
@@ -26,8 +22,7 @@ def subscriber_engine(world, topic="lab/temp"):
         make_spec("in", "mqtt-in", {"topic": topic}, wires=[[("sink", 0)]]),
         make_spec("sink", "debug"),
     )
-    engine = Engine(graph, instance="i0", clock=world.clock, log=world.log,
-                    world=world, rank=2)
+    engine = Engine(graph, instance="i0", world=world, rank=2)
     engine.start()
     return engine
 
@@ -76,8 +71,7 @@ def test_publish_gives_each_subscriber_an_independent_copy():
 
     for rank, name in enumerate(("i0", "i1"), start=2):
         graph = build_graph(make_spec("in", "mqtt-in", {"topic": "lab/temp"}))
-        engine = Engine(graph, instance=name, clock=world.clock, log=world.log,
-                        world=world, rank=rank)
+        engine = Engine(graph, instance=name, world=world, rank=rank)
         engine.start()
         engine.nodes["in"].on_external = mutate if name == "i0" else (
             lambda topic, payload: seen.append(payload))
@@ -180,11 +174,10 @@ def test_seed_determinism_device_emissions():
     def run(seed):
         dev = VirtualDevice(id="d", kind="periodicSensor", topic="t", period=50,
                             base=10.0, noise_amp=2.0)
-        clock, log = VirtualClock(), TimelineLog()
-        world = World(clock, log, seed=seed, devices=[dev])
+        world = World(seed=seed, devices=[dev])
         world.start_devices()
-        clock.run_until(1000)
-        return [e.value for e in log.emits("d")]
+        world.clock.run_until(1000)
+        return [e.value for e in world.log.emits("d")]
 
     assert run(9) == run(9)
     assert run(9) != run(10)
@@ -438,7 +431,7 @@ def test_random_faults_keep_determinism_and_the_delivery_rules(case):
     assert Simulation(flows, script).run().to_csv() == log.to_csv()
 
     entries = log.entries
-    graphs = {name: engine.graph for name, engine in sim.engines.items()}
+    graphs = {name: engine.graph for name, engine in sim.world.engines.items()}
     for i, e in enumerate(entries):
         if e.kind != "emit" or e.instance not in graphs:
             continue

@@ -1,8 +1,6 @@
 from hypothesis import given, strategies as st
 
-from healflow.core.clock import VirtualClock
 from healflow.core.engine import Engine
-from healflow.core.timeline import TimelineLog
 from healflow.nodes import rbe_process
 from healflow.sim import Service, World
 from tests.conftest import NodeHarness, build_graph, make_spec
@@ -88,11 +86,8 @@ def test_sensor_noise_stays_within_amplitude():
 # --- mqtt bridges and http-post against a world ------------------------------------
 
 def world_engine(*specs, services=()):
-    clock = VirtualClock()
-    log = TimelineLog()
-    world = World(clock, log, seed=1, services=list(services))
-    engine = Engine(build_graph(*specs), instance="i0", clock=clock, log=log,
-                    world=world, rank=2)
+    world = World(seed=1, services=list(services))
+    engine = Engine(build_graph(*specs), instance="i0", world=world, rank=2)
     return engine, world
 
 
@@ -117,6 +112,18 @@ def test_mqtt_out_publishes():
     engine.deliver_external("out", "ignored", "payload", ingress=0)
     engine.clock.run_until(10)
     assert [v for _, v in [(e.time, e.value) for e in engine.log.emits("in")]] == ["payload"]
+
+
+def test_mqtt_out_of_a_world_less_engine_reaches_its_own_mqtt_in():
+    engine = Engine(build_graph(
+        make_spec("in", "mqtt-in", {"topic": "loop/+"}, wires=[[("sink", 0)]]),
+        make_spec("out", "mqtt-out", {"topic": "loop/a"}),
+        make_spec("sink", "debug"),
+    ))
+    engine.start()
+    engine.deliver_external("out", "ignored", {"v": 1}, ingress=0)
+    engine.run_until(10)
+    assert [(e.topic, e.value) for e in engine.log.emits("in")] == [("loop/a", {"v": 1})]
 
 
 def test_http_post_emits_service_topic():
