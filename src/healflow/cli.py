@@ -71,6 +71,8 @@ def _cmd_validate(args) -> int:
 def _cmd_run(args) -> int:
     if args.bucket_ms is not None and args.bucket_ms < 1:
         raise _CliError(f"--bucket-ms must be at least 1, got {args.bucket_ms}")
+    if args.seed is not None and args.seed < 0:
+        raise _CliError(f"--seed must be at least 0, got {args.seed}")
     graphs = _load_flows(args.flow)
     try:
         script = parse_scenario(_read(args.scenario))

@@ -40,32 +40,34 @@ class UnknownFlowGroup(KeyError):
 class Engine:
     """One runtime instance: a validated graph plus its live node state.
 
-    It uses its world's clock, timeline and transport; an engine built
-    without a world gets a fresh World() of its own. The engine is
-    single-threaded. Envelopes and timeline entries cannot be
-    changed, but the timeline shares payload objects with the envelopes it
-    logs, so a logged payload is read-only.
+    It uses its world's clock, timeline, transport and seed (a fresh World()
+    when none is given) and ranks by the order it joined `world.engines`;
+    restart() replaces it there. The engine is single-threaded. Envelopes and
+    timeline entries cannot be changed, but the timeline shares payload
+    objects with the envelopes it logs, so a logged payload is read-only.
     """
 
     def __init__(self, graph: FlowGraph, *, instance: str = "node", address: str = "127.0.0.1",
-                 seed: int = 0, store: Optional[Store] = None, world=None, rank: int = 0):
+                 store: Optional[Store] = None, world=None):
         errors = [d for d in validate_graph(graph) if d.severity == "error"]
         if errors:
             raise GraphInvalid(errors)
         from ..nodes import NODE_KINDS
-        from ..sim.world import World  # not at module level: healflow.sim imports this module
+        from ..sim.world import RANK_INSTANCE_BASE, World  # import cycle with healflow.sim
 
         self.graph = graph
         self.instance = instance
         self.address = address
-        self.seed = seed
-        self.rank = rank
+        self.world = world if world is not None else World()
+        self.seed = self.world.seed
+        # Join order: a dict keeps insertion order, and a restart reassigns its key.
+        names = list(self.world.engines)
+        rank = RANK_INSTANCE_BASE + (names.index(instance) if instance in names else len(names))
         # External deliveries beat node timers at equal timestamps: silence
         # windows are half-open, (t - timeout, t], so a message landing
         # exactly on a deadline counts as activity and suppresses the timer.
         self.rank_deliver = 2 * rank
         self.rank_timer = 2 * rank + 1
-        self.world = world if world is not None else World()
         self.clock = self.world.clock
         self.log = self.world.log
         self.store = store if store is not None else Store()
@@ -103,6 +105,14 @@ class Engine:
     def halt(self) -> None:
         """Stop processing: pending timers become no-ops, deliveries drops."""
         self.halted = True
+
+    def restart(self) -> Engine:
+        """Halt this engine and start a fresh one on its graph, address, store and world."""
+        self.halt()
+        engine = Engine(self.graph, instance=self.instance, address=self.address,
+                        store=self.store, world=self.world)
+        engine.start()
+        return engine
 
     def node_rng(self, node_id: str) -> random.Random:
         # String seeding hashes with sha512 internally, stable across runs.

@@ -184,8 +184,17 @@ def parse_scenario(text: str) -> ScenarioScript:
 
 
 def validate_script(script: ScenarioScript, extra_instances: tuple = ()) -> None:
-    """Check every fault's kind, and its target against the declared world."""
+    """Check that no two world entries share a name, and every fault's kind and target."""
     world = script.world
+    for what, names in (("instance name", [i.name for i in world.instances]),
+                        ("instance address", [i.address for i in world.instances]),
+                        ("device id", [d.id for d in world.devices]),
+                        ("service id", [s.id for s in world.services])):
+        seen = set()
+        for name in names:
+            if name in seen:
+                raise ScenarioError(f"duplicate {what} {name!r}")
+            seen.add(name)
     ids = {"device": {d.id for d in world.devices},
            "service": {s.id for s in world.services},
            "instance": {i.name for i in world.instances} | set(extra_instances)}

@@ -6,7 +6,7 @@ WORLD_INSTANCE and published to the broker); engines attach by adding
 themselves to `engines` and subscribing node ids to topic patterns. Broker
 deliveries are scheduled events, never synchronous calls into another engine,
 which keeps the instance interleaving deterministic: at equal timestamps,
-faults apply first, then world events, then engines in instance order.
+faults apply first, then world events, then engines in the order they joined.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class Service:
 
 
 class World:
-    """Shared simulated environment for any number of engines, keyed by instance in `engines`."""
+    """Shared simulated environment; `engines` maps instance names to engines in join order."""
 
     def __init__(self, seed: int = 0, devices: list[VirtualDevice] = (),
                  services: list[Service] = ()):
@@ -145,6 +145,3 @@ class World:
             # Power-on reading: real sensors report right after boot, out of
             # phase with the periodic schedule.
             self._device_emit(dev, self.sensor_value(dev))
-
-    def set_service_up(self, service_id: str, up: bool) -> None:
-        self.services[service_id].up = up

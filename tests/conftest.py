@@ -8,6 +8,7 @@ import pytest
 from healflow.core.engine import Engine
 from healflow.core.graph import FlowGraph, NodeSpec
 from healflow.nodes import NODE_KINDS
+from healflow.sim import World
 
 DATA = Path(__file__).parent / "data"
 
@@ -32,8 +33,8 @@ class NodeHarness:
                  seed: int = 0, world=None, store=None):
         self.node_id = node_id
         self.graph = build_graph(make_spec(node_id, kind, config))
-        self.engine = Engine(self.graph, instance="test", seed=seed,
-                             world=world, store=store)
+        self.engine = Engine(self.graph, instance="test", store=store,
+                             world=world if world is not None else World(seed=seed))
 
     def feed_at(self, t: int, payload, topic: str = "", ingress: int = 0, corr=None):
         self.engine.clock.at(

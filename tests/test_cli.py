@@ -171,6 +171,40 @@ def test_run_malformed_scenario_exits_2(tmp_path, fixture_path, capsys, shape):
     assert capsys.readouterr().err.startswith(f"error: {scenario}: ")
 
 
+DUPLICATE_NAMES = {
+    "instance-name": ({"instances": [{"name": "a", "address": "10.0.0.2"},
+                                     {"name": "a", "address": "10.0.0.1"}]},
+                      "duplicate instance name 'a'"),
+    "instance-address": ({"instances": [{"name": "a", "address": "10.0.0.2"},
+                                        {"name": "b", "address": "10.0.0.2"}]},
+                         "duplicate instance address '10.0.0.2'"),
+    "device-id": ({"devices": [SENSOR, dict(SENSOR, topic="u")]}, "duplicate device id 's'"),
+    "service-id": ({"services": [{"id": "v"}, {"id": "v", "port": 81}]},
+                   "duplicate service id 'v'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DUPLICATE_NAMES))
+def test_run_duplicate_world_name_exits_2(tmp_path, fixture_path, capsys, case):
+    world, message = DUPLICATE_NAMES[case]
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({"seed": 1, "duration_ms": 20000, "world": world}))
+    # one flow per declared instance, so only the duplicate can fail the run
+    flows = ["--flow", str(fixture_path("flow_c.json"))] * max(1, len(world.get("instances", [])))
+    code = main(["run", *flows, "--scenario", str(scenario)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {scenario}: {message}\n"
+
+
+def test_run_negative_seed_exits_2(fixture_path, capsys):
+    code = main(["run", "--flow", str(fixture_path("flow_a.json")),
+                 "--scenario", str(fixture_path("scenario_a.json")), "--seed", "-3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--seed must be at least 0, got -3" in captured.err
+    assert captured.out == ""
+
+
 CR_FLOW = {"nodes": [{"id": "in", "type": "mqtt-in", "config": {"topic": "t"},
                       "wires": [[["out", 0]]]},
                      {"id": "out", "type": "mqtt-out", "config": {"topic": "u"}}]}

@@ -35,7 +35,7 @@ HIGHER = "192.168.1.201"
 
 def agent(address=SELF):
     """A started engine alone in its own world: its pings reach no peer."""
-    engine = Engine(redundancy_graph(), instance="me", address=address, rank=2)
+    engine = Engine(redundancy_graph(), instance="me", address=address)
     engine.start()
     return engine
 
@@ -184,8 +184,7 @@ def test_elect_master_failover_to_next_octet():
     world = World()
     clock, log = world.clock, world.log
     engines = {o: Engine(redundancy_graph(), instance=str(o), address=f"192.168.1.{o}",
-                         world=world, rank=2 + i)
-               for i, o in enumerate(OCTETS)}
+                         world=world) for o in OCTETS}
     for engine in engines.values():
         engine.start()
     clock.run_until(20000)
@@ -336,10 +335,8 @@ def test_loopback_drop():
 
 def two_instances():
     world = World()
-    low = Engine(redundancy_graph(), instance="low", address="192.168.1.54",
-                 world=world, rank=2)
-    high = Engine(redundancy_graph(), instance="high", address="192.168.1.201",
-                  world=world, rank=3)
+    low = Engine(redundancy_graph(), instance="low", address="192.168.1.54", world=world)
+    high = Engine(redundancy_graph(), instance="high", address="192.168.1.201", world=world)
     return world.clock, world.log, low, high
 
 
@@ -376,10 +373,8 @@ def test_recovered_master_wins_the_next_election():
     high.halt()
     clock.run_until(60000)
 
-    # rebuild the high instance, as a simulated restart would
-    high2 = Engine(redundancy_graph(), instance="high", address="192.168.1.201",
-                   world=low.world, rank=3)
-    high2.start()
+    # restart the crashed high instance, as an instance_restart fault would
+    high2 = high.restart()
     clock.run_until(120000)
     assert roles(log, "high")[-1][1] == "master"
     assert roles(log, "low")[-1][1] == "standby"
@@ -388,7 +383,7 @@ def test_recovered_master_wins_the_next_election():
 
 
 def test_single_instance_elects_itself_at_first_periodic_election():
-    engine = Engine(redundancy_graph(), instance="solo", address="10.0.0.9", rank=2)
+    engine = Engine(redundancy_graph(), instance="solo", address="10.0.0.9")
     engine.start()
     engine.clock.run_until(30000)
     assert roles(engine.log, "solo") == [(15000, "master")]

@@ -6,7 +6,7 @@ from tests.conftest import build_graph, make_spec
 
 def probe_engine(*specs, devices=(), services=(), store=None):
     world = World(seed=1, devices=list(devices), services=list(services))
-    engine = Engine(build_graph(*specs), instance="i0", world=world, store=store, rank=2)
+    engine = Engine(build_graph(*specs), instance="i0", world=world, store=store)
     return engine, world
 
 
@@ -28,7 +28,7 @@ def test_http_aware_service_down_reports_disappeared_next_probe():
     engine, world = probe_engine(
         make_spec("probe", "http-aware", {"period": 10000}), services=[svc])
     engine.start()
-    world.set_service_up("svc-a", False)
+    world.services["svc-a"].up = False
     engine.clock.run_until(10000)
     last = engine.log.emits("probe")[-1]
     assert last.value["event"] == "disappeared"

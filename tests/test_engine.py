@@ -1,11 +1,14 @@
 import copy
 import json
+import random
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from healflow.core.engine import Engine, GraphInvalid
 from healflow.core.envelope import copy_json, encode_json
+from healflow.sim import World
+from healflow.sim.world import RANK_INSTANCE_BASE
 from tests.conftest import build_graph, make_spec
 
 
@@ -102,7 +105,7 @@ def test_same_seed_runs_are_byte_identical():
             make_spec("k", "kalman-filter", {"r": 1.0}, wires=[[("d", 0)], []]),
             make_spec("d", "debug"),
         )
-        engine = Engine(graph, seed=42)
+        engine = Engine(graph, world=World(seed=42))
         engine.start()
         return engine.run_until(10000).to_csv()
 
@@ -112,11 +115,50 @@ def test_same_seed_runs_are_byte_identical():
 def test_different_seeds_differ():
     def run_once(seed):
         graph = build_graph(make_spec("s", "sensor", {"period": 500, "noiseAmp": 3}))
-        engine = Engine(graph, seed=seed)
+        engine = Engine(graph, world=World(seed=seed))
         engine.start()
         return engine.run_until(5000).to_csv()
 
     assert run_once(1) != run_once(2)
+
+
+def test_engine_takes_its_seed_from_its_world():
+    engine = Engine(build_graph(make_spec("d", "debug")), instance="i", world=World(seed=7))
+    assert engine.seed == 7
+    assert engine.node_rng("d").random() == random.Random("7/i/d").random()
+
+
+def test_engines_rank_in_the_order_they_joined_their_world():
+    world = World()
+    engines = [Engine(build_graph(make_spec("d", "debug")), instance=name, world=world)
+               for name in ("b", "a", "c")]
+    ranks = [RANK_INSTANCE_BASE + i for i in range(3)]
+    assert [e.rank_deliver for e in engines] == [2 * r for r in ranks]
+    assert [e.rank_timer for e in engines] == [2 * r + 1 for r in ranks]
+
+
+def test_restart_replaces_the_engine_in_place_and_replays_the_checkpoint_once():
+    world = World()
+    graph = build_graph(
+        make_spec("ckpt", "checkpoint", {"timeToLive": 60000}, wires=[[("sink", 0)]]),
+        make_spec("sink", "debug"))
+    Engine(build_graph(make_spec("d", "debug")), instance="a", world=world)
+    old = Engine(graph, instance="b", world=world)
+    Engine(build_graph(make_spec("d", "debug")), instance="c", world=world)
+    old.start()
+    old.deliver_external("ckpt", "t", 4.0, ingress=0)
+    world.clock.run_until(100)
+
+    new = old.restart()
+    assert old.halted and not new.halted
+    assert new.graph is old.graph and new.store is old.store and new.world is world
+    assert (new.instance, new.address) == (old.instance, old.address)
+    assert new.rank_deliver == old.rank_deliver
+    assert list(world.engines) == ["a", "b", "c"] and world.engines["b"] is new
+    world.clock.run_until(200)
+    new.restart()
+    # the live forward at t=0, then one replay at the first restart only
+    assert [(e.time, e.value) for e in world.log.emits("ckpt")] == [(0, 4.0), (100, 4.0)]
 
 
 def test_invalid_graph_is_rejected_at_construction():

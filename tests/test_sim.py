@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from healflow.core.engine import Engine
 from healflow.core.graph import parse_flow
 from healflow.sim import (FaultEvent, ScenarioError, ScenarioScript, Simulation, VirtualDevice,
-                          World, apply_fault, parse_scenario)
+                          World, WORLD_INSTANCE, apply_fault, parse_scenario)
 from tests.conftest import build_graph, make_spec
 
 
@@ -22,7 +22,7 @@ def subscriber_engine(world, topic="lab/temp"):
         make_spec("in", "mqtt-in", {"topic": topic}, wires=[[("sink", 0)]]),
         make_spec("sink", "debug"),
     )
-    engine = Engine(graph, instance="i0", world=world, rank=2)
+    engine = Engine(graph, instance="i0", world=world)
     engine.start()
     return engine
 
@@ -69,9 +69,9 @@ def test_publish_gives_each_subscriber_an_independent_copy():
         payload["v"] = 99
         payload["tags"].append("x")
 
-    for rank, name in enumerate(("i0", "i1"), start=2):
+    for name in ("i0", "i1"):
         graph = build_graph(make_spec("in", "mqtt-in", {"topic": "lab/temp"}))
-        engine = Engine(graph, instance=name, world=world, rank=rank)
+        engine = Engine(graph, instance=name, world=world)
         engine.start()
         engine.nodes["in"].on_external = mutate if name == "i0" else (
             lambda topic, payload: seen.append(payload))
@@ -84,6 +84,24 @@ def test_publish_gives_each_subscriber_an_independent_copy():
     delivered = [e.value for e in world.log if e.kind == "deliver"]
     assert delivered == [original] * 6
     assert dev.stuck == original
+
+
+# --- faults ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["instance_crash", "instance_restart"])
+def test_apply_fault_logs_then_halts_or_restarts_an_instance(kind):
+    world = make_world()
+    engine = subscriber_engine(world)
+    apply_fault(FaultEvent(0, kind, "i0"), world)
+    assert [(e.instance, e.kind, e.node, e.value) for e in world.log if e.kind == "fault"] == [
+        (WORLD_INSTANCE, "fault", "i0", {"kind": kind})]
+    assert engine.halted
+    current = world.engines["i0"]
+    assert (current is engine) == (kind == "instance_crash")
+    world.publish("lab/temp", 1, source="dev")
+    world.clock.run_until(10)
+    got = [e.kind for e in world.log if e.node == "in" and e.kind in ("deliver", "drop")]
+    assert got == (["drop"] if kind == "instance_crash" else ["deliver"])
 
 
 # --- devices ---------------------------------------------------------------------

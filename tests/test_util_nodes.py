@@ -87,7 +87,7 @@ def test_sensor_noise_stays_within_amplitude():
 
 def world_engine(*specs, services=()):
     world = World(seed=1, services=list(services))
-    engine = Engine(build_graph(*specs), instance="i0", world=world, rank=2)
+    engine = Engine(build_graph(*specs), instance="i0", world=world)
     return engine, world
 
 
