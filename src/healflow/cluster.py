@@ -64,19 +64,15 @@ def decode_ping(data: bytes) -> tuple[str, int, int]:
 # --- transport ---------------------------------------------------------------
 
 class LoopbackTransport:
-    """In-memory datagram fabric with scriptable per-link drop and delay."""
+    """In-memory datagram fabric with scriptable per-link drop."""
 
     def __init__(self, clock):
         self.clock = clock
         self._endpoints: dict[str, tuple[Callable[[bytes], None], int]] = {}
-        self._delays: dict[tuple[str, str], int] = {}
         self._drops: dict[tuple[str, str], bool] = {}
 
     def register(self, address: str, handler: Callable[[bytes], None], rank: int = 0) -> None:
         self._endpoints[address] = (handler, rank)
-
-    def set_delay(self, src: str, dst: str, delay_ms: int) -> None:
-        self._delays[(src, dst)] = delay_ms
 
     def set_drop(self, src: str, dst: str, drop: bool) -> None:
         self._drops[(src, dst)] = drop
@@ -86,8 +82,7 @@ class LoopbackTransport:
         if entry is None or self._drops.get((src, dst)):
             return
         handler, rank = entry
-        delay = self._delays.get((src, dst), 0)
-        self.clock.after(delay, partial(handler, data), rank=rank)
+        self.clock.after(0, partial(handler, data), rank=rank)
 
     def broadcast(self, src: str, data: bytes) -> None:
         for dst in self._endpoints:

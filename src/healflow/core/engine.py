@@ -19,6 +19,7 @@ from functools import partial
 from typing import Optional
 
 from ..cluster import ClusterAgent
+from ..nodes import NODE_KINDS
 from ..persistence import Store
 from .envelope import Envelope
 from .graph import Diagnostic, FlowGraph, validate_graph
@@ -33,43 +34,35 @@ class GraphInvalid(ValueError):
         self.diagnostics = diagnostics
 
 
-class UnknownFlowGroup(KeyError):
-    pass
-
-
 class Engine:
     """One runtime instance: a validated graph plus its live node state.
 
-    It uses its world's clock, timeline, transport and seed (a fresh World()
-    when none is given) and ranks by the order it joined `world.engines`;
-    restart() replaces it there. The engine is single-threaded. Envelopes and
+    It uses its world's clock, timeline, transport and seed, and takes its
+    rank from the world by the order it joined `world.engines`; restart()
+    replaces it there. The engine is single-threaded. Envelopes and
     timeline entries cannot be changed, but the timeline shares payload
     objects with the envelopes it logs, so a logged payload is read-only.
     """
 
-    def __init__(self, graph: FlowGraph, *, instance: str = "node", address: str = "127.0.0.1",
-                 store: Optional[Store] = None, world=None):
+    def __init__(self, graph: FlowGraph, *, world, instance: str = "node",
+                 address: str = "127.0.0.1", store: Optional[Store] = None):
         errors = [d for d in validate_graph(graph) if d.severity == "error"]
         if errors:
             raise GraphInvalid(errors)
-        from ..nodes import NODE_KINDS
-        from ..sim.world import RANK_INSTANCE_BASE, World  # import cycle with healflow.sim
 
         self.graph = graph
         self.instance = instance
         self.address = address
-        self.world = world if world is not None else World()
-        self.seed = self.world.seed
-        # Join order: a dict keeps insertion order, and a restart reassigns its key.
-        names = list(self.world.engines)
-        rank = RANK_INSTANCE_BASE + (names.index(instance) if instance in names else len(names))
+        self.world = world
+        self.seed = world.seed
+        rank = world.rank(instance)
         # External deliveries beat node timers at equal timestamps: silence
         # windows are half-open, (t - timeout, t], so a message landing
         # exactly on a deadline counts as activity and suppresses the timer.
         self.rank_deliver = 2 * rank
         self.rank_timer = 2 * rank + 1
-        self.clock = self.world.clock
-        self.log = self.world.log
+        self.clock = world.clock
+        self.log = world.log
         self.store = store if store is not None else Store()
         self.halted = False
         self.flow_enabled = graph.flow_groups()
@@ -82,7 +75,7 @@ class Engine:
         red = next((s for s in graph.nodes if s.kind == "redundancy"), None)
         self.cluster: Optional[ClusterAgent] = (
             ClusterAgent(self, red) if red is not None else None)
-        self.world.engines[instance] = self
+        world.engines[instance] = self
 
     # --- lifecycle ----------------------------------------------------------
     def start(self) -> None:
@@ -117,12 +110,6 @@ class Engine:
     def node_rng(self, node_id: str) -> random.Random:
         # String seeding hashes with sha512 internally, stable across runs.
         return random.Random(f"{self.seed}/{self.instance}/{node_id}")
-
-    # --- flow groups ---------------------------------------------------------
-    def set_flow(self, flow: str, enabled: bool) -> None:
-        if flow not in self.flow_enabled:
-            raise UnknownFlowGroup(flow)
-        self.flow_enabled[flow] = enabled
 
     # --- emission and delivery -------------------------------------------------
     def emit_from(self, spec, port: int, payload, topic: str = "",

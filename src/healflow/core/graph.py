@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from ..nodes import NODE_KINDS
 from .timeline import csv_safe
 
 
@@ -65,12 +66,6 @@ class FlowGraph:
         return groups
 
 
-def _node_kinds():
-    # Imported lazily so node modules can import this one for type hints.
-    from ..nodes import NODE_KINDS
-    return NODE_KINDS
-
-
 def parse_flow(text: str) -> FlowGraph:
     """Parse a flow document, filling config defaults from the node schemas."""
     try:
@@ -82,7 +77,6 @@ def parse_flow(text: str) -> FlowGraph:
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
         raise FlowParseError('flow document must be an object with a "nodes" list')
 
-    kinds = _node_kinds()
     raw_nodes = doc["nodes"]
     ids = set()
     for raw in raw_nodes:
@@ -97,10 +91,10 @@ def parse_flow(text: str) -> FlowGraph:
     nodes = []
     for raw in raw_nodes:
         kind = raw.get("type")
-        if kind not in kinds:
+        if kind not in NODE_KINDS:
             raise FlowParseError(f"unknown node kind {kind!r} (node {raw['id']!r})")
         config = dict(raw.get("config") or {})
-        for name, param in kinds[kind].CONFIG.items():
+        for name, param in NODE_KINDS[kind].CONFIG.items():
             if name not in config and param.has_default:
                 config[name] = param.default
         wires = []
@@ -130,11 +124,10 @@ def parse_flow(text: str) -> FlowGraph:
 
 def validate_graph(g: FlowGraph) -> list[Diagnostic]:
     """Full graph validation; an empty list means the graph is runnable."""
-    kinds = _node_kinds()
     diags: list[Diagnostic] = []
 
     for n in g.nodes:
-        cls = kinds.get(n.kind)
+        cls = NODE_KINDS.get(n.kind)
         if cls is None:
             diags.append(Diagnostic("error", n.id, f"unknown node kind {n.kind!r}"))
             continue
@@ -149,8 +142,8 @@ def validate_graph(g: FlowGraph) -> list[Diagnostic]:
         if dst is None:
             diags.append(Diagnostic("error", locus, f"wire targets unknown node {dst_id!r}"))
             continue
-        src_cls = kinds.get(src.kind) if src else None
-        dst_cls = kinds.get(dst.kind)
+        src_cls = NODE_KINDS.get(src.kind) if src else None
+        dst_cls = NODE_KINDS.get(dst.kind)
         if src_cls and port >= len(src_cls.egress_labels(src.config)):
             diags.append(Diagnostic("error", locus,
                                     f"egress {port} not declared by {src.kind!r}"))

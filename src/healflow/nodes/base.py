@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Any, Optional, TYPE_CHECKING
 
 from ..core.envelope import Envelope, is_number
@@ -16,6 +18,14 @@ if TYPE_CHECKING:  # pragma: no cover
 logger = logging.getLogger(__name__)
 
 _MISSING = object()
+
+
+def mean(values: list) -> float:
+    """Mean summed strictly left to right, so every Python gives the same bytes.
+
+    Python 3.12 made float sum() compensated, which changes the last bits.
+    """
+    return reduce(operator.add, values, 0) / len(values)
 
 
 @dataclass
@@ -73,7 +83,8 @@ class Node:
     At runtime a node calls emit, set_timer, clear_timer, log_fault and
     log_warning, and reads now. It may also use these attributes of
     self.engine: world (the shared environment every engine lives in),
-    store, cluster (None without a redundancy node), instance and set_flow.
+    store, cluster (None without a redundancy node), instance and flow_enabled
+    (the on/off flag of each flow-group).
     """
 
     KIND = ""

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from ..core.envelope import Envelope, is_number
 from ..persistence import StoreError
-from .base import Node, Param, register
+from .base import Node, Param, mean, register
 
 STRATEGIES = {
     "last": lambda history: history[-1],
-    "avg": lambda history: sum(history) / len(history),
+    "avg": mean,
     "max": max,
     "min": min,
 }

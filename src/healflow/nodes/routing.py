@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import random
 
-from ..core.engine import UnknownFlowGroup
 from ..core.envelope import Envelope, encode_json, is_number, topic_matches
-from .base import Node, Param, register
+from .base import Node, Param, mean, register
 
 
 @register
@@ -116,7 +115,7 @@ class Debounce(Node):
         elif strategy == "first":
             value = pending[0]
         else:
-            value = sum(pending) / len(pending)
+            value = mean(pending)
         self.set_timer("window", self.cfg["window"])
         self.emit(0, value, self._topic)
 
@@ -242,10 +241,6 @@ def vote(values: list, quorum: str = "majority"):
     return _NO_CONSENSUS, tally
 
 
-def no_consensus(result) -> bool:
-    return result is _NO_CONSENSUS
-
-
 @register
 class FlowControl(Node):
     """Apply {action, flow} commands to the engine's flow-groups.
@@ -264,9 +259,8 @@ class FlowControl(Node):
                 or not isinstance(cmd.get("flow"), str)):
             self.emit(1, {"kind": "malformed", "value": cmd}, env.topic, env.corr)
             return
-        try:
-            self.engine.set_flow(cmd["flow"], cmd["action"] == "enable")
-        except UnknownFlowGroup:
+        if cmd["flow"] not in self.engine.flow_enabled:
             self.emit(1, {"kind": "unknown-flow", "flow": cmd["flow"]}, env.topic, env.corr)
             return
+        self.engine.flow_enabled[cmd["flow"]] = cmd["action"] == "enable"
         self.emit(0, {"action": cmd["action"], "flow": cmd["flow"]}, env.topic, env.corr)

@@ -1,42 +1,14 @@
-"""Plumbing nodes: sources, sinks, broker bridges, field extraction, dedup."""
+"""Plumbing nodes: sinks, broker bridges, field extraction, dedup.
+
+A flow's sources are world devices (see healflow.sim.world), which reach it
+through mqtt-in subscriptions.
+"""
 
 from __future__ import annotations
 
 from ..core.envelope import Envelope
 from ..core.timeline import SINK_TOPIC_PREFIX
 from .base import Node, Param, register
-
-
-@register
-class Sensor(Node):
-    """Engine-hosted periodic source, for flows tested without world devices.
-
-    Emits base plus seeded uniform noise every period, first firing one full
-    period after start. Scenario runs model sensors as world devices instead.
-    """
-
-    KIND = "sensor"
-    INGRESSES = 0
-    EGRESS_LABELS = ("out",)
-    CONFIG = {
-        "period": Param("int", minimum=0, exclusive_min=True),
-        "topic": Param("str", default=None),
-        "base": Param("number", default=0.0),
-        "noiseAmp": Param("number", default=0.0, minimum=0),
-    }
-
-    def __init__(self, spec, engine):
-        super().__init__(spec, engine)
-        self._rng = engine.node_rng(spec.id)
-
-    def on_start(self) -> None:
-        self.set_timer("tick", self.cfg["period"])
-
-    def on_timer(self, tag: str) -> None:
-        self.set_timer("tick", self.cfg["period"])
-        amp = self.cfg["noiseAmp"]
-        value = self.cfg["base"] + (self._rng.uniform(-amp, amp) if amp else 0)
-        self.emit(0, value, self.cfg["topic"] or f"sensor/{self.id}")
 
 
 @register

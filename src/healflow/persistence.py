@@ -70,37 +70,35 @@ class Store:
 
     def __init__(self, path: Optional[str | Path] = None):
         self.path = Path(path) if path is not None else None
-        self._ckpt: dict[str, dict] = {}
+        self._ckpt: dict[str, CheckpointRecord] = {}
         self._reg: dict[str, RegistryEntry] = {}
         if self.path is not None and self.path.exists():
             self._load()
 
     # --- checkpoint slots -------------------------------------------------
     def store_checkpoint(self, node_id: str, topic: str, payload: Any, timestamp: int) -> None:
-        record = {"timestamp": timestamp, "topic": topic, "payload": payload}
+        record = CheckpointRecord(timestamp, topic, payload)
         self._ckpt[node_id] = record
         if self.path is not None:
             self._append(self._ckpt_line(node_id, record))
 
     def load_checkpoint(self, node_id: str) -> Optional[CheckpointRecord]:
         record = self._ckpt.get(node_id)
-        if record is None or record.get("payload") is None:
-            return None
-        return CheckpointRecord(record["timestamp"], record.get("topic", ""), record["payload"])
+        return None if record is None or record.payload is None else record
 
     def clear_checkpoint(self, node_id: str) -> None:
         """Drop the replayable message but keep the timestamp (replay-once)."""
         record = self._ckpt.get(node_id)
         if record is None:
             return
-        record = {"timestamp": record["timestamp"], "topic": "", "payload": None}
+        record = CheckpointRecord(record.timestamp, "", None)
         self._ckpt[node_id] = record
         if self.path is not None:
             self._append(self._ckpt_line(node_id, record))
 
     # --- device registry ----------------------------------------------------
-    def registry_upsert(self, device_id: str, kind: str = "device",
-                        endpoint: str = "", now: int = 0) -> RegistryEntry:
+    def registry_upsert(self, device_id: str, kind: str, endpoint: str,
+                        now: int) -> RegistryEntry:
         prev = self._reg.get(device_id)
         last_seen = max(now, prev.last_seen) if prev else now
         entry = RegistryEntry(device_id, kind, endpoint, last_seen, "online")
@@ -120,9 +118,6 @@ class Store:
             self._append(self._reg_line(entry))
         return entry
 
-    def registry_list(self) -> list[RegistryEntry]:
-        return [self._reg[k] for k in sorted(self._reg)]
-
     # --- file backing -------------------------------------------------------
     def compact(self) -> None:
         if self.path is None:
@@ -138,9 +133,9 @@ class Store:
             raise StoreError(f"compact failed: {exc}") from exc
 
     @staticmethod
-    def _ckpt_line(node_id: str, record: dict) -> str:
-        body = encode_json({"topic": record.get("topic", ""), "payload": record["payload"]})
-        return f"CKPT {_encode_token(node_id)} {record['timestamp']} {body}\n"
+    def _ckpt_line(node_id: str, record: CheckpointRecord) -> str:
+        body = encode_json({"topic": record.topic, "payload": record.payload})
+        return f"CKPT {_encode_token(node_id)} {record.timestamp} {body}\n"
 
     @staticmethod
     def _reg_line(entry: RegistryEntry) -> str:
@@ -166,9 +161,8 @@ class Store:
                     parsed = json.loads(body)
                     if not isinstance(parsed, dict):
                         raise ValueError("checkpoint body is not a JSON object")
-                    self._ckpt[_decode_token(node_id)] = {
-                        "timestamp": int(timestamp), "topic": parsed.get("topic", ""),
-                        "payload": parsed.get("payload")}
+                    self._ckpt[_decode_token(node_id)] = CheckpointRecord(
+                        int(timestamp), parsed.get("topic", ""), parsed.get("payload"))
                 elif tag == "REG":
                     device_id, kind, endpoint, last_seen, status = rest.split(" ")
                     device_id = _decode_token(device_id)

@@ -14,6 +14,7 @@ from typing import Iterable, Optional
 
 from .core.graph import FlowGraph
 from .core.timeline import SINK_TOPIC_PREFIX, WORLD_INSTANCE, TimelineEntry
+from .nodes import NODE_KINDS
 
 
 @dataclass
@@ -118,7 +119,6 @@ def format_report(report: RunReport, metric: str, sink: Optional[str] = None) ->
 def _egress_label(graph: Optional[FlowGraph], node: str, port: Optional[int]) -> str:
     port = port or 0
     if graph is not None and node in graph.by_id:
-        from .nodes import NODE_KINDS
         spec = graph.by_id[node]
         labels = NODE_KINDS[spec.kind].egress_labels(spec.config)
         if len(labels) <= 1:
@@ -133,7 +133,10 @@ def default_bucket(entries, graph: Optional[FlowGraph] = None) -> int:
     periods = []
     if graph is not None:
         for spec in graph.nodes:
-            for key in ("period", "interval", "expected", "window"):
+            # Only timing-check's expected is a period; the voter's is a value count.
+            keys = ("period", "interval", "window") + (
+                ("expected",) if spec.kind == "timing-check" else ())
+            for key in keys:
                 value = spec.config.get(key)
                 if isinstance(value, int) and value > 0:
                     periods.append(value)
@@ -180,7 +183,6 @@ def render_marble(entries: Iterable[TimelineEntry], *, bucket_ms: Optional[int] 
     if graph is not None and nodes is not None:
         # Pre-create every egress row of the filtered nodes so silent
         # classes still show as empty tracks.
-        from .nodes import NODE_KINDS
         for name in nodes:
             spec = graph.by_id.get(name)
             if spec is None:

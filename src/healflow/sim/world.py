@@ -66,6 +66,15 @@ class World:
         self._rngs = {d: random.Random(f"{seed}/device/{d}") for d in self.devices}
 
     # --- engine attachment ----------------------------------------------------
+    def rank(self, instance: str) -> int:
+        """The clock rank of an instance's engine: RANK_INSTANCE_BASE plus its join order.
+
+        A dict keeps insertion order, and a restart reassigns its key, so a
+        restarted engine keeps its rank.
+        """
+        names = list(self.engines)
+        return RANK_INSTANCE_BASE + (names.index(instance) if instance in names else len(names))
+
     def subscribe(self, instance: str, node_id: str, pattern: str) -> None:
         # Keyed so a restarted engine re-subscribing keeps the original order.
         self._subs[(instance, node_id, pattern)] = None

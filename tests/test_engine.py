@@ -7,14 +7,28 @@ from hypothesis import example, given, strategies as st
 
 from healflow.core.engine import Engine, GraphInvalid
 from healflow.core.envelope import copy_json, encode_json
-from healflow.sim import World
+from healflow.sim import VirtualDevice, World
 from healflow.sim.world import RANK_INSTANCE_BASE
 from tests.conftest import build_graph, make_spec
 
 
+def sensor_world(*periods, seed=0, **device):
+    """A world whose periodic sensor s<i> publishes on topic t<i> every periods[i] ms."""
+    return World(seed=seed, devices=[
+        VirtualDevice(id=f"s{i}", kind="periodicSensor", topic=f"t{i}", period=period, **device)
+        for i, period in enumerate(periods)])
+
+
+def run(engine, t_end):
+    """Start the engine and its world's devices, then drive the clock to t_end."""
+    engine.start()
+    engine.world.start_devices()
+    return engine.run_until(t_end)
+
+
 def fan_out_graph():
     return build_graph(
-        make_spec("src", "sensor", {"period": 100}, wires=[[("a", 0), ("b", 0), ("c", 0)]]),
+        make_spec("src", "mqtt-in", {"topic": "t0"}, wires=[[("a", 0), ("b", 0), ("c", 0)]]),
         make_spec("a", "debug"),
         make_spec("b", "debug"),
         make_spec("c", "debug"),
@@ -22,27 +36,25 @@ def fan_out_graph():
 
 
 def test_fan_out_delivers_to_each_ingress_in_order():
-    engine = Engine(fan_out_graph(), instance="i")
-    engine.start()
-    engine.run_until(100)
+    engine = Engine(fan_out_graph(), instance="i", world=World())
+    engine.deliver_external("src", "t0", 1.0)
     delivers = [e.node for e in engine.log if e.kind == "deliver"]
-    assert delivers == ["a", "b", "c"]
+    assert delivers == ["src", "a", "b", "c"]
 
 
 def test_delivery_to_disabled_flow_group_is_dropped():
     graph = build_graph(
-        make_spec("src", "sensor", {"period": 100}, flow="live", wires=[[("gone", 0)]]),
+        make_spec("src", "mqtt-in", {"topic": "t0"}, flow="live", wires=[[("gone", 0)]]),
         make_spec("gone", "debug", flow="dark", enabled=False),
     )
-    engine = Engine(graph, instance="i")
-    engine.start()
-    engine.run_until(100)
+    engine = Engine(graph, instance="i", world=World())
+    engine.deliver_external("src", "t0", 1.0)
     kinds = [e.kind for e in engine.log if e.node == "gone"]
     assert kinds == ["drop"]
 
 
 def test_deliver_external_on_halted_engine_logs_one_drop_and_queues_nothing():
-    engine = Engine(fan_out_graph(), instance="i")
+    engine = Engine(fan_out_graph(), instance="i", world=World())
     seen = []
     engine.nodes["a"].on_input = lambda env, ingress: seen.append(env)
     engine.halt()
@@ -55,7 +67,7 @@ def test_deliver_external_on_halted_engine_logs_one_drop_and_queues_nothing():
 def test_broker_delivery_to_disabled_flow_group_logs_drop_without_port():
     graph = build_graph(make_spec("in", "mqtt-in", {"topic": "t"}, flow="dark",
                                   enabled=False))
-    engine = Engine(graph, instance="i")
+    engine = Engine(graph, instance="i", world=World())
     seen = []
     engine.nodes["in"].on_external = lambda topic, payload: seen.append(payload)
     engine.deliver_external("in", "t", 7)
@@ -66,7 +78,7 @@ def test_broker_delivery_to_disabled_flow_group_logs_drop_without_port():
 
 def test_emit_on_negative_egress_is_an_operator_error_and_delivers_nothing():
     graph = build_graph(make_spec("a", "rbe", wires=[[("b", 0)]]), make_spec("b", "debug"))
-    engine = Engine(graph, instance="i")
+    engine = Engine(graph, instance="i", world=World())
     node = engine.nodes["a"]
     node.on_input = lambda env, ingress: node.emit(-1, env.payload, env.topic, env.corr)
     engine.deliver_external("a", "t", 1, ingress=0)
@@ -74,24 +86,16 @@ def test_emit_on_negative_egress_is_an_operator_error_and_delivers_nothing():
     assert engine.log.entries[-1].value["kind"] == "operator-error"
 
 
-def test_engine_without_a_world_gets_one_of_its_own():
-    engine = Engine(fan_out_graph())
-    assert engine.world.clock is engine.clock
-    assert engine.world.log is engine.log
-    assert engine.world.engines == {"node": engine}
-
-
 def test_periodic_sensor_emission_count():
-    graph = build_graph(make_spec("s", "sensor", {"period": 60000}))
-    engine = Engine(graph)
-    engine.start()
-    engine.run_until(300000)
+    graph = build_graph(make_spec("s", "mqtt-in", {"topic": "t0"}))
+    engine = Engine(graph, world=sensor_world(60000))
+    run(engine, 300000)
     times = [e.time for e in engine.log.emits("s")]
     assert times == [60000, 120000, 180000, 240000, 300000]
 
 
 def test_empty_graph_run_is_empty():
-    engine = Engine(build_graph())
+    engine = Engine(build_graph(), world=World())
     engine.start()
     log = engine.run_until(1000)
     assert len(log) == 0
@@ -100,24 +104,21 @@ def test_empty_graph_run_is_empty():
 def test_same_seed_runs_are_byte_identical():
     def run_once():
         graph = build_graph(
-            make_spec("s", "sensor", {"period": 500, "base": 10, "noiseAmp": 2},
-                      wires=[[("k", 0)]]),
+            make_spec("s", "mqtt-in", {"topic": "t0"}, wires=[[("k", 0)]]),
             make_spec("k", "kalman-filter", {"r": 1.0}, wires=[[("d", 0)], []]),
             make_spec("d", "debug"),
         )
-        engine = Engine(graph, world=World(seed=42))
-        engine.start()
-        return engine.run_until(10000).to_csv()
+        engine = Engine(graph, world=sensor_world(500, seed=42, base=10.0, noise_amp=2.0))
+        return run(engine, 10000).to_csv()
 
     assert run_once() == run_once()
 
 
 def test_different_seeds_differ():
     def run_once(seed):
-        graph = build_graph(make_spec("s", "sensor", {"period": 500, "noiseAmp": 3}))
-        engine = Engine(graph, world=World(seed=seed))
-        engine.start()
-        return engine.run_until(5000).to_csv()
+        graph = build_graph(make_spec("s", "mqtt-in", {"topic": "t0"}))
+        engine = Engine(graph, world=sensor_world(500, seed=seed, noise_amp=3.0))
+        return run(engine, 5000).to_csv()
 
     assert run_once(1) != run_once(2)
 
@@ -164,19 +165,18 @@ def test_restart_replaces_the_engine_in_place_and_replays_the_checkpoint_once():
 def test_invalid_graph_is_rejected_at_construction():
     graph = build_graph(make_spec("t", "threshold-check", {"low": 9, "high": 1}))
     with pytest.raises(GraphInvalid):
-        Engine(graph)
+        Engine(graph, world=World())
 
 
 def test_operator_exception_is_logged_not_fatal():
     graph = build_graph(
-        make_spec("s", "sensor", {"period": 100}, wires=[[("x", 0)]]),
+        make_spec("s", "mqtt-in", {"topic": "t0"}, wires=[[("x", 0)]]),
         make_spec("x", "extract", {"key": "v"}, wires=[[], []]),
     )
-    engine = Engine(graph)
+    engine = Engine(graph, world=sensor_world(100))
     # Sabotage the node to raise; the run must survive and log a fault.
     engine.nodes["x"].on_input = lambda env, ingress: 1 / 0
-    engine.start()
-    engine.run_until(250)
+    run(engine, 250)
     faults = [e for e in engine.log if e.kind == "fault"]
     assert len(faults) == 2
     assert faults[0].value["kind"] == "operator-error"
@@ -185,15 +185,15 @@ def test_operator_exception_is_logged_not_fatal():
 
 def test_delivery_completeness_every_emit_has_deliver_or_drop_per_ingress():
     graph = build_graph(
-        make_spec("src", "sensor", {"period": 100}, wires=[[("a", 0), ("b", 0)]]),
+        make_spec("src", "mqtt-in", {"topic": "t0"}, wires=[[("a", 0), ("b", 0)]]),
         make_spec("a", "debug", flow="off", enabled=False),
         make_spec("b", "debug"),
     )
-    engine = Engine(graph, instance="i")
-    engine.start()
-    engine.run_until(1000)
+    engine = Engine(graph, instance="i", world=sensor_world(100))
+    run(engine, 1000)
     emits = len(engine.log.emits("src"))
-    delivers = sum(1 for e in engine.log if e.kind == "deliver")
+    assert emits == 10
+    delivers = sum(1 for e in engine.log if e.kind == "deliver" and e.node != "src")
     drops = sum(1 for e in engine.log if e.kind == "drop")
     assert delivers == emits  # one enabled ingress
     assert drops == emits     # one disabled ingress
@@ -201,24 +201,24 @@ def test_delivery_completeness_every_emit_has_deliver_or_drop_per_ingress():
 
 def test_log_times_are_non_decreasing():
     graph = build_graph(
-        make_spec("s1", "sensor", {"period": 300}, wires=[[("d", 0)]]),
-        make_spec("s2", "sensor", {"period": 700}, wires=[[("d", 0)]]),
+        make_spec("in0", "mqtt-in", {"topic": "t0"}, wires=[[("d", 0)]]),
+        make_spec("in1", "mqtt-in", {"topic": "t1"}, wires=[[("d", 0)]]),
         make_spec("d", "debug"),
     )
-    engine = Engine(graph)
-    engine.start()
-    log = engine.run_until(5000)
+    engine = Engine(graph, world=sensor_world(300, 700))
+    log = run(engine, 5000)
+    assert len(log.emits("in0")) == 16 and len(log.emits("in1")) == 7
     times = [e.time for e in log]
     assert times == sorted(times)
 
 
 def test_fan_out_payload_copies_are_independent():
     graph = build_graph(
-        make_spec("src", "sensor", {"period": 100}, wires=[[("a", 0), ("b", 0)]]),
+        make_spec("src", "rbe", wires=[[("a", 0), ("b", 0)]]),
         make_spec("a", "debug"),
         make_spec("b", "debug"),
     )
-    engine = Engine(graph)
+    engine = Engine(graph, world=World())
     seen = []
     engine.nodes["a"].on_input = lambda env, ingress: env.payload.update(tag=True)
     engine.nodes["b"].on_input = lambda env, ingress: seen.append(dict(env.payload))

@@ -7,7 +7,7 @@ from tests.conftest import build_graph, make_spec
 
 MINIMAL = json.dumps({
     "nodes": [
-        {"id": "src", "type": "sensor", "config": {"period": 1000},
+        {"id": "src", "type": "mqtt-in", "config": {"topic": "lab/t"},
          "wires": [[["sink", 0]]]},
         {"id": "sink", "type": "debug"},
     ]
@@ -22,11 +22,13 @@ def test_minimal_two_node_document():
 
 
 def test_defaults_are_filled():
-    graph = parse_flow(MINIMAL)
-    src = graph.by_id["src"]
-    assert src.config["noiseAmp"] == 0.0
-    assert src.flow == "main"
-    assert src.enabled is True
+    graph = parse_flow(json.dumps({"nodes": [
+        {"id": "comp", "type": "compensate", "config": {"interval": 1000}}]}))
+    comp = graph.by_id["comp"]
+    assert comp.config == {"interval": 1000, "historyMaxSize": 10, "strategy": "last",
+                           "confidenceDecay": 0.9}
+    assert comp.flow == "main"
+    assert comp.enabled is True
 
 
 def test_syntax_error_carries_position():
@@ -50,7 +52,7 @@ def test_duplicate_id_rejected():
 
 def test_dangling_wire_rejected():
     doc = json.dumps({"nodes": [
-        {"id": "a", "type": "sensor", "config": {"period": 10},
+        {"id": "a", "type": "mqtt-in", "config": {"topic": "t"},
          "wires": [[["x9", 0]]]}]})
     with pytest.raises(FlowParseError, match="x9"):
         parse_flow(doc)
@@ -59,7 +61,7 @@ def test_dangling_wire_rejected():
 def test_scenario_a_style_document_shape(fixture_path):
     # heartbeat in parallel with check -> compensate -> checkpoint
     doc = json.dumps({"nodes": [
-        {"id": "s", "type": "sensor", "config": {"period": 60000},
+        {"id": "s", "type": "mqtt-in", "config": {"topic": "lab/dht"},
          "wires": [[["hb", 0], ["tc", 0]]]},
         {"id": "hb", "type": "heartbeat", "config": {"timeout": 90000}},
         {"id": "tc", "type": "threshold-check", "config": {"low": 0, "high": 50},

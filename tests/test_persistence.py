@@ -46,8 +46,9 @@ def test_reload_from_file_replays_last_state(tmp_path):
     second = Store(path)
     assert second.load_checkpoint("a") is None
     assert second.load_checkpoint("b").payload == [1, 2]
-    [entry] = second.registry_list()
-    assert (entry.device_id, entry.status, entry.last_seen) == ("dev-1", "online", 30)
+    entry = second.registry_mark_lost("dev-1", 40)
+    assert (entry.device_id, entry.kind, entry.endpoint, entry.last_seen) == (
+        "dev-1", "host", "10.0.0.5", 30)
 
 
 def test_compact_rewrites_to_live_state(tmp_path):
@@ -70,7 +71,9 @@ def test_corrupt_lines_are_skipped(tmp_path, caplog):
         "REG dev host ep 5 online\n")
     store = Store(path)
     assert store.load_checkpoint("good").payload == 1
-    assert store.registry_list()[0].device_id == "dev"
+    store.compact()
+    assert path.read_text() == ('CKPT good 10 {"payload":1,"topic":""}\n'
+                                "REG dev host ep 5 online\n")
 
 
 def test_checkpoint_body_that_is_not_an_object_is_skipped(tmp_path, caplog):
@@ -84,21 +87,20 @@ def test_checkpoint_body_that_is_not_an_object_is_skipped(tmp_path, caplog):
     assert "line 1" in caplog.text
 
 
-def test_registry_upsert_twice_single_entry():
-    store = Store()
+def test_registry_upsert_twice_single_entry(tmp_path):
+    store = Store(tmp_path / "i.store")
     store.registry_upsert("d", "host", "", 10)
-    store.registry_upsert("d", "host", "", 50)
-    [entry] = store.registry_list()
+    entry = store.registry_upsert("d", "host", "", 50)
     assert entry.last_seen == 50
+    store.compact()
+    assert store.path.read_text() == "REG d host - 50 online\n"
 
 
 def test_registry_mark_lost_then_upsert_back_online():
     store = Store()
     store.registry_upsert("d", "host", "", 10)
-    store.registry_mark_lost("d", 20)
-    assert store.registry_list()[0].status == "lost"
-    store.registry_upsert("d", "host", "", 30)
-    assert store.registry_list()[0].status == "online"
+    assert store.registry_mark_lost("d", 20).status == "lost"
+    assert store.registry_upsert("d", "host", "", 30).status == "online"
 
 
 def test_registry_mark_lost_unknown_errors():
@@ -106,19 +108,20 @@ def test_registry_mark_lost_unknown_errors():
         Store().registry_mark_lost("ghost", 10)
 
 
-def test_registry_list_empty_and_sorted():
-    store = Store()
-    assert store.registry_list() == []
+def test_registry_list_empty_and_sorted(tmp_path):
+    store = Store(tmp_path / "i.store")
+    store.compact()
+    assert store.path.read_text() == ""
     store.registry_upsert("zeta", "h", "", 1)
     store.registry_upsert("alpha", "h", "", 1)
-    assert [e.device_id for e in store.registry_list()] == ["alpha", "zeta"]
+    store.compact()
+    assert store.path.read_text() == "REG alpha h - 1 online\nREG zeta h - 1 online\n"
 
 
 def test_last_seen_never_decreases():
     store = Store()
     store.registry_upsert("d", "h", "", 100)
-    store.registry_upsert("d", "h", "", 40)  # stale event
-    assert store.registry_list()[0].last_seen == 100
+    assert store.registry_upsert("d", "h", "", 40).last_seen == 100  # stale event
 
 
 def test_write_failure_raises_store_error(tmp_path):
@@ -144,9 +147,12 @@ def test_odd_tokens_survive_reload(tmp_path, node_id, device_id, kind, endpoint)
     reloaded = Store(path)
     record = reloaded.load_checkpoint(node_id)
     assert (record.timestamp, record.topic, record.payload) == (10, "t", {"v": 1})
-    [entry] = reloaded.registry_list()
+    written = path.read_text()
+    reloaded.compact()
+    assert path.read_text() == written  # the reloaded state writes the same lines
+    entry = reloaded.registry_mark_lost(device_id, 30)
     assert (entry.device_id, entry.kind, entry.endpoint, entry.last_seen, entry.status) == (
-        device_id, kind, endpoint, 20, "online")
+        device_id, kind, endpoint, 20, "lost")
 
 
 def test_plain_tokens_are_written_as_before(tmp_path):

@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,7 +10,12 @@ from tests.conftest import NodeHarness
 
 # --- compensate ---------------------------------------------------------------
 # Oracle: replay the bounded-history recursion by hand. Substitutes re-enter
-# the history exactly like real inputs do.
+# the history exactly like real inputs do. avg sums left to right, which is
+# what sum() did before Python 3.12 made it compensated.
+
+def left_to_right_mean(values):
+    return functools.reduce(operator.add, values, 0) / len(values)
+
 
 def compensate_oracle(real_inputs, n_timeouts, strategy, cap=10, decay=0.9):
     history = []
@@ -22,7 +30,7 @@ def compensate_oracle(real_inputs, n_timeouts, strategy, cap=10, decay=0.9):
         absorb(v)
         confidence = 1.0
     out = []
-    fns = {"last": lambda h: h[-1], "avg": lambda h: sum(h) / len(h),
+    fns = {"last": lambda h: h[-1], "avg": left_to_right_mean,
            "max": max, "min": min}
     for _ in range(n_timeouts):
         sub = fns[strategy](history)
@@ -75,6 +83,17 @@ def test_avg_strategy_is_arithmetic_mean(harness):
     h.run(13000)
     subs = [p["value"] for _, p in h.emits(0) if p["substituted"]]
     assert subs == [50]
+
+
+def test_avg_sums_left_to_right_on_every_python(harness):
+    # 0.1 ten times sums to 0.9999999999999999 left to right, but to 1.0
+    # under the compensated sum() of Python 3.12 and later.
+    h = harness("compensate", {"interval": 1000, "strategy": "avg"})
+    for t in range(1, 11):
+        h.feed_at(t, 0.1)
+    h.run(1010)
+    [(t, sub)] = [(t, p["value"]) for t, p in h.emits(0) if p["substituted"]]
+    assert (t, sub) == (1010, 0.9999999999999999 / 10)
 
 
 def test_double_timeout_feeds_substitute_back_into_history(harness):

@@ -377,8 +377,25 @@ def test_marble_bucket_below_1_is_a_value_error(bucket):
 
 
 def test_default_bucket_prefers_graph_periods():
-    graph = build_graph(make_spec("s", "sensor", {"period": 60000}))
+    graph = build_graph(make_spec("s", "network-aware", {"period": 60000}))
     assert default_bucket([], graph) == 15000
+
+
+def test_default_bucket_reads_timing_check_expected_as_a_period():
+    graph = build_graph(make_spec("t", "timing-check", {"expected": 4000}))
+    assert default_bucket([], graph) == 1000
+
+
+def test_marble_does_not_read_the_voters_expected_count_as_a_period():
+    graph = build_graph(
+        make_spec("in", "mqtt-in", {"topic": "t"}, wires=[[("vote", 0)]]),
+        make_spec("vote", "replication-voter", {"expected": 3, "window": 5000},
+                  wires=[[("sink", 0)], [("sink", 0)]]),
+        make_spec("sink", "debug"))
+    assert default_bucket([], graph) == 1250
+    entries = [entry(t, "i", "emit", "in", 0, "t", 1) for t in range(0, 60001, 1000)]
+    out = render_marble(entries, graph=graph)
+    assert out.splitlines()[0] == "# marble bucket_ms=1250 buckets=49"
 
 
 def test_default_bucket_falls_back_to_observed_cadence():

@@ -2,9 +2,10 @@ import itertools
 
 from hypothesis import given, strategies as st
 
-from healflow.nodes import vote, no_consensus
-from tests.conftest import NodeHarness, build_graph, make_spec
 from healflow.core.engine import Engine
+from healflow.nodes import vote
+from healflow.sim import VirtualDevice, World
+from tests.conftest import NodeHarness, build_graph, make_spec
 
 
 # --- balancing ------------------------------------------------------------------
@@ -108,6 +109,14 @@ def test_debounce_avg_aggregation():
         h.feed_at(t, v)
     h.run(5000)
     assert h.emits(0) == [(0, 10), (1000, 30.0)]
+
+
+def test_debounce_avg_sums_left_to_right():
+    h = NodeHarness("debounce", {"window": 1000, "strategy": "avg"})
+    for t in range(11):
+        h.feed_at(t, 0.1)
+    h.run(1500)
+    assert h.emits(0) == [(0, 0.1), (1000, 0.9999999999999999 / 10)]
 
 
 def test_debounce_avg_rejects_non_numeric():
@@ -265,8 +274,9 @@ def test_voter_equals_brute_force_on_all_binary_multisets_up_to_5():
 
 def test_vote_helper_empty_is_no_consensus():
     winner, tally = vote([])
-    assert no_consensus(winner)
     assert tally == {}
+    tie, _ = vote([0, 1])
+    assert winner is tie  # the one no-consensus marker, never a payload
 
 
 def test_vote_deep_equality_on_records():
@@ -276,29 +286,35 @@ def test_vote_deep_equality_on_records():
 
 # --- flow-control ----------------------------------------------------------------
 
-def flow_graph():
-    return build_graph(
+def flow_engine():
+    """ctl controls the ingest group, whose sink a 100 ms world sensor feeds."""
+    graph = build_graph(
         make_spec("ctl", "flow-control"),
-        make_spec("src", "sensor", {"period": 100}, flow="ingest", wires=[[("sink", 0)]]),
+        make_spec("src", "mqtt-in", {"topic": "t"}, wires=[[("sink", 0)]]),
         make_spec("sink", "debug", flow="ingest"),
     )
+    world = World(devices=[VirtualDevice(id="dev", kind="periodicSensor", topic="t",
+                                         period=100)])
+    engine = Engine(graph, instance="i", world=world)
+    engine.start()
+    world.start_devices()
+    return engine
 
 
 def test_flow_control_disable_drops_downstream():
-    engine = Engine(flow_graph(), instance="i")
-    engine.start()
+    engine = flow_engine()
     engine.deliver_external("ctl", "", {"action": "disable", "flow": "ingest"}, ingress=0)
     engine.run_until(250)
     drops = [e for e in engine.log if e.kind == "drop"]
-    assert len(drops) == 2
+    assert [(e.time, e.node) for e in drops] == [(100, "sink"), (200, "sink")]
+    assert engine.flow_enabled["ingest"] is False
     acks = engine.log.emits("ctl")
     assert acks[0].port == 0
     assert acks[0].value == {"action": "disable", "flow": "ingest"}
 
 
 def test_flow_control_enable_is_idempotent():
-    engine = Engine(flow_graph())
-    engine.start()
+    engine = flow_engine()
     engine.deliver_external("ctl", "", {"action": "enable", "flow": "ingest"}, ingress=0)
     engine.deliver_external("ctl", "", {"action": "enable", "flow": "ingest"}, ingress=0)
     acks = engine.log.emits("ctl")
@@ -307,17 +323,16 @@ def test_flow_control_enable_is_idempotent():
 
 
 def test_flow_control_unknown_group_errors():
-    engine = Engine(flow_graph())
-    engine.start()
+    engine = flow_engine()
     engine.deliver_external("ctl", "", {"action": "disable", "flow": "nope"}, ingress=0)
     [entry] = engine.log.emits("ctl")
     assert entry.port == 1
     assert entry.value["kind"] == "unknown-flow"
+    assert "nope" not in engine.flow_enabled
 
 
 def test_flow_control_malformed_command():
-    engine = Engine(flow_graph())
-    engine.start()
+    engine = flow_engine()
     engine.deliver_external("ctl", "", "disable ingest", ingress=0)
     [entry] = engine.log.emits("ctl")
     assert entry.port == 1

@@ -197,8 +197,10 @@ def test_seed_determinism_device_emissions():
         world.clock.run_until(1000)
         return [e.value for e in world.log.emits("d")]
 
-    assert run(9) == run(9)
+    values = run(9)
+    assert values == run(9)
     assert run(9) != run(10)
+    assert all(8.0 <= v <= 12.0 for v in values) and len(set(values)) > 1
 
 
 # --- scenario parsing ---------------------------------------------------------------

@@ -66,23 +66,6 @@ def test_extract_missing_key_and_malformed():
     assert kinds == ["missing-key", "malformed"]
 
 
-# --- sensor -----------------------------------------------------------------------
-
-def test_sensor_default_topic_uses_node_id():
-    h = NodeHarness("sensor", {"period": 100})
-    h.run(100)
-    [entry] = h.engine.log.emits("n")
-    assert entry.topic == "sensor/n"
-
-
-def test_sensor_noise_stays_within_amplitude():
-    h = NodeHarness("sensor", {"period": 10, "base": 50, "noiseAmp": 2})
-    h.run(1000)
-    values = [v for _, v in h.emits(0)]
-    assert all(48 <= v <= 52 for v in values)
-    assert len(set(values)) > 1
-
-
 # --- mqtt bridges and http-post against a world ------------------------------------
 
 def world_engine(*specs, services=()):
@@ -119,7 +102,7 @@ def test_mqtt_out_of_a_world_less_engine_reaches_its_own_mqtt_in():
         make_spec("in", "mqtt-in", {"topic": "loop/+"}, wires=[[("sink", 0)]]),
         make_spec("out", "mqtt-out", {"topic": "loop/a"}),
         make_spec("sink", "debug"),
-    ))
+    ), world=World())
     engine.start()
     engine.deliver_external("out", "ignored", {"v": 1}, ingress=0)
     engine.run_until(10)
