@@ -71,7 +71,7 @@ class LoopbackTransport:
         self._endpoints: dict[str, tuple[Callable[[bytes], None], int]] = {}
         self._drops: dict[tuple[str, str], bool] = {}
 
-    def register(self, address: str, handler: Callable[[bytes], None], rank: int = 0) -> None:
+    def register(self, address: str, handler: Callable[[bytes], None], rank: int) -> None:
         self._endpoints[address] = (handler, rank)
 
     def set_drop(self, src: str, dst: str, drop: bool) -> None:

@@ -23,7 +23,7 @@ class VirtualClock:
         self._heap: list[list] = []
         self._seq = itertools.count()
 
-    def at(self, time: int, fn: Callable[[], None], rank: int = 0) -> list:
+    def at(self, time: int, fn: Callable[[], None], rank: int) -> list:
         """Schedule fn at an absolute virtual time (>= now); returns its heap entry."""
         if time < self.now:
             raise ValueError(f"cannot schedule at {time}, clock is at {self.now}")
@@ -31,7 +31,7 @@ class VirtualClock:
         heapq.heappush(self._heap, entry)
         return entry
 
-    def after(self, delay: int, fn: Callable[[], None], rank: int = 0) -> list:
+    def after(self, delay: int, fn: Callable[[], None], rank: int) -> list:
         if delay < 0:
             raise ValueError("delay must be non-negative")
         return self.at(self.now + delay, fn, rank)

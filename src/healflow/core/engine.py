@@ -44,8 +44,7 @@ class Engine:
     objects with the envelopes it logs, so a logged payload is read-only.
     """
 
-    def __init__(self, graph: FlowGraph, *, world, instance: str = "node",
-                 address: str = "127.0.0.1", store: Optional[Store] = None):
+    def __init__(self, graph: FlowGraph, *, world, instance: str, address: str, store: Store):
         errors = [d for d in validate_graph(graph) if d.severity == "error"]
         if errors:
             raise GraphInvalid(errors)
@@ -63,7 +62,7 @@ class Engine:
         self.rank_timer = 2 * rank + 1
         self.clock = world.clock
         self.log = world.log
-        self.store = store if store is not None else Store()
+        self.store = store
         self.halted = False
         self.flow_enabled = graph.flow_groups()
 

@@ -66,8 +66,12 @@ class Simulation:
     def run(self) -> TimelineLog:
         for event in self.script.events:
             self.world.clock.at(event.at, partial(apply_fault, event, self.world), rank=RANK_FAULT)
-        self.world.start_devices()
-        for engine in self.world.engines.values():
-            engine.start()
-        self.world.clock.run_until(self.script.duration)
+        try:
+            self.world.start_devices()
+            for engine in self.world.engines.values():
+                engine.start()
+            self.world.clock.run_until(self.script.duration)
+        finally:
+            for engine in self.world.engines.values():
+                engine.store.close()
         return self.world.log

@@ -8,6 +8,7 @@ import pytest
 from healflow.core.engine import Engine
 from healflow.core.graph import FlowGraph, NodeSpec
 from healflow.nodes import NODE_KINDS
+from healflow.persistence import Store
 from healflow.sim import World
 
 DATA = Path(__file__).parent / "data"
@@ -33,13 +34,13 @@ class NodeHarness:
                  seed: int = 0, world=None, store=None):
         self.node_id = node_id
         self.graph = build_graph(make_spec(node_id, kind, config))
-        self.engine = Engine(self.graph, instance="test", store=store,
+        self.engine = Engine(self.graph, instance="test", address="127.0.0.1",
+                             store=store if store is not None else Store(),
                              world=world if world is not None else World(seed=seed))
 
     def feed_at(self, t: int, payload, topic: str = "", ingress: int = 0, corr=None):
-        self.engine.clock.at(
-            t, lambda: self.engine.deliver_external(
-                self.node_id, topic, payload, ingress=ingress, corr=corr))
+        self.engine.clock.at(t, lambda: self.engine.deliver_external(
+            self.node_id, topic, payload, ingress=ingress, corr=corr), rank=0)
 
     def run(self, t_end: int):
         self.engine.start()

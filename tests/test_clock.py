@@ -7,9 +7,9 @@ from healflow.core.clock import VirtualClock
 def test_fires_in_time_order():
     clock = VirtualClock()
     fired = []
-    clock.at(300, lambda: fired.append("c"))
-    clock.at(100, lambda: fired.append("a"))
-    clock.at(200, lambda: fired.append("b"))
+    clock.at(300, lambda: fired.append("c"), rank=0)
+    clock.at(100, lambda: fired.append("a"), rank=0)
+    clock.at(200, lambda: fired.append("b"), rank=0)
     clock.run_until(1000)
     assert fired == ["a", "b", "c"]
     assert clock.now == 1000
@@ -18,8 +18,8 @@ def test_fires_in_time_order():
 def test_equal_fire_times_break_ties_by_creation_order():
     clock = VirtualClock()
     fired = []
-    clock.at(500, lambda: fired.append("first-created"))
-    clock.at(500, lambda: fired.append("second-created"))
+    clock.at(500, lambda: fired.append("first-created"), rank=0)
+    clock.at(500, lambda: fired.append("second-created"), rank=0)
     clock.run_until(500)
     assert fired == ["first-created", "second-created"]
 
@@ -37,10 +37,10 @@ def test_rank_orders_equal_times_before_sequence():
 def test_cancelled_timers_are_skipped():
     clock = VirtualClock()
     fired = []
-    first = clock.at(100, lambda: fired.append("first"))
-    drop = clock.at(100, lambda: fired.append("drop"))
-    late = clock.at(150, lambda: fired.append("late"))
-    clock.at(200, lambda: fired.append("last"))
+    first = clock.at(100, lambda: fired.append("first"), rank=0)
+    drop = clock.at(100, lambda: fired.append("drop"), rank=0)
+    late = clock.at(150, lambda: fired.append("late"), rank=0)
+    clock.at(200, lambda: fired.append("last"), rank=0)
     clock.cancel(drop)
     clock.cancel(late)
     clock.cancel(late)
@@ -57,9 +57,9 @@ def test_callbacks_can_schedule_more_work():
     def tick():
         fired.append(clock.now)
         if clock.now < 50:
-            clock.after(10, tick)
+            clock.after(10, tick, rank=0)
 
-    clock.at(10, tick)
+    clock.at(10, tick, rank=0)
     clock.run_until(100)
     assert fired == [10, 20, 30, 40, 50]
 
@@ -68,7 +68,7 @@ def test_scheduling_in_the_past_is_rejected():
     clock = VirtualClock()
     clock.run_until(100)
     with pytest.raises(ValueError):
-        clock.at(50, lambda: None)
+        clock.at(50, lambda: None, rank=0)
     with pytest.raises(ValueError):
         clock.run_until(50)
 
@@ -77,7 +77,7 @@ def test_now_is_monotonic_through_a_run():
     clock = VirtualClock()
     seen = []
     for t in (5, 15, 15, 40):
-        clock.at(t, lambda: seen.append(clock.now))
+        clock.at(t, lambda: seen.append(clock.now), rank=0)
     clock.run_until(40)
     assert seen == sorted(seen)
 

@@ -8,6 +8,7 @@ from healflow.cluster import (LoopbackTransport, PingDecodeError, decode_ping, e
                               encode_ping)
 from healflow.core.clock import VirtualClock
 from healflow.core.engine import Engine
+from healflow.persistence import Store
 from healflow.sim import Simulation, World, parse_scenario
 from tests.conftest import build_graph, make_spec
 
@@ -35,7 +36,8 @@ HIGHER = "192.168.1.201"
 
 def agent(address=SELF):
     """A started engine alone in its own world: its pings reach no peer."""
-    engine = Engine(redundancy_graph(), instance="me", address=address, world=World())
+    engine = Engine(redundancy_graph(), instance="me", address=address, store=Store(),
+                    world=World())
     engine.start()
     return engine
 
@@ -184,7 +186,7 @@ def test_elect_master_failover_to_next_octet():
     world = World()
     clock, log = world.clock, world.log
     engines = {o: Engine(redundancy_graph(), instance=str(o), address=f"192.168.1.{o}",
-                         world=world) for o in OCTETS}
+                         store=Store(), world=world) for o in OCTETS}
     for engine in engines.values():
         engine.start()
     clock.run_until(20000)
@@ -310,8 +312,8 @@ def test_loopback_broadcast_excludes_sender():
     clock = VirtualClock()
     got = {"a": [], "b": []}
     transport = LoopbackTransport(clock)
-    transport.register("1.1.1.1", lambda d: got["a"].append((clock.now, d)))
-    transport.register("2.2.2.2", lambda d: got["b"].append((clock.now, d)))
+    transport.register("1.1.1.1", lambda d: got["a"].append((clock.now, d)), rank=0)
+    transport.register("2.2.2.2", lambda d: got["b"].append((clock.now, d)), rank=0)
     clock.run_until(500)
     transport.broadcast("1.1.1.1", b"x")
     clock.run_until(1000)
@@ -323,8 +325,8 @@ def test_loopback_drop():
     clock = VirtualClock()
     got = []
     transport = LoopbackTransport(clock)
-    transport.register("1.1.1.1", lambda d: None)
-    transport.register("2.2.2.2", got.append)
+    transport.register("1.1.1.1", lambda d: None, rank=0)
+    transport.register("2.2.2.2", got.append, rank=0)
     transport.set_drop("1.1.1.1", "2.2.2.2", True)
     transport.broadcast("1.1.1.1", b"x")
     clock.run_until(10)
@@ -335,8 +337,10 @@ def test_loopback_drop():
 
 def two_instances():
     world = World()
-    low = Engine(redundancy_graph(), instance="low", address="192.168.1.54", world=world)
-    high = Engine(redundancy_graph(), instance="high", address="192.168.1.201", world=world)
+    low = Engine(redundancy_graph(), instance="low", address="192.168.1.54", store=Store(),
+                 world=world)
+    high = Engine(redundancy_graph(), instance="high", address="192.168.1.201", store=Store(),
+                  world=world)
     return world.clock, world.log, low, high
 
 
@@ -383,7 +387,8 @@ def test_recovered_master_wins_the_next_election():
 
 
 def test_single_instance_elects_itself_at_first_periodic_election():
-    engine = Engine(redundancy_graph(), instance="solo", address="10.0.0.9", world=World())
+    engine = Engine(redundancy_graph(), instance="solo", address="10.0.0.9", store=Store(),
+                    world=World())
     engine.start()
     engine.clock.run_until(30000)
     assert roles(engine.log, "solo") == [(15000, "master")]

@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from healflow.core.engine import Engine, GraphInvalid
 from healflow.core.envelope import copy_json, encode_json
+from healflow.persistence import Store
 from healflow.sim import VirtualDevice, World
 from healflow.sim.world import RANK_INSTANCE_BASE
 from tests.conftest import build_graph, make_spec
@@ -17,6 +18,11 @@ def sensor_world(*periods, seed=0, **device):
     return World(seed=seed, devices=[
         VirtualDevice(id=f"s{i}", kind="periodicSensor", topic=f"t{i}", period=period, **device)
         for i, period in enumerate(periods)])
+
+
+def make_engine(graph, *, world, instance="node"):
+    """An engine with a memory store that joins `world` as `instance`."""
+    return Engine(graph, instance=instance, address="127.0.0.1", store=Store(), world=world)
 
 
 def run(engine, t_end):
@@ -36,7 +42,7 @@ def fan_out_graph():
 
 
 def test_fan_out_delivers_to_each_ingress_in_order():
-    engine = Engine(fan_out_graph(), instance="i", world=World())
+    engine = make_engine(fan_out_graph(), instance="i", world=World())
     engine.deliver_external("src", "t0", 1.0)
     delivers = [e.node for e in engine.log if e.kind == "deliver"]
     assert delivers == ["src", "a", "b", "c"]
@@ -47,14 +53,14 @@ def test_delivery_to_disabled_flow_group_is_dropped():
         make_spec("src", "mqtt-in", {"topic": "t0"}, flow="live", wires=[[("gone", 0)]]),
         make_spec("gone", "debug", flow="dark", enabled=False),
     )
-    engine = Engine(graph, instance="i", world=World())
+    engine = make_engine(graph, instance="i", world=World())
     engine.deliver_external("src", "t0", 1.0)
     kinds = [e.kind for e in engine.log if e.node == "gone"]
     assert kinds == ["drop"]
 
 
 def test_deliver_external_on_halted_engine_logs_one_drop_and_queues_nothing():
-    engine = Engine(fan_out_graph(), instance="i", world=World())
+    engine = make_engine(fan_out_graph(), instance="i", world=World())
     seen = []
     engine.nodes["a"].on_input = lambda env, ingress: seen.append(env)
     engine.halt()
@@ -67,7 +73,7 @@ def test_deliver_external_on_halted_engine_logs_one_drop_and_queues_nothing():
 def test_broker_delivery_to_disabled_flow_group_logs_drop_without_port():
     graph = build_graph(make_spec("in", "mqtt-in", {"topic": "t"}, flow="dark",
                                   enabled=False))
-    engine = Engine(graph, instance="i", world=World())
+    engine = make_engine(graph, instance="i", world=World())
     seen = []
     engine.nodes["in"].on_external = lambda topic, payload: seen.append(payload)
     engine.deliver_external("in", "t", 7)
@@ -78,7 +84,7 @@ def test_broker_delivery_to_disabled_flow_group_logs_drop_without_port():
 
 def test_emit_on_negative_egress_is_an_operator_error_and_delivers_nothing():
     graph = build_graph(make_spec("a", "rbe", wires=[[("b", 0)]]), make_spec("b", "debug"))
-    engine = Engine(graph, instance="i", world=World())
+    engine = make_engine(graph, instance="i", world=World())
     node = engine.nodes["a"]
     node.on_input = lambda env, ingress: node.emit(-1, env.payload, env.topic, env.corr)
     engine.deliver_external("a", "t", 1, ingress=0)
@@ -88,14 +94,14 @@ def test_emit_on_negative_egress_is_an_operator_error_and_delivers_nothing():
 
 def test_periodic_sensor_emission_count():
     graph = build_graph(make_spec("s", "mqtt-in", {"topic": "t0"}))
-    engine = Engine(graph, world=sensor_world(60000))
+    engine = make_engine(graph, world=sensor_world(60000))
     run(engine, 300000)
     times = [e.time for e in engine.log.emits("s")]
     assert times == [60000, 120000, 180000, 240000, 300000]
 
 
 def test_empty_graph_run_is_empty():
-    engine = Engine(build_graph(), world=World())
+    engine = make_engine(build_graph(), world=World())
     engine.start()
     log = engine.run_until(1000)
     assert len(log) == 0
@@ -108,7 +114,7 @@ def test_same_seed_runs_are_byte_identical():
             make_spec("k", "kalman-filter", {"r": 1.0}, wires=[[("d", 0)], []]),
             make_spec("d", "debug"),
         )
-        engine = Engine(graph, world=sensor_world(500, seed=42, base=10.0, noise_amp=2.0))
+        engine = make_engine(graph, world=sensor_world(500, seed=42, base=10.0, noise_amp=2.0))
         return run(engine, 10000).to_csv()
 
     assert run_once() == run_once()
@@ -117,21 +123,21 @@ def test_same_seed_runs_are_byte_identical():
 def test_different_seeds_differ():
     def run_once(seed):
         graph = build_graph(make_spec("s", "mqtt-in", {"topic": "t0"}))
-        engine = Engine(graph, world=sensor_world(500, seed=seed, noise_amp=3.0))
+        engine = make_engine(graph, world=sensor_world(500, seed=seed, noise_amp=3.0))
         return run(engine, 5000).to_csv()
 
     assert run_once(1) != run_once(2)
 
 
 def test_engine_takes_its_seed_from_its_world():
-    engine = Engine(build_graph(make_spec("d", "debug")), instance="i", world=World(seed=7))
+    engine = make_engine(build_graph(make_spec("d", "debug")), instance="i", world=World(seed=7))
     assert engine.seed == 7
     assert engine.node_rng("d").random() == random.Random("7/i/d").random()
 
 
 def test_engines_rank_in_the_order_they_joined_their_world():
     world = World()
-    engines = [Engine(build_graph(make_spec("d", "debug")), instance=name, world=world)
+    engines = [make_engine(build_graph(make_spec("d", "debug")), instance=name, world=world)
                for name in ("b", "a", "c")]
     ranks = [RANK_INSTANCE_BASE + i for i in range(3)]
     assert [e.rank_deliver for e in engines] == [2 * r for r in ranks]
@@ -143,9 +149,9 @@ def test_restart_replaces_the_engine_in_place_and_replays_the_checkpoint_once():
     graph = build_graph(
         make_spec("ckpt", "checkpoint", {"timeToLive": 60000}, wires=[[("sink", 0)]]),
         make_spec("sink", "debug"))
-    Engine(build_graph(make_spec("d", "debug")), instance="a", world=world)
-    old = Engine(graph, instance="b", world=world)
-    Engine(build_graph(make_spec("d", "debug")), instance="c", world=world)
+    make_engine(build_graph(make_spec("d", "debug")), instance="a", world=world)
+    old = make_engine(graph, instance="b", world=world)
+    make_engine(build_graph(make_spec("d", "debug")), instance="c", world=world)
     old.start()
     old.deliver_external("ckpt", "t", 4.0, ingress=0)
     world.clock.run_until(100)
@@ -165,7 +171,7 @@ def test_restart_replaces_the_engine_in_place_and_replays_the_checkpoint_once():
 def test_invalid_graph_is_rejected_at_construction():
     graph = build_graph(make_spec("t", "threshold-check", {"low": 9, "high": 1}))
     with pytest.raises(GraphInvalid):
-        Engine(graph, world=World())
+        make_engine(graph, world=World())
 
 
 def test_operator_exception_is_logged_not_fatal():
@@ -173,7 +179,7 @@ def test_operator_exception_is_logged_not_fatal():
         make_spec("s", "mqtt-in", {"topic": "t0"}, wires=[[("x", 0)]]),
         make_spec("x", "extract", {"key": "v"}, wires=[[], []]),
     )
-    engine = Engine(graph, world=sensor_world(100))
+    engine = make_engine(graph, world=sensor_world(100))
     # Sabotage the node to raise; the run must survive and log a fault.
     engine.nodes["x"].on_input = lambda env, ingress: 1 / 0
     run(engine, 250)
@@ -189,7 +195,7 @@ def test_delivery_completeness_every_emit_has_deliver_or_drop_per_ingress():
         make_spec("a", "debug", flow="off", enabled=False),
         make_spec("b", "debug"),
     )
-    engine = Engine(graph, instance="i", world=sensor_world(100))
+    engine = make_engine(graph, instance="i", world=sensor_world(100))
     run(engine, 1000)
     emits = len(engine.log.emits("src"))
     assert emits == 10
@@ -205,7 +211,7 @@ def test_log_times_are_non_decreasing():
         make_spec("in1", "mqtt-in", {"topic": "t1"}, wires=[[("d", 0)]]),
         make_spec("d", "debug"),
     )
-    engine = Engine(graph, world=sensor_world(300, 700))
+    engine = make_engine(graph, world=sensor_world(300, 700))
     log = run(engine, 5000)
     assert len(log.emits("in0")) == 16 and len(log.emits("in1")) == 7
     times = [e.time for e in log]
@@ -218,7 +224,7 @@ def test_fan_out_payload_copies_are_independent():
         make_spec("a", "debug"),
         make_spec("b", "debug"),
     )
-    engine = Engine(graph, world=World())
+    engine = make_engine(graph, world=World())
     seen = []
     engine.nodes["a"].on_input = lambda env, ingress: env.payload.update(tag=True)
     engine.nodes["b"].on_input = lambda env, ingress: seen.append(dict(env.payload))

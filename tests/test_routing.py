@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from healflow.core.engine import Engine
 from healflow.nodes import vote
+from healflow.persistence import Store
 from healflow.sim import VirtualDevice, World
 from tests.conftest import NodeHarness, build_graph, make_spec
 
@@ -295,7 +296,7 @@ def flow_engine():
     )
     world = World(devices=[VirtualDevice(id="dev", kind="periodicSensor", topic="t",
                                          period=100)])
-    engine = Engine(graph, instance="i", world=world)
+    engine = Engine(graph, instance="i", address="127.0.0.1", store=Store(), world=world)
     engine.start()
     world.start_devices()
     return engine

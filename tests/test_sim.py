@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from healflow.core.engine import Engine
 from healflow.core.graph import parse_flow
+from healflow.persistence import MIN_COMPACT_LINES, Store
 from healflow.sim import (FaultEvent, ScenarioError, ScenarioScript, Simulation, VirtualDevice,
                           World, WORLD_INSTANCE, apply_fault, parse_scenario)
 from tests.conftest import build_graph, make_spec
@@ -22,7 +23,7 @@ def subscriber_engine(world, topic="lab/temp"):
         make_spec("in", "mqtt-in", {"topic": topic}, wires=[[("sink", 0)]]),
         make_spec("sink", "debug"),
     )
-    engine = Engine(graph, instance="i0", world=world)
+    engine = Engine(graph, instance="i0", address="127.0.0.1", store=Store(), world=world)
     engine.start()
     return engine
 
@@ -71,7 +72,7 @@ def test_publish_gives_each_subscriber_an_independent_copy():
 
     for name in ("i0", "i1"):
         graph = build_graph(make_spec("in", "mqtt-in", {"topic": "lab/temp"}))
-        engine = Engine(graph, instance=name, world=world)
+        engine = Engine(graph, instance=name, address="127.0.0.1", store=Store(), world=world)
         engine.start()
         engine.nodes["in"].on_external = mutate if name == "i0" else (
             lambda topic, payload: seen.append(payload))
@@ -338,6 +339,33 @@ def test_restart_preserves_store_and_replays_checkpoint(tmp_path):
     # replay of the 2000ms reading right at restart, then live traffic resumes
     assert ckpt_times == [1000, 2000, 5500, 6000, 7000, 8000, 9000]
     assert (tmp_path / "solo.store").exists()
+
+
+def test_a_long_run_keeps_its_store_file_bounded_and_reloadable(tmp_path):
+    flow = json.dumps({"nodes": [
+        {"id": "in", "type": "mqtt-in", "config": {"topic": "t"}, "wires": [[["c1", 0]]]},
+        {"id": "c1", "type": "checkpoint", "config": {"timeToLive": 60000},
+         "wires": [[["c2", 0]]]},
+        {"id": "c2", "type": "checkpoint", "config": {"timeToLive": 60000},
+         "wires": [[["sink", 0]]]},
+        {"id": "sink", "type": "debug"},
+    ]})
+    script = parse_scenario(json.dumps({
+        "seed": 1, "duration_ms": 12000,
+        "world": {
+            "devices": [{"id": "d", "kind": "periodicSensor", "topic": "t", "period_ms": 10,
+                         "valueModel": {"base": 4.0, "noiseAmp": 1.0}}],
+            "instances": [{"name": "solo", "address": "10.0.0.1"}],
+        }}))
+    sim = Simulation([parse_flow(flow)], script, store_dir=str(tmp_path))
+    log = sim.run()
+    assert len(log.emits("c1")) + len(log.emits("c2")) == 2400 > MIN_COMPACT_LINES
+    path = tmp_path / "solo.store"
+    assert len(path.read_text().splitlines()) <= MIN_COMPACT_LINES
+    live, fresh = sim.world.engines["solo"].store, Store(path)
+    for node in ("c1", "c2"):
+        assert fresh.load_checkpoint(node) == live.load_checkpoint(node)
+    assert fresh.load_checkpoint("c2").timestamp == 12000
 
 
 def test_service_down_is_visible_to_probe():

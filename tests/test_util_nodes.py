@@ -2,6 +2,7 @@ from hypothesis import given, strategies as st
 
 from healflow.core.engine import Engine
 from healflow.nodes import rbe_process
+from healflow.persistence import Store
 from healflow.sim import Service, World
 from tests.conftest import NodeHarness, build_graph, make_spec
 
@@ -70,7 +71,8 @@ def test_extract_missing_key_and_malformed():
 
 def world_engine(*specs, services=()):
     world = World(seed=1, services=list(services))
-    engine = Engine(build_graph(*specs), instance="i0", world=world)
+    engine = Engine(build_graph(*specs), instance="i0", address="127.0.0.1", store=Store(),
+                    world=world)
     return engine, world
 
 
@@ -102,7 +104,7 @@ def test_mqtt_out_of_a_world_less_engine_reaches_its_own_mqtt_in():
         make_spec("in", "mqtt-in", {"topic": "loop/+"}, wires=[[("sink", 0)]]),
         make_spec("out", "mqtt-out", {"topic": "loop/a"}),
         make_spec("sink", "debug"),
-    ), world=World())
+    ), instance="node", address="127.0.0.1", store=Store(), world=World())
     engine.start()
     engine.deliver_external("out", "ignored", {"v": 1}, ingress=0)
     engine.run_until(10)
