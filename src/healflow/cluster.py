@@ -106,10 +106,12 @@ class ClusterAgent:
     role-change entry. It pings from the engine's address over its world's transport.
 
     Elections run whenever the alive set could have changed (a peer expires
-    or appears) and on a periodic tick every election timeout. The epoch
-    advances only on a role change, which logs one role-change entry and
-    calls the listeners registered by redundancy nodes with (role, epoch).
-    Callbacks of a halted engine do nothing.
+    or appears) and once at boot, one election timeout after start, so that
+    an instance that hears no peer claims mastership. The role is a function
+    of the alive set, so after the boot election no periodic one could
+    change it. The epoch advances only on a role change, which logs one
+    role-change entry and calls the listeners registered by redundancy nodes
+    with (role, epoch). Callbacks of a halted engine do nothing.
     """
 
     def __init__(self, engine, spec):
@@ -137,7 +139,7 @@ class ClusterAgent:
         clock = self.engine.clock
         self._broadcast_ping()
         clock.after(self.ping_period, self._ping_tick, rank=self.engine.rank_timer)
-        clock.after(self.election_timeout, self._periodic_election, rank=self.engine.rank_timer)
+        clock.after(self.election_timeout, self._boot_election, rank=self.engine.rank_timer)
 
     # --- timers --------------------------------------------------------------
     def _ping_tick(self) -> None:
@@ -146,12 +148,9 @@ class ClusterAgent:
         self._broadcast_ping()
         self.engine.clock.after(self.ping_period, self._ping_tick, rank=self.engine.rank_timer)
 
-    def _periodic_election(self) -> None:
-        if self.engine.halted:
-            return
-        self.run_election("election-result")
-        self.engine.clock.after(self.election_timeout, self._periodic_election,
-                                rank=self.engine.rank_timer)
+    def _boot_election(self) -> None:
+        if not self.engine.halted:
+            self.run_election("election-result")
 
     def _broadcast_ping(self) -> None:
         self.transport.broadcast(self.address,

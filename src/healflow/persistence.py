@@ -1,13 +1,17 @@
 """Durable single-slot checkpoint store and device registry.
 
-Backing format is one append-compacted, human-readable file per instance:
+Backing format is one append-compacted file per instance. Every line is one
+compact JSON array, written by encode_json: a tag, a key, then the fields.
 
-    CKPT <nodeId> <timestamp> <record-as-compact-JSON>
-    REG <deviceId> <kind> <endpoint> <lastSeen> <status>
+    ["CKPT", nodeId, timestamp, topic, payload]    a checkpoint slot
+    ["CKPT", nodeId]                               a cleared slot
+    ["REG", deviceId, kind, endpoint, lastSeen, status]
 
-Id, kind and endpoint tokens percent-escape '%', whitespace and a lone "-"
-(UTF-8 bytes as %XX), so any string reloads unchanged; an empty endpoint is
-"-". Other tokens are written as they are, so files without '%' load as before.
+JSON escapes any string, so every id, kind and endpoint reloads unchanged.
+A timestamp or lastSeen is an int, never a bool. A cleared slot is its own
+record, so a checkpointed null stays a message that replays. Files in the
+older space-separated format (`CKPT <id> <timestamp> <json>`) do not load:
+each of their lines is skipped like any other corrupt line.
 
 Appends are replayed on load with last-line-wins semantics. A file-backed
 store appends through one handle, opened by the first append, and flushes
@@ -22,11 +26,11 @@ compacts itself after an append that takes the count past
 max(MIN_COMPACT_LINES, LINES_PER_RECORD x live records), so the file stays
 bounded by its live state, and a long file is compacted on its first append.
 
-A line that does not parse is skipped with a warning and counted in
-`skipped`. So is a torn last line, one without its newline, as a crash
-mid-append leaves it, even when the fragment would parse. The first append
-after loading a torn file compacts it, which drops the fragment, so it can
-neither swallow the new record nor load later.
+A line that does not parse, or whose shape is not one of the three above, is
+skipped with a warning and counted in `skipped`. So is a torn last line, one
+without its newline, as a crash mid-append leaves it, even when the fragment
+would parse. The first append after loading a torn file compacts it, which
+drops the fragment, so it can neither swallow the new record nor load later.
 
 A store built with path=None is memory-only but keeps the identical
 semantics, which is what simulated instance restarts rely on: the store
@@ -39,11 +43,9 @@ import contextlib
 import json
 import logging
 import os
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, TextIO
-from urllib.parse import unquote
 
 from .core.envelope import encode_json
 
@@ -54,18 +56,28 @@ logger = logging.getLogger(__name__)
 MIN_COMPACT_LINES = 1024
 LINES_PER_RECORD = 4
 
-_UNSAFE = re.compile(r"[%\s]|^-\Z")
+# The fields after the tag of each record shape, keyed by tag and line length;
+# None admits any JSON value. type(v) is int rejects a bool.
+_SHAPES = {
+    ("CKPT", 5): (str, int, str, None),
+    ("CKPT", 2): (str,),
+    ("REG", 6): (str, str, str, int, str),
+}
 
 
-def _encode_token(token: str) -> str:
-    # Fast path: every whitespace character but " " is unprintable.
-    if token.isprintable() and " " not in token and "%" not in token and token != "-":
-        return token
-    return _UNSAFE.sub(lambda m: "".join(f"%{b:02X}" for b in m.group().encode()), token)
+def _line(*fields: Any) -> str:
+    return encode_json(fields) + "\n"
 
 
-def _decode_token(field: str) -> str:
-    return unquote(field) if "%" in field else field
+def _parse(line: str) -> list:
+    """The fields of one store line; ValueError unless it has a known shape."""
+    record = json.loads(line)
+    shape = None
+    if type(record) is list and record and type(record[0]) is str:
+        shape = _SHAPES.get((record[0], len(record)))
+    if shape is None or not all(t is None or type(v) is t for t, v in zip(shape, record[1:])):
+        raise ValueError("not a store record")
+    return record
 
 
 class StoreError(Exception):
@@ -110,18 +122,12 @@ class Store:
             self._append(self._ckpt_line(node_id, record))
 
     def load_checkpoint(self, node_id: str) -> Optional[CheckpointRecord]:
-        record = self._ckpt.get(node_id)
-        return None if record is None or record.payload is None else record
+        return self._ckpt.get(node_id)
 
     def clear_checkpoint(self, node_id: str) -> None:
-        """Drop the replayable message but keep the timestamp (replay-once)."""
-        record = self._ckpt.get(node_id)
-        if record is None:
-            return
-        record = CheckpointRecord(record.timestamp, "", None)
-        self._ckpt[node_id] = record
-        if self.path is not None:
-            self._append(self._ckpt_line(node_id, record))
+        """Empty the slot, so that its message replays at most once."""
+        if self._ckpt.pop(node_id, None) is not None and self.path is not None:
+            self._append(_line("CKPT", node_id))
 
     # --- device registry ----------------------------------------------------
     def registry_upsert(self, device_id: str, kind: str, endpoint: str,
@@ -170,20 +176,19 @@ class Store:
 
     @staticmethod
     def _ckpt_line(node_id: str, record: CheckpointRecord) -> str:
-        body = encode_json({"topic": record.topic, "payload": record.payload})
-        return f"CKPT {_encode_token(node_id)} {record.timestamp} {body}\n"
+        return _line("CKPT", node_id, record.timestamp, record.topic, record.payload)
 
     @staticmethod
     def _reg_line(entry: RegistryEntry) -> str:
-        return (f"REG {_encode_token(entry.device_id)} {_encode_token(entry.kind)} "
-                f"{_encode_token(entry.endpoint) or '-'} {entry.last_seen} {entry.status}\n")
+        return _line("REG", entry.device_id, entry.kind, entry.endpoint, entry.last_seen,
+                     entry.status)
 
     def _append(self, line: str) -> None:
         """Append one record line; callers build it only for a file-backed store."""
         if self._torn:
             # Rewrite rather than end the fragment with a newline: a fragment that
-            # parses, such as a REG line cut inside its status, would load next
-            # time. Callers update the live state first, so it holds this record.
+            # parses, a line cut just before its newline, would load next time.
+            # Callers update the live state first, so it holds this record.
             self.compact()
             return
         try:
@@ -214,24 +219,17 @@ class Store:
                 line = raw.decode("utf-8")
                 if not line.strip():
                     continue
-                tag, rest = line.split(" ", 1)
-                if tag == "CKPT":
-                    node_id, timestamp, body = rest.split(" ", 2)
-                    parsed = json.loads(body)
-                    if not isinstance(parsed, dict):
-                        raise ValueError("checkpoint body is not a JSON object")
-                    self._ckpt[_decode_token(node_id)] = CheckpointRecord(
-                        int(timestamp), parsed.get("topic", ""), parsed.get("payload"))
-                elif tag == "REG":
-                    device_id, kind, endpoint, last_seen, status = rest.split(" ")
-                    device_id = _decode_token(device_id)
-                    self._reg[device_id] = RegistryEntry(
-                        device_id, _decode_token(kind),
-                        "" if endpoint == "-" else _decode_token(endpoint),
-                        int(last_seen), status)
-                else:
-                    raise ValueError(f"unknown tag {tag!r}")
-            except (ValueError, json.JSONDecodeError) as exc:
+                tag, key, *fields = _parse(line)
+            except (ValueError, RecursionError) as exc:
+                # ValueError covers JSONDecodeError and UnicodeDecodeError; json
+                # raises RecursionError on an array nested too deep to decode.
                 self.skipped += 1
                 logger.warning("skipping corrupt store line %d in %s: %s",
                                lineno, self.path, exc)
+                continue
+            if tag == "REG":
+                self._reg[key] = RegistryEntry(key, *fields)
+            elif fields:
+                self._ckpt[key] = CheckpointRecord(*fields)
+            else:
+                self._ckpt.pop(key, None)

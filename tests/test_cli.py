@@ -8,6 +8,7 @@ import pytest
 
 from healflow.cli import main
 from healflow.core.timeline import TimelineLog
+from healflow.persistence import Store
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -329,3 +330,17 @@ def test_store_dir_materializes_files(tmp_path, fixture_path):
           "--scenario", str(fixture_path("scenario_a.json")),
           "--store-dir", str(store), "--out", str(tmp_path / "t.csv")])
     assert (store / "instance-0.store").exists()
+
+
+def test_store_dir_files_hold_json_array_lines_that_reload_clean(tmp_path, fixture_path):
+    store = tmp_path / "stores"
+    for name in ("one.csv", "two.csv"):
+        assert main(["run", "--flow", str(fixture_path("flow_a.json")),
+                     "--scenario", str(fixture_path("scenario_a.json")),
+                     "--store-dir", str(store), "--out", str(tmp_path / name)]) == 0
+    files = sorted(store.glob("*.store"))
+    assert files
+    for path in files:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines and all(isinstance(json.loads(line), list) for line in lines)
+        assert Store(path).skipped == 0

@@ -145,7 +145,7 @@ def test_dead_peer_reported_once():
     engine = agent()
     notified = spy_listener(engine)
     ping(engine, HIGHER, 0)
-    engine.run_until(60000)   # three more periodic elections after the death
+    engine.run_until(60000)   # 45 s past the death
     assert transitions(engine) == [
         (15001, {"role": "master", "epoch": 1, "reason": "election-result"})]
     assert notified == [("master", 1)]
@@ -177,7 +177,7 @@ def test_elect_master_all_subsets_brute_force():
                 engine = agent(f"192.168.1.{own}")
                 for o in subset:
                     ping(engine, f"192.168.1.{o}", 0)
-                engine.run_until(15000)   # the first periodic election
+                engine.run_until(15000)   # the boot election
                 expected = "master" if own == max(subset + (own,)) else "standby"
                 assert engine.cluster.role == expected, (own, subset)
 
@@ -254,7 +254,7 @@ def test_no_change_no_commands():
     notified = spy_listener(engine)
     for t in range(0, 45001, 3000):
         ping(engine, HIGHER, t)
-    engine.run_until(45000)   # three periodic elections, all standby
+    engine.run_until(45000)   # past the boot election, still standby
     assert (engine.cluster.role, engine.cluster.epoch) == ("standby", 0)
     assert transitions(engine) == []
     assert notified == []
@@ -384,6 +384,17 @@ def test_recovered_master_wins_the_next_election():
     assert roles(log, "low")[-1][1] == "standby"
     assert high2.flow_enabled["ingest"] is True
     assert low.flow_enabled["ingest"] is False
+
+
+def test_a_stable_pair_elects_on_each_join_and_once_at_boot():
+    clock, log, low, high = two_instances()
+    low.start()
+    high.start()
+    elections = {engine.instance: spy_elections(engine) for engine in (low, high)}
+    clock.run_until(150000)  # ten election timeouts
+    assert elections == {
+        name: [(0, "master-recovered"), (15000, "election-result")] for name in elections}
+    assert roles(log, "high") == [(0, "master")]
 
 
 def test_single_instance_elects_itself_at_first_periodic_election():

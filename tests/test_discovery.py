@@ -117,7 +117,7 @@ def test_registry_joined_creates_online_entry(tmp_path):
                             ingress=0)
     [entry] = engine.log.emits("reg")
     assert entry.value == {"device": "sensor-node-1", "status": "online", "lastSeen": 0}
-    assert registry_lines(store) == ["REG sensor-node-1 host sensor-node-1 0 online"]
+    assert registry_lines(store) == ['["REG","sensor-node-1","host","sensor-node-1",0,"online"]']
 
 
 def test_registry_left_marks_lost_and_keeps_last_seen(tmp_path):
@@ -128,7 +128,7 @@ def test_registry_left_marks_lost_and_keeps_last_seen(tmp_path):
     engine.deliver_external("reg", "", {"event": "left", "host": "dev-1"}, ingress=0)
     assert engine.log.emits("reg")[-1].value == {
         "device": "dev-1", "status": "lost", "lastSeen": 500}
-    assert registry_lines(store) == ["REG dev-1 host dev-1 500 lost"]
+    assert registry_lines(store) == ['["REG","dev-1","host","dev-1",500,"lost"]']
 
 
 def test_registry_duplicate_join_refreshes_single_entry(tmp_path):
@@ -138,7 +138,7 @@ def test_registry_duplicate_join_refreshes_single_entry(tmp_path):
     engine.deliver_external("reg", "", {"event": "joined", "host": "dev-1"}, ingress=0)
     assert engine.log.emits("reg")[-1].value == {
         "device": "dev-1", "status": "online", "lastSeen": 100}
-    assert registry_lines(store) == ["REG dev-1 host dev-1 100 online"]
+    assert registry_lines(store) == ['["REG","dev-1","host","dev-1",100,"online"]']
 
 
 def test_registry_unknown_left_is_error():
@@ -162,4 +162,4 @@ def test_registry_accepts_service_events(tmp_path):
     engine.deliver_external(
         "reg", "", {"event": "appeared", "service": "v1", "host": "h", "port": 80},
         ingress=0)
-    assert registry_lines(store) == ["REG v1 service h:80 0 online"]
+    assert registry_lines(store) == ['["REG","v1","service","h:80",0,"online"]']

@@ -9,7 +9,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant, precondition,
                                  run_state_machine_as_test)
 
 from healflow import persistence
-from healflow.persistence import Store, StoreError
+from healflow.persistence import CheckpointRecord, Store, StoreError
 
 
 @pytest.fixture
@@ -52,7 +52,7 @@ def test_clear_makes_slot_empty_but_keeps_file_history(open_store, tmp_path):
     assert store.load_checkpoint("n") is None
     lines = path.read_text().splitlines()
     assert len(lines) == 2  # append-compacted: both writes present
-    assert json.loads(lines[-1].split(" ", 3)[3])["payload"] is None
+    assert json.loads(lines[-1]) == ["CKPT", "n"]
 
 
 def test_reload_from_file_replays_last_state(open_store, tmp_path):
@@ -85,20 +85,59 @@ def test_compact_rewrites_to_live_state(open_store, tmp_path):
 def test_corrupt_lines_are_skipped(tmp_path, caplog):
     path = tmp_path / "i.store"
     path.write_text(
-        'CKPT good 10 {"payload":1,"topic":""}\n'
-        "CKPT broken not-a-number {}\n"
+        '["CKPT","good",10,"",1]\n'
+        '["CKPT","broken","not-a-number","",{}]\n'
         "GARBAGE line\n"
-        "REG dev host ep 5 online\n")
+        '["REG","dev","host","ep",5,"online"]\n')
     store = Store(path)
     assert store.load_checkpoint("good").payload == 1
     store.compact()
-    assert path.read_text() == ('CKPT good 10 {"payload":1,"topic":""}\n'
-                                "REG dev host ep 5 online\n")
+    assert path.read_text() == ('["CKPT","good",10,"",1]\n'
+                                '["REG","dev","host","ep",5,"online"]\n')
+
+
+@pytest.mark.parametrize("bad", [
+    "GARBAGE line",                               # not JSON
+    '{"tag":"CKPT"}',                             # JSON that is not a list
+    "[]",                                         # an empty list
+    '[["CKPT"],"n"]',                             # a tag that is not a string
+    '["SNAP","n",2,"",8]',                        # an unknown tag
+    '["CKPT","n",2,""]',                          # a wrong number of fields
+    '["CKPT","n","2","",8]',                      # a string timestamp
+    '["CKPT","n",true,"",8]',                     # a bool timestamp
+    '["REG","d","host","",true,"online"]',        # a bool lastSeen
+    'CKPT n 2 {"payload":8,"topic":""}',          # the older space-separated format
+    pytest.param("[" * 100000, id="nested-too-deep"),
+])
+def test_a_line_of_no_known_shape_is_skipped_and_the_next_line_loads(tmp_path, caplog, bad):
+    path = tmp_path / "i.store"
+    path.write_text(f'["CKPT","n",1,"",7]\n{bad}\n["CKPT","m",3,"t",9]\n')
+    with caplog.at_level("WARNING", logger="healflow.persistence"):
+        store = Store(path)
+    assert store.skipped == 1
+    assert "line 2" in caplog.text
+    assert store.load_checkpoint("n").payload == 7
+    assert store.load_checkpoint("m").payload == 9
+    store.compact()
+    assert path.read_text() == '["CKPT","m",3,"t",9]\n["CKPT","n",1,"",7]\n'
+
+
+def test_a_stored_null_reloads_and_a_cleared_slot_stays_cleared(open_store, tmp_path):
+    path = tmp_path / "i.store"
+    store = open_store(path)
+    store.store_checkpoint("null", "t", None, 5)
+    store.store_checkpoint("gone", "t", 1, 6)
+    store.clear_checkpoint("gone")
+    reloaded = open_store(path)
+    assert reloaded.load_checkpoint("null") == CheckpointRecord(5, "t", None)
+    assert reloaded.load_checkpoint("gone") is None
+    reloaded.compact()
+    assert path.read_text() == '["CKPT","null",5,"t",null]\n'
 
 
 def test_checkpoint_body_that_is_not_an_object_is_skipped(tmp_path, caplog):
     path = tmp_path / "i.store"
-    path.write_text('CKPT a 1 [1]\nCKPT b 2 {"payload":7,"topic":"t"}\n')
+    path.write_text('["CKPT","a",1,[1],null]\n["CKPT","b",2,"t",7]\n')
     with caplog.at_level("WARNING", logger="healflow.persistence"):
         store = Store(path)
     assert store.load_checkpoint("a") is None
@@ -113,7 +152,7 @@ def test_registry_upsert_twice_single_entry(open_store, tmp_path):
     entry = store.registry_upsert("d", "host", "", 50)
     assert entry.last_seen == 50
     store.compact()
-    assert store.path.read_text() == "REG d host - 50 online\n"
+    assert store.path.read_text() == '["REG","d","host","",50,"online"]\n'
 
 
 def test_registry_mark_lost_then_upsert_back_online():
@@ -135,7 +174,8 @@ def test_registry_list_empty_and_sorted(open_store, tmp_path):
     store.registry_upsert("zeta", "h", "", 1)
     store.registry_upsert("alpha", "h", "", 1)
     store.compact()
-    assert store.path.read_text() == "REG alpha h - 1 online\nREG zeta h - 1 online\n"
+    assert store.path.read_text() == ('["REG","alpha","h","",1,"online"]\n'
+                                      '["REG","zeta","h","",1,"online"]\n')
 
 
 def test_last_seen_never_decreases():
@@ -180,8 +220,8 @@ def test_plain_tokens_are_written_as_before(open_store, tmp_path):
     store = open_store(path)
     store.store_checkpoint("node-1", "", 1, 5)
     store.registry_upsert("dev-1", "host", "", 7)
-    assert path.read_text() == ('CKPT node-1 5 {"payload":1,"topic":""}\n'
-                                "REG dev-1 host - 7 online\n")
+    assert path.read_text() == ('["CKPT","node-1",5,"",1]\n'
+                                '["REG","dev-1","host","",7,"online"]\n')
 
 
 def test_failed_compact_raises_and_keeps_old_file(open_store, tmp_path, monkeypatch):
@@ -213,7 +253,7 @@ def test_failed_write_raises_store_error_and_the_next_append_reopens(open_store,
         store.store_checkpoint("n", "", 1, 1)
     monkeypatch.undo()
     store.store_checkpoint("n", "", 2, 2)
-    assert path.read_text() == 'CKPT n 2 {"payload":2,"topic":""}\n'
+    assert path.read_text() == '["CKPT","n",2,"",2]\n'
 
 
 def test_torn_tail_is_skipped_and_does_not_swallow_the_next_record(open_store, tmp_path):
@@ -236,23 +276,23 @@ def test_torn_tail_that_parses_is_skipped_and_dropped(open_store, tmp_path):
     path = tmp_path / "i.store"
     store = open_store(path)
     store.registry_upsert("dev", "host", "", 5)
-    path.write_bytes(path.read_bytes()[:-4])  # "REG dev host - 5 onl"
+    path.write_bytes(path.read_bytes()[:-1])  # the whole line but its newline
 
     torn = open_store(path)
     assert torn.skipped == 1
     with pytest.raises(StoreError):
         torn.registry_mark_lost("dev", 6)
     torn.registry_upsert("other", "host", "", 7)
-    assert path.read_text() == "REG other host - 7 online\n"
+    assert path.read_text() == '["REG","other","host","",7,"online"]\n'
 
 
 def test_a_long_file_is_compacted_on_its_first_append(open_store, tmp_path):
     path = tmp_path / "i.store"
-    path.write_text("".join(f'CKPT n {i} {{"payload":{i},"topic":""}}\n' for i in range(2000)))
+    path.write_text("".join(f'["CKPT","n",{i},"",{i}]\n' for i in range(2000)))
     store = open_store(path)
     store.store_checkpoint("m", "", 1, 1)
-    assert path.read_text() == ('CKPT m 1 {"payload":1,"topic":""}\n'
-                                'CKPT n 1999 {"payload":1999,"topic":""}\n')
+    assert path.read_text() == ('["CKPT","m",1,"",1]\n'
+                                '["CKPT","n",1999,"",1999]\n')
 
 
 # --- the store against a model ------------------------------------------------------
@@ -266,20 +306,19 @@ def render(line) -> str:
     """The text of one model line, as the store writes it."""
     table, key, value = line
     if table == "ckpt":
-        timestamp, topic, payload = value
-        body = json.dumps({"payload": payload, "topic": topic}, separators=(",", ":"),
-                          sort_keys=True)
-        return f"CKPT {key} {timestamp} {body}\n"
-    kind, last_seen, status = value
-    return f"REG {key} {kind} - {last_seen} {status}\n"
+        fields = ["CKPT", key] if value is None else ["CKPT", key, *value]
+    else:
+        kind, last_seen, status = value
+        fields = ["REG", key, kind, "", last_seen, status]
+    return json.dumps(fields, separators=(",", ":")) + "\n"
 
 
 class StoreModel(RuleBasedStateMachine):
     """A file-backed Store against dicts, and its file against the model's lines.
 
-    Each model line is (table, key, value); the dicts are always the replay
-    of the lines, so a reload after truncation must show the replay of the
-    complete lines kept.
+    Each model line is (table, key, value), where a value of None clears a
+    checkpoint slot; the dicts are always the replay of the lines, so a
+    reload after truncation must show the replay of the complete lines kept.
     """
 
     def __init__(self):
@@ -303,17 +342,23 @@ class StoreModel(RuleBasedStateMachine):
         return [(table, key, rows[key]) for table, rows in self.tables.items()
                 for key in sorted(rows)]
 
+    def replay(self, table, key, value):
+        if value is None:
+            del self.tables[table][key]
+        else:
+            self.tables[table][key] = value
+
     def appended(self, table, key, value):
-        self.tables[table][key] = value
+        self.replay(table, key, value)
         if self.torn:
             self.lines, self.torn = self.live_lines(), False
         else:
             self.lines.append((table, key, value))
             if len(self.lines) > self.bound():
                 self.lines = self.live_lines()
-        data = self.path.read_bytes()
-        assert data.endswith(b"\n")
-        assert data.count(b"\n") == len(self.lines) <= self.bound()
+        # A clear can leave no live record, so the file may be empty.
+        assert self.path.read_text(encoding="utf-8") == "".join(map(render, self.lines))
+        assert len(self.lines) <= self.bound()
 
     def reload(self):
         self.store.close()
@@ -321,7 +366,7 @@ class StoreModel(RuleBasedStateMachine):
         assert self.store.skipped == self.torn
 
     @rule(node=st.sampled_from(NODE_IDS), topic=st.sampled_from(["", "t"]),
-          payload=st.integers(0, 9), now=TIMES)
+          payload=st.none() | st.integers(0, 9), now=TIMES)
     def store_checkpoint(self, node, topic, payload, now):
         self.store.store_checkpoint(node, topic, payload, now)
         self.appended("ckpt", node, (now, topic, payload))
@@ -330,7 +375,7 @@ class StoreModel(RuleBasedStateMachine):
     def clear_checkpoint(self, node):
         self.store.clear_checkpoint(node)
         if node in self.tables["ckpt"]:
-            self.appended("ckpt", node, (self.tables["ckpt"][node][0], "", None))
+            self.appended("ckpt", node, None)
 
     @rule(device=st.sampled_from(DEVICE_IDS), kind=st.sampled_from(["host", "service"]),
           now=TIMES)
@@ -372,8 +417,8 @@ class StoreModel(RuleBasedStateMachine):
         self.lines = self.lines[:kept.count(b"\n")]
         self.torn = not kept.endswith(b"\n") and bool(kept)
         self.tables = {"ckpt": {}, "reg": {}}
-        for table, key, value in self.lines:
-            self.tables[table][key] = value
+        for line in self.lines:
+            self.replay(*line)
         self.reload()
 
     @invariant()
@@ -381,7 +426,7 @@ class StoreModel(RuleBasedStateMachine):
         for node in NODE_IDS:
             want = self.tables["ckpt"].get(node)
             record = self.store.load_checkpoint(node)
-            if want is None or want[2] is None:
+            if want is None:
                 assert record is None
             else:
                 assert (record.timestamp, record.topic, record.payload) == want

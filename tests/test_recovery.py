@@ -222,6 +222,15 @@ def test_checkpoint_ttl_boundary_exact():
     assert past.emits(0) == []
 
 
+@pytest.mark.parametrize("payload", [None, 1])
+def test_checkpoint_replays_any_stored_message_once_null_included(harness, payload):
+    h = harness("checkpoint", {"timeToLive": 1000})
+    h.feed_at(0, payload)
+    h.run(50)
+    h.engine.restart().restart()  # the second restart finds the slot cleared
+    assert h.emits(0) == [(0, payload), (50, payload)]
+
+
 def test_checkpoint_empty_store_no_replay(harness):
     h = harness("checkpoint", {"timeToLive": 1000}, store=Store())
     h.run(5000)
