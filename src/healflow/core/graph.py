@@ -2,18 +2,21 @@
 
 A flow document is UTF-8 JSON:
 
-    {"nodes": [{"id": str, "type": str, "flow": str, "config": {...},
+    {"nodes": [{"id": str, "type": str, "flow": str, "enabled": bool, "config": {...},
                 "wires": [[["nodeId", ingressIdx], ...] per egress]}]}
 
-parse_flow rejects structural problems (syntax, unknown kinds, duplicate
-ids, dangling wires) outright; everything else comes back from
-validate_graph as diagnostics so a caller can show all of them at once.
+parse_flow owns structure: it rejects syntax errors, unknown kinds,
+duplicate ids, dangling wires, a non-bool enabled and a non-string flow
+outright. validate_graph takes a parsed graph and checks only meaning
+(configs, port ranges, cycles, flow-group flags, redundancy count); its
+findings come back as diagnostics so a caller can show all of them at once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 
 from ..nodes import NODE_KINDS
 from .timeline import csv_safe
@@ -111,47 +114,44 @@ def parse_flow(text: str) -> FlowGraph:
                     raise FlowParseError(f"ingress index must be a non-negative integer (from {raw['id']!r})")
                 targets.append((dst, ingress))
             wires.append(targets)
-        nodes.append(NodeSpec(
-            id=raw["id"],
-            kind=kind,
-            config=config,
-            enabled=bool(raw.get("enabled", True)),
-            flow=str(raw.get("flow", "main")),
-            wires=wires,
-        ))
+        enabled, flow = raw.get("enabled", True), raw.get("flow", "main")
+        if not isinstance(enabled, bool):
+            raise FlowParseError(
+                f"enabled must be true or false, got {enabled!r} (node {raw['id']!r})")
+        if not isinstance(flow, str):
+            raise FlowParseError(f"flow must be a string, got {flow!r} (node {raw['id']!r})")
+        nodes.append(NodeSpec(id=raw["id"], kind=kind, config=config,
+                              enabled=enabled, flow=flow, wires=wires))
     return FlowGraph(nodes)
 
 
 def validate_graph(g: FlowGraph) -> list[Diagnostic]:
-    """Full graph validation; an empty list means the graph is runnable."""
-    diags: list[Diagnostic] = []
+    """Check what a parsed graph means; an empty list means the graph is runnable.
 
-    for n in g.nodes:
-        cls = NODE_KINDS.get(n.kind)
-        if cls is None:
-            diags.append(Diagnostic("error", n.id, f"unknown node kind {n.kind!r}"))
-            continue
-        for problem in cls.validate_config(n.config):
-            diags.append(Diagnostic("error", n.id, problem))
+    g must be as parse_flow builds it: known kinds, unique ids, every wire
+    to a node in g. A flow with cycles gets one cycle diagnostic.
+    """
+    diags = [Diagnostic("error", n.id, problem)
+             for n in g.nodes for problem in NODE_KINDS[n.kind].validate_config(n.config)]
 
-    # Wire endpoints must exist and stay inside each node's declared ports.
+    # Wires must stay inside each node's declared ports; their sources feed the cycle check.
+    predecessors: dict[str, list[str]] = {n.id: [] for n in g.nodes}
     for src_id, port, dst_id, ingress in g.wires():
+        predecessors[dst_id].append(src_id)
         locus = f"{src_id}[{port}] -> {dst_id}[{ingress}]"
-        src = g.by_id.get(src_id)
-        dst = g.by_id.get(dst_id)
-        if dst is None:
-            diags.append(Diagnostic("error", locus, f"wire targets unknown node {dst_id!r}"))
-            continue
-        src_cls = NODE_KINDS.get(src.kind) if src else None
-        dst_cls = NODE_KINDS.get(dst.kind)
-        if src_cls and port >= len(src_cls.egress_labels(src.config)):
+        src, dst = g.by_id[src_id], g.by_id[dst_id]
+        if port >= len(NODE_KINDS[src.kind].egress_labels(src.config)):
             diags.append(Diagnostic("error", locus,
                                     f"egress {port} not declared by {src.kind!r}"))
-        if dst_cls and ingress >= dst_cls.INGRESSES:
+        if ingress >= NODE_KINDS[dst.kind].INGRESSES:
             diags.append(Diagnostic("error", locus,
                                     f"ingress {ingress} not declared by {dst.kind!r}"))
 
-    diags.extend(_find_cycles(g))
+    try:
+        TopologicalSorter(predecessors).prepare()
+    except CycleError as exc:
+        loop = exc.args[1]
+        diags.append(Diagnostic("error", loop[0], "cycle: " + " -> ".join(loop)))
 
     # Mixed enabled flags inside one flow-group are almost always an authoring slip.
     members: dict[str, set[bool]] = {}
@@ -168,42 +168,3 @@ def validate_graph(g: FlowGraph) -> list[Diagnostic]:
         diags.append(Diagnostic("warning", reds[1],
                                 "multiple redundancy nodes; the first one drives the cluster"))
     return diags
-
-
-def _find_cycles(g: FlowGraph) -> list[Diagnostic]:
-    adjacency: dict[str, list[str]] = {n.id: [] for n in g.nodes}
-    for src_id, _, dst_id, _ in g.wires():
-        if src_id in adjacency and dst_id in adjacency:
-            adjacency[src_id].append(dst_id)
-
-    diags = []
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {node: WHITE for node in adjacency}
-
-    def visit(start):
-        stack = [(start, iter(adjacency[start]))]
-        color[start] = GRAY
-        path = [start]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GRAY:
-                    loop = path[path.index(nxt):] + [nxt]
-                    diags.append(Diagnostic("error", nxt, "cycle: " + " -> ".join(loop)))
-                elif color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, iter(adjacency[nxt])))
-                    path.append(nxt)
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-                path.pop()
-
-    for node in adjacency:
-        if color[node] == WHITE:
-            visit(node)
-    return diags
-

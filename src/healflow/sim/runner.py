@@ -52,7 +52,7 @@ class Simulation:
         if len(instances) != len(flows):
             raise ScenarioError(
                 f"{len(flows)} flow document(s) for {len(instances)} declared instance(s)")
-        validate_script(script, extra_instances=tuple(i.name for i in instances))
+        validate_script(script)
 
         self.world = World(seed=script.seed if seed is None else seed,
                            devices=script.world.devices, services=script.world.services)

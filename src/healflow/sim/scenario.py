@@ -113,11 +113,14 @@ def _parse_device(raw: dict) -> VirtualDevice:
         raise ScenarioError(f"{where} needs a positive period_ms")
     reads = [(_int(r.get("at_ms"), f"{where} read at_ms"), r.get("value"))
              for r in _objects(raw, "reads", f"{where} ")]
+    online = raw.get("online", True)
+    if not isinstance(online, bool):
+        raise ScenarioError(f"{where} online must be true or false, got {online!r}")
     return VirtualDevice(
         id=dev_id, kind=kind, topic=topic, period=period,
         base=_numbers(model.get("base", 0.0), f"{where} valueModel.base"),
         noise_amp=_numbers(model.get("noiseAmp", 0.0), f"{where} valueModel.noiseAmp", True),
-        reads=sorted(reads), online=bool(raw.get("online", True)))
+        reads=sorted(reads), online=online)
 
 
 def _parse_instance(raw: dict) -> InstanceSpec:
@@ -183,7 +186,7 @@ def parse_scenario(text: str) -> ScenarioScript:
     return script
 
 
-def validate_script(script: ScenarioScript, extra_instances: tuple = ()) -> None:
+def validate_script(script: ScenarioScript) -> None:
     """Check that no two world entries share a name, and every fault's kind and target."""
     world = script.world
     for what, names in (("instance name", [i.name for i in world.instances]),
@@ -197,7 +200,7 @@ def validate_script(script: ScenarioScript, extra_instances: tuple = ()) -> None
             seen.add(name)
     ids = {"device": {d.id for d in world.devices},
            "service": {s.id for s in world.services},
-           "instance": {i.name for i in world.instances} | set(extra_instances)}
+           "instance": {i.name for i in world.instances}}
     ids["source"] = ids["device"] | ids["instance"]
     for event in script.events:
         if event.kind not in FAULT_KINDS:

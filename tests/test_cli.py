@@ -80,6 +80,15 @@ def test_validate_ok_and_failing(tmp_path, fixture_path, capsys):
     assert "cycle" in capsys.readouterr().out
 
 
+def test_validate_two_cycle_flow_exits_2(tmp_path, capsys):
+    bad = tmp_path / "two-cycles.json"
+    bad.write_text(json.dumps({"nodes": [
+        {"id": a, "type": "rbe", "wires": [[[b, 0]]]}
+        for a, b in (("a", "b"), ("b", "a"), ("c", "d"), ("d", "c"))]}))
+    assert main(["validate", "--flow", str(bad)]) == 2
+    assert capsys.readouterr().out.count("cycle:") == 1
+
+
 def test_marble_format_renders_rows(tmp_path, fixture_path, capsys):
     code = main(["run", "--flow", str(fixture_path("flow_b.json")),
                  "--scenario", str(fixture_path("scenario_b.json")),

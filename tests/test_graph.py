@@ -58,6 +58,14 @@ def test_dangling_wire_rejected():
         parse_flow(doc)
 
 
+@pytest.mark.parametrize("field, value", [("enabled", "false"), ("enabled", 0),
+                                          ("flow", None), ("flow", 7)])
+def test_ill_typed_enabled_or_flow_rejected(field, value):
+    doc = json.dumps({"nodes": [{"id": "x", "type": "debug", field: value}]})
+    with pytest.raises(FlowParseError, match=f"{field} must be .* \\(node 'x'\\)"):
+        parse_flow(doc)
+
+
 def test_scenario_a_style_document_shape(fixture_path):
     # heartbeat in parallel with check -> compensate -> checkpoint
     doc = json.dumps({"nodes": [
@@ -89,6 +97,38 @@ def test_cycle_produces_one_diagnostic():
     diags = [d for d in validate_graph(graph) if "cycle" in d.message]
     assert len(diags) == 1
     assert diags[0].severity == "error"
+
+
+def wired(*ids):
+    """An rbe node for each id but the last, wired to the next id."""
+    return [make_spec(a, "rbe", wires=[[(b, 0)]]) for a, b in zip(ids, ids[1:])]
+
+
+def ring(*ids):
+    return wired(*ids, ids[0])
+
+
+def cycle_errors(graph):
+    return [d for d in validate_graph(graph) if d.message.startswith("cycle:")]
+
+
+def test_ring_diagnostic_names_the_loop():
+    diags = cycle_errors(build_graph(*ring("a", "b", "c")))
+    assert [str(d) for d in diags] == ["error: a: cycle: a -> b -> c -> a"]
+
+
+def test_self_loop_is_a_cycle():
+    assert [str(d) for d in cycle_errors(build_graph(*ring("a")))] == ["error: a: cycle: a -> a"]
+
+
+def test_disjoint_cycles_give_one_cycle_error():
+    assert len(cycle_errors(build_graph(*ring("a", "b"), *ring("c", "d", "e")))) == 1
+
+
+def test_long_chain_and_ring_validate_without_recursion():
+    ids = tuple(f"n{i}" for i in range(5000))
+    assert validate_graph(build_graph(*wired(*ids), make_spec(ids[-1], "rbe"))) == []
+    assert len(cycle_errors(build_graph(*ring(*ids)))) == 1
 
 
 def test_threshold_low_above_high_is_flagged():

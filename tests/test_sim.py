@@ -252,6 +252,14 @@ def test_event_beyond_duration_rejected():
         parse_scenario(doc)
 
 
+@pytest.mark.parametrize("value", ["false", 0, None])
+def test_ill_typed_device_online_rejected(value):
+    doc = json.loads(scenario_doc())
+    doc["world"]["devices"][0]["online"] = value
+    with pytest.raises(ScenarioError, match="device 'd' online must be true or false"):
+        parse_scenario(json.dumps(doc))
+
+
 def test_instance_fault_requires_declared_instance():
     doc = scenario_doc(events=[{"at_ms": 1, "kind": "instance_crash", "target": "red-a"}])
     with pytest.raises(ScenarioError, match="red-a"):
@@ -396,6 +404,13 @@ def test_flow_count_must_match_instances():
 def test_fault_kind_outside_the_table_rejected_pre_run():
     script = ScenarioScript(seed=1, duration=100, events=[FaultEvent(1, "explode", "d")])
     with pytest.raises(ScenarioError, match="unknown fault kind 'explode'"):
+        Simulation([parse_flow(SINK_FLOW)], script)
+
+
+def test_instance_fault_on_an_undeclared_auto_named_instance_rejected():
+    script = ScenarioScript(seed=1, duration=100,
+                            events=[FaultEvent(1, "instance_crash", "instance-0")])
+    with pytest.raises(ScenarioError, match="instance_crash targets unknown instance"):
         Simulation([parse_flow(SINK_FLOW)], script)
 
 
