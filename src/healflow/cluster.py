@@ -17,7 +17,7 @@ Unknown verbs are ignored with a log line.
 from __future__ import annotations
 
 import logging
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 logger = logging.getLogger(__name__)
@@ -44,6 +44,13 @@ def encode_ping(address: str, epoch: int, now: int) -> bytes:
     return f"SHEN/1 PING {address} {epoch} {now}\n".encode("ascii")
 
 
+# One broadcast hands the same datagram to every peer, so each is decoded once;
+# the bound covers one ping tick of 16 instances. Errors are not cached, so
+# every receiver of a bad datagram raises and logs it.
+PING_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=PING_CACHE_SIZE)
 def decode_ping(data: bytes) -> tuple[str, int, int]:
     """Returns (address, epoch, virtual-ms); raises PingDecodeError otherwise."""
     try:
@@ -99,7 +106,9 @@ class ClusterAgent:
     `epoch`, `election_timeout` and `ping_period`, its own election `key`,
     and `peers`, a map from address to (election key, last ping time,
     alive). A peer is alive until one virtual millisecond past
-    last ping + election timeout; its expiry timer is re-armed on every ping.
+    last ping + election timeout. Every ping re-arms the peer's expiry timer
+    through VirtualClock.rearm, which moves a pending timer later without a
+    new heap entry; the timer fires once, at the last ping's expiry time.
 
     The agent is configured by the engine's first redundancy node, `spec`:
     its electionTimeout sets the timeouts, and its id is the node of every
@@ -182,11 +191,9 @@ class ClusterAgent:
         clock = self.engine.clock
         now = clock.now
         self.peers[address] = (key, now, True)
-        old = self._expiry.get(address)
-        if old is not None:
-            clock.cancel(old)
-        self._expiry[address] = clock.at(now + self.election_timeout + 1, self._expire,
-                                         rank=self.engine.rank_timer)
+        self._expiry[address] = clock.rearm(self._expiry.get(address),
+                                            now + self.election_timeout + 1, self._expire,
+                                            self.engine.rank_timer)
         if joined:
             self.run_election("master-recovered")
 

@@ -1,17 +1,27 @@
 """Virtual clock: deterministic discrete-event scheduling in milliseconds.
 
 Each timer is its own heap entry, a list [fire time, owner rank, creation
-sequence, callback], so the heap compares plain integers; the sequence is
+sequence, callback, due], so the heap compares plain integers; the sequence is
 unique, which keeps the callback out of every comparison. The sequence number
 makes ties fire in creation order, which is what keeps whole runs
 reproducible; the rank lets a co-simulation interleave several engines
-deterministically at equal timestamps.
+deterministically at equal timestamps. An entry is pending while its callback
+is set; cancel() and firing clear it.
+
+A timer moved later is not pushed again: rearm() reserves the next creation
+sequence, exactly as the at() of an eager cancel-and-push would, and records
+(time, sequence) as the entry's due. When the entry reaches the top of the
+heap under its old key, run_until() moves it to its due and pushes it back
+without firing. So every live heap key equals the eager schedule's key, and
+callbacks fire in the same order, at the same now, as if each re-arm had
+cancelled its timer and pushed a new one.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from functools import partial
 from typing import Callable
 
 
@@ -27,7 +37,7 @@ class VirtualClock:
         """Schedule fn at an absolute virtual time (>= now); returns its heap entry."""
         if time < self.now:
             raise ValueError(f"cannot schedule at {time}, clock is at {self.now}")
-        entry = [time, rank, next(self._seq), fn]
+        entry = [time, rank, next(self._seq), fn, None]
         heapq.heappush(self._heap, entry)
         return entry
 
@@ -35,6 +45,21 @@ class VirtualClock:
         if delay < 0:
             raise ValueError("delay must be non-negative")
         return self.at(self.now + delay, fn, rank)
+
+    def rearm(self, entry: list | None, time: int, fn: Callable, rank: int, *args) -> list:
+        """Move the timer `entry` (None for a new one) so that fn(*args) fires
+        at `time` instead; returns the entry that now holds the timer.
+
+        A pending entry of the same rank whose heap time is not later than
+        `time` keeps its place and callback, and only records the new due;
+        any other is cancelled, and fn(*args) is scheduled through at().
+        """
+        if entry is not None and entry[3] is not None:
+            if rank == entry[1] and time >= entry[0]:
+                entry[4] = (time, next(self._seq))
+                return entry
+            entry[3] = None
+        return self.at(time, partial(fn, *args) if args else fn, rank)
 
     @staticmethod
     def cancel(entry: list) -> None:
@@ -46,16 +71,26 @@ class VirtualClock:
         """Fire every timer with fire time <= t_end, then rest at t_end.
 
         Callbacks may schedule new timers; anything they add at or before
-        t_end fires within this call.
+        t_end fires within this call. An entry is no longer pending once its
+        callback is called, so a callback that re-arms its own timer gets a
+        fresh entry.
         """
         if t_end < self.now:
             raise ValueError(f"t_end {t_end} is before current time {self.now}")
         heap = self._heap
-        pop = heapq.heappop
+        pop, push = heapq.heappop, heapq.heappush
         while heap and heap[0][0] <= t_end:
-            time, _, _, fn = pop(heap)
+            entry = pop(heap)
+            fn = entry[3]
             if fn is None:
                 continue
-            self.now = time
+            due = entry[4]
+            if due is not None:
+                entry[0], entry[2] = due
+                entry[4] = None
+                push(heap, entry)
+                continue
+            entry[3] = None
+            self.now = entry[0]
             fn()
         self.now = t_end

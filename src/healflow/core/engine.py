@@ -15,7 +15,6 @@ from __future__ import annotations
 import logging
 import random
 from collections import deque
-from functools import partial
 from typing import Optional
 
 from ..cluster import ClusterAgent
@@ -160,13 +159,12 @@ class Engine:
 
     # --- node timers --------------------------------------------------------
     def set_node_timer(self, spec, tag: str, delay_ms: int) -> None:
+        """(Re)arm timer `tag` of spec's node to fire once, delay_ms from now;
+        a pending one is moved there through VirtualClock.rearm."""
         key = (spec.id, tag)
-        old = self._timers.get(key)
-        if old is not None:
-            self.clock.cancel(old)
-        self._timers[key] = self.clock.at(self.clock.now + delay_ms,
-                                          partial(self._fire_node_timer, spec.id, tag),
-                                          rank=self.rank_timer)
+        clock = self.clock
+        self._timers[key] = clock.rearm(self._timers.get(key), clock.now + delay_ms,
+                                        self._fire_node_timer, self.rank_timer, spec.id, tag)
 
     def _fire_node_timer(self, node_id: str, tag: str) -> None:
         if self.halted:

@@ -96,12 +96,20 @@ def parse_flow(text: str) -> FlowGraph:
         kind = raw.get("type")
         if kind not in NODE_KINDS:
             raise FlowParseError(f"unknown node kind {kind!r} (node {raw['id']!r})")
-        config = dict(raw.get("config") or {})
+        config, raw_wires = raw.get("config", {}), raw.get("wires", [])
+        if not isinstance(config, dict):
+            raise FlowParseError(f"config must be an object, got {config!r} (node {raw['id']!r})")
+        if not isinstance(raw_wires, list):
+            raise FlowParseError(f"wires must be a list, got {raw_wires!r} (node {raw['id']!r})")
+        config = dict(config)
         for name, param in NODE_KINDS[kind].CONFIG.items():
             if name not in config and param.has_default:
                 config[name] = param.default
         wires = []
-        for port_targets in raw.get("wires") or []:
+        for port_targets in raw_wires:
+            if not isinstance(port_targets, list):
+                raise FlowParseError(
+                    f"each port's wires must be a list, got {port_targets!r} (node {raw['id']!r})")
             targets = []
             for t in port_targets:
                 if not (isinstance(t, (list, tuple)) and len(t) == 2):

@@ -113,7 +113,8 @@ class Node:
         self.engine.emit_from(self.spec, port, payload, topic, corr)
 
     def set_timer(self, tag: str, delay_ms: int) -> None:
-        """(Re)arm the node timer named tag; an existing one is cancelled."""
+        """(Re)arm the node timer named tag to fire delay_ms from now, once;
+        a pending one is moved to the new time."""
         self.engine.set_node_timer(self.spec, tag, delay_ms)
 
     def clear_timer(self, tag: str) -> None:

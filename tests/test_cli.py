@@ -89,6 +89,19 @@ def test_validate_two_cycle_flow_exits_2(tmp_path, capsys):
     assert capsys.readouterr().out.count("cycle:") == 1
 
 
+@pytest.mark.parametrize("field, value", [("config", "ab"), ("wires", [5])],
+                         ids=["config-str", "port-int"])
+def test_ill_typed_config_or_wires_exits_2_naming_the_node(field, value, tmp_path, fixture_path,
+                                                          capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"nodes": [{"id": "x", "type": "debug", field: value}]}))
+    assert main(["validate", "--flow", str(bad)]) == 2
+    assert "(node 'x')" in capsys.readouterr().out
+    assert main(["run", "--flow", str(bad),
+                 "--scenario", str(fixture_path("scenario_a.json"))]) == 2
+    assert "(node 'x')" in capsys.readouterr().err
+
+
 def test_marble_format_renders_rows(tmp_path, fixture_path, capsys):
     code = main(["run", "--flow", str(fixture_path("flow_b.json")),
                  "--scenario", str(fixture_path("scenario_b.json")),

@@ -4,8 +4,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from healflow.cluster import (LoopbackTransport, PingDecodeError, decode_ping, election_key,
-                              encode_ping)
+from healflow.cluster import (PING_CACHE_SIZE, LoopbackTransport, PingDecodeError, decode_ping,
+                              election_key, encode_ping)
 from healflow.core.clock import VirtualClock
 from healflow.core.engine import Engine
 from healflow.persistence import Store
@@ -116,6 +116,16 @@ def test_decode_rejects_garbage():
             decode_ping(blob)
 
 
+def test_decode_survives_cache_eviction_and_never_caches_an_error():
+    blobs = [encode_ping(f"10.0.0.{octet}", 1, octet) for octet in range(3 * PING_CACHE_SIZE)]
+    for _ in range(2):
+        assert [decode_ping(b) for b in blobs] == [
+            (f"10.0.0.{octet}", 1, octet) for octet in range(3 * PING_CACHE_SIZE)]
+    for _ in range(2):
+        with pytest.raises(PingDecodeError):
+            decode_ping(b"SHEN/1 PING x y z\n")
+
+
 # --- peers and liveness -------------------------------------------------------------
 
 def test_on_ping_registers_and_refreshes():
@@ -139,6 +149,19 @@ def test_detection_boundary_alive_at_timeout_dead_after():
     assert engine.cluster.peers["192.168.1.12"][2] is True
     engine.run_until(15002)
     assert engine.cluster.peers["192.168.1.12"][2] is False
+
+
+def test_peer_pinging_every_ms_dies_exactly_one_ms_past_its_last_ping_plus_timeout():
+    engine = agent()
+    for t in range(300):
+        ping(engine, HIGHER, t)
+    engine.run_until(299 + 15000)
+    assert engine.cluster.peers[HIGHER][2] is True
+    assert transitions(engine) == []
+    engine.run_until(299 + 15001)
+    assert engine.cluster.peers[HIGHER][2] is False
+    assert transitions(engine) == [
+        (299 + 15001, {"role": "master", "epoch": 1, "reason": "election-result"})]
 
 
 def test_dead_peer_reported_once():
@@ -430,3 +453,15 @@ def test_ping_with_a_bad_address_is_logged_and_ignored(caplog):
     assert list(low.cluster.peers) == ["192.168.1.201"]
     assert roles(log, "high") == [(0, "master")]
     assert low.flow_enabled["ingest"] is False
+
+
+def test_malformed_broadcast_is_logged_by_each_receiver(caplog):
+    world = World()
+    for octet in (12, 54, 201):
+        Engine(redundancy_graph(), instance=str(octet), address=f"192.168.1.{octet}",
+               store=Store(), world=world)
+    with caplog.at_level("INFO", logger="healflow.cluster"):
+        for _ in range(2):
+            world.transport.broadcast("192.168.1.99", b"SHEN/1 PING 192.168.1.99 x 0\n")
+            world.clock.run_until(world.clock.now)
+    assert [r.getMessage().startswith("ignoring datagram") for r in caplog.records] == [True] * 6

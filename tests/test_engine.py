@@ -168,6 +168,40 @@ def test_restart_replaces_the_engine_in_place_and_replays_the_checkpoint_once():
     assert [(e.time, e.value) for e in world.log.emits("ckpt")] == [(0, 4.0), (100, 4.0)]
 
 
+def timer_fires(engine):
+    return [(e.time, e.value) for e in engine.log if e.kind == "timer"]
+
+
+@pytest.mark.parametrize("first, second, fires", [
+    (100, 200, [(250, "t")]),   # moved later: deferred
+    (100, 50, [(100, "t")]),    # to the same time: deferred
+    (500, 50, [(100, "t")]),    # moved earlier: fires once, at the earlier time
+    (100, 0, [(50, "t")]),      # to now
+])
+def test_node_timer_rearm_fires_once_at_the_last_time_set(first, second, fires):
+    engine = make_engine(build_graph(make_spec("d", "debug")), world=World())
+    spec = engine.graph.nodes[0]
+    engine.set_node_timer(spec, "t", first)
+    engine.run_until(50)
+    engine.set_node_timer(spec, "t", second)
+    engine.run_until(1000)
+    assert timer_fires(engine) == fires
+
+
+def test_clear_timer_after_a_deferred_rearm_never_fires():
+    engine = make_engine(build_graph(make_spec("d", "debug")), world=World())
+    spec = engine.graph.nodes[0]
+    engine.set_node_timer(spec, "t", 100)
+    engine.run_until(50)
+    engine.set_node_timer(spec, "t", 100)
+    engine.clear_node_timer(spec, "t")
+    engine.run_until(1000)
+    assert timer_fires(engine) == []
+    engine.set_node_timer(spec, "t", 10)
+    engine.run_until(2000)
+    assert timer_fires(engine) == [(1010, "t")]
+
+
 def test_invalid_graph_is_rejected_at_construction():
     graph = build_graph(make_spec("t", "threshold-check", {"low": 9, "high": 1}))
     with pytest.raises(GraphInvalid):

@@ -66,6 +66,22 @@ def test_ill_typed_enabled_or_flow_rejected(field, value):
         parse_flow(doc)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("config", "ab", "config must be an object"),
+    ("config", [["a", 1]], "config must be an object"),
+    ("config", None, "config must be an object"),
+    ("wires", {"a": 1}, "wires must be a list"),
+    ("wires", "ab", "wires must be a list"),
+    ("wires", [5], "each port's wires must be a list"),
+    ("wires", ["ab"], "each port's wires must be a list"),
+], ids=["config-str", "config-pairs", "config-null", "wires-object", "wires-str",
+        "port-int", "port-str"])
+def test_ill_typed_config_or_wires_rejected(field, value, message):
+    doc = json.dumps({"nodes": [{"id": "x", "type": "debug", field: value}]})
+    with pytest.raises(FlowParseError, match=f"{message}, got .* \\(node 'x'\\)"):
+        parse_flow(doc)
+
+
 def test_scenario_a_style_document_shape(fixture_path):
     # heartbeat in parallel with check -> compensate -> checkpoint
     doc = json.dumps({"nodes": [
