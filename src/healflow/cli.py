@@ -1,5 +1,8 @@
 """Command-line entry point: validate flows, run scenarios, render reports.
 
+Each input is checked once, where it is read: a flow file by _load_flow, a
+scenario by parse_scenario; the Simulation and its engines trust both.
+
 Exit codes: 0 ok, 2 validation error (bad files, bad graphs, bad scripts),
 3 runtime I/O error.
 """
@@ -10,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .core.graph import FlowGraph, FlowParseError, parse_flow, validate_graph
+from .core.graph import Diagnostic, FlowGraph, FlowParseError, parse_flow, validate_graph
 from .core.timeline import entries_from_csv
 from .report import compute_report, format_report, render_marble
 from .sim import ScenarioError, Simulation, parse_scenario
@@ -30,35 +33,28 @@ def _read(path: str, newline=None) -> str:
     try:
         with open(path, encoding="utf-8", newline=newline) as f:
             return f.read()
-    except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _CliError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
-def _load_flows(paths: list[str]) -> list[FlowGraph]:
-    graphs = []
-    for path in paths:
-        try:
-            graph = parse_flow(_read(path))
-        except FlowParseError as exc:
-            raise _CliError(f"{path}: {exc}") from exc
-        errors = [d for d in validate_graph(graph) if d.severity == "error"]
-        if errors:
-            listing = "\n".join(f"  {d}" for d in errors)
-            raise _CliError(f"{path}: invalid flow\n{listing}")
-        graphs.append(graph)
-    return graphs
+def _load_flow(path: str) -> tuple[FlowGraph, list[Diagnostic]]:
+    """Read, parse and validate one flow file; a file that does not parse raises _CliError."""
+    try:
+        graph = parse_flow(_read(path))
+    except FlowParseError as exc:
+        raise _CliError(f"{path}: {exc}") from exc
+    return graph, validate_graph(graph)
 
 
 def _cmd_validate(args) -> int:
     failed = False
     for path in args.flow:
         try:
-            graph = parse_flow(_read(path))
-        except (FlowParseError, _CliError) as exc:
-            print(f"{path}: {exc}")
+            graph, diags = _load_flow(path)
+        except _CliError as exc:
+            print(exc)
             failed = True
             continue
-        diags = validate_graph(graph)
         for d in diags:
             print(f"{path}: {d}")
         if any(d.severity == "error" for d in diags):
@@ -73,7 +69,13 @@ def _cmd_run(args) -> int:
         raise _CliError(f"--bucket-ms must be at least 1, got {args.bucket_ms}")
     if args.seed is not None and args.seed < 0:
         raise _CliError(f"--seed must be at least 0, got {args.seed}")
-    graphs = _load_flows(args.flow)
+    graphs = []
+    for path in args.flow:
+        graph, diags = _load_flow(path)
+        errors = [d for d in diags if d.severity == "error"]
+        if errors:
+            raise _CliError("\n  ".join([f"{path}: invalid flow", *map(str, errors)]))
+        graphs.append(graph)
     try:
         script = parse_scenario(_read(args.scenario))
         sim = Simulation(graphs, script, seed=args.seed, store_dir=args.store_dir)

@@ -21,20 +21,17 @@ from ..cluster import ClusterAgent
 from ..nodes import NODE_KINDS
 from ..persistence import Store
 from .envelope import Envelope
-from .graph import Diagnostic, FlowGraph, validate_graph
+from .graph import FlowGraph
 from .timeline import TimelineLog
 
 logger = logging.getLogger(__name__)
 
 
-class GraphInvalid(ValueError):
-    def __init__(self, diagnostics: list[Diagnostic]):
-        super().__init__("; ".join(str(d) for d in diagnostics))
-        self.diagnostics = diagnostics
-
-
 class Engine:
     """One runtime instance: a validated graph plus its live node state.
+
+    graph is taken as given: a parse_flow graph in which validate_graph
+    found no error. Neither the engine nor restart() checks it again.
 
     It uses its world's clock, timeline, transport and seed, and takes its
     rank from the world by the order it joined `world.engines`; restart()
@@ -44,10 +41,6 @@ class Engine:
     """
 
     def __init__(self, graph: FlowGraph, *, world, instance: str, address: str, store: Store):
-        errors = [d for d in validate_graph(graph) if d.severity == "error"]
-        if errors:
-            raise GraphInvalid(errors)
-
         self.graph = graph
         self.instance = instance
         self.address = address

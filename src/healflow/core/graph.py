@@ -7,9 +7,10 @@ A flow document is UTF-8 JSON:
 
 parse_flow owns structure: it rejects syntax errors, unknown kinds,
 duplicate ids, dangling wires, a non-bool enabled and a non-string flow
-outright. validate_graph takes a parsed graph and checks only meaning
-(configs, port ranges, cycles, flow-group flags, redundancy count); its
-findings come back as diagnostics so a caller can show all of them at once.
+outright, and sets each absent or null config field to its default.
+validate_graph checks only meaning (configs, port ranges, cycles, flow-group
+flags, redundancy count) and returns diagnostics, so a caller can show all
+at once. Both run once, where a flow is loaded; Engine trusts the graph.
 """
 
 from __future__ import annotations
@@ -69,6 +70,12 @@ class FlowGraph:
         return groups
 
 
+def fill_defaults(kind: str, config: dict) -> dict:
+    """A copy of config with each schema default set where its key is absent or null."""
+    return {**config, **{name: p.default for name, p in NODE_KINDS[kind].CONFIG.items()
+                         if p.has_default and config.get(name) is None}}
+
+
 def parse_flow(text: str) -> FlowGraph:
     """Parse a flow document, filling config defaults from the node schemas."""
     try:
@@ -101,10 +108,7 @@ def parse_flow(text: str) -> FlowGraph:
             raise FlowParseError(f"config must be an object, got {config!r} (node {raw['id']!r})")
         if not isinstance(raw_wires, list):
             raise FlowParseError(f"wires must be a list, got {raw_wires!r} (node {raw['id']!r})")
-        config = dict(config)
-        for name, param in NODE_KINDS[kind].CONFIG.items():
-            if name not in config and param.has_default:
-                config[name] = param.default
+        config = fill_defaults(kind, config)
         wires = []
         for port_targets in raw_wires:
             if not isinstance(port_targets, list):

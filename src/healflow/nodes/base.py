@@ -33,8 +33,9 @@ class Param:
     """One config field: type, default, and range constraints.
 
     kind is one of: number, int, str, list, choice, any. A field without a
-    default is required; a field with one also accepts null. Durations are
-    plain integer milliseconds (kind="int").
+    default is required; a field with one also accepts null, and null means
+    the default (parse_flow fills it in). Durations are plain integer
+    milliseconds (kind="int").
     """
 
     kind: str = "any"

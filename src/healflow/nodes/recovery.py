@@ -24,7 +24,8 @@ class Compensate(Node):
     strategy and re-enters the input path, so the substitute itself lands in
     the history and the timer restarts. Confidence multiplies by
     confidenceDecay per consecutive substitution and snaps back to 1 on the
-    next real reading.
+    next real reading. Under avg, max or min a reading that is not a number
+    goes to the error port as malformed and is not absorbed.
 
     Emitted payloads are records {value, substituted, confidence}.
     """
@@ -56,6 +57,9 @@ class Compensate(Node):
         self.set_timer("interval", self.cfg["interval"])
 
     def on_input(self, env: Envelope, ingress: int) -> None:
+        if self.cfg["strategy"] != "last" and not is_number(env.payload):
+            self.emit(1, {"kind": "malformed", "value": env.payload}, env.topic, env.corr)
+            return
         self._topic = env.topic
         self._absorb(env.payload)
         self.confidence = 1.0

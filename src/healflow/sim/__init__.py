@@ -1,11 +1,11 @@
 from .scenario import (FAULT_KINDS, FaultEvent, InstanceSpec, ScenarioError,
-                       ScenarioScript, WorldSpec, parse_scenario, validate_script)
+                       ScenarioScript, WorldSpec, parse_scenario)
 from .runner import Simulation, apply_fault
 from .world import Service, VirtualDevice, World, WORLD_INSTANCE
 
 __all__ = [
     "FAULT_KINDS", "FaultEvent", "InstanceSpec", "ScenarioError", "ScenarioScript",
-    "WorldSpec", "parse_scenario", "validate_script",
+    "WorldSpec", "parse_scenario",
     "Simulation", "apply_fault",
     "Service", "VirtualDevice", "World", "WORLD_INSTANCE",
 ]

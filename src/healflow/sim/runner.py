@@ -10,7 +10,7 @@ from ..core.engine import Engine
 from ..core.graph import FlowGraph
 from ..core.timeline import WORLD_INSTANCE, TimelineLog
 from ..persistence import Store
-from .scenario import FaultEvent, InstanceSpec, ScenarioError, ScenarioScript, validate_script
+from .scenario import FaultEvent, InstanceSpec, ScenarioError, ScenarioScript
 from .world import RANK_FAULT, World
 
 
@@ -42,7 +42,10 @@ def apply_fault(fault: FaultEvent, world: World) -> None:
 
 
 class Simulation:
-    """One scenario run: an engine per flow in `world`, and each scripted fault via apply_fault."""
+    """One scenario run: an engine per flow in `world`, and each scripted fault via apply_fault.
+
+    It trusts its flows and script; it checks only that there is one flow per instance.
+    """
 
     def __init__(self, flows: list[FlowGraph], script: ScenarioScript, *,
                  seed: Optional[int] = None, store_dir: Optional[str] = None):
@@ -52,7 +55,6 @@ class Simulation:
         if len(instances) != len(flows):
             raise ScenarioError(
                 f"{len(flows)} flow document(s) for {len(instances)} declared instance(s)")
-        validate_script(script)
 
         self.world = World(seed=script.seed if seed is None else seed,
                            devices=script.world.devices, services=script.world.services)

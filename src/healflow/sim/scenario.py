@@ -145,11 +145,21 @@ def _parse_world(raw: Optional[dict]) -> WorldSpec:
         services.append(Service(id=sid, host=s.get("host", sid),
                                 port=_int(s.get("port", 80), f"service {sid!r} port")))
     instances = [_parse_instance(i) for i in _objects(raw, "instances", "world.")]
+    for what, names in (("instance name", [i.name for i in instances]),
+                        ("instance address", [i.address for i in instances]),
+                        ("device id", [d.id for d in devices]),
+                        ("service id", [s.id for s in services])):
+        if len(set(names)) < len(names):
+            name = next(n for i, n in enumerate(names) if n in names[:i])
+            raise ScenarioError(f"duplicate {what} {name!r}")
     return WorldSpec(devices, services, instances)
 
 
 def parse_scenario(text: str) -> ScenarioScript:
-    """Parse and validate a scenario document; events are sorted by time."""
+    """Parse and check a scenario document; events are sorted by time.
+
+    This is the one check a script gets: Simulation takes it as given.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -160,12 +170,21 @@ def parse_scenario(text: str) -> ScenarioScript:
 
     duration = _int(doc.get("duration_ms"), "duration_ms")
     seed = _int(doc.get("seed", 0), "seed")
+    world = _parse_world(doc.get("world"))
+    ids = {"device": {d.id for d in world.devices},
+           "service": {s.id for s in world.services},
+           "instance": {i.name for i in world.instances}}
+    ids["source"] = ids["device"] | ids["instance"]
 
     events = []
     for raw in _objects(doc, "events"):
         kind = raw.get("kind")
+        if kind not in FAULT_KINDS:
+            raise ScenarioError(f"unknown fault kind {kind!r}")
         at = _int(raw.get("at_ms"), f"fault {kind!r} at_ms")
         target = _name(raw.get("target"), f"fault {kind!r} target")
+        if target not in ids[FAULT_TARGETS[kind]]:
+            raise ScenarioError(f"{kind} targets unknown {FAULT_TARGETS[kind]} {target!r}")
         params = raw.get("params") or {}
         if not isinstance(params, dict):
             raise ScenarioError(f"fault {kind!r} params must be an object")
@@ -179,32 +198,4 @@ def parse_scenario(text: str) -> ScenarioScript:
     events.sort(key=lambda e: e.at)
     if events and events[-1].at > duration:
         raise ScenarioError("duration_ms must cover every event time")
-
-    script = ScenarioScript(seed=seed, duration=duration, events=events,
-                            world=_parse_world(doc.get("world")))
-    validate_script(script)
-    return script
-
-
-def validate_script(script: ScenarioScript) -> None:
-    """Check that no two world entries share a name, and every fault's kind and target."""
-    world = script.world
-    for what, names in (("instance name", [i.name for i in world.instances]),
-                        ("instance address", [i.address for i in world.instances]),
-                        ("device id", [d.id for d in world.devices]),
-                        ("service id", [s.id for s in world.services])):
-        seen = set()
-        for name in names:
-            if name in seen:
-                raise ScenarioError(f"duplicate {what} {name!r}")
-            seen.add(name)
-    ids = {"device": {d.id for d in world.devices},
-           "service": {s.id for s in world.services},
-           "instance": {i.name for i in world.instances}}
-    ids["source"] = ids["device"] | ids["instance"]
-    for event in script.events:
-        if event.kind not in FAULT_KINDS:
-            raise ScenarioError(f"unknown fault kind {event.kind!r}")
-        target = FAULT_TARGETS[event.kind]
-        if event.target not in ids[target]:
-            raise ScenarioError(f"{event.kind} targets unknown {target} {event.target!r}")
+    return ScenarioScript(seed=seed, duration=duration, events=events, world=world)

@@ -6,8 +6,7 @@ from pathlib import Path
 import pytest
 
 from healflow.core.engine import Engine
-from healflow.core.graph import FlowGraph, NodeSpec
-from healflow.nodes import NODE_KINDS
+from healflow.core.graph import FlowGraph, NodeSpec, fill_defaults, validate_graph
 from healflow.persistence import Store
 from healflow.sim import World
 
@@ -15,16 +14,27 @@ DATA = Path(__file__).parent / "data"
 
 
 def make_spec(node_id: str, kind: str, config: dict | None = None, **kwargs) -> NodeSpec:
-    """NodeSpec with schema defaults filled, like parse_flow would."""
-    config = dict(config or {})
-    for name, param in NODE_KINDS[kind].CONFIG.items():
-        if name not in config and param.has_default:
-            config[name] = param.default
-    return NodeSpec(id=node_id, kind=kind, config=config, **kwargs)
+    """NodeSpec with schema defaults filled, as parse_flow fills them."""
+    return NodeSpec(id=node_id, kind=kind, config=fill_defaults(kind, config or {}), **kwargs)
 
 
 def build_graph(*specs: NodeSpec) -> FlowGraph:
+    """A graph of specs, unchecked: validate it, or build an engine through make_engine."""
     return FlowGraph(list(specs))
+
+
+def make_engine(graph: FlowGraph, *, world=None, instance: str = "test",
+                address: str = "127.0.0.1", store: Store | None = None) -> Engine:
+    """An engine on graph, which must validate without error, as a loaded flow does.
+
+    Engine trusts its graph, so a test that builds one by hand checks it here.
+    world defaults to a fresh World(), store to a memory Store().
+    """
+    errors = [d for d in validate_graph(graph) if d.severity == "error"]
+    assert errors == [], errors
+    return Engine(graph, instance=instance, address=address,
+                  store=store if store is not None else Store(),
+                  world=world if world is not None else World())
 
 
 class NodeHarness:
@@ -34,9 +44,8 @@ class NodeHarness:
                  seed: int = 0, world=None, store=None):
         self.node_id = node_id
         self.graph = build_graph(make_spec(node_id, kind, config))
-        self.engine = Engine(self.graph, instance="test", address="127.0.0.1",
-                             store=store if store is not None else Store(),
-                             world=world if world is not None else World(seed=seed))
+        self.engine = make_engine(self.graph, store=store,
+                                  world=world if world is not None else World(seed=seed))
 
     def feed_at(self, t: int, payload, topic: str = "", ingress: int = 0, corr=None):
         self.engine.clock.at(t, lambda: self.engine.deliver_external(

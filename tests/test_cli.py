@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from healflow.cli import main
+from healflow.core import graph
 from healflow.core.timeline import TimelineLog
 from healflow.persistence import Store
 
@@ -67,6 +68,32 @@ def test_run_invalid_config_exits_2(tmp_path, fixture_path, capsys):
     assert "low" in err
 
 
+def test_run_validates_each_flow_once_across_a_restart(tmp_path, fixture_path, monkeypatch):
+    calls = []
+    original = graph.validate_graph
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    # Wrap the name wherever a healflow module binds it, so no caller escapes the count.
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "healflow" and getattr(module, "validate_graph", None) is original:
+            monkeypatch.setattr(module, "validate_graph", counting)
+    doc = json.loads(fixture_path("scenario_c_loss.json").read_text())
+    crash = doc["events"][0]
+    assert (crash["kind"], crash["target"]) == ("instance_crash", "red-b")
+    doc["events"].append({"at_ms": crash["at_ms"] + 1000, "kind": "instance_restart",
+                          "target": "red-b"})
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(doc))
+    flow = str(fixture_path("flow_c.json"))
+    code = main(["run", "--flow", flow, "--flow", flow, "--scenario", str(scenario),
+                 "--out", str(tmp_path / "t.csv")])
+    assert code == 0
+    assert len(calls) == 2
+
+
 def test_validate_ok_and_failing(tmp_path, fixture_path, capsys):
     assert main(["validate", "--flow", str(fixture_path("flow_b.json"))]) == 0
     out = capsys.readouterr().out
@@ -78,6 +105,19 @@ def test_validate_ok_and_failing(tmp_path, fixture_path, capsys):
         {"id": "b", "type": "rbe", "wires": [[["a", 0]]]}]}))
     assert main(["validate", "--flow", str(bad)]) == 2
     assert "cycle" in capsys.readouterr().out
+
+
+def test_validate_names_an_unreadable_file_once_and_goes_on(tmp_path, fixture_path, capsys):
+    missing, not_utf8 = tmp_path / "missing.json", tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'\xff{"nodes": []}')
+    flow_b = str(fixture_path("flow_b.json"))
+    assert main(["validate", "--flow", str(missing), "--flow", str(not_utf8),
+                 "--flow", flow_b]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"{missing}: cannot read: No such file or directory"
+    assert out[1].startswith(f"{not_utf8}: cannot read: 'utf-8' codec can't decode byte 0xff")
+    assert out[1].count(str(not_utf8)) == 1
+    assert out[2:] == [f"{flow_b}: ok (7 nodes, 7 wires)"]
 
 
 def test_validate_two_cycle_flow_exits_2(tmp_path, capsys):

@@ -7,10 +7,8 @@ from hypothesis import given, settings, strategies as st
 from healflow.cluster import (PING_CACHE_SIZE, LoopbackTransport, PingDecodeError, decode_ping,
                               election_key, encode_ping)
 from healflow.core.clock import VirtualClock
-from healflow.core.engine import Engine
-from healflow.persistence import Store
 from healflow.sim import Simulation, World, parse_scenario
-from tests.conftest import build_graph, make_spec
+from tests.conftest import build_graph, make_engine, make_spec
 
 
 def redundancy_graph(election_timeout=15000):
@@ -36,8 +34,7 @@ HIGHER = "192.168.1.201"
 
 def agent(address=SELF):
     """A started engine alone in its own world: its pings reach no peer."""
-    engine = Engine(redundancy_graph(), instance="me", address=address, store=Store(),
-                    world=World())
+    engine = make_engine(redundancy_graph(), instance="me", address=address)
     engine.start()
     return engine
 
@@ -208,8 +205,8 @@ def test_elect_master_all_subsets_brute_force():
 def test_elect_master_failover_to_next_octet():
     world = World()
     clock, log = world.clock, world.log
-    engines = {o: Engine(redundancy_graph(), instance=str(o), address=f"192.168.1.{o}",
-                         store=Store(), world=world) for o in OCTETS}
+    engines = {o: make_engine(redundancy_graph(), instance=str(o), address=f"192.168.1.{o}",
+                              world=world) for o in OCTETS}
     for engine in engines.values():
         engine.start()
     clock.run_until(20000)
@@ -360,10 +357,8 @@ def test_loopback_drop():
 
 def two_instances():
     world = World()
-    low = Engine(redundancy_graph(), instance="low", address="192.168.1.54", store=Store(),
-                 world=world)
-    high = Engine(redundancy_graph(), instance="high", address="192.168.1.201", store=Store(),
-                  world=world)
+    low = make_engine(redundancy_graph(), instance="low", address="192.168.1.54", world=world)
+    high = make_engine(redundancy_graph(), instance="high", address="192.168.1.201", world=world)
     return world.clock, world.log, low, high
 
 
@@ -421,8 +416,7 @@ def test_a_stable_pair_elects_on_each_join_and_once_at_boot():
 
 
 def test_single_instance_elects_itself_at_first_periodic_election():
-    engine = Engine(redundancy_graph(), instance="solo", address="10.0.0.9", store=Store(),
-                    world=World())
+    engine = make_engine(redundancy_graph(), instance="solo", address="10.0.0.9")
     engine.start()
     engine.clock.run_until(30000)
     assert roles(engine.log, "solo") == [(15000, "master")]
@@ -458,8 +452,8 @@ def test_ping_with_a_bad_address_is_logged_and_ignored(caplog):
 def test_malformed_broadcast_is_logged_by_each_receiver(caplog):
     world = World()
     for octet in (12, 54, 201):
-        Engine(redundancy_graph(), instance=str(octet), address=f"192.168.1.{octet}",
-               store=Store(), world=world)
+        make_engine(redundancy_graph(), instance=str(octet), address=f"192.168.1.{octet}",
+                    world=world)
     with caplog.at_level("INFO", logger="healflow.cluster"):
         for _ in range(2):
             world.transport.broadcast("192.168.1.99", b"SHEN/1 PING 192.168.1.99 x 0\n")

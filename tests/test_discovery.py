@@ -1,13 +1,11 @@
-from healflow.core.engine import Engine
 from healflow.persistence import Store
 from healflow.sim import Service, VirtualDevice, World
-from tests.conftest import build_graph, make_spec
+from tests.conftest import build_graph, make_engine, make_spec
 
 
 def probe_engine(*specs, devices=(), services=(), store=None):
     world = World(seed=1, devices=list(devices), services=list(services))
-    engine = Engine(build_graph(*specs), instance="i0", address="127.0.0.1",
-                    store=store if store is not None else Store(), world=world)
+    engine = make_engine(build_graph(*specs), instance="i0", store=store, world=world)
     return engine, world
 
 
@@ -67,8 +65,8 @@ def test_network_aware_sees_devices_and_instances():
 
 
 def test_network_aware_of_a_world_less_engine_sees_its_own_instance():
-    engine = Engine(build_graph(make_spec("scan", "network-aware", {"period": 5000})),
-                    instance="solo", address="127.0.0.1", store=Store(), world=World())
+    engine = make_engine(build_graph(make_spec("scan", "network-aware", {"period": 5000})),
+                         instance="solo")
     engine.start()
     assert [(e.time, e.value) for e in engine.log.emits("scan")] == [
         (0, {"event": "joined", "host": "solo"})]

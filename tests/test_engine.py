@@ -5,12 +5,10 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from healflow.core.engine import Engine, GraphInvalid
 from healflow.core.envelope import copy_json, encode_json
-from healflow.persistence import Store
 from healflow.sim import VirtualDevice, World
 from healflow.sim.world import RANK_INSTANCE_BASE
-from tests.conftest import build_graph, make_spec
+from tests.conftest import build_graph, make_engine, make_spec
 
 
 def sensor_world(*periods, seed=0, **device):
@@ -18,11 +16,6 @@ def sensor_world(*periods, seed=0, **device):
     return World(seed=seed, devices=[
         VirtualDevice(id=f"s{i}", kind="periodicSensor", topic=f"t{i}", period=period, **device)
         for i, period in enumerate(periods)])
-
-
-def make_engine(graph, *, world, instance="node"):
-    """An engine with a memory store that joins `world` as `instance`."""
-    return Engine(graph, instance=instance, address="127.0.0.1", store=Store(), world=world)
 
 
 def run(engine, t_end):
@@ -200,12 +193,6 @@ def test_clear_timer_after_a_deferred_rearm_never_fires():
     engine.set_node_timer(spec, "t", 10)
     engine.run_until(2000)
     assert timer_fires(engine) == [(1010, "t")]
-
-
-def test_invalid_graph_is_rejected_at_construction():
-    graph = build_graph(make_spec("t", "threshold-check", {"low": 9, "high": 1}))
-    with pytest.raises(GraphInvalid):
-        make_engine(graph, world=World())
 
 
 def test_operator_exception_is_logged_not_fatal():

@@ -1,11 +1,13 @@
 import functools
+import json
 import operator
 
 import pytest
 from hypothesis import given, strategies as st
 
+from healflow.core.graph import parse_flow
 from healflow.persistence import Store, StoreError
-from tests.conftest import NodeHarness
+from tests.conftest import NodeHarness, make_engine
 
 
 # --- compensate ---------------------------------------------------------------
@@ -151,6 +153,36 @@ def test_substitution_recursion_matches_oracle(inputs, n_timeouts, strategy):
     h.run(len(inputs) + n_timeouts * 1000)
     subs = [(p["value"], p["confidence"]) for _, p in h.emits(0) if p["substituted"]]
     assert subs == compensate_oracle(inputs, n_timeouts, strategy)
+
+
+def faults(log):
+    return [e.value for e in log if e.kind == "fault"]
+
+
+def test_null_config_field_means_its_default():
+    graph = parse_flow(json.dumps({"nodes": [{"id": "n", "type": "compensate", "config": {
+        "interval": 1000, "historyMaxSize": None}}]}))
+    assert graph.by_id["n"].config["historyMaxSize"] == 10
+    engine = make_engine(graph)
+    for t in (1, 2, 3):
+        engine.clock.at(t, functools.partial(engine.deliver_external, "n", "", 20.0, 0), rank=0)
+    engine.start()
+    log = engine.run_until(5000)
+    assert len([e for e in log.emits("n") if e.value["substituted"]]) == 4
+    assert faults(log) == []
+
+
+@pytest.mark.parametrize("strategy", ["avg", "max", "min"])
+def test_a_non_numeric_reading_never_stops_the_watchdog(harness, strategy):
+    h = harness("compensate", {"interval": 1000, "strategy": strategy})
+    h.feed_at(0, 1.0)
+    h.feed_at(500, None, topic="lab/t")
+    log = h.run(60000)
+    assert h.emits(1) == [(500, {"kind": "malformed", "value": None})]
+    subs = [(t, p["value"]) for t, p in h.emits(0) if p["substituted"]]
+    assert subs == [(t, 1.0) for t in range(1000, 60001, 1000)]
+    assert faults(log) == []
+    assert h.engine.nodes["n"].history == [1.0] * 10
 
 
 # --- checkpoint ----------------------------------------------------------------

@@ -4,12 +4,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from healflow.core.engine import Engine
 from healflow.core.graph import parse_flow
 from healflow.persistence import MIN_COMPACT_LINES, Store
-from healflow.sim import (FaultEvent, ScenarioError, ScenarioScript, Simulation, VirtualDevice,
+from healflow.sim import (FaultEvent, ScenarioError, Simulation, VirtualDevice,
                           World, WORLD_INSTANCE, apply_fault, parse_scenario)
-from tests.conftest import build_graph, make_spec
+from tests.conftest import build_graph, make_engine, make_spec
 
 
 def make_world(devices=(), services=()):
@@ -23,7 +22,7 @@ def subscriber_engine(world, topic="lab/temp"):
         make_spec("in", "mqtt-in", {"topic": topic}, wires=[[("sink", 0)]]),
         make_spec("sink", "debug"),
     )
-    engine = Engine(graph, instance="i0", address="127.0.0.1", store=Store(), world=world)
+    engine = make_engine(graph, instance="i0", world=world)
     engine.start()
     return engine
 
@@ -72,7 +71,7 @@ def test_publish_gives_each_subscriber_an_independent_copy():
 
     for name in ("i0", "i1"):
         graph = build_graph(make_spec("in", "mqtt-in", {"topic": "lab/temp"}))
-        engine = Engine(graph, instance=name, address="127.0.0.1", store=Store(), world=world)
+        engine = make_engine(graph, instance=name, world=world)
         engine.start()
         engine.nodes["in"].on_external = mutate if name == "i0" else (
             lambda topic, payload: seen.append(payload))
@@ -401,17 +400,13 @@ def test_flow_count_must_match_instances():
         Simulation([parse_flow(SINK_FLOW)], script)
 
 
-def test_fault_kind_outside_the_table_rejected_pre_run():
-    script = ScenarioScript(seed=1, duration=100, events=[FaultEvent(1, "explode", "d")])
-    with pytest.raises(ScenarioError, match="unknown fault kind 'explode'"):
-        Simulation([parse_flow(SINK_FLOW)], script)
-
-
 def test_instance_fault_on_an_undeclared_auto_named_instance_rejected():
-    script = ScenarioScript(seed=1, duration=100,
-                            events=[FaultEvent(1, "instance_crash", "instance-0")])
+    # Without world.instances a run names its instances instance-0, ...; a
+    # script cannot target those, because parse_scenario does not know them.
+    doc = json.dumps({"seed": 1, "duration_ms": 100,
+                      "events": [{"at_ms": 1, "kind": "instance_crash", "target": "instance-0"}]})
     with pytest.raises(ScenarioError, match="instance_crash targets unknown instance"):
-        Simulation([parse_flow(SINK_FLOW)], script)
+        parse_scenario(doc)
 
 
 def test_merged_log_seed_determinism(fixture_path):

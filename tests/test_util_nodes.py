@@ -1,10 +1,8 @@
 from hypothesis import given, strategies as st
 
-from healflow.core.engine import Engine
 from healflow.nodes import rbe_process
-from healflow.persistence import Store
 from healflow.sim import Service, World
-from tests.conftest import NodeHarness, build_graph, make_spec
+from tests.conftest import NodeHarness, build_graph, make_engine, make_spec
 
 
 # --- rbe ------------------------------------------------------------------------
@@ -71,8 +69,7 @@ def test_extract_missing_key_and_malformed():
 
 def world_engine(*specs, services=()):
     world = World(seed=1, services=list(services))
-    engine = Engine(build_graph(*specs), instance="i0", address="127.0.0.1", store=Store(),
-                    world=world)
+    engine = make_engine(build_graph(*specs), instance="i0", world=world)
     return engine, world
 
 
@@ -100,11 +97,11 @@ def test_mqtt_out_publishes():
 
 
 def test_mqtt_out_of_a_world_less_engine_reaches_its_own_mqtt_in():
-    engine = Engine(build_graph(
+    engine = make_engine(build_graph(
         make_spec("in", "mqtt-in", {"topic": "loop/+"}, wires=[[("sink", 0)]]),
         make_spec("out", "mqtt-out", {"topic": "loop/a"}),
         make_spec("sink", "debug"),
-    ), instance="node", address="127.0.0.1", store=Store(), world=World())
+    ), instance="node")
     engine.start()
     engine.deliver_external("out", "ignored", {"v": 1}, ingress=0)
     engine.run_until(10)
