@@ -103,25 +103,23 @@ class Engine:
         return random.Random(f"{self.seed}/{self.instance}/{node_id}")
 
     # --- emission and delivery -------------------------------------------------
-    def emit_from(self, spec, port: int, payload, topic: str = "",
-                  corr: Optional[str] = None) -> None:
+    def emit_from(self, spec, port: int, payload, topic: str = "") -> None:
         if self.halted:
             return
         if port < 0:
             raise ValueError("egress index must be non-negative")
         self.log.add(self.clock.now, self.instance, "emit", spec.id, port, topic, payload)
         if port < len(spec.wires):
-            env = Envelope(topic, payload, corr)
+            env = Envelope(topic, payload)
             for dst, ingress in spec.wires[port]:
                 self._enqueue(self.graph.by_id[dst], ingress, env)
         self._drain()
 
     def deliver_external(self, node_id: str, topic: str, payload,
-                         ingress: Optional[int] = None,
-                         corr: Optional[str] = None) -> None:
+                         ingress: Optional[int] = None) -> None:
         """Deliver from outside the wire graph: a broker message (ingress None,
         handled by on_external) or a test drive. A halted engine logs a drop."""
-        self._enqueue(self.graph.by_id[node_id], ingress, Envelope(topic, payload, corr))
+        self._enqueue(self.graph.by_id[node_id], ingress, Envelope(topic, payload))
         self._drain()
 
     def _enqueue(self, spec, ingress: Optional[int], env: Envelope) -> None:

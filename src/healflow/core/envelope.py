@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 # Payloads are plain JSON values: scalar number, string, bool, or a
 # key-value record (lists allowed for tallies and similar aggregates).
@@ -36,7 +36,7 @@ def copy_json(value: Payload) -> Payload:
 
 @dataclass(frozen=True, slots=True)
 class Envelope:
-    """One message as a node receives it: topic, payload and correlation id.
+    """One message as a node receives it: its topic and payload.
 
     When and from where it was sent is in the timeline, not here. Envelopes
     are immutable values; the engine forks one for every delivery, so state
@@ -45,7 +45,6 @@ class Envelope:
 
     topic: str
     payload: Payload
-    corr: Optional[str] = None
 
     def fork(self) -> "Envelope":
         """Copy for one delivery; the single place payloads are copied.
@@ -56,7 +55,7 @@ class Envelope:
         """
         payload = self.payload
         if isinstance(payload, (dict, list)):
-            return Envelope(self.topic, copy_json(payload), self.corr)
+            return Envelope(self.topic, copy_json(payload))
         return self
 
 

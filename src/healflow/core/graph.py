@@ -5,9 +5,10 @@ A flow document is UTF-8 JSON:
     {"nodes": [{"id": str, "type": str, "flow": str, "enabled": bool, "config": {...},
                 "wires": [[["nodeId", ingressIdx], ...] per egress]}]}
 
-parse_flow owns structure: it rejects syntax errors, unknown kinds,
-duplicate ids, dangling wires, a non-bool enabled and a non-string flow
-outright, and sets each absent or null config field to its default.
+parse_flow owns structure: it rejects syntax errors, unknown or non-string
+kinds, duplicate ids, dangling or ill-typed wires, a non-bool enabled and a
+non-string flow outright, and sets each absent or null config field to its
+default.
 validate_graph checks only meaning (configs, port ranges, cycles, flow-group
 flags, redundancy count) and returns diagnostics, so a caller can show all
 at once. Both run once, where a flow is loaded; Engine trusts the graph.
@@ -101,7 +102,7 @@ def parse_flow(text: str) -> FlowGraph:
     nodes = []
     for raw in raw_nodes:
         kind = raw.get("type")
-        if kind not in NODE_KINDS:
+        if not isinstance(kind, str) or kind not in NODE_KINDS:
             raise FlowParseError(f"unknown node kind {kind!r} (node {raw['id']!r})")
         config, raw_wires = raw.get("config", {}), raw.get("wires", [])
         if not isinstance(config, dict):
@@ -120,10 +121,15 @@ def parse_flow(text: str) -> FlowGraph:
                     raise FlowParseError(
                         f"wire entries must be [nodeId, ingressIdx] pairs (node {raw['id']!r})")
                 dst, ingress = t[0], t[1]
+                if not isinstance(dst, str):
+                    raise FlowParseError(
+                        f"wire target must be a node id, got {dst!r} (node {raw['id']!r})")
                 if dst not in ids:
-                    raise FlowParseError(f"dangling wire to unknown node {dst!r} (from {raw['id']!r})")
-                if not isinstance(ingress, int) or ingress < 0:
-                    raise FlowParseError(f"ingress index must be a non-negative integer (from {raw['id']!r})")
+                    raise FlowParseError(
+                        f"dangling wire to unknown node {dst!r} (node {raw['id']!r})")
+                if type(ingress) is not int or ingress < 0:
+                    raise FlowParseError(f"ingress index must be a non-negative integer, "
+                                         f"got {ingress!r} (node {raw['id']!r})")
                 targets.append((dst, ingress))
             wires.append(targets)
         enabled, flow = raw.get("enabled", True), raw.get("flow", "main")

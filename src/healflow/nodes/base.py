@@ -110,8 +110,8 @@ class Node:
         return self.engine.clock.now
 
     # --- runtime calls --------------------------------------------------
-    def emit(self, port: int, payload, topic: str = "", corr: Optional[str] = None) -> None:
-        self.engine.emit_from(self.spec, port, payload, topic, corr)
+    def emit(self, port: int, payload, topic: str = "") -> None:
+        self.engine.emit_from(self.spec, port, payload, topic)
 
     def set_timer(self, tag: str, delay_ms: int) -> None:
         """(Re)arm the node timer named tag to fire delay_ms from now, once;

@@ -104,12 +104,12 @@ class DeviceRegistry(Node):
         payload = env.payload
         if not isinstance(payload, dict) or payload.get("event") not in (
                 _ONLINE_EVENTS + _LOST_EVENTS):
-            self.emit(1, {"kind": "malformed", "value": payload}, env.topic, env.corr)
+            self.emit(1, {"kind": "malformed", "value": payload}, env.topic)
             return
         event = payload["event"]
         device_id = payload.get("device") or payload.get("service") or payload.get("host")
         if not isinstance(device_id, str) or not device_id:
-            self.emit(1, {"kind": "missing-id", "value": payload}, env.topic, env.corr)
+            self.emit(1, {"kind": "missing-id", "value": payload}, env.topic)
             return
         kind = payload.get("kind") or ("service" if "service" in payload else "host")
         endpoint = payload.get("host", "")
@@ -121,7 +121,7 @@ class DeviceRegistry(Node):
             else:
                 entry = self.engine.store.registry_mark_lost(device_id, self.now)
         except StoreError as exc:
-            self.emit(1, {"kind": "registry-error", "error": str(exc)}, env.topic, env.corr)
+            self.emit(1, {"kind": "registry-error", "error": str(exc)}, env.topic)
             return
         self.emit(0, {"device": entry.device_id, "status": entry.status,
-                      "lastSeen": entry.last_seen}, env.topic, env.corr)
+                      "lastSeen": entry.last_seen}, env.topic)

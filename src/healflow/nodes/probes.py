@@ -30,14 +30,13 @@ class ThresholdCheck(Node):
     def on_input(self, env: Envelope, ingress: int) -> None:
         value = env.payload
         if not is_number(value):
-            self.emit(1, {"kind": "malformed", "value": value}, env.topic, env.corr)
+            self.emit(1, {"kind": "malformed", "value": value}, env.topic)
             return
         if self.cfg["low"] <= value <= self.cfg["high"]:
-            self.emit(0, value, env.topic, env.corr)
+            self.emit(0, value, env.topic)
         else:
             self.emit(1, {"kind": "out-of-range", "value": value,
-                          "low": self.cfg["low"], "high": self.cfg["high"]},
-                      env.topic, env.corr)
+                          "low": self.cfg["low"], "high": self.cfg["high"]}, env.topic)
 
 
 @register
@@ -65,11 +64,11 @@ class ReadingsWatcher(Node):
     def on_input(self, env: Envelope, ingress: int) -> None:
         value = env.payload
         if not is_number(value):
-            self.emit(1, {"kind": "malformed", "value": value}, env.topic, env.corr)
+            self.emit(1, {"kind": "malformed", "value": value}, env.topic)
             return
         if self._prev is None:
             self._prev, self._run = value, 1
-            self.emit(0, value, env.topic, env.corr)
+            self.emit(0, value, env.topic)
             return
 
         delta = value - self._prev
@@ -84,9 +83,9 @@ class ReadingsWatcher(Node):
             anomaly = "min-change"
         self._prev = value
         if anomaly is None:
-            self.emit(0, value, env.topic, env.corr)
+            self.emit(0, value, env.topic)
         else:
-            self.emit(1, {"kind": anomaly, "value": value, "delta": delta}, env.topic, env.corr)
+            self.emit(1, {"kind": anomaly, "value": value, "delta": delta}, env.topic)
 
 
 @register
@@ -123,7 +122,7 @@ class TimingCheck(Node):
             else:
                 port = 1
         self._last_arrival = now
-        self.emit(port, env.payload, env.topic, env.corr)
+        self.emit(port, env.payload, env.topic)
 
 
 @register
@@ -147,25 +146,24 @@ class ResourceMonitor(Node):
     def on_input(self, env: Envelope, ingress: int) -> None:
         metric = self.cfg["metric"]
         if not isinstance(env.payload, dict):
-            self.emit(2, {"kind": "malformed", "value": env.payload}, env.topic, env.corr)
+            self.emit(2, {"kind": "malformed", "value": env.payload}, env.topic)
             return
         if metric not in env.payload:
-            self.emit(2, {"kind": "missing-metric", "metric": metric}, env.topic, env.corr)
+            self.emit(2, {"kind": "missing-metric", "metric": metric}, env.topic)
             return
         value = env.payload[metric]
         if not is_number(value):
-            self.emit(2, {"kind": "malformed", "metric": metric, "value": value},
-                      env.topic, env.corr)
+            self.emit(2, {"kind": "malformed", "metric": metric, "value": value}, env.topic)
             return
         near_min, near_max = self.cfg["nearMin"], self.cfg["nearMax"]
         if near_min is not None and value <= near_min:
             self.emit(1, {"metric": metric, "value": value,
-                          "bound": "nearMin", "limit": near_min}, env.topic, env.corr)
+                          "bound": "nearMin", "limit": near_min}, env.topic)
         elif near_max is not None and value >= near_max:
             self.emit(1, {"metric": metric, "value": value,
-                          "bound": "nearMax", "limit": near_max}, env.topic, env.corr)
+                          "bound": "nearMax", "limit": near_max}, env.topic)
         else:
-            self.emit(0, env.payload, env.topic, env.corr)
+            self.emit(0, env.payload, env.topic)
 
 
 @register
@@ -194,8 +192,8 @@ class Heartbeat(Node):
     def on_input(self, env: Envelope, ingress: int) -> None:
         self.set_timer("timeout", self.cfg["timeout"])
         if self.cfg["mode"] == "active":
-            self.emit(0, self.cfg["ping"], env.topic, env.corr)
-        self.emit(1, self.cfg["ok"], env.topic, env.corr)
+            self.emit(0, self.cfg["ping"], env.topic)
+        self.emit(1, self.cfg["ok"], env.topic)
 
     def on_timer(self, tag: str) -> None:
         self.set_timer("timeout", self.cfg["timeout"])

@@ -58,13 +58,12 @@ class Compensate(Node):
 
     def on_input(self, env: Envelope, ingress: int) -> None:
         if self.cfg["strategy"] != "last" and not is_number(env.payload):
-            self.emit(1, {"kind": "malformed", "value": env.payload}, env.topic, env.corr)
+            self.emit(1, {"kind": "malformed", "value": env.payload}, env.topic)
             return
         self._topic = env.topic
         self._absorb(env.payload)
         self.confidence = 1.0
-        self.emit(0, {"value": env.payload, "substituted": False, "confidence": 1.0},
-                  env.topic, env.corr)
+        self.emit(0, {"value": env.payload, "substituted": False, "confidence": 1.0}, env.topic)
 
     def on_timer(self, tag: str) -> None:
         if not self.history:
@@ -111,7 +110,7 @@ class Checkpoint(Node):
             self.engine.store.store_checkpoint(self.id, env.topic, env.payload, self.now)
         except StoreError as exc:
             self.log_fault({"kind": "store-error", "error": str(exc)})
-        self.emit(0, env.payload, env.topic, env.corr)
+        self.emit(0, env.payload, env.topic)
 
 
 @register
@@ -137,7 +136,7 @@ class KalmanFilter(Node):
     def on_input(self, env: Envelope, ingress: int) -> None:
         z = env.payload
         if not is_number(z):
-            self.emit(1, {"kind": "malformed", "value": z}, env.topic, env.corr)
+            self.emit(1, {"kind": "malformed", "value": z}, env.topic)
             return
         if self.estimate is None:
             self.estimate = float(z)
@@ -147,4 +146,4 @@ class KalmanFilter(Node):
             gain = self.variance / (self.variance + self.cfg["r"])
             self.estimate += gain * (z - self.estimate)
             self.variance *= (1 - gain)
-        self.emit(0, self.estimate, env.topic, env.corr)
+        self.emit(0, self.estimate, env.topic)

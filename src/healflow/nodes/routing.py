@@ -63,7 +63,7 @@ class Balancing(Node):
         else:
             port = self._cycle[self._next]
             self._next = (self._next + 1) % len(self._cycle)
-        self.emit(port, env.payload, env.topic, env.corr)
+        self.emit(port, env.payload, env.topic)
 
 
 @register
@@ -93,14 +93,14 @@ class Debounce(Node):
     def on_input(self, env: Envelope, ingress: int) -> None:
         strategy = self.cfg["strategy"]
         if strategy == "avg" and not is_number(env.payload):
-            self.emit(1, {"kind": "malformed", "value": env.payload}, env.topic, env.corr)
+            self.emit(1, {"kind": "malformed", "value": env.payload}, env.topic)
             return
         self._topic = env.topic
         if not self._open:
             self._open = True
             self._pending = []
             self.set_timer("window", self.cfg["window"])
-            self.emit(0, env.payload, env.topic, env.corr)
+            self.emit(0, env.payload, env.topic)
         else:
             self._pending.append(env.payload)
 
@@ -125,8 +125,8 @@ class ActionAudit(Node):
     """Confirm that a triggered action is acknowledged before a timeout.
 
     Ingress 0 takes triggers, ingress 1 acknowledgements. A matching ack in
-    time confirms (carrying the trigger's correlation id); the timeout fires
-    failed. Acks that arrive late or with no pending trigger are ignored.
+    time is passed on as confirmed; the timeout fires failed on the trigger's
+    topic. Acks that arrive late or with no pending trigger are ignored.
     """
 
     KIND = "action-audit"
@@ -139,7 +139,7 @@ class ActionAudit(Node):
 
     def __init__(self, spec, engine):
         super().__init__(spec, engine)
-        self._pending = None  # (corr, topic)
+        self._pending = None  # the pending trigger's topic
 
     def _matches(self, topic: str) -> bool:
         pattern = self.cfg["match"]
@@ -149,7 +149,7 @@ class ActionAudit(Node):
         if ingress == 0:
             if self._pending is not None:
                 self.log_warning("new trigger supersedes a pending one")
-            self._pending = (env.corr, env.topic)
+            self._pending = env.topic
             self.set_timer("timeout", self.cfg["timeout"])
         else:
             if self._pending is None:
@@ -157,17 +157,16 @@ class ActionAudit(Node):
                 return
             if not self._matches(env.topic):
                 return
-            corr, _ = self._pending
             self._pending = None
             self.clear_timer("timeout")
-            self.emit(0, env.payload, env.topic, corr)
+            self.emit(0, env.payload, env.topic)
 
     def on_timer(self, tag: str) -> None:
         if self._pending is None:
             return
-        corr, topic = self._pending
+        topic = self._pending
         self._pending = None
-        self.emit(1, {"kind": "timeout"}, topic, corr)
+        self.emit(1, {"kind": "timeout"}, topic)
 
 
 @register
@@ -257,10 +256,10 @@ class FlowControl(Node):
         cmd = env.payload
         if (not isinstance(cmd, dict) or cmd.get("action") not in ("enable", "disable")
                 or not isinstance(cmd.get("flow"), str)):
-            self.emit(1, {"kind": "malformed", "value": cmd}, env.topic, env.corr)
+            self.emit(1, {"kind": "malformed", "value": cmd}, env.topic)
             return
         if cmd["flow"] not in self.engine.flow_enabled:
-            self.emit(1, {"kind": "unknown-flow", "flow": cmd["flow"]}, env.topic, env.corr)
+            self.emit(1, {"kind": "unknown-flow", "flow": cmd["flow"]}, env.topic)
             return
         self.engine.flow_enabled[cmd["flow"]] = cmd["action"] == "enable"
-        self.emit(0, {"action": cmd["action"], "flow": cmd["flow"]}, env.topic, env.corr)
+        self.emit(0, {"action": cmd["action"], "flow": cmd["flow"]}, env.topic)

@@ -46,7 +46,7 @@ class Rbe(Node):
 
     def on_input(self, env: Envelope, ingress: int) -> None:
         if rbe_process(env.payload, self._state):
-            self.emit(0, env.payload, env.topic, env.corr)
+            self.emit(0, env.payload, env.topic)
 
 
 @register
@@ -62,11 +62,11 @@ class Extract(Node):
     def on_input(self, env: Envelope, ingress: int) -> None:
         key = self.cfg["key"]
         if not isinstance(env.payload, dict):
-            self.emit(1, {"kind": "malformed", "value": env.payload}, env.topic, env.corr)
+            self.emit(1, {"kind": "malformed", "value": env.payload}, env.topic)
         elif key not in env.payload:
-            self.emit(1, {"kind": "missing-key", "key": key}, env.topic, env.corr)
+            self.emit(1, {"kind": "missing-key", "key": key}, env.topic)
         else:
-            self.emit(0, env.payload[key], env.topic, env.corr)
+            self.emit(0, env.payload[key], env.topic)
 
 
 @register
@@ -120,8 +120,8 @@ class HttpPost(Node):
         sid = self.cfg["service"]
         svc = self.engine.world.services.get(sid)
         if svc is None:
-            self.emit(1, {"kind": "unknown-service", "service": sid}, env.topic, env.corr)
+            self.emit(1, {"kind": "unknown-service", "service": sid}, env.topic)
         elif not svc.up:
-            self.emit(1, {"kind": "service-down", "service": sid}, env.topic, env.corr)
+            self.emit(1, {"kind": "service-down", "service": sid}, env.topic)
         else:
-            self.emit(0, env.payload, SINK_TOPIC_PREFIX + sid, env.corr)
+            self.emit(0, env.payload, SINK_TOPIC_PREFIX + sid)

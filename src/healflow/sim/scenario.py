@@ -142,7 +142,7 @@ def _parse_world(raw: Optional[dict]) -> WorldSpec:
     services = []
     for s in _objects(raw, "services", "world."):
         sid = _name(s.get("id"), "service id")
-        services.append(Service(id=sid, host=s.get("host", sid),
+        services.append(Service(id=sid, host=_name(s.get("host", sid), f"service {sid!r} host"),
                                 port=_int(s.get("port", 80), f"service {sid!r} port")))
     instances = [_parse_instance(i) for i in _objects(raw, "instances", "world.")]
     for what, names in (("instance name", [i.name for i in instances]),

@@ -47,9 +47,9 @@ class NodeHarness:
         self.engine = make_engine(self.graph, store=store,
                                   world=world if world is not None else World(seed=seed))
 
-    def feed_at(self, t: int, payload, topic: str = "", ingress: int = 0, corr=None):
+    def feed_at(self, t: int, payload, topic: str = "", ingress: int = 0):
         self.engine.clock.at(t, lambda: self.engine.deliver_external(
-            self.node_id, topic, payload, ingress=ingress, corr=corr), rank=0)
+            self.node_id, topic, payload, ingress=ingress), rank=0)
 
     def run(self, t_end: int):
         self.engine.start()

@@ -129,8 +129,8 @@ def test_validate_two_cycle_flow_exits_2(tmp_path, capsys):
     assert capsys.readouterr().out.count("cycle:") == 1
 
 
-@pytest.mark.parametrize("field, value", [("config", "ab"), ("wires", [5])],
-                         ids=["config-str", "port-int"])
+@pytest.mark.parametrize("field, value", [("config", "ab"), ("wires", [5]), ("type", ["x"])],
+                         ids=["config-str", "port-int", "kind-list"])
 def test_ill_typed_config_or_wires_exits_2_naming_the_node(field, value, tmp_path, fixture_path,
                                                           capsys):
     bad = tmp_path / "bad.json"
@@ -203,6 +203,9 @@ MALFORMED_SCENARIOS = {
         "world": {"devices": [dict(SENSOR, valueModel={"noiseAmp": {"t": "x"}})]}},
     "service-without-id": {"world": {"services": [{"port": 80}]}},
     "service-port-not-int": {"world": {"services": [{"id": "v", "port": "http"}]}},
+    "service-host-int": {"world": {"services": [{"id": "v", "host": 5}]}},
+    "service-host-null": {"world": {"services": [{"id": "u", "host": "h"},
+                                                 {"id": "v", "host": None}]}},
     "instance-without-address": {"world": {"instances": [{"name": "a"}]}},
     "instance-address-out-of-range": {
         "world": {"instances": [{"name": "a", "address": "10.0.0.300"}]}},

@@ -79,7 +79,7 @@ def test_emit_on_negative_egress_is_an_operator_error_and_delivers_nothing():
     graph = build_graph(make_spec("a", "rbe", wires=[[("b", 0)]]), make_spec("b", "debug"))
     engine = make_engine(graph, instance="i", world=World())
     node = engine.nodes["a"]
-    node.on_input = lambda env, ingress: node.emit(-1, env.payload, env.topic, env.corr)
+    node.on_input = lambda env, ingress: node.emit(-1, env.payload, env.topic)
     engine.deliver_external("a", "t", 1, ingress=0)
     assert [(e.kind, e.node) for e in engine.log] == [("deliver", "a"), ("fault", "a")]
     assert engine.log.entries[-1].value["kind"] == "operator-error"

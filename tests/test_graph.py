@@ -38,9 +38,11 @@ def test_syntax_error_carries_position():
 
 
 def test_unknown_kind_rejected():
-    doc = json.dumps({"nodes": [{"id": "x", "type": "frobnicator"}]})
-    with pytest.raises(FlowParseError, match="unknown node kind"):
-        parse_flow(doc)
+    # A list or object kind is unhashable, so it must be refused before the kind lookup.
+    for kind in ("frobnicator", ["debug"], {"debug": 1}):
+        doc = json.dumps({"nodes": [{"id": "x", "type": kind}]})
+        with pytest.raises(FlowParseError, match="unknown node kind .* \\(node 'x'\\)"):
+            parse_flow(doc)
 
 
 def test_duplicate_id_rejected():
@@ -74,8 +76,11 @@ def test_ill_typed_enabled_or_flow_rejected(field, value):
     ("wires", "ab", "wires must be a list"),
     ("wires", [5], "each port's wires must be a list"),
     ("wires", ["ab"], "each port's wires must be a list"),
+    ("wires", [[[["x"], 0]]], "wire target must be a node id"),
+    ("wires", [[["x", False]]], "ingress index must be a non-negative integer"),
+    ("wires", [[["x", True]]], "ingress index must be a non-negative integer"),
 ], ids=["config-str", "config-pairs", "config-null", "wires-object", "wires-str",
-        "port-int", "port-str"])
+        "port-int", "port-str", "target-list", "ingress-false", "ingress-true"])
 def test_ill_typed_config_or_wires_rejected(field, value, message):
     doc = json.dumps({"nodes": [{"id": "x", "type": "debug", field: value}]})
     with pytest.raises(FlowParseError, match=f"{message}, got .* \\(node 'x'\\)"):

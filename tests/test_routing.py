@@ -151,21 +151,24 @@ def test_debounce_rate_bound(times, window):
 
 def test_audit_ack_in_time_confirms():
     h = NodeHarness("action-audit", {"timeout": 30000})
-    h.feed_at(0, "open-door", topic="cmd/door", ingress=0, corr="req-1")
+    h.feed_at(0, "open-door", topic="cmd/door", ingress=0)
     h.feed_at(5000, "door-open", topic="ack/door", ingress=1)
     h.run(60000)
     assert h.emits(0) == [(5000, "door-open")]
     assert h.emits(1) == []
     [entry] = h.engine.log.emits("n")
     assert entry.port == 0
+    assert entry.topic == "ack/door"
 
 
 def test_audit_timeout_fails():
     h = NodeHarness("action-audit", {"timeout": 30000})
-    h.feed_at(0, "open-door", ingress=0)
+    h.feed_at(0, "open-door", topic="cmd/door", ingress=0)
     h.run(60000)
     assert h.emits(0) == []
     assert h.emits(1) == [(30000, {"kind": "timeout"})]
+    [entry] = h.engine.log.emits("n")
+    assert entry.topic == "cmd/door"
 
 
 def test_audit_late_ack_after_failure_is_ignored():
