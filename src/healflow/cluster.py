@@ -71,30 +71,64 @@ def decode_ping(data: bytes) -> tuple[str, int, int]:
 # --- transport ---------------------------------------------------------------
 
 class LoopbackTransport:
-    """In-memory datagram fabric with scriptable per-link drop."""
+    """In-memory datagram fabric with scriptable per-link drop.
+
+    A datagram reaches its endpoint's handler as a clock event at the
+    endpoint's rank, at the send's virtual ms; ping() may instead hand a
+    periodic ping to an agent endpoint at once. Every delivery event into an
+    engine, datagram or world publish, goes through schedule(), which keeps
+    the latest one per rank, so ping() can tell whether one is pending.
+    """
 
     def __init__(self, clock):
         self.clock = clock
-        self._endpoints: dict[str, tuple[Callable[[bytes], None], int]] = {}
+        self._endpoints: dict[str, tuple[Callable[[bytes], None], int, ClusterAgent | None]] = {}
         self._drops: dict[tuple[str, str], bool] = {}
+        self._latest: dict[int, list] = {}  # rank -> latest delivery clock entry
 
-    def register(self, address: str, handler: Callable[[bytes], None], rank: int) -> None:
-        self._endpoints[address] = (handler, rank)
+    def register(self, address: str, handler: Callable[[bytes], None], rank: int,
+                 agent: ClusterAgent | None = None) -> None:
+        self._endpoints[address] = (handler, rank, agent)
 
     def set_drop(self, src: str, dst: str, drop: bool) -> None:
         self._drops[(src, dst)] = drop
+
+    def schedule(self, delay: int, fn: Callable[[], None], rank: int) -> None:
+        """Schedule a delivery event at `rank`, delay ms from now."""
+        entry = self.clock.after(delay, fn, rank)
+        latest = self._latest.get(rank)
+        if latest is None or latest[0] <= entry[0]:
+            self._latest[rank] = entry
 
     def send(self, src: str, dst: str, data: bytes) -> None:
         entry = self._endpoints.get(dst)
         if entry is None or self._drops.get((src, dst)):
             return
-        handler, rank = entry
-        self.clock.after(0, partial(handler, data), rank=rank)
+        handler, rank, _ = entry
+        self.schedule(0, partial(handler, data), rank)
 
     def broadcast(self, src: str, data: bytes) -> None:
         for dst in self._endpoints:
             if dst != src:
                 self.send(src, dst, data)
+
+    def ping(self, src: str, data: bytes) -> None:
+        """Broadcast a periodic ping: as broadcast(), but an agent with no
+        delivery pending may take it at once (ClusterAgent.take_ping).
+
+        Its delivery event would sort before the agent's timers at this ms,
+        and with none of its deliveries pending no callback of the agent
+        would run before it. Only the agent schedules at its timer rank, so
+        taking the ping now, with the event's sequence reserved, orders every
+        entry it could tie with as the event would, and logs the same bytes.
+        """
+        for dst, (handler, rank, agent) in self._endpoints.items():
+            if dst == src or self._drops.get((src, dst)):
+                continue
+            latest = self._latest.get(rank)
+            pending = latest is not None and latest[3] is not None
+            if agent is None or pending or not agent.take_ping(src):
+                self.schedule(0, partial(handler, data), rank)
 
 
 # --- runtime agent -----------------------------------------------------------
@@ -106,9 +140,15 @@ class ClusterAgent:
     `epoch`, `election_timeout` and `ping_period`, its own election `key`,
     and `peers`, a map from address to (election key, last ping time,
     alive). A peer is alive until one virtual millisecond past
-    last ping + election timeout. Every ping re-arms the peer's expiry timer
-    through VirtualClock.rearm, which moves a pending timer later without a
-    new heap entry; the timer fires once, at the last ping's expiry time.
+    last ping + election timeout. Hearing an alive peer moves its expiry
+    timer through VirtualClock.rearm, which keeps a pending timer's heap
+    entry; the timer fires once, at the last ping's expiry time.
+
+    A ping arrives as a delivery event (receive_datagram), except a periodic
+    ping from a peer this agent already holds alive while none of its
+    deliveries is pending: the transport hands that one over at send time
+    (take_ping), which refreshes the peer without a clock event. Joins, the
+    boot ping and raw datagrams keep their events.
 
     The agent is configured by the engine's first redundancy node, `spec`:
     its electionTimeout sets the timeouts, and its id is the node of every
@@ -139,14 +179,17 @@ class ClusterAgent:
         # Register at construction so a boot ping from an instance that
         # starts first still reaches instances created later in the same
         # setup pass; deliveries are scheduled events, nothing fires early.
-        self.transport.register(self.address, self.receive_datagram, rank=engine.rank_deliver)
+        self.transport.register(self.address, self.receive_datagram, engine.rank_deliver,
+                                agent=self)
 
     def add_listener(self, fn: Callable[[str, int], None]) -> None:
         self._listeners.append(fn)
 
     def start(self) -> None:
         clock = self.engine.clock
-        self._broadcast_ping()
+        # Every boot ping is an event: start() may run inside a fault, and a
+        # later fault at the same ms may halt a receiver before it lands.
+        self.transport.broadcast(self.address, encode_ping(self.address, self.epoch, clock.now))
         clock.after(self.ping_period, self._ping_tick, rank=self.engine.rank_timer)
         clock.after(self.election_timeout, self._boot_election, rank=self.engine.rank_timer)
 
@@ -154,16 +197,13 @@ class ClusterAgent:
     def _ping_tick(self) -> None:
         if self.engine.halted:
             return
-        self._broadcast_ping()
-        self.engine.clock.after(self.ping_period, self._ping_tick, rank=self.engine.rank_timer)
+        clock = self.engine.clock
+        self.transport.ping(self.address, encode_ping(self.address, self.epoch, clock.now))
+        clock.after(self.ping_period, self._ping_tick, rank=self.engine.rank_timer)
 
     def _boot_election(self) -> None:
         if not self.engine.halted:
             self.run_election("election-result")
-
-    def _broadcast_ping(self) -> None:
-        self.transport.broadcast(self.address,
-                                 encode_ping(self.address, self.epoch, self.engine.clock.now))
 
     # --- datagram path ---------------------------------------------------------
     def receive_datagram(self, data: bytes) -> None:
@@ -188,14 +228,31 @@ class ClusterAgent:
         else:
             key, _, alive = peer
             joined = not alive
+        self._heard(address, key)
+        if joined:
+            self.run_election("master-recovered")
+
+    def take_ping(self, address: str) -> bool:
+        """Take a periodic ping from `address` at send time if its delivery
+        event could do no more than refresh an alive peer, or nothing at all
+        in a halted engine; reserves that event's sequence. False otherwise."""
+        peer = self.peers.get(address)
+        halted = self.engine.halted
+        if not halted and (peer is None or not peer[2]):
+            return False
+        self.engine.clock.reserve()
+        if not halted:
+            self._heard(address, peer[0])
+        return True
+
+    def _heard(self, address: str, key: tuple[int, str]) -> None:
+        """Mark the peer alive as of now and move its expiry to one ms past the timeout."""
         clock = self.engine.clock
         now = clock.now
         self.peers[address] = (key, now, True)
         self._expiry[address] = clock.rearm(self._expiry.get(address),
                                             now + self.election_timeout + 1, self._expire,
                                             self.engine.rank_timer)
-        if joined:
-            self.run_election("master-recovered")
 
     def _expire(self) -> None:
         """Mark every peer silent for longer than the timeout dead, once."""

@@ -61,6 +61,11 @@ class VirtualClock:
             entry[3] = None
         return self.at(time, partial(fn, *args) if args else fn, rank)
 
+    def reserve(self) -> None:
+        """Take the next creation sequence and schedule nothing: an event applied
+        without its heap entry keeps every later sequence where it would be."""
+        next(self._seq)
+
     @staticmethod
     def cancel(entry: list) -> None:
         """Drop the entry's callback; the entry stays in the heap as a

@@ -23,6 +23,13 @@ class HttpAware(Node):
         "period": Param("int", minimum=0, exclusive_min=True),
     }
 
+    @classmethod
+    def check_config(cls, config):
+        ports = config.get("ports")
+        if ports is not None and not all(type(p) is int for p in ports):  # bool is no port
+            return [f"config 'ports' must hold integers, got {ports!r}"]
+        return []
+
     def __init__(self, spec, engine):
         super().__init__(spec, engine)
         self._seen: dict = {}

@@ -93,14 +93,16 @@ class World:
     def publish(self, topic: str, payload, source: str) -> None:
         """Deliver to every matching subscription, honoring net_delay faults.
 
-        Subscribers share the payload: the receiving engine copies it per delivery.
+        Each delivery is an event scheduled through the transport, which
+        tracks the deliveries pending at each rank. Subscribers share the
+        payload: the receiving engine copies it per delivery.
         """
         delay = self.delays.get(source, 0)
         for (instance, node_id, pattern) in self._subs:
             if not topic_matches(pattern, topic):
                 continue
-            self.clock.after(delay, partial(self._deliver, instance, node_id, topic, payload),
-                             rank=self.engines[instance].rank_deliver)
+            deliver = partial(self._deliver, instance, node_id, topic, payload)
+            self.transport.schedule(delay, deliver, self.engines[instance].rank_deliver)
 
     def _deliver(self, instance: str, node_id: str, topic: str, payload) -> None:
         # Looked up when the delivery fires: a restart replaces the engine.

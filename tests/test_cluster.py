@@ -1,5 +1,7 @@
+import contextlib
 import itertools
 import json
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from healflow.cluster import (PING_CACHE_SIZE, LoopbackTransport, PingDecodeError, decode_ping,
                               election_key, encode_ping)
 from healflow.core.clock import VirtualClock
-from healflow.sim import Simulation, World, parse_scenario
+from healflow.core.graph import validate_graph
+from healflow.sim import Simulation, VirtualDevice, World, parse_scenario
+from healflow.sim.world import RANK_FAULT, RANK_WORLD
 from tests.conftest import build_graph, make_engine, make_spec
 
 
@@ -459,3 +463,262 @@ def test_malformed_broadcast_is_logged_by_each_receiver(caplog):
             world.transport.broadcast("192.168.1.99", b"SHEN/1 PING 192.168.1.99 x 0\n")
             world.clock.run_until(world.clock.now)
     assert [r.getMessage().startswith("ignoring datagram") for r in caplog.records] == [True] * 6
+
+
+# --- periodic pings taken at send time --------------------------------------------------
+
+@contextlib.contextmanager
+def eager_pings():
+    """Every periodic ping is a delivery event, as a raw broadcast is."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LoopbackTransport, "ping", LoopbackTransport.broadcast)
+        yield
+
+
+def final_seq(clock):
+    return clock.at(clock.now, lambda: None, 0)[2]
+
+
+def shipped_and_eager(drive):
+    """Run drive() as shipped and with eager pings; both runs must log the same
+    bytes and end on the same seq. Returns what the shipped run's drive() returned,
+    whose first item is its world."""
+    shipped = drive()
+    with eager_pings():
+        eager = drive()
+    assert shipped[0].log.to_csv() == eager[0].log.to_csv()
+    assert final_seq(shipped[0].clock) == final_seq(eager[0].clock)
+    return shipped
+
+
+def datagram_events(world):
+    """(time, rank) of every datagram delivery event the transport schedules from now on."""
+    events = []
+    schedule = world.transport.schedule
+
+    def spy(delay, fn, rank):
+        if isinstance(fn.args[0], bytes):
+            events.append((world.clock.now, rank))
+        schedule(delay, fn, rank)
+    world.transport.schedule = spy
+    return events
+
+
+LOW, HIGH = SELF, HIGHER
+
+
+def changes(log, instance):
+    return [(e.time, e.value) for e in log if e.kind == "role-change" and e.instance == instance]
+
+
+def started_pair(world=None, low_graph=None):
+    """high, then low, started at 0 with a 1 s election timeout: pings every 200 ms."""
+    world = world or World()
+    high = make_engine(redundancy_graph(1000), instance="high", address=HIGH, world=world)
+    low = make_engine(low_graph or redundancy_graph(1000), instance="low", address=LOW,
+                      world=world)
+    events = datagram_events(world)
+    high.start()
+    low.start()
+    return world, low, high, events
+
+
+def test_an_alive_peer_is_refreshed_at_send_time_without_an_event():
+    def drive():
+        world, low, high, events = started_pair()
+        world.clock.run_until(10000)
+        return world, low, high, events
+    world, low, high, events = shipped_and_eager(drive)
+    assert events == [(0, low.rank_deliver), (0, high.rank_deliver)]  # the boot pings
+    assert low.cluster.peers[HIGH] == (election_key(HIGH), 10000, True)
+    assert high.cluster.peers[LOW] == (election_key(LOW), 10000, True)
+    assert roles(world.log, "high") == [(0, "master")]
+
+
+def test_a_dropped_link_gets_no_ping_either_way():
+    def drive():
+        world, low, high, events = started_pair()
+        world.clock.run_until(1000)
+        world.transport.set_drop(HIGH, LOW, True)
+        del events[:]
+        world.clock.run_until(1200)
+        return world, low, events
+    world, low, events = shipped_and_eager(drive)
+    assert events == []
+    assert low.cluster.peers[HIGH][1] == 1000
+
+
+def test_a_halted_receiver_takes_a_ping_as_its_event_would_by_doing_nothing():
+    def drive():
+        world, low, high, events = started_pair()
+        world.clock.run_until(1000)
+        low.halt()
+        del events[:]
+        world.clock.run_until(1200)
+        return world, low, events
+    # The eager run schedules one event that does nothing; the seqs still match.
+    world, low, events = shipped_and_eager(drive)
+    assert events == []
+    assert low.cluster.peers[HIGH][1] == 1000
+
+
+def test_a_ping_from_an_unknown_peer_joins_where_its_event_fires():
+    def drive():
+        world = World()
+        low = make_engine(redundancy_graph(1000), instance="low", address=LOW, world=world)
+        low.start()
+        world.clock.run_until(1500)  # alone: master at its boot election
+        high = make_engine(redundancy_graph(1000), instance="high", address=HIGH, world=world)
+        world.transport.set_drop(HIGH, LOW, True)  # low misses high's boot ping
+        high.start()
+        world.clock.run_until(1600)
+        world.transport.set_drop(HIGH, LOW, False)
+        events = datagram_events(world)
+        world.clock.run_until(1700)
+        return world, low, events
+    world, low, events = shipped_and_eager(drive)
+    assert events == [(1700, low.rank_deliver)]
+    assert changes(world.log, "low") == [
+        (1000, {"role": "master", "epoch": 1, "reason": "election-result"}),
+        (1700, {"role": "standby", "epoch": 2, "reason": "master-recovered"})]
+
+
+def test_a_ping_from_an_expired_peer_joins_where_its_event_fires():
+    def drive():
+        world, low, high, events = started_pair()
+        world.clock.run_until(1000)
+        world.transport.set_drop(HIGH, LOW, True)
+        world.clock.run_until(2500)  # high last heard at 1000, dead at 2001
+        world.transport.set_drop(HIGH, LOW, False)
+        del events[:]
+        world.clock.run_until(2600)
+        return world, low, events
+    world, low, events = shipped_and_eager(drive)
+    assert events == [(2600, low.rank_deliver)]
+    assert changes(world.log, "low") == [
+        (2001, {"role": "master", "epoch": 1, "reason": "election-result"}),
+        (2600, {"role": "standby", "epoch": 2, "reason": "master-recovered"})]
+
+
+def test_a_world_delivery_pending_at_the_same_ms_keeps_the_ping_an_event():
+    """A reading to low is pending when high ticks at 1000: it re-arms low's
+    heartbeat to 2001 before high's ping re-arms high's expiry to 2001, so
+    at 2001 the heartbeat fires first, then the expiry makes low master."""
+    listening = build_graph(
+        *redundancy_graph(1000).nodes,
+        make_spec("s-in", "mqtt-in", {"topic": "s/x"}, flow="control", wires=[[("hb", 0)]]),
+        make_spec("hb", "heartbeat", {"timeout": 1001}, flow="control"))
+
+    def drive():
+        world = World(devices=[VirtualDevice("s", "nfcReader", "s/x", reads=[(1000, 1.0)])])
+        world, low, high, events = started_pair(world, listening)
+        world.start_devices()
+        world.clock.run_until(500)
+        del events[:]
+        world.clock.run_until(1000)
+        high.halt()
+        world.clock.run_until(2100)
+        return world, low, events
+    world, low, events = shipped_and_eager(drive)
+    assert events == [(1000, low.rank_deliver)]
+    assert [(e.kind, e.node) for e in world.log if e.time == 2001 and e.instance == "low"][:3] == [
+        ("timer", "hb"), ("emit", "hb"), ("role-change", "red")]
+
+
+def test_a_plain_handler_endpoint_gets_every_ping_as_an_event():
+    def drive():
+        world, low, high, events = started_pair()
+        got = []
+        world.transport.register("10.0.0.1", lambda d: got.append((world.clock.now, d)), rank=99)
+        world.clock.run_until(400)
+        return world, got
+    world, got = shipped_and_eager(drive)
+    assert got == [(t, encode_ping(address, epoch, t)) for t in (200, 400)
+                   for address, epoch in ((HIGH, 1), (LOW, 0))]
+
+
+def watched_graph(election_timeout, heartbeat_timeout):
+    """A redundancy pair member whose heartbeat watches a sensor and posts
+    alarms to every instance's role-gated ingest group."""
+    graph = build_graph(
+        make_spec("red", "redundancy",
+                  {"electionTimeout": election_timeout, "controlledFlows": ["ingest"]},
+                  flow="control", wires=[[("fctl", 0)], []]),
+        make_spec("fctl", "flow-control", flow="control"),
+        make_spec("s-in", "mqtt-in", {"topic": "s/x"}, flow="watch", wires=[[("hb", 0)]]),
+        make_spec("hb", "heartbeat", {"timeout": heartbeat_timeout}, flow="watch",
+                  wires=[[], [], [("alarm-out", 0)]]),
+        make_spec("alarm-out", "mqtt-out", {"topic": "alarm"}, flow="watch"),
+        make_spec("alarm-in", "mqtt-in", {"topic": "alarm"}, flow="ingest", enabled=False,
+                  wires=[[("work", 0)]]),
+        make_spec("work", "debug", flow="ingest", enabled=False),
+    )
+    assert [d for d in validate_graph(graph) if d.severity == "error"] == []
+    return graph
+
+
+GHOST = "10.9.9.9"
+
+
+@st.composite
+def cluster_programs(draw):
+    """A scenario document plus hand-scheduled drop toggles and raw datagrams."""
+    count = draw(st.integers(2, 6))
+    octets = draw(st.lists(st.integers(1, 254), min_size=count, max_size=count, unique=True))
+    instances = [{"name": f"i{o}", "address": f"10.0.{o % 3}.{o}"} for o in octets]
+    names = [i["name"] for i in instances]
+    addresses = [i["address"] for i in instances]
+    timeout = draw(st.sampled_from([5, 7, 10, 23, 200]))
+    duration = draw(st.integers(1, 500))
+    at = st.integers(0, duration)
+    events = draw(st.lists(st.one_of(
+        st.fixed_dictionaries({"at_ms": at,
+                               "kind": st.sampled_from(["instance_crash", "instance_restart"]),
+                               "target": st.sampled_from(names)}),
+        st.fixed_dictionaries({"at_ms": at,
+                               "kind": st.sampled_from(["device_offline", "device_online"]),
+                               "target": st.just("s")}),
+        st.fixed_dictionaries({"at_ms": at, "kind": st.just("net_delay"),
+                               "target": st.sampled_from(["s"] + names),
+                               "params": st.fixed_dictionaries(
+                                   {"delay_ms": st.integers(0, 3)})})), max_size=10))
+    scenario = {"seed": 1, "duration_ms": duration, "events": events, "world": {
+        "instances": instances,
+        "devices": [{"id": "s", "kind": "periodicSensor", "topic": "s/x",
+                     "period_ms": draw(st.sampled_from([1, timeout, timeout + 1]))}]}}
+    link = st.sampled_from(addresses)
+    drops = draw(st.lists(st.tuples(at, link, link, st.booleans()), max_size=6))
+    datagram = st.sampled_from([b"junk\n", b"\xff\xfe", b"SHEN/1 PING 10.0.0.999 0 0\n",
+                                encode_ping(GHOST, 0, 0)] + [encode_ping(a, 0, 0)
+                                                             for a in addresses])
+    datagrams = draw(st.lists(st.tuples(at, st.sampled_from([RANK_FAULT, RANK_WORLD]), link,
+                                        datagram), max_size=6))
+    heartbeat = timeout + draw(st.integers(0, 2))
+    return scenario, timeout, heartbeat, drops, datagrams
+
+
+def run_program(program):
+    scenario, timeout, heartbeat, drops, datagrams = program
+    script = parse_scenario(json.dumps(scenario))
+    sim = Simulation([watched_graph(timeout, heartbeat) for _ in script.world.instances], script)
+    clock, transport = sim.world.clock, sim.world.transport
+    for at, src, dst, drop in drops:
+        clock.at(at, partial(transport.set_drop, src, dst, drop), RANK_FAULT)
+    for at, rank, dst, data in datagrams:
+        clock.at(at, partial(transport.send, GHOST, dst, data), rank)
+    log = sim.run()
+    return log.to_csv(), final_seq(clock)
+
+
+@given(cluster_programs())
+@settings(max_examples=60, deadline=None)
+def test_periodic_pings_taken_at_send_time_log_what_their_events_would(program):
+    """Instances crash and restart at any ms, links drop and heal at fault rank,
+    a sensor's readings (delayed, or paused) and the heartbeat timers they
+    re-arm tie with peer expiries, and raw datagrams, some malformed, arrive
+    at fault and world rank: the timeline bytes and the final seq match the
+    eager fabric's."""
+    shipped = run_program(program)
+    with eager_pings():
+        eager = run_program(program)
+    assert shipped == eager

@@ -1,3 +1,6 @@
+import pytest
+
+from healflow.core.graph import validate_graph
 from healflow.persistence import Store
 from healflow.sim import Service, VirtualDevice, World
 from tests.conftest import build_graph, make_engine, make_spec
@@ -51,6 +54,19 @@ def test_http_aware_port_filter():
     engine.start()
     [entry] = engine.log.emits("probe")
     assert entry.value["service"] == "svc-b"
+
+
+@pytest.mark.parametrize("ports", [["80"], [80.0], [True], [80, None], [[80]]])
+def test_http_aware_rejects_a_port_that_is_not_an_integer(ports):
+    graph = build_graph(make_spec("probe", "http-aware", {"period": 5000, "ports": ports}))
+    [problem] = [d.message for d in validate_graph(graph) if d.severity == "error"]
+    assert "config 'ports' must hold integers" in problem
+
+
+def test_http_aware_accepts_integer_ports_and_no_filter():
+    for ports in ([80, 443], [], None):
+        graph = build_graph(make_spec("probe", "http-aware", {"period": 5000, "ports": ports}))
+        assert [d for d in validate_graph(graph) if d.severity == "error"] == []
 
 
 # --- network-aware ---------------------------------------------------------------
