@@ -17,7 +17,7 @@ Unknown verbs are ignored with a log line.
 from __future__ import annotations
 
 import logging
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable
 
 logger = logging.getLogger(__name__)
@@ -44,13 +44,7 @@ def encode_ping(address: str, epoch: int, now: int) -> bytes:
     return f"SHEN/1 PING {address} {epoch} {now}\n".encode("ascii")
 
 
-# One broadcast hands the same datagram to every peer, so each is decoded once;
-# the bound covers one ping tick of 16 instances. Errors are not cached, so
-# every receiver of a bad datagram raises and logs it.
-PING_CACHE_SIZE = 16
-
-
-@lru_cache(maxsize=PING_CACHE_SIZE)
+# Not memoised: a ping taken at send time is never decoded, so few repeat.
 def decode_ping(data: bytes) -> tuple[str, int, int]:
     """Returns (address, epoch, virtual-ms); raises PingDecodeError otherwise."""
     try:
@@ -71,24 +65,23 @@ def decode_ping(data: bytes) -> tuple[str, int, int]:
 # --- transport ---------------------------------------------------------------
 
 class LoopbackTransport:
-    """In-memory datagram fabric with scriptable per-link drop.
+    """In-memory datagram fabric between ClusterAgents, with per-link drop.
 
-    A datagram reaches its endpoint's handler as a clock event at the
-    endpoint's rank, at the send's virtual ms; ping() may instead hand a
-    periodic ping to an agent endpoint at once. Every delivery event into an
-    engine, datagram or world publish, goes through schedule(), which keeps
-    the latest one per rank, so ping() can tell whether one is pending.
+    send() schedules every datagram event: the agent's receive_datagram at
+    its delivery rank, at the send's virtual ms; ping() may instead hand a
+    periodic ping to the agent at once. Every delivery event into an engine,
+    datagram or world publish, goes through schedule(), which keeps the
+    latest one per rank, so ping() can tell whether one is pending.
     """
 
     def __init__(self, clock):
         self.clock = clock
-        self._endpoints: dict[str, tuple[Callable[[bytes], None], int, ClusterAgent | None]] = {}
+        self._agents: dict[str, ClusterAgent] = {}
         self._drops: dict[tuple[str, str], bool] = {}
         self._latest: dict[int, list] = {}  # rank -> latest delivery clock entry
 
-    def register(self, address: str, handler: Callable[[bytes], None], rank: int,
-                 agent: ClusterAgent | None = None) -> None:
-        self._endpoints[address] = (handler, rank, agent)
+    def register(self, agent: ClusterAgent) -> None:
+        self._agents[agent.address] = agent
 
     def set_drop(self, src: str, dst: str, drop: bool) -> None:
         self._drops[(src, dst)] = drop
@@ -101,14 +94,13 @@ class LoopbackTransport:
             self._latest[rank] = entry
 
     def send(self, src: str, dst: str, data: bytes) -> None:
-        entry = self._endpoints.get(dst)
-        if entry is None or self._drops.get((src, dst)):
+        agent = self._agents.get(dst)
+        if agent is None or self._drops.get((src, dst)):
             return
-        handler, rank, _ = entry
-        self.schedule(0, partial(handler, data), rank)
+        self.schedule(0, partial(agent.receive_datagram, data), agent.engine.rank_deliver)
 
     def broadcast(self, src: str, data: bytes) -> None:
-        for dst in self._endpoints:
+        for dst in self._agents:
             if dst != src:
                 self.send(src, dst, data)
 
@@ -122,13 +114,13 @@ class LoopbackTransport:
         taking the ping now, with the event's sequence reserved, orders every
         entry it could tie with as the event would, and logs the same bytes.
         """
-        for dst, (handler, rank, agent) in self._endpoints.items():
+        for dst, agent in self._agents.items():
             if dst == src or self._drops.get((src, dst)):
                 continue
-            latest = self._latest.get(rank)
+            latest = self._latest.get(agent.engine.rank_deliver)
             pending = latest is not None and latest[3] is not None
-            if agent is None or pending or not agent.take_ping(src):
-                self.schedule(0, partial(handler, data), rank)
+            if pending or not agent.take_ping(src):
+                self.send(src, dst, data)
 
 
 # --- runtime agent -----------------------------------------------------------
@@ -144,11 +136,11 @@ class ClusterAgent:
     timer through VirtualClock.rearm, which keeps a pending timer's heap
     entry; the timer fires once, at the last ping's expiry time.
 
-    A ping arrives as a delivery event (receive_datagram), except a periodic
-    ping from a peer this agent already holds alive while none of its
-    deliveries is pending: the transport hands that one over at send time
-    (take_ping), which refreshes the peer without a clock event. Joins, the
-    boot ping and raw datagrams keep their events.
+    A ping arrives as a receive_datagram event, which the transport's send()
+    schedules for this agent as its endpoint, except a periodic ping from a
+    peer it holds alive while none of its deliveries is pending: the
+    transport hands that one over at send time (take_ping), refreshing the
+    peer with no clock event. Joins, the boot ping and raw datagrams keep theirs.
 
     The agent is configured by the engine's first redundancy node, `spec`:
     its electionTimeout sets the timeouts, and its id is the node of every
@@ -176,11 +168,9 @@ class ClusterAgent:
         self.role_node = spec.id
         self._listeners: list[Callable[[str, int], None]] = []
         self._expiry: dict[str, list] = {}  # address -> pending expiry clock entry
-        # Register at construction so a boot ping from an instance that
-        # starts first still reaches instances created later in the same
-        # setup pass; deliveries are scheduled events, nothing fires early.
-        self.transport.register(self.address, self.receive_datagram, engine.rank_deliver,
-                                agent=self)
+        # Register at construction, before any instance of the setup pass
+        # starts, so every boot ping reaches every agent; nothing fires early.
+        self.transport.register(self)
 
     def add_listener(self, fn: Callable[[str, int], None]) -> None:
         self._listeners.append(fn)

@@ -42,8 +42,6 @@ class VirtualClock:
         return entry
 
     def after(self, delay: int, fn: Callable[[], None], rank: int) -> list:
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
         return self.at(self.now + delay, fn, rank)
 
     def rearm(self, entry: list | None, time: int, fn: Callable, rank: int, *args) -> list:

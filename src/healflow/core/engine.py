@@ -77,7 +77,6 @@ class Engine:
                 node.on_start()
             except Exception as exc:  # noqa: BLE001 - operators never abort the run
                 self._log_operator_error(spec.id, exc)
-            self._drain()
         if self.cluster is not None:
             self.cluster.start()
 
@@ -166,7 +165,6 @@ class Engine:
             self.nodes[node_id].on_timer(tag)
         except Exception as exc:  # noqa: BLE001
             self._log_operator_error(node_id, exc)
-        self._drain()
 
     def clear_node_timer(self, spec, tag: str) -> None:
         old = self._timers.pop((spec.id, tag), None)

@@ -122,6 +122,9 @@ class DeviceRegistry(Node):
         endpoint = payload.get("host", "")
         if "port" in payload:
             endpoint = f"{endpoint}:{payload['port']}"
+        if event in _ONLINE_EVENTS and not (isinstance(kind, str) and isinstance(endpoint, str)):
+            self.emit(1, {"kind": "malformed", "value": payload}, env.topic)
+            return
         try:
             if event in _ONLINE_EVENTS:
                 entry = self.engine.store.registry_upsert(device_id, kind, endpoint, self.now)

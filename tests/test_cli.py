@@ -223,6 +223,8 @@ MALFORMED_SCENARIOS = {
     "period-float": {"world": {"devices": [dict(SENSOR, period_ms=2.5)]}},
     "period-string": {"world": {"devices": [dict(SENSOR, period_ms="100")]}},
     "duration-boolean": {"duration_ms": True},
+    "device-kind-unknown": {"world": {"devices": [dict(SENSOR, kind="camera")]}},
+    "sensor-without-period": {"world": {"devices": [{"id": "s", "topic": "t"}]}},
 }
 
 
@@ -235,6 +237,37 @@ def test_run_malformed_scenario_exits_2(tmp_path, fixture_path, capsys, shape):
                  "--scenario", str(scenario)])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {scenario}: ")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("not json", "scenario syntax error: "),
+    ("[1]", "scenario document must be a JSON object"),
+], ids=["not-json", "not-object"])
+def test_run_scenario_that_is_not_a_json_object_exits_2(tmp_path, fixture_path, capsys, text,
+                                                        message):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(text)
+    code = main(["run", "--flow", str(fixture_path("flow_a.json")), "--scenario", str(scenario)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {scenario}: {message}")
+
+
+def test_run_out_into_a_missing_directory_exits_3(tmp_path, fixture_path, capsys):
+    out = tmp_path / "missing" / "t.csv"
+    code = main(["run", "--flow", str(fixture_path("flow_a.json")),
+                 "--scenario", str(fixture_path("scenario_a.json")), "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
+def test_run_store_dir_naming_a_file_exits_3(tmp_path, fixture_path, capsys):
+    store_dir = tmp_path / "file"
+    store_dir.write_text("")
+    code = main(["run", "--flow", str(fixture_path("flow_a.json")),
+                 "--scenario", str(fixture_path("scenario_a.json")),
+                 "--store-dir", str(store_dir)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("i/o error: ")
 
 
 DUPLICATE_NAMES = {

@@ -6,9 +6,8 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from healflow.cluster import (PING_CACHE_SIZE, LoopbackTransport, PingDecodeError, decode_ping,
+from healflow.cluster import (ClusterAgent, LoopbackTransport, PingDecodeError, decode_ping,
                               election_key, encode_ping)
-from healflow.core.clock import VirtualClock
 from healflow.core.graph import validate_graph
 from healflow.sim import Simulation, VirtualDevice, World, parse_scenario
 from healflow.sim.world import RANK_FAULT, RANK_WORLD
@@ -118,10 +117,10 @@ def test_decode_rejects_garbage():
 
 
 def test_decode_survives_cache_eviction_and_never_caches_an_error():
-    blobs = [encode_ping(f"10.0.0.{octet}", 1, octet) for octet in range(3 * PING_CACHE_SIZE)]
+    blobs = [encode_ping(f"10.0.0.{octet}", 1, octet) for octet in range(48)]
     for _ in range(2):
         assert [decode_ping(b) for b in blobs] == [
-            (f"10.0.0.{octet}", 1, octet) for octet in range(3 * PING_CACHE_SIZE)]
+            (f"10.0.0.{octet}", 1, octet) for octet in range(48)]
     for _ in range(2):
         with pytest.raises(PingDecodeError):
             decode_ping(b"SHEN/1 PING x y z\n")
@@ -332,29 +331,28 @@ def test_one_master_with_the_largest_key_once_membership_is_stable(schedule):
 
 # --- transport --------------------------------------------------------------------
 
+def unstarted_pair():
+    """Two agents on one world's transport; neither engine is started, so no ping is sent."""
+    world = World()
+    a = make_engine(redundancy_graph(), instance="a", address="10.0.0.1", world=world)
+    b = make_engine(redundancy_graph(), instance="b", address="10.0.0.2", world=world)
+    return world, a, b, datagram_events(world)
+
+
 def test_loopback_broadcast_excludes_sender():
-    clock = VirtualClock()
-    got = {"a": [], "b": []}
-    transport = LoopbackTransport(clock)
-    transport.register("1.1.1.1", lambda d: got["a"].append((clock.now, d)), rank=0)
-    transport.register("2.2.2.2", lambda d: got["b"].append((clock.now, d)), rank=0)
-    clock.run_until(500)
-    transport.broadcast("1.1.1.1", b"x")
-    clock.run_until(1000)
-    assert got["a"] == []
-    assert got["b"] == [(500, b"x")]
+    world, a, b, events = unstarted_pair()
+    world.clock.run_until(500)
+    world.transport.broadcast(a.address, b"x")
+    world.clock.run_until(1000)
+    assert events == [(500, b.rank_deliver)]
 
 
 def test_loopback_drop():
-    clock = VirtualClock()
-    got = []
-    transport = LoopbackTransport(clock)
-    transport.register("1.1.1.1", lambda d: None, rank=0)
-    transport.register("2.2.2.2", got.append, rank=0)
-    transport.set_drop("1.1.1.1", "2.2.2.2", True)
-    transport.broadcast("1.1.1.1", b"x")
-    clock.run_until(10)
-    assert got == []
+    world, a, b, events = unstarted_pair()
+    world.transport.set_drop(a.address, b.address, True)
+    world.transport.broadcast(a.address, b"x")
+    world.clock.run_until(10)
+    assert events == []
 
 
 # --- live two-instance behavior ------------------------------------------------------
@@ -625,16 +623,29 @@ def test_a_world_delivery_pending_at_the_same_ms_keeps_the_ping_an_event():
         ("timer", "hb"), ("emit", "hb"), ("role-change", "red")]
 
 
-def test_a_plain_handler_endpoint_gets_every_ping_as_an_event():
-    def drive():
-        world, low, high, events = started_pair()
-        got = []
-        world.transport.register("10.0.0.1", lambda d: got.append((world.clock.now, d)), rank=99)
-        world.clock.run_until(400)
-        return world, got
-    world, got = shipped_and_eager(drive)
-    assert got == [(t, encode_ping(address, epoch, t)) for t in (200, 400)
-                   for address, epoch in ((HIGH, 1), (LOW, 0))]
+def test_send_schedules_every_datagram_event_across_a_failover(monkeypatch):
+    """Three instances, the master crashes and restarts: every datagram event
+    the transport schedules goes through send, one per receive_datagram."""
+    counts = {"send": 0, "receive": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(LoopbackTransport, "send", counted("send", LoopbackTransport.send))
+    monkeypatch.setattr(ClusterAgent, "receive_datagram",
+                        counted("receive", ClusterAgent.receive_datagram))
+    instances = [{"name": f"i{o}", "address": f"10.0.0.{o}"} for o in (1, 2, 3)]
+    script = parse_scenario(json.dumps({"seed": 1, "duration_ms": 10000, "world": {
+        "instances": instances}, "events": [
+            {"at_ms": 3000, "kind": "instance_crash", "target": "i3"},
+            {"at_ms": 6000, "kind": "instance_restart", "target": "i3"}]}))
+    log = Simulation([redundancy_graph(1000) for _ in instances], script).run()
+    assert [(e.time, e.instance) for e in log if e.kind == "role-change" and e.time > 0
+            and e.value["role"] == "master"] == [(3801, "i2"), (6000, "i3")]
+    assert counts["receive"] > 8  # more than the boot pings: 3 x 2, and 2 at the restart
+    assert counts["send"] == counts["receive"]
 
 
 def watched_graph(election_timeout, heartbeat_timeout):

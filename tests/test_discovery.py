@@ -177,3 +177,26 @@ def test_registry_accepts_service_events(tmp_path):
         "reg", "", {"event": "appeared", "service": "v1", "host": "h", "port": 80},
         ingress=0)
     assert registry_lines(store) == ['["REG","v1","service","h:80",0,"online"]']
+
+
+def test_registry_reloads_every_entry_it_reports_online(tmp_path):
+    """An online event whose kind or endpoint would not be a string is malformed,
+    so every device the node reports online reloads and no store line is skipped."""
+    path = tmp_path / "i.store"
+    engine, store = registry_engine(Store(path))
+    for payload in ({"event": "appeared", "service": "svc", "kind": {"x": 1}, "host": "h"},
+                    {"event": "appeared", "service": "bare", "host": 5},
+                    {"event": "appeared", "service": "v1", "host": 5, "port": 80},
+                    {"event": "appeared", "service": "v2", "kind": "camera", "host": "h"},
+                    {"event": "joined", "host": "dev-1"}):
+        engine.deliver_external("reg", "", payload, ingress=0)
+    emits = engine.log.emits("reg")
+    assert [e.value["kind"] for e in emits if e.port == 1] == ["malformed", "malformed"]
+    online = [e.value["device"] for e in emits if e.port == 0]
+    assert online == ["v1", "v2", "dev-1"]
+    store.close()
+    reloaded = Store(path)
+    assert reloaded.skipped == 0
+    endpoints = [reloaded.registry_mark_lost(d, 0).endpoint for d in online]
+    reloaded.close()
+    assert endpoints == ["5:80", "h", "dev-1"]

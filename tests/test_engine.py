@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from healflow.core.envelope import copy_json, encode_json
+from healflow.nodes import NODE_KINDS, Node, Param
 from healflow.sim import VirtualDevice, World
 from healflow.sim.world import RANK_INSTANCE_BASE
 from tests.conftest import build_graph, make_engine, make_spec
@@ -208,6 +209,39 @@ def test_operator_exception_is_logged_not_fatal():
     assert len(faults) == 2
     assert faults[0].value["kind"] == "operator-error"
     assert len(engine.log.emits("s")) == 2
+
+
+class Faulty(Node):
+    """Arms one timer at start, and raises in the hook its config names."""
+
+    KIND = "faulty"
+    CONFIG = {"raiseIn": Param("choice", choices=("on_start", "on_timer"))}
+
+    def on_start(self):
+        self.set_timer("t", 100)
+        if self.cfg["raiseIn"] == "on_start":
+            raise RuntimeError("boom")
+
+    def on_timer(self, tag):
+        if self.cfg["raiseIn"] == "on_timer":
+            raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("hook, at_ms", [("on_start", 0), ("on_timer", 100)])
+def test_operator_error_in_on_start_or_on_timer_is_logged_once_and_the_run_goes_on(
+        monkeypatch, hook, at_ms):
+    monkeypatch.setitem(NODE_KINDS, Faulty.KIND, Faulty)
+    graph = build_graph(
+        make_spec("f", "faulty", {"raiseIn": hook}),
+        make_spec("s", "mqtt-in", {"topic": "t0"}, wires=[[("d", 0)]]),
+        make_spec("d", "debug"),
+    )
+    engine = make_engine(graph, world=sensor_world(100))
+    run(engine, 250)
+    assert [(e.time, e.node, e.value) for e in engine.log if e.kind == "fault"] == [
+        (at_ms, "f", {"kind": "operator-error", "error": "boom"})]
+    assert [e.time for e in engine.log if e.kind == "timer"] == [100]
+    assert [e.time for e in engine.log.emits("s")] == [100, 200]
 
 
 def test_delivery_completeness_every_emit_has_deliver_or_drop_per_ingress():

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from healflow.core.graph import FlowParseError, parse_flow, validate_graph
+from healflow.core.graph import Diagnostic, FlowParseError, parse_flow, validate_graph
+from healflow.nodes import Node, Param
 from tests.conftest import build_graph, make_spec
 
 MINIMAL = json.dumps({
@@ -87,6 +88,27 @@ def test_ill_typed_config_or_wires_rejected(field, value, message):
         parse_flow(doc)
 
 
+@pytest.mark.parametrize("doc, message", [
+    ([], 'flow document must be an object with a "nodes" list'),
+    ({}, 'flow document must be an object with a "nodes" list'),
+    ({"nodes": {"x": {}}}, 'flow document must be an object with a "nodes" list'),
+    ({"nodes": [{"type": "debug"}]}, "every node needs a non-empty string id"),
+    ({"nodes": [{"id": "", "type": "debug"}]}, "every node needs a non-empty string id"),
+    ({"nodes": [{"id": 7, "type": "debug"}]}, "every node needs a non-empty string id"),
+    ({"nodes": ["x"]}, "every node needs a non-empty string id"),
+    ({"nodes": [{"id": "x", "type": "debug", "wires": [[["x"]]]}]},
+     r"wire entries must be \[nodeId, ingressIdx\] pairs \(node 'x'\)"),
+    ({"nodes": [{"id": "x", "type": "debug", "wires": [[["x", 0, 1]]]}]},
+     r"wire entries must be \[nodeId, ingressIdx\] pairs \(node 'x'\)"),
+    ({"nodes": [{"id": "x", "type": "debug", "wires": [["x"]]}]},
+     r"wire entries must be \[nodeId, ingressIdx\] pairs \(node 'x'\)"),
+], ids=["list", "no-nodes", "nodes-object", "id-missing", "id-empty", "id-int", "node-str",
+        "wire-single", "wire-triple", "wire-str"])
+def test_malformed_document_rejected(doc, message):
+    with pytest.raises(FlowParseError, match=message):
+        parse_flow(json.dumps(doc))
+
+
 def test_scenario_a_style_document_shape(fixture_path):
     # heartbeat in parallel with check -> compensate -> checkpoint
     doc = json.dumps({"nodes": [
@@ -164,6 +186,25 @@ def test_unknown_config_key_is_flagged():
     assert any("unknown config key" in d.message for d in diags)
 
 
+@pytest.mark.parametrize("param, config, message", [
+    (Param("number"), {"f": "1"}, "config 'f' must be a number"),
+    (Param("number"), {"f": True}, "config 'f' must be a number"),
+    (Param("int"), {"f": 1.5}, "config 'f' must be an integer"),
+    (Param("int"), {"f": True}, "config 'f' must be an integer"),
+    (Param("str"), {"f": 5}, "config 'f' must be a string"),
+    (Param("list"), {"f": "ab"}, "config 'f' must be a list"),
+    (Param("choice", choices=("a", "b")), {"f": "c"}, "config 'f' must be one of ['a', 'b']"),
+    (Param("int", minimum=0, exclusive_min=True), {"f": 0}, "config 'f' must be > 0"),
+    (Param("int", minimum=1), {"f": 0}, "config 'f' must be >= 1"),
+    (Param("number", maximum=1), {"f": 1.5}, "config 'f' must be <= 1"),
+    (Param("int"), {}, "missing required config 'f'"),
+], ids=["number-str", "number-bool", "int-float", "int-bool", "str-int", "list-str",
+        "choice", "exclusive-minimum", "minimum", "maximum", "missing"])
+def test_config_value_rejections(param, config, message):
+    kind = type("OneParam", (Node,), {"KIND": "one-param", "CONFIG": {"f": param}})
+    assert kind.validate_config(config) == [message]
+
+
 def test_wire_beyond_declared_egress_is_flagged():
     graph = build_graph(
         make_spec("r", "rbe", wires=[[], [("d", 0)]]),
@@ -189,6 +230,22 @@ def test_balancing_egress_count_follows_config():
         make_spec("d", "debug"),
     )
     assert validate_graph(graph) == []
+
+
+def test_balancing_with_ill_typed_outputs_gets_only_its_config_error():
+    graph = build_graph(
+        make_spec("b", "balancing", {"outputs": "x"}, wires=[[], [("d", 0)]]),
+        make_spec("d", "debug"),
+    )
+    assert validate_graph(graph) == [
+        Diagnostic("error", "b", "config 'outputs' must be an integer")]
+
+
+def test_two_redundancy_nodes_give_one_warning():
+    graph = build_graph(*(make_spec(n, "redundancy", {"electionTimeout": 1000})
+                          for n in ("r1", "r2")))
+    assert validate_graph(graph) == [
+        Diagnostic("warning", "r2", "multiple redundancy nodes; the first one drives the cluster")]
 
 
 def test_mixed_enabled_flags_in_group_warn():
