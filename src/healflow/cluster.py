@@ -69,16 +69,13 @@ class LoopbackTransport:
 
     send() schedules every datagram event: the agent's receive_datagram at
     its delivery rank, at the send's virtual ms; ping() may instead hand a
-    periodic ping to the agent at once. Every delivery event into an engine,
-    datagram or world publish, goes through schedule(), which keeps the
-    latest one per rank, so ping() can tell whether one is pending.
+    periodic ping to the agent at once.
     """
 
     def __init__(self, clock):
         self.clock = clock
         self._agents: dict[str, ClusterAgent] = {}
         self._drops: dict[tuple[str, str], bool] = {}
-        self._latest: dict[int, list] = {}  # rank -> latest delivery clock entry
 
     def register(self, agent: ClusterAgent) -> None:
         self._agents[agent.address] = agent
@@ -86,18 +83,11 @@ class LoopbackTransport:
     def set_drop(self, src: str, dst: str, drop: bool) -> None:
         self._drops[(src, dst)] = drop
 
-    def schedule(self, delay: int, fn: Callable[[], None], rank: int) -> None:
-        """Schedule a delivery event at `rank`, delay ms from now."""
-        entry = self.clock.after(delay, fn, rank)
-        latest = self._latest.get(rank)
-        if latest is None or latest[0] <= entry[0]:
-            self._latest[rank] = entry
-
     def send(self, src: str, dst: str, data: bytes) -> None:
         agent = self._agents.get(dst)
         if agent is None or self._drops.get((src, dst)):
             return
-        self.schedule(0, partial(agent.receive_datagram, data), agent.engine.rank_deliver)
+        self.clock.after(0, partial(agent.receive_datagram, data), agent.engine.rank_deliver)
 
     def broadcast(self, src: str, data: bytes) -> None:
         for dst in self._agents:
@@ -105,21 +95,20 @@ class LoopbackTransport:
                 self.send(src, dst, data)
 
     def ping(self, src: str, data: bytes) -> None:
-        """Broadcast a periodic ping: as broadcast(), but an agent with no
-        delivery pending may take it at once (ClusterAgent.take_ping).
+        """Broadcast a periodic ping: as broadcast(), but an agent may take it
+        at once (ClusterAgent.take_ping), reserving the event's sequence.
 
-        Its delivery event would sort before the agent's timers at this ms,
-        and with none of its deliveries pending no callback of the agent
-        would run before it. Only the agent schedules at its timer rank, so
-        taking the ping now, with the event's sequence reserved, orders every
-        entry it could tie with as the event would, and logs the same bytes.
+        The event would only refresh the sender's peer entry and move its
+        expiry, neither of which node code reads. The expiry is at the
+        agent's cluster rank, where it can tie only with the agent's tick and
+        boot election, drawn at other ms, and other expiries, each of which
+        scans every peer. So the ping logs the bytes its event would, whatever
+        deliveries to the agent are pending.
         """
         for dst, agent in self._agents.items():
             if dst == src or self._drops.get((src, dst)):
                 continue
-            latest = self._latest.get(agent.engine.rank_deliver)
-            pending = latest is not None and latest[3] is not None
-            if pending or not agent.take_ping(src):
+            if not agent.take_ping(src):
                 self.send(src, dst, data)
 
 
@@ -138,9 +127,10 @@ class ClusterAgent:
 
     A ping arrives as a receive_datagram event, which the transport's send()
     schedules for this agent as its endpoint, except a periodic ping from a
-    peer it holds alive while none of its deliveries is pending: the
-    transport hands that one over at send time (take_ping), refreshing the
-    peer with no clock event. Joins, the boot ping and raw datagrams keep theirs.
+    peer it holds alive: the transport hands that one over at send time
+    (take_ping), refreshing the peer with no clock event. Joins, the boot
+    ping and raw datagrams keep theirs. The agent's ping tick, boot election
+    and peer expiries run at the engine's cluster rank, after its node timers.
 
     The agent is configured by the engine's first redundancy node, `spec`:
     its electionTimeout sets the timeouts, and its id is the node of every
@@ -180,8 +170,8 @@ class ClusterAgent:
         # Every boot ping is an event: start() may run inside a fault, and a
         # later fault at the same ms may halt a receiver before it lands.
         self.transport.broadcast(self.address, encode_ping(self.address, self.epoch, clock.now))
-        clock.after(self.ping_period, self._ping_tick, rank=self.engine.rank_timer)
-        clock.after(self.election_timeout, self._boot_election, rank=self.engine.rank_timer)
+        clock.after(self.ping_period, self._ping_tick, rank=self.engine.rank_cluster)
+        clock.after(self.election_timeout, self._boot_election, rank=self.engine.rank_cluster)
 
     # --- timers --------------------------------------------------------------
     def _ping_tick(self) -> None:
@@ -189,7 +179,7 @@ class ClusterAgent:
             return
         clock = self.engine.clock
         self.transport.ping(self.address, encode_ping(self.address, self.epoch, clock.now))
-        clock.after(self.ping_period, self._ping_tick, rank=self.engine.rank_timer)
+        clock.after(self.ping_period, self._ping_tick, rank=self.engine.rank_cluster)
 
     def _boot_election(self) -> None:
         if not self.engine.halted:
@@ -242,7 +232,7 @@ class ClusterAgent:
         self.peers[address] = (key, now, True)
         self._expiry[address] = clock.rearm(self._expiry.get(address),
                                             now + self.election_timeout + 1, self._expire,
-                                            self.engine.rank_timer)
+                                            self.engine.rank_cluster)
 
     def _expire(self) -> None:
         """Mark every peer silent for longer than the timeout dead, once."""

@@ -50,8 +50,10 @@ class Engine:
         # External deliveries beat node timers at equal timestamps: silence
         # windows are half-open, (t - timeout, t], so a message landing
         # exactly on a deadline counts as activity and suppresses the timer.
-        self.rank_deliver = 2 * rank
-        self.rank_timer = 2 * rank + 1
+        # The cluster agent's timers come last and are all that run there.
+        self.rank_deliver = 3 * rank
+        self.rank_timer = 3 * rank + 1
+        self.rank_cluster = 3 * rank + 2
         self.clock = world.clock
         self.log = world.log
         self.store = store

@@ -119,12 +119,12 @@ class DeviceRegistry(Node):
             self.emit(1, {"kind": "missing-id", "value": payload}, env.topic)
             return
         kind = payload.get("kind") or ("service" if "service" in payload else "host")
-        endpoint = payload.get("host", "")
-        if "port" in payload:
-            endpoint = f"{endpoint}:{payload['port']}"
-        if event in _ONLINE_EVENTS and not (isinstance(kind, str) and isinstance(endpoint, str)):
+        host, port = payload.get("host", ""), payload.get("port", 0)
+        if event in _ONLINE_EVENTS and not (isinstance(kind, str) and isinstance(host, str)
+                                            and type(port) is int):  # bool is no port
             self.emit(1, {"kind": "malformed", "value": payload}, env.topic)
             return
+        endpoint = f"{host}:{port}" if "port" in payload else host
         try:
             if event in _ONLINE_EVENTS:
                 entry = self.engine.store.registry_upsert(device_id, kind, endpoint, self.now)

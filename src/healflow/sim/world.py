@@ -6,7 +6,8 @@ WORLD_INSTANCE and published to the broker); engines attach by adding
 themselves to `engines` and subscribing node ids to topic patterns. Broker
 deliveries are scheduled events, never synchronous calls into another engine,
 which keeps the instance interleaving deterministic: at equal timestamps,
-faults apply first, then world events, then engines in the order they joined.
+faults apply first, then world events, then engines in the order they joined;
+within an engine, deliveries, then node timers, then cluster timers.
 """
 
 from __future__ import annotations
@@ -93,16 +94,16 @@ class World:
     def publish(self, topic: str, payload, source: str) -> None:
         """Deliver to every matching subscription, honoring net_delay faults.
 
-        Each delivery is an event scheduled through the transport, which
-        tracks the deliveries pending at each rank. Subscribers share the
-        payload: the receiving engine copies it per delivery.
+        Each delivery is an event at the subscriber's delivery rank.
+        Subscribers share the payload: the receiving engine copies it per
+        delivery.
         """
         delay = self.delays.get(source, 0)
         for (instance, node_id, pattern) in self._subs:
             if not topic_matches(pattern, topic):
                 continue
             deliver = partial(self._deliver, instance, node_id, topic, payload)
-            self.transport.schedule(delay, deliver, self.engines[instance].rank_deliver)
+            self.clock.after(delay, deliver, self.engines[instance].rank_deliver)
 
     def _deliver(self, instance: str, node_id: str, topic: str, payload) -> None:
         # Looked up when the delivery fires: a restart replaces the engine.

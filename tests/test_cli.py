@@ -153,6 +153,18 @@ def test_marble_format_renders_rows(tmp_path, fixture_path, capsys):
     assert "post-v3" in out
 
 
+def test_marble_rows_of_a_device_come_from_its_emits(fixture_path, capsys):
+    code = main(["run", "--flow", str(fixture_path("flow_a.json")),
+                 "--scenario", str(fixture_path("scenario_a.json")),
+                 "--format", "marble", "--nodes", "dht-1"])
+    assert code == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.startswith("# marble bucket_ms=")
+    label, glyphs = row.split(" |")
+    assert label == "dht-1:0"  # no flow node: the row is labelled by its egress index
+    assert "*" in glyphs
+
+
 def test_marble_unknown_node_exits_2(fixture_path, capsys):
     code = main(["run", "--flow", str(fixture_path("flow_b.json")),
                  "--scenario", str(fixture_path("scenario_b.json")),

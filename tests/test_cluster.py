@@ -4,7 +4,7 @@ import json
 from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from healflow.cluster import (ClusterAgent, LoopbackTransport, PingDecodeError, decode_ping,
                               election_key, encode_ping)
@@ -490,15 +490,15 @@ def shipped_and_eager(drive):
 
 
 def datagram_events(world):
-    """(time, rank) of every datagram delivery event the transport schedules from now on."""
+    """(time, rank) of every datagram delivery event put on the world's clock from now on."""
     events = []
-    schedule = world.transport.schedule
+    after = world.clock.after
 
     def spy(delay, fn, rank):
-        if isinstance(fn.args[0], bytes):
+        if isinstance(fn, partial) and fn.func.__name__ == "receive_datagram":
             events.append((world.clock.now, rank))
-        schedule(delay, fn, rank)
-    world.transport.schedule = spy
+        return after(delay, fn, rank)
+    world.clock.after = spy
     return events
 
 
@@ -598,18 +598,24 @@ def test_a_ping_from_an_expired_peer_joins_where_its_event_fires():
         (2600, {"role": "standby", "epoch": 2, "reason": "master-recovered"})]
 
 
-def test_a_world_delivery_pending_at_the_same_ms_keeps_the_ping_an_event():
-    """A reading to low is pending when high ticks at 1000: it re-arms low's
-    heartbeat to 2001 before high's ping re-arms high's expiry to 2001, so
-    at 2001 the heartbeat fires first, then the expiry makes low master."""
-    listening = build_graph(
-        *redundancy_graph(1000).nodes,
-        make_spec("s-in", "mqtt-in", {"topic": "s/x"}, flow="control", wires=[[("hb", 0)]]),
-        make_spec("hb", "heartbeat", {"timeout": 1001}, flow="control"))
+LISTENING = build_graph(
+    *redundancy_graph(1000).nodes,
+    make_spec("s-in", "mqtt-in", {"topic": "s/x"}, flow="control", wires=[[("hb", 0)]]),
+    make_spec("hb", "heartbeat", {"timeout": 1001}, flow="control"))
 
+
+def low_at_2001(log):
+    return [(e.kind, e.node) for e in log if e.time == 2001 and e.instance == "low"][:3]
+
+
+def test_a_world_delivery_pending_at_the_same_ms_leaves_the_ping_taken():
+    """A reading to low is pending when high ticks at 1000: it re-arms low's
+    heartbeat to 2001 after high's ping, taken at once, re-arms low's expiry
+    of high to 2001. Node timers fire before cluster timers, so at 2001 the
+    heartbeat fires first, then the expiry makes low master."""
     def drive():
         world = World(devices=[VirtualDevice("s", "nfcReader", "s/x", reads=[(1000, 1.0)])])
-        world, low, high, events = started_pair(world, listening)
+        world, low, high, events = started_pair(world, LISTENING)
         world.start_devices()
         world.clock.run_until(500)
         del events[:]
@@ -618,9 +624,22 @@ def test_a_world_delivery_pending_at_the_same_ms_keeps_the_ping_an_event():
         world.clock.run_until(2100)
         return world, low, events
     world, low, events = shipped_and_eager(drive)
-    assert events == [(1000, low.rank_deliver)]
-    assert [(e.kind, e.node) for e in world.log if e.time == 2001 and e.instance == "low"][:3] == [
-        ("timer", "hb"), ("emit", "hb"), ("role-change", "red")]
+    assert events == []
+    assert low_at_2001(world.log) == [("timer", "hb"), ("emit", "hb"), ("role-change", "red")]
+
+
+def test_a_node_timer_fires_before_a_cluster_expiry_drawn_earlier_at_the_same_ms():
+    """High's ping re-arms low's expiry of high to 2001 at 1000, and a reading
+    published after the ping re-arms low's heartbeat to 2001: the expiry drew
+    its seq first, yet the heartbeat fires first."""
+    world, low, high, events = started_pair(low_graph=LISTENING)
+    world.clock.run_until(900)  # high's tick at 1000 is scheduled, with the earlier seq
+    world.clock.at(1000, partial(world.publish, "s/x", 1.0, "s"), high.rank_cluster)
+    world.clock.run_until(1000)
+    high.halt()
+    world.clock.run_until(2100)
+    assert low.cluster.peers[HIGH] == (election_key(HIGH), 1000, False)
+    assert low_at_2001(world.log) == [("timer", "hb"), ("emit", "hb"), ("role-change", "red")]
 
 
 def test_send_schedules_every_datagram_event_across_a_failover(monkeypatch):
@@ -721,7 +740,20 @@ def run_program(program):
     return log.to_csv(), final_seq(clock)
 
 
+# At 5 i7 takes i200's ping while a reading to i7 is pending, so its expiry
+# of i200 draws a seq before the heartbeat the reading re-arms; the crash and
+# the pause at 6 leave both due at 11, where the heartbeat must fire first.
+TIED_EXPIRY = ({"seed": 1, "duration_ms": 20, "events": [
+    {"at_ms": 6, "kind": "instance_crash", "target": "i200"},
+    {"at_ms": 6, "kind": "device_offline", "target": "s"}], "world": {
+    "instances": [{"name": "i200", "address": "10.0.2.200"},
+                  {"name": "i7", "address": "10.0.1.7"}],
+    "devices": [{"id": "s", "kind": "periodicSensor", "topic": "s/x", "period_ms": 5}]}},
+    5, 6, [], [])
+
+
 @given(cluster_programs())
+@example(TIED_EXPIRY)
 @settings(max_examples=60, deadline=None)
 def test_periodic_pings_taken_at_send_time_log_what_their_events_would(program):
     """Instances crash and restart at any ms, links drop and heal at fault rank,

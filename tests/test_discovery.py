@@ -171,6 +171,16 @@ def test_registry_malformed_event_is_error():
     assert entry.value["kind"] == "malformed"
 
 
+@pytest.mark.parametrize("payload", [
+    {"event": "joined"}, {"event": "left", "host": ""}, {"event": "appeared", "service": 7}])
+def test_registry_event_without_a_device_id_is_error(payload, tmp_path):
+    engine, store = registry_engine(Store(tmp_path / "i.store"))
+    engine.deliver_external("reg", "", payload, ingress=0)
+    [entry] = engine.log.emits("reg")
+    assert (entry.port, entry.value) == (1, {"kind": "missing-id", "value": payload})
+    assert registry_lines(store) == []
+
+
 def test_registry_accepts_service_events(tmp_path):
     engine, store = registry_engine(Store(tmp_path / "i.store"))
     engine.deliver_external(
@@ -180,23 +190,28 @@ def test_registry_accepts_service_events(tmp_path):
 
 
 def test_registry_reloads_every_entry_it_reports_online(tmp_path):
-    """An online event whose kind or endpoint would not be a string is malformed,
-    so every device the node reports online reloads and no store line is skipped."""
+    """An online event whose kind or host is not a string, or whose port is
+    not an int, is malformed, so every device the node reports online reloads
+    with its endpoint as given and no store line is skipped."""
     path = tmp_path / "i.store"
     engine, store = registry_engine(Store(path))
     for payload in ({"event": "appeared", "service": "svc", "kind": {"x": 1}, "host": "h"},
                     {"event": "appeared", "service": "bare", "host": 5},
                     {"event": "appeared", "service": "v1", "host": 5, "port": 80},
+                    {"event": "appeared", "service": "v3", "host": "h", "port": {"x": 1}},
+                    {"event": "appeared", "service": "v4", "host": "h", "port": True},
                     {"event": "appeared", "service": "v2", "kind": "camera", "host": "h"},
                     {"event": "joined", "host": "dev-1"}):
         engine.deliver_external("reg", "", payload, ingress=0)
     emits = engine.log.emits("reg")
-    assert [e.value["kind"] for e in emits if e.port == 1] == ["malformed", "malformed"]
+    assert [e.value["value"]["service"] for e in emits if e.port == 1] == [
+        "svc", "bare", "v1", "v3", "v4"]
+    assert {e.value["kind"] for e in emits if e.port == 1} == {"malformed"}
     online = [e.value["device"] for e in emits if e.port == 0]
-    assert online == ["v1", "v2", "dev-1"]
+    assert online == ["v2", "dev-1"]
     store.close()
     reloaded = Store(path)
     assert reloaded.skipped == 0
     endpoints = [reloaded.registry_mark_lost(d, 0).endpoint for d in online]
     reloaded.close()
-    assert endpoints == ["5:80", "h", "dev-1"]
+    assert endpoints == ["h", "dev-1"]

@@ -122,6 +122,17 @@ def test_a_line_of_no_known_shape_is_skipped_and_the_next_line_loads(tmp_path, c
     assert path.read_text() == '["CKPT","m",3,"t",9]\n["CKPT","n",1,"",7]\n'
 
 
+def test_a_blank_line_is_skipped_and_not_counted(tmp_path, caplog):
+    path = tmp_path / "i.store"
+    path.write_text('["CKPT","n",1,"",7]\n\n  \n["CKPT","m",3,"t",9]\n')
+    with caplog.at_level("WARNING", logger="healflow.persistence"):
+        store = Store(path)
+    assert store.skipped == 0
+    assert caplog.text == ""
+    assert store.load_checkpoint("n").payload == 7
+    assert store.load_checkpoint("m").payload == 9
+
+
 def test_a_stored_null_reloads_and_a_cleared_slot_stays_cleared(open_store, tmp_path):
     path = tmp_path / "i.store"
     store = open_store(path)

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from healflow.nodes import ThresholdCheck
@@ -92,6 +93,17 @@ def test_watcher_min_change_anomaly(harness):
     assert anom["kind"] == "min-change"
 
 
+def test_watcher_non_number_is_malformed_and_keeps_the_previous_reading(harness):
+    h = harness("readings-watcher", {"stuckCount": 2})
+    for t, v in ((1, 10), (2, "high"), (3, True), (4, 10)):
+        h.feed_at(t, v)
+    h.run(5)
+    assert h.emits(0) == [(1, 10)]
+    assert h.emits(1) == [(2, {"kind": "malformed", "value": "high"}),
+                          (3, {"kind": "malformed", "value": True}),
+                          (4, {"kind": "stuck-at", "value": 10, "delta": 0})]
+
+
 def test_watcher_default_stuck_count_is_two(harness):
     h = harness("readings-watcher")
     h.feed_at(1, 3)
@@ -167,6 +179,20 @@ def test_resource_monitor_missing_key_is_error(harness):
     h.run(2)
     [(_, err)] = h.emits(2)
     assert err["kind"] == "missing-metric"
+
+
+@pytest.mark.parametrize("payload, error", [
+    (5, {"kind": "malformed", "value": 5}),
+    ([{"temp": 95}], {"kind": "malformed", "value": [{"temp": 95}]}),
+    ({"temp": "95"}, {"kind": "malformed", "metric": "temp", "value": "95"}),
+    ({"temp": None}, {"kind": "malformed", "metric": "temp", "value": None}),
+])
+def test_resource_monitor_malformed_reading_is_error(harness, payload, error):
+    h = harness("resource-monitor", {"metric": "temp", "nearMax": 90})
+    h.feed_at(1, payload)
+    h.run(2)
+    assert h.emits() == [(1, error)]
+    assert [e.port for e in h.engine.log.emits("n")] == [2]
 
 
 def test_resource_monitor_requires_some_bound():

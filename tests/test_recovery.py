@@ -282,6 +282,21 @@ def test_checkpoint_store_failure_still_forwards(harness):
     assert faults and faults[0].value["kind"] == "store-error"
 
 
+def test_checkpoint_clear_failure_is_logged_and_the_replay_still_emitted(harness):
+    class StuckStore(Store):
+        def clear_checkpoint(self, node_id):
+            raise StoreError("read-only")
+
+    h = harness("checkpoint", {"timeToLive": 1000}, store=StuckStore())
+    h.feed_at(0, "precious")
+    h.run(50)
+    h.engine.restart()
+    assert h.emits(0) == [(0, "precious"), (50, "precious")]
+    [fault] = [e for e in h.engine.log if e.kind == "fault"]
+    assert (fault.time, fault.node) == (50, "n")
+    assert fault.value == {"kind": "store-error", "error": "read-only"}
+
+
 # --- kalman-filter ----------------------------------------------------------------
 # Oracle: independent scalar recursion.
 

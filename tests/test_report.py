@@ -53,6 +53,17 @@ def test_csv_errors_load_as_value_errors():
     assert csv.field_size_limit() == limit
 
 
+def test_log_rejects_an_unknown_kind_and_a_time_that_goes_back():
+    log = TimelineLog()
+    log.add(10, "a", "emit", "n")
+    with pytest.raises(ValueError, match="unknown event kind 'explode'"):
+        log.add(10, "a", "explode", "n")
+    with pytest.raises(ValueError, match="non-decreasing"):
+        log.add(9, "a", "emit", "n")
+    log.add(10, "a", "deliver", "n")
+    assert [(e.time, e.kind) for e in log] == [(10, "emit"), (10, "deliver")]
+
+
 def reference_csv(entries):
     """The per-row encoder: csv.writer plus encode_json on every entry."""
     buf = io.StringIO()
@@ -143,6 +154,11 @@ def test_mttr_na_formatting():
     report = compute_report([])
     text = format_report(report, "mttr")
     assert "n/a" in text
+
+
+def test_format_report_rejects_an_unknown_metric():
+    with pytest.raises(ValueError, match="unknown metric 'latency'"):
+        format_report(compute_report(failover_entries()), "latency")
 
 
 def test_mttr_mean_and_stdev_formatting():

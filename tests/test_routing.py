@@ -187,6 +187,19 @@ def test_audit_ack_without_trigger_is_ignored():
     assert h.emits(0) == [] and h.emits(1) == []
 
 
+def test_audit_new_trigger_supersedes_the_pending_one(caplog):
+    h = NodeHarness("action-audit", {"timeout": 30000})
+    h.feed_at(0, "open-door", topic="cmd/door", ingress=0)
+    h.feed_at(20000, "open-gate", topic="cmd/gate", ingress=0)
+    with caplog.at_level("WARNING", logger="healflow.nodes.base"):
+        h.run(60000)
+    assert "new trigger supersedes a pending one" in caplog.text
+    # one failure, a full timeout after the second trigger, on its topic
+    assert h.emits(1) == [(50000, {"kind": "timeout"})]
+    [entry] = h.engine.log.emits("n")
+    assert entry.topic == "cmd/gate"
+
+
 def test_audit_topic_predicate_filters_acks():
     h = NodeHarness("action-audit", {"timeout": 30000, "match": "ack/+"})
     h.feed_at(0, "trigger", ingress=0)

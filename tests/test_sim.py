@@ -188,6 +188,21 @@ def test_nfc_reader_scripted_reads():
         (1000, "card-a"), (2500, "card-b")]
 
 
+def test_nfc_reader_offline_misses_its_scripted_read():
+    dev = VirtualDevice(id="nfc", kind="nfcReader", topic="lab/nfc",
+                        reads=[(1000, "card-a"), (2500, "card-b")])
+    world = make_world(devices=[dev])
+    subscriber_engine(world, topic="lab/nfc")
+    world.start_devices()
+    world.clock.run_until(500)
+    apply_fault(FaultEvent(500, "device_offline", "nfc"), world)
+    world.clock.run_until(2000)
+    apply_fault(FaultEvent(2000, "device_online", "nfc"), world)
+    world.clock.run_until(5000)
+    assert [(e.time, e.value) for e in world.log.emits("nfc")] == [(2500, "card-b")]
+    assert [e.time for e in world.log if e.kind == "deliver" and e.node == "in"] == [2500]
+
+
 def test_seed_determinism_device_emissions():
     def run(seed):
         dev = VirtualDevice(id="d", kind="periodicSensor", topic="t", period=50,
