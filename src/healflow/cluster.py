@@ -7,6 +7,16 @@ highest last address octet with the full address as tie-break. Because
 every instance evaluates the same function over the same set, they agree
 without further messages.
 
+A ping period costs O(M) work for M instances, not O(M^2). The transport
+keeps one record per sender: its last periodic ping's time and the block
+of clock seqs that tick reserved. Every receiver holding the sender alive
+shares it as its view, so the tick does no work for it. One silence timer
+per sender, due at the earliest holder deadline, materializes each
+holder's exact view: the last ping time, and the expiry at the time and
+seq that delivering the ping as an event would have given it. So the
+timeline and every seq are those of a fabric that delivers each ping as
+an event.
+
 Wire protocol: ASCII lines over datagrams,
 
     SHEN/1 PING <address> <epoch> <virtual-ms>\\n
@@ -24,6 +34,10 @@ logger = logging.getLogger(__name__)
 
 ROLE_MASTER = "master"
 ROLE_STANDBY = "standby"
+
+# The lowest clock rank, shared with faults: a silence timer keys before every
+# engine's timers at its ms, so before every holder expiry it schedules there.
+SILENCE_RANK = 0
 
 
 class PingDecodeError(ValueError):
@@ -44,7 +58,7 @@ def encode_ping(address: str, epoch: int, now: int) -> bytes:
     return f"SHEN/1 PING {address} {epoch} {now}\n".encode("ascii")
 
 
-# Not memoised: a ping taken at send time is never decoded, so few repeat.
+# Not memoised: a periodic ping to a holder is never decoded, so few repeat.
 def decode_ping(data: bytes) -> tuple[str, int, int]:
     """Returns (address, epoch, virtual-ms); raises PingDecodeError otherwise."""
     try:
@@ -64,52 +78,143 @@ def decode_ping(data: bytes) -> tuple[str, int, int]:
 
 # --- transport ---------------------------------------------------------------
 
+class _Sender:
+    """One sender's last periodic ping, as every receiver in its group holds it.
+
+    The tick at `last` reserved `size` seqs from `base`. `holders` maps each
+    group member to its offset there: the seq of the delivery event it
+    would have had, then that of the expiry its refresh would re-arm.
+    `joiners` are (receiver, offset) pairs that get the ping as an event.
+    The silence timer is due at `last` + `timeout` + 1, at SILENCE_RANK,
+    under the first holder's delivery seq, `base` + `first`, which no entry uses.
+    """
+
+    __slots__ = ("last", "base", "size", "holders", "joiners", "timeout", "first", "silence",
+                 "dirty")
+
+    def __init__(self):
+        self.last = self.base = self.size = 0
+        self.holders: dict[ClusterAgent, int] = {}
+        self.joiners: list[tuple[ClusterAgent, int]] = []
+        self.silence = None
+        self.dirty = True
+
+
 class LoopbackTransport:
     """In-memory datagram fabric between ClusterAgents, with per-link drop.
 
     send() schedules every datagram event: the agent's receive_datagram at
-    its delivery rank, at the send's virtual ms; ping() may instead hand a
-    periodic ping to the agent at once.
+    its delivery rank, at the send's virtual ms. A periodic ping (ping())
+    is one of those events only for a receiver that does not hold the
+    sender alive; every receiver that does shares one record per sender,
+    its group (`_senders`), and does no work on the sender's tick.
     """
 
     def __init__(self, clock):
         self.clock = clock
         self._agents: dict[str, ClusterAgent] = {}
         self._drops: dict[tuple[str, str], bool] = {}
+        self._senders: dict[str, _Sender] = {}
 
     def register(self, agent: ClusterAgent) -> None:
+        """Add agent; one it replaces at its address leaves every group."""
+        old = self._agents.get(agent.address)
         self._agents[agent.address] = agent
+        if old is not None:
+            old.leave()
+        self.changed()
+
+    def changed(self, src: str | None = None) -> None:
+        """Have src's next ping tick (every sender's, for None) lay out its
+        block anew: a receiver joined, died, halted, lost or regained the
+        link, registered, or took its view of src as its own."""
+        if src is None:
+            for sender in self._senders.values():
+                sender.dirty = True
+        elif src in self._senders:
+            self._senders[src].dirty = True
 
     def set_drop(self, src: str, dst: str, drop: bool) -> None:
+        """Drop or restore a link. A receiver holding src through its group
+        first takes what the link has delivered as its own view."""
         self._drops[(src, dst)] = drop
+        agent = self._agents.get(dst)
+        if agent is not None:
+            agent.release(src)
+        self.changed(src)
 
-    def send(self, src: str, dst: str, data: bytes) -> None:
+    def send(self, src: str, dst: str, data: bytes, seq: int | None = None) -> None:
+        """Schedule dst's receive_datagram now, under `seq` if it was reserved."""
         agent = self._agents.get(dst)
         if agent is None or self._drops.get((src, dst)):
             return
-        self.clock.after(0, partial(agent.receive_datagram, data), agent.engine.rank_deliver)
+        self.clock.after(0, partial(agent.receive_datagram, data), agent.engine.rank_deliver,
+                         seq=seq)
 
     def broadcast(self, src: str, data: bytes) -> None:
         for dst in self._agents:
             if dst != src:
                 self.send(src, dst, data)
 
-    def ping(self, src: str, data: bytes) -> None:
-        """Broadcast a periodic ping: as broadcast(), but an agent may take it
-        at once (ClusterAgent.take_ping), reserving the event's sequence.
+    def ping(self, src: str, epoch: int) -> None:
+        """Broadcast src's periodic ping at `epoch`: as broadcast(), in the
+        same seqs, but only a joiner gets an event.
 
-        The event would only refresh the sender's peer entry and move its
-        expiry, neither of which node code reads. The expiry is at the
-        agent's cluster rank, where it can tie only with the agent's tick and
-        boot election, drawn at other ms, and other expiries, each of which
-        scans every peer. So the ping logs the bytes its event would, whatever
-        deliveries to the agent are pending.
+        The tick reserves the seqs the eager loop over _agents would draw:
+        0 for a dropped link, 1 for a halted receiver (its event does
+        nothing) or a joiner (its event), and 2 for a holder (its event,
+        then the expiry its refresh re-arms). The layout is counted again
+        only after the composition changes (changed()). A holder's refresh
+        is then only the record's new time and block, and the silence
+        timer is moved to the earliest holder deadline.
+
+        Refreshing a holder at send time is exact: it moves only the
+        holder's peer entry and expiry, which no node code reads, and the
+        expiry runs at the holder's cluster rank, where it ties only with that
+        agent's own timers, whatever deliveries to it are pending.
         """
+        sender = self._senders.get(src)
+        if sender is None:
+            sender = self._senders[src] = _Sender()
+        if sender.dirty:
+            self._lay_out(src, sender)
+        clock = self.clock
+        base = clock.reserve(sender.size)
+        if sender.joiners:
+            data = encode_ping(src, epoch, clock.now)
+            for agent, offset in sender.joiners:
+                self.send(src, agent.address, data, base + offset)
+        sender.last, sender.base = clock.now, base
+        if sender.holders:
+            sender.silence = clock.rearm(sender.silence, clock.now + sender.timeout + 1,
+                                         self._fall_silent, SILENCE_RANK, src,
+                                         seq=base + sender.first)
+
+    def _lay_out(self, src: str, sender: _Sender) -> None:
+        """Count src's block over _agents in order; a receiver holding src
+        alive as its own view joins the group here."""
+        holders, joiners, size = {}, [], 0
         for dst, agent in self._agents.items():
             if dst == src or self._drops.get((src, dst)):
                 continue
-            if not agent.take_ping(src):
-                self.send(src, dst, data)
+            if agent.engine.halted:
+                size += 1
+            elif agent.hold(src, sender):
+                holders[agent] = size
+                size += 2
+            else:
+                joiners.append((agent, size))
+                size += 1
+        sender.holders, sender.joiners, sender.size, sender.dirty = holders, joiners, size, False
+        if holders:
+            sender.first = next(iter(holders.values()))
+            sender.timeout = min(agent.election_timeout for agent in holders)
+
+    def _fall_silent(self, src: str) -> None:
+        """No ping from src since its last tick's earliest holder deadline:
+        each holder takes its view, with the expiry that ping armed, as its own."""
+        for agent in list(self._senders[src].holders):
+            agent.release(src)
 
 
 # --- runtime agent -----------------------------------------------------------
@@ -117,20 +222,24 @@ class LoopbackTransport:
 class ClusterAgent:
     """Per-engine cluster runtime: pings, liveness timers, elections.
 
-    The agent holds all cluster state as plain attributes: its `role` and
-    `epoch`, `election_timeout` and `ping_period`, its own election `key`,
-    and `peers`, a map from address to (election key, last ping time,
-    alive). A peer is alive until one virtual millisecond past
-    last ping + election timeout. Hearing an alive peer moves its expiry
-    timer through VirtualClock.rearm, which keeps a pending timer's heap
-    entry; the timer fires once, at the last ping's expiry time.
+    The agent holds its cluster state: its `role` and `epoch`,
+    `election_timeout` and `ping_period`, its own election `key`, and
+    `peers`, a map from address to (election key, last ping time, alive).
+    A peer is alive until one virtual millisecond past last ping + election
+    timeout.
 
-    A ping arrives as a receive_datagram event, which the transport's send()
-    schedules for this agent as its endpoint, except a periodic ping from a
-    peer it holds alive: the transport hands that one over at send time
-    (take_ping), refreshing the peer with no clock event. Joins, the boot
-    ping and raw datagrams keep theirs. The agent's ping tick, boot election
-    and peer expiries run at the engine's cluster rank, after its node timers.
+    A view of a peer is the agent's own or held in the sender's group. An
+    own view has an expiry timer, moved through VirtualClock.rearm when the
+    peer is heard (receive_datagram: joins, boot pings, raw datagrams); it
+    fires once, at the last ping's expiry time. At the sender's next tick
+    an own view of an alive peer joins the group (hold), dropping its
+    timer, and periodic pings refresh it with no work here. The view
+    becomes the agent's own again (release), with the expiry the last ping
+    armed at its time and seq, when the agent hears the sender itself,
+    halts, is replaced or loses the link, and when the sender's silence
+    timer fires. Reading `peers` brings held entries up to date. Ping
+    ticks, the boot election and expiries run at the engine's cluster
+    rank, after its node timers.
 
     The agent is configured by the engine's first redundancy node, `spec`:
     its electionTimeout sets the timeouts, and its id is the node of every
@@ -153,14 +262,23 @@ class ClusterAgent:
         self.epoch = 0
         self.election_timeout = spec.config["electionTimeout"]
         self.ping_period = max(1, self.election_timeout // 5)
-        self.peers: dict[str, tuple[tuple[int, str], int, bool]] = {}
+        self._peers: dict[str, tuple[tuple[int, str], int, bool]] = {}
         self.transport = engine.world.transport
         self.role_node = spec.id
         self._listeners: list[Callable[[str, int], None]] = []
-        self._expiry: dict[str, list] = {}  # address -> pending expiry clock entry
+        self._expiry: dict[str, list] = {}  # address -> own view's expiry clock entry
+        self._held: dict[str, _Sender] = {}  # address -> group record holding the view
         # Register at construction, before any instance of the setup pass
         # starts, so every boot ping reaches every agent; nothing fires early.
         self.transport.register(self)
+
+    @property
+    def peers(self) -> dict[str, tuple[tuple[int, str], int, bool]]:
+        """address -> (election key, last ping time, alive), held views brought up to date."""
+        peers = self._peers
+        for address, sender in self._held.items():
+            peers[address] = (peers[address][0], sender.last, True)
+        return peers
 
     def add_listener(self, fn: Callable[[str, int], None]) -> None:
         self._listeners.append(fn)
@@ -173,13 +291,20 @@ class ClusterAgent:
         clock.after(self.ping_period, self._ping_tick, rank=self.engine.rank_cluster)
         clock.after(self.election_timeout, self._boot_election, rank=self.engine.rank_cluster)
 
+    def leave(self) -> None:
+        """Take every held view as this agent's own, and have every sender's
+        next tick lay out its block anew: the engine halted, so its events do
+        nothing, or another agent took its address, so it gets none."""
+        for address in list(self._held):
+            self.release(address)
+        self.transport.changed()
+
     # --- timers --------------------------------------------------------------
     def _ping_tick(self) -> None:
         if self.engine.halted:
             return
-        clock = self.engine.clock
-        self.transport.ping(self.address, encode_ping(self.address, self.epoch, clock.now))
-        clock.after(self.ping_period, self._ping_tick, rank=self.engine.rank_cluster)
+        self.transport.ping(self.address, self.epoch)
+        self.engine.clock.after(self.ping_period, self._ping_tick, rank=self.engine.rank_cluster)
 
     def _boot_election(self) -> None:
         if not self.engine.halted:
@@ -197,7 +322,7 @@ class ClusterAgent:
             return
         if address == self.address:
             return
-        peer = self.peers.get(address)
+        peer = self._peers.get(address)
         if peer is None:
             try:
                 key = election_key(address)
@@ -212,27 +337,43 @@ class ClusterAgent:
         if joined:
             self.run_election("master-recovered")
 
-    def take_ping(self, address: str) -> bool:
-        """Take a periodic ping from `address` at send time if its delivery
-        event could do no more than refresh an alive peer, or nothing at all
-        in a halted engine; reserves that event's sequence. False otherwise."""
-        peer = self.peers.get(address)
-        halted = self.engine.halted
-        if not halted and (peer is None or not peer[2]):
-            return False
-        self.engine.clock.reserve()
-        if not halted:
-            self._heard(address, peer[0])
-        return True
-
     def _heard(self, address: str, key: tuple[int, str]) -> None:
-        """Mark the peer alive as of now and move its expiry to one ms past the timeout."""
+        """Mark the peer alive as of now, as an own view, and move its expiry
+        to one ms past the timeout."""
+        self.release(address)
         clock = self.engine.clock
         now = clock.now
-        self.peers[address] = (key, now, True)
+        self._peers[address] = (key, now, True)
         self._expiry[address] = clock.rearm(self._expiry.get(address),
                                             now + self.election_timeout + 1, self._expire,
                                             self.engine.rank_cluster)
+
+    def hold(self, address: str, sender: _Sender) -> bool:
+        """Join `address`'s group if this agent holds it alive; False if it does not."""
+        peer = self._peers.get(address)
+        if peer is None or not peer[2]:
+            return False
+        if address not in self._held:
+            self._held[address] = sender
+            entry = self._expiry.pop(address, None)
+            if entry is not None:
+                self.engine.clock.cancel(entry)
+        return True
+
+    def release(self, address: str) -> None:
+        """Leave `address`'s group, if in it, taking its view as this agent's
+        own: the last ping time, and the expiry that ping armed, at the seq
+        its tick reserved. Either way the sender's next tick lays out its
+        block anew."""
+        self.transport.changed(address)
+        sender = self._held.pop(address, None)
+        if sender is None:
+            return
+        offset = sender.holders.pop(self)
+        self._peers[address] = (self._peers[address][0], sender.last, True)
+        self._expiry[address] = self.engine.clock.at(
+            sender.last + self.election_timeout + 1, self._expire, self.engine.rank_cluster,
+            seq=sender.base + offset + 1)
 
     def _expire(self) -> None:
         """Mark every peer silent for longer than the timeout dead, once."""
@@ -242,7 +383,8 @@ class ClusterAgent:
         died = False
         for address, (key, last_ping, alive) in self.peers.items():
             if alive and now - last_ping > self.election_timeout:
-                self.peers[address] = (key, last_ping, False)
+                self.release(address)
+                self._peers[address] = (key, last_ping, False)
                 died = True
         if died:
             self.run_election("election-result")
@@ -250,7 +392,7 @@ class ClusterAgent:
     # --- elections ----------------------------------------------------------
     def run_election(self, reason: str) -> None:
         """Take the role the alive set gives this agent; log and notify on a change."""
-        alive = [key for key, _, up in self.peers.values() if up]
+        alive = [key for key, _, up in self._peers.values() if up]
         role = ROLE_MASTER if max(alive, default=self.key) <= self.key else ROLE_STANDBY
         if role == self.role:
             return

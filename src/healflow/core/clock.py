@@ -33,20 +33,26 @@ class VirtualClock:
         self._heap: list[list] = []
         self._seq = itertools.count()
 
-    def at(self, time: int, fn: Callable[[], None], rank: int) -> list:
-        """Schedule fn at an absolute virtual time (>= now); returns its heap entry."""
+    def at(self, time: int, fn: Callable[[], None], rank: int, seq: int | None = None) -> list:
+        """Schedule fn at an absolute virtual time (>= now); returns its heap entry.
+
+        It takes the next creation sequence, or `seq`, one that reserve()
+        returned and no other entry was given.
+        """
         if time < self.now:
             raise ValueError(f"cannot schedule at {time}, clock is at {self.now}")
-        entry = [time, rank, next(self._seq), fn, None]
+        entry = [time, rank, next(self._seq) if seq is None else seq, fn, None]
         heapq.heappush(self._heap, entry)
         return entry
 
-    def after(self, delay: int, fn: Callable[[], None], rank: int) -> list:
-        return self.at(self.now + delay, fn, rank)
+    def after(self, delay: int, fn: Callable[[], None], rank: int, seq: int | None = None) -> list:
+        return self.at(self.now + delay, fn, rank, seq)
 
-    def rearm(self, entry: list | None, time: int, fn: Callable, rank: int, *args) -> list:
+    def rearm(self, entry: list | None, time: int, fn: Callable, rank: int, *args,
+              seq: int | None = None) -> list:
         """Move the timer `entry` (None for a new one) so that fn(*args) fires
-        at `time` instead; returns the entry that now holds the timer.
+        at `time` instead, under the next creation sequence or a reserved
+        `seq`, as at() takes them; returns the entry that now holds the timer.
 
         A pending entry of the same rank whose heap time is not later than
         `time` keeps its place and callback, and only records the new due;
@@ -54,15 +60,19 @@ class VirtualClock:
         """
         if entry is not None and entry[3] is not None:
             if rank == entry[1] and time >= entry[0]:
-                entry[4] = (time, next(self._seq))
+                entry[4] = (time, next(self._seq) if seq is None else seq)
                 return entry
             entry[3] = None
-        return self.at(time, partial(fn, *args) if args else fn, rank)
+        return self.at(time, partial(fn, *args) if args else fn, rank, seq)
 
-    def reserve(self) -> None:
-        """Take the next creation sequence and schedule nothing: an event applied
-        without its heap entry keeps every later sequence where it would be."""
-        next(self._seq)
+    def reserve(self, n: int) -> int:
+        """Take the next n creation sequences and schedule nothing; returns the
+        first. Events applied without their heap entries keep every later
+        sequence where it would be, and an entry scheduled later in their
+        place can be given one of theirs."""
+        first = next(self._seq)
+        self._seq = itertools.count(first + n)
+        return first
 
     @staticmethod
     def cancel(entry: list) -> None:

@@ -90,6 +90,8 @@ class Engine:
     def halt(self) -> None:
         """Stop processing: pending timers become no-ops, deliveries drops."""
         self.halted = True
+        if self.cluster is not None:
+            self.cluster.leave()
 
     def restart(self) -> Engine:
         """Halt this engine and start a fresh one on its graph, address, store and world."""

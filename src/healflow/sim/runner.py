@@ -44,7 +44,8 @@ def apply_fault(fault: FaultEvent, world: World) -> None:
 class Simulation:
     """One scenario run: an engine per flow in `world`, and each scripted fault via apply_fault.
 
-    It trusts its flows and script; it checks only that there is one flow per instance.
+    It trusts its flows and script; it checks only that there is one flow per
+    instance, and that undeclared instances fit the automatic 10.0.0.x addresses.
     """
 
     def __init__(self, flows: list[FlowGraph], script: ScenarioScript, *,
@@ -52,6 +53,9 @@ class Simulation:
         self.script = script
         instances = script.world.instances or [
             InstanceSpec(f"instance-{i}", f"10.0.0.{i + 1}") for i in range(len(flows))]
+        if not script.world.instances and len(flows) > 255:
+            raise ScenarioError(f"{len(flows)} flow documents and no declared instances: "
+                                "automatic addresses end at 10.0.0.255")
         if len(instances) != len(flows):
             raise ScenarioError(
                 f"{len(flows)} flow document(s) for {len(instances)} declared instance(s)")

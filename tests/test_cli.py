@@ -307,6 +307,18 @@ def test_run_duplicate_world_name_exits_2(tmp_path, fixture_path, capsys, case):
     assert capsys.readouterr().err == f"error: {scenario}: {message}\n"
 
 
+def test_run_more_flows_than_automatic_addresses_exits_2(tmp_path, fixture_path, capsys):
+    # Undeclared instances get 10.0.0.1, 10.0.0.2, ...; the 256th has no such address.
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({"seed": 1, "duration_ms": 100}))
+    code = main(["run", *["--flow", str(fixture_path("flow_c.json"))] * 256,
+                 "--scenario", str(scenario)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {scenario}: 256 flow documents and no declared instances: "
+        "automatic addresses end at 10.0.0.255\n")
+
+
 def test_run_negative_seed_exits_2(fixture_path, capsys):
     code = main(["run", "--flow", str(fixture_path("flow_a.json")),
                  "--scenario", str(fixture_path("scenario_a.json")), "--seed", "-3"])

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from healflow.cluster import (ClusterAgent, LoopbackTransport, PingDecodeError, decode_ping,
                               election_key, encode_ping)
+from healflow.core.clock import VirtualClock
 from healflow.core.graph import validate_graph
 from healflow.sim import Simulation, VirtualDevice, World, parse_scenario
 from healflow.sim.world import RANK_FAULT, RANK_WORLD
@@ -465,11 +466,15 @@ def test_malformed_broadcast_is_logged_by_each_receiver(caplog):
 
 # --- periodic pings taken at send time --------------------------------------------------
 
+def broadcast_ping(transport, src, epoch):
+    transport.broadcast(src, encode_ping(src, epoch, transport.clock.now))
+
+
 @contextlib.contextmanager
 def eager_pings():
     """Every periodic ping is a delivery event, as a raw broadcast is."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(LoopbackTransport, "ping", LoopbackTransport.broadcast)
+        mp.setattr(LoopbackTransport, "ping", broadcast_ping)
         yield
 
 
@@ -494,10 +499,10 @@ def datagram_events(world):
     events = []
     after = world.clock.after
 
-    def spy(delay, fn, rank):
+    def spy(delay, fn, rank, seq=None):
         if isinstance(fn, partial) and fn.func.__name__ == "receive_datagram":
             events.append((world.clock.now, rank))
-        return after(delay, fn, rank)
+        return after(delay, fn, rank, seq)
     world.clock.after = spy
     return events
 
@@ -544,6 +549,21 @@ def test_a_dropped_link_gets_no_ping_either_way():
     world, low, events = shipped_and_eager(drive)
     assert events == []
     assert low.cluster.peers[HIGH][1] == 1000
+
+
+def test_an_agent_replaced_at_its_address_hears_nothing_more_and_lets_its_peers_die():
+    def drive():
+        world, low, high, events = started_pair()
+        world.clock.run_until(1000)
+        make_engine(redundancy_graph(1000), instance="low2", address=LOW, world=world).start()
+        world.clock.run_until(3000)
+        low.halt()
+        world.clock.run_until(3500)
+        return world, low
+    world, low = shipped_and_eager(drive)
+    assert low.cluster.peers[HIGH] == (election_key(HIGH), 1000, False)
+    assert changes(world.log, "low")[-1] == (
+        2001, {"role": "master", "epoch": 1, "reason": "election-result"})
 
 
 def test_a_halted_receiver_takes_a_ping_as_its_event_would_by_doing_nothing():
@@ -667,6 +687,52 @@ def test_send_schedules_every_datagram_event_across_a_failover(monkeypatch):
     assert counts["send"] == counts["receive"]
 
 
+def refreshes_per_period(count):
+    """Per-receiver refreshes (_heard) plus clock re-arms per ping period, in a
+    stable cluster of `count` instances, over 20 periods after boot."""
+    world = World()
+    engines = [make_engine(redundancy_graph(1000), instance=f"i{n}", address=f"10.0.0.{n}",
+                           world=world) for n in range(1, count + 1)]
+    for engine in engines:
+        engine.start()
+    world.clock.run_until(2000)  # past the boot pings, the first ticks and the boot election
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn)
+            return fn(*args, **kwargs)
+        return wrapper
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ClusterAgent, "_heard", counted(ClusterAgent._heard))
+        mp.setattr(VirtualClock, "rearm", counted(VirtualClock.rearm))
+        world.clock.run_until(2000 + 20 * 200)
+    assert [e.instance for e in engines if e.cluster.role == "master"] == [f"i{count}"]
+    assert [e for e in world.log if e.kind == "role-change" and e.time > 2000] == []
+    return len(calls) / 20
+
+
+def test_a_stable_cluster_fires_no_peer_expiry(monkeypatch):
+    """While every peer keeps pinging, no expiry timer fires: a view joins its
+    sender's group at the sender's next tick, which drops its own timer."""
+    fired = []
+    expire = ClusterAgent._expire
+    monkeypatch.setattr(ClusterAgent, "_expire", lambda agent: fired.append(agent.address)
+                        or expire(agent))
+    world = World()
+    for n in (1, 2, 3):
+        make_engine(redundancy_graph(1000), instance=f"i{n}", address=f"10.0.0.{n}",
+                    world=world).start()
+    world.clock.run_until(10000)
+    assert fired == []
+
+
+def test_a_ping_period_costs_work_linear_in_the_cluster_size():
+    """Each tick refreshes every receiver holding the sender alive as one
+    group: doubling the cluster doubles the work per period, not quadruples it."""
+    assert refreshes_per_period(16) <= 2.2 * refreshes_per_period(8)
+
+
 def watched_graph(election_timeout, heartbeat_timeout):
     """A redundancy pair member whose heartbeat watches a sensor and posts
     alarms to every instance's role-gated ingest group."""
@@ -688,17 +754,22 @@ def watched_graph(election_timeout, heartbeat_timeout):
 
 
 GHOST = "10.9.9.9"
+TIMEOUTS = st.sampled_from([5, 7, 10, 23, 200])
 
 
 @st.composite
 def cluster_programs(draw):
-    """A scenario document plus hand-scheduled drop toggles and raw datagrams."""
-    count = draw(st.integers(2, 6))
+    """A scenario document, each instance's election timeout (one shared, or
+    mixed), plus hand-scheduled drop toggles and raw datagrams."""
+    count = draw(st.integers(2, 8))
     octets = draw(st.lists(st.integers(1, 254), min_size=count, max_size=count, unique=True))
     instances = [{"name": f"i{o}", "address": f"10.0.{o % 3}.{o}"} for o in octets]
     names = [i["name"] for i in instances]
     addresses = [i["address"] for i in instances]
-    timeout = draw(st.sampled_from([5, 7, 10, 23, 200]))
+    timeout = draw(TIMEOUTS)
+    timeouts = [timeout] * count
+    if draw(st.booleans()):
+        timeouts = draw(st.lists(TIMEOUTS, min_size=count, max_size=count))
     duration = draw(st.integers(1, 500))
     at = st.integers(0, duration)
     events = draw(st.lists(st.one_of(
@@ -724,13 +795,13 @@ def cluster_programs(draw):
     datagrams = draw(st.lists(st.tuples(at, st.sampled_from([RANK_FAULT, RANK_WORLD]), link,
                                         datagram), max_size=6))
     heartbeat = timeout + draw(st.integers(0, 2))
-    return scenario, timeout, heartbeat, drops, datagrams
+    return scenario, timeouts, heartbeat, drops, datagrams
 
 
 def run_program(program):
-    scenario, timeout, heartbeat, drops, datagrams = program
+    scenario, timeouts, heartbeat, drops, datagrams = program
     script = parse_scenario(json.dumps(scenario))
-    sim = Simulation([watched_graph(timeout, heartbeat) for _ in script.world.instances], script)
+    sim = Simulation([watched_graph(timeout, heartbeat) for timeout in timeouts], script)
     clock, transport = sim.world.clock, sim.world.transport
     for at, src, dst, drop in drops:
         clock.at(at, partial(transport.set_drop, src, dst, drop), RANK_FAULT)
@@ -749,18 +820,54 @@ TIED_EXPIRY = ({"seed": 1, "duration_ms": 20, "events": [
     "instances": [{"name": "i200", "address": "10.0.2.200"},
                   {"name": "i7", "address": "10.0.1.7"}],
     "devices": [{"id": "s", "kind": "periodicSensor", "topic": "s/x", "period_ms": 5}]}},
-    5, 6, [], [])
+    [5, 5], 6, [], [])
+
+I200, I7, I54 = "10.0.2.200", "10.0.1.7", "10.0.0.54"
+THREE = {"instances": [{"name": "i200", "address": I200}, {"name": "i7", "address": I7},
+                       {"name": "i54", "address": I54}],
+         "devices": [{"id": "s", "kind": "periodicSensor", "topic": "s/x", "period_ms": 5}]}
+
+# i7 pings every ms until its crash at 10, so its silence timer is due at
+# 9 + 5 + 1 = 15, the ms it restarts: i200 hears the boot ping before the
+# timer fires, i54 after it.
+RESTART_AT_SILENCE = ({"seed": 1, "duration_ms": 30, "events": [
+    {"at_ms": 10, "kind": "instance_crash", "target": "i7"},
+    {"at_ms": 15, "kind": "instance_restart", "target": "i7"}], "world": THREE},
+    [5, 5, 5], 6, [], [])
+
+# i200 ticks at 4 and crashes at 7; a raw datagram with its address at 6
+# gives i7 its own view of i200 (dead at 30), while i54 holds the tick's
+# (dead at 28).
+DIVERGED = ({"seed": 1, "duration_ms": 40, "events": [
+    {"at_ms": 7, "kind": "instance_crash", "target": "i200"}], "world": THREE},
+    [23, 23, 23], 23, [], [(6, RANK_WORLD, I7, encode_ping(I200, 0, 0))])
+
+# The link from i200 to i7 drops at 5 and comes back at 6, between i200's
+# ticks at 4 and 8; i200 crashes at 9.
+DROP_BETWEEN_TICKS = ({"seed": 1, "duration_ms": 40, "events": [
+    {"at_ms": 9, "kind": "instance_crash", "target": "i200"}], "world": THREE},
+    [23, 23, 23], 23, [(5, I200, I7, True), (6, I200, I7, False)], [])
+
+# i200 pings every 40 ms, but i7 and i54 time a peer out after 5 and 23 ms:
+# after each tick each kills i200 at its own deadline (i54 becoming master)
+# and takes i200's next ping as a join.
+MIXED_TIMEOUTS = ({"seed": 1, "duration_ms": 100, "events": [], "world": THREE},
+                  [200, 5, 23], 23, [], [])
 
 
 @given(cluster_programs())
 @example(TIED_EXPIRY)
+@example(RESTART_AT_SILENCE)
+@example(DIVERGED)
+@example(DROP_BETWEEN_TICKS)
+@example(MIXED_TIMEOUTS)
 @settings(max_examples=60, deadline=None)
 def test_periodic_pings_taken_at_send_time_log_what_their_events_would(program):
-    """Instances crash and restart at any ms, links drop and heal at fault rank,
-    a sensor's readings (delayed, or paused) and the heartbeat timers they
-    re-arm tie with peer expiries, and raw datagrams, some malformed, arrive
-    at fault and world rank: the timeline bytes and the final seq match the
-    eager fabric's."""
+    """Instances with one or mixed election timeouts crash and restart at any
+    ms, links drop and heal at fault rank, a sensor's readings (delayed, or
+    paused) and the heartbeat timers they re-arm tie with peer expiries, and
+    raw datagrams, some malformed, arrive at fault and world rank: the
+    timeline bytes and the final seq match the eager fabric's."""
     shipped = run_program(program)
     with eager_pings():
         eager = run_program(program)
