@@ -84,6 +84,8 @@ def parse_flow(text: str) -> FlowGraph:
     except json.JSONDecodeError as exc:
         raise FlowParseError(f"flow syntax error: {exc.msg} "
                              f"(line {exc.lineno}, column {exc.colno})") from exc
+    except RecursionError:
+        raise FlowParseError("flow document nests too deep") from None
 
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
         raise FlowParseError('flow document must be an object with a "nodes" list')

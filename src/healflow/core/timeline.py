@@ -114,7 +114,7 @@ def entries_from_csv(text: str) -> list[TimelineEntry]:
                 raw, value = value_text, json.loads(value_text)
             out.append(TimelineEntry(time, instance, kind, node,
                                      None if port == "" else int(port), topic, value))
-    except csv.Error as exc:
+    except (csv.Error, RecursionError) as exc:
         raise ValueError(str(exc)) from exc
     finally:
         csv.field_size_limit(old_limit)

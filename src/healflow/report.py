@@ -128,8 +128,8 @@ def _egress_label(graph: Optional[FlowGraph], node: str, port: Optional[int]) ->
     return f"{node}:{port}"
 
 
-def default_bucket(entries, graph: Optional[FlowGraph] = None) -> int:
-    """A quarter of the fastest configured cadence, or of the observed one."""
+def default_bucket(emits, graph: Optional[FlowGraph] = None) -> int:
+    """A quarter of the fastest configured cadence, or of the one observed in emit entries."""
     periods = []
     if graph is not None:
         for spec in graph.nodes:
@@ -142,9 +142,7 @@ def default_bucket(entries, graph: Optional[FlowGraph] = None) -> int:
                     periods.append(value)
     if not periods:
         by_node: dict[str, int] = {}
-        for e in entries:
-            if e.kind != "emit":
-                continue
+        for e in emits:
             if e.node in by_node and e.time > by_node[e.node]:
                 periods.append(e.time - by_node[e.node])
             by_node[e.node] = e.time
@@ -158,8 +156,11 @@ def render_marble(entries: Iterable[TimelineEntry], *, bucket_ms: Optional[int] 
 
     Glyphs: '.' nothing, '*' one emission, '2'..'9' that many, '+' ten or more.
     """
-    entries = list(entries)
     emits = [e for e in entries if e.kind == "emit"]
+    if bucket_ms is None:
+        bucket_ms = default_bucket(emits, graph)
+    elif bucket_ms < 1:
+        raise ValueError(f"bucket_ms must be at least 1, got {bucket_ms}")
     if nodes is not None:
         known = {e.node for e in emits}
         if graph is not None:
@@ -169,10 +170,6 @@ def render_marble(entries: Iterable[TimelineEntry], *, bucket_ms: Optional[int] 
                 raise ValueError(f"unknown node in filter: {n!r}")
         emits = [e for e in emits if e.node in nodes]
 
-    if bucket_ms is None:
-        bucket_ms = default_bucket(entries, graph)
-    elif bucket_ms < 1:
-        raise ValueError(f"bucket_ms must be at least 1, got {bucket_ms}")
     if not emits:
         return f"# marble bucket_ms={bucket_ms} (no emissions)\n"
 

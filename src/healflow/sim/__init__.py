@@ -1,10 +1,10 @@
-from .scenario import (FAULT_KINDS, FaultEvent, InstanceSpec, ScenarioError,
-                       ScenarioScript, WorldSpec, parse_scenario)
+from .scenario import (FaultEvent, InstanceSpec, ScenarioError, ScenarioScript, WorldSpec,
+                       parse_scenario)
 from .runner import Simulation, apply_fault
 from .world import Service, VirtualDevice, World, WORLD_INSTANCE
 
 __all__ = [
-    "FAULT_KINDS", "FaultEvent", "InstanceSpec", "ScenarioError", "ScenarioScript",
+    "FaultEvent", "InstanceSpec", "ScenarioError", "ScenarioScript",
     "WorldSpec", "parse_scenario",
     "Simulation", "apply_fault",
     "Service", "VirtualDevice", "World", "WORLD_INSTANCE",

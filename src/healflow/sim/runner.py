@@ -1,4 +1,4 @@
-"""Co-simulator: all instances, devices and broker in one World; apply_fault applies faults."""
+"""Co-simulator: one World runs every instance and device; fault kinds live in scenario.FAULTS."""
 
 from __future__ import annotations
 
@@ -10,35 +10,17 @@ from ..core.engine import Engine
 from ..core.graph import FlowGraph
 from ..core.timeline import WORLD_INSTANCE, TimelineLog
 from ..persistence import Store
-from .scenario import FaultEvent, InstanceSpec, ScenarioError, ScenarioScript
+from .scenario import FAULTS, FaultEvent, InstanceSpec, ScenarioError, ScenarioScript
 from .world import RANK_FAULT, World
 
 
 def apply_fault(fault: FaultEvent, world: World) -> None:
-    """Log one fault entry, then apply the fault of any kind to the world."""
+    """Log one fault entry, then apply the effect of the fault's FAULTS row to the world."""
     world.log.add(world.clock.now, WORLD_INSTANCE, "fault", fault.target,
                   value={"kind": fault.kind, **({"params": fault.params}
                                                 if fault.params else {})})
-    if fault.kind == "instance_crash":
-        world.engines[fault.target].halt()
-    elif fault.kind == "instance_restart":
-        world.engines[fault.target].restart()
-    elif fault.kind == "device_offline":
-        world.set_device_online(fault.target, False)
-    elif fault.kind == "device_online":
-        world.set_device_online(fault.target, True)
-    elif fault.kind == "service_down":
-        world.services[fault.target].up = False
-    elif fault.kind == "service_up":
-        world.services[fault.target].up = True
-    elif fault.kind == "net_delay":
-        world.delays[fault.target] = fault.params.get("delay_ms", 0)
-    elif fault.kind == "stuck_value":
-        world.devices[fault.target].stuck = fault.params.get("value")
-    elif fault.kind == "value_noise":
-        world.devices[fault.target].extra_noise = fault.params.get("amp", 0.0)
-    else:
-        raise ScenarioError(f"unknown fault kind {fault.kind!r}")
+    _, read, effect = FAULTS[fault.kind]
+    effect(world, fault.target, read(fault.params))
 
 
 class Simulation:

@@ -7,30 +7,20 @@ Scenario file schema (UTF-8 JSON):
      "events": [{"at_ms": u64, "kind": str, "target": str, "params": {...}}]}
 
 The world section is optional; without it a run gets auto-named instances
-and an empty inventory.
+and an empty inventory. A fault kind is one row of FAULTS, which
+parse_scenario checks events against and apply_fault applies.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 from ..cluster import election_key
 from ..core.envelope import is_number
 from ..core.timeline import WORLD_INSTANCE, csv_safe
 from .world import Service, VirtualDevice
-
-# Each fault kind and what its target names: a device, an instance, a
-# service, or a source (a device or an instance).
-FAULT_TARGETS = {
-    "device_offline": "device", "device_online": "device",
-    "instance_crash": "instance", "instance_restart": "instance",
-    "net_delay": "source", "value_noise": "device", "stuck_value": "device",
-    "service_down": "service", "service_up": "service",
-}
-FAULT_KINDS = tuple(FAULT_TARGETS)
-
 
 class ScenarioError(ValueError):
     pass
@@ -73,6 +63,13 @@ def _objects(doc: dict, key: str, where: str = "") -> list[dict]:
     return items
 
 
+def _object(value, what: str) -> dict:
+    """value when it is a JSON object; absent or null reads as an empty one."""
+    if value is not None and not isinstance(value, dict):
+        raise ScenarioError(f"{what} must be an object")
+    return value or {}
+
+
 def _int(value, what: str) -> int:
     """value when it is a non-negative integer; bools, floats and strings are not."""
     if type(value) is not int or value < 0:
@@ -98,6 +95,37 @@ def _numbers(value, what: str, nonnegative: bool = False):
     return value
 
 
+def _amp(params: dict):
+    """value_noise's amp: a non-negative number, 0.0 when absent."""
+    amp = params.get("amp", 0.0)
+    if not is_number(amp) or amp < 0:
+        raise ScenarioError(f"value_noise amp must be a non-negative number, got {amp!r}")
+    return amp
+
+
+def _no_value(params: dict) -> None:
+    """The reader of a kind that takes no params: any given are logged and unused."""
+
+
+# One row per fault kind: what its target names (a device, an instance, a
+# service, or a source: a device or an instance), the reader that checks its
+# params and returns the value it uses, and its effect on the World given the
+# target and that value. parse_scenario and apply_fault both read this table.
+FAULTS = {
+    "device_offline": ("device", _no_value, lambda w, t, v: w.set_device_online(t, False)),
+    "device_online": ("device", _no_value, lambda w, t, v: w.set_device_online(t, True)),
+    "instance_crash": ("instance", _no_value, lambda w, t, v: w.engines[t].halt()),
+    "instance_restart": ("instance", _no_value, lambda w, t, v: w.engines[t].restart()),
+    "net_delay": ("source", lambda p: _int(p.get("delay_ms", 0), "net_delay delay_ms"),
+                  lambda w, t, v: w.delays.update({t: v})),
+    "value_noise": ("device", _amp, lambda w, t, v: setattr(w.devices[t], "extra_noise", v)),
+    "stuck_value": ("device", lambda p: p.get("value"),
+                    lambda w, t, v: setattr(w.devices[t], "stuck", v)),
+    "service_down": ("service", _no_value, lambda w, t, v: setattr(w.services[t], "up", False)),
+    "service_up": ("service", _no_value, lambda w, t, v: setattr(w.services[t], "up", True)),
+}
+
+
 def _parse_device(raw: dict) -> VirtualDevice:
     kind = raw.get("kind", "periodicSensor")
     if kind not in ("periodicSensor", "nfcReader"):
@@ -105,9 +133,7 @@ def _parse_device(raw: dict) -> VirtualDevice:
     dev_id = _name(raw.get("id"), "device id")
     where = f"device {dev_id!r}"
     topic = _name(raw.get("topic"), f"{where} topic")
-    model = raw.get("valueModel") or {}
-    if not isinstance(model, dict):
-        raise ScenarioError(f"{where} valueModel must be an object")
+    model = _object(raw.get("valueModel"), f"{where} valueModel")
     period = _int(raw.get("period_ms", 0), f"{where} period_ms")
     if kind == "periodicSensor" and period <= 0:
         raise ScenarioError(f"{where} needs a positive period_ms")
@@ -135,9 +161,7 @@ def _parse_instance(raw: dict) -> InstanceSpec:
 
 
 def _parse_world(raw: Optional[dict]) -> WorldSpec:
-    raw = raw or {}
-    if not isinstance(raw, dict):
-        raise ScenarioError("world must be an object")
+    raw = _object(raw, "world")
     devices = [_parse_device(d) for d in _objects(raw, "devices", "world.")]
     services = []
     for s in _objects(raw, "services", "world."):
@@ -165,6 +189,8 @@ def parse_scenario(text: str) -> ScenarioScript:
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario syntax error: {exc.msg} "
                             f"(line {exc.lineno}, column {exc.colno})") from exc
+    except RecursionError:
+        raise ScenarioError("scenario document nests too deep") from None
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
 
@@ -179,21 +205,15 @@ def parse_scenario(text: str) -> ScenarioScript:
     events = []
     for raw in _objects(doc, "events"):
         kind = raw.get("kind")
-        if kind not in FAULT_KINDS:
+        if not isinstance(kind, str) or kind not in FAULTS:
             raise ScenarioError(f"unknown fault kind {kind!r}")
+        sort, read, _ = FAULTS[kind]
         at = _int(raw.get("at_ms"), f"fault {kind!r} at_ms")
         target = _name(raw.get("target"), f"fault {kind!r} target")
-        if target not in ids[FAULT_TARGETS[kind]]:
-            raise ScenarioError(f"{kind} targets unknown {FAULT_TARGETS[kind]} {target!r}")
-        params = raw.get("params") or {}
-        if not isinstance(params, dict):
-            raise ScenarioError(f"fault {kind!r} params must be an object")
-        if kind == "net_delay":
-            _int(params.get("delay_ms", 0), "net_delay delay_ms")
-        if kind == "value_noise":
-            amp = params.get("amp", 0.0)
-            if not is_number(amp) or amp < 0:
-                raise ScenarioError(f"value_noise amp must be a non-negative number, got {amp!r}")
+        if target not in ids[sort]:
+            raise ScenarioError(f"{kind} targets unknown {sort} {target!r}")
+        params = _object(raw.get("params"), f"fault {kind!r} params")
+        read(params)
         events.append(FaultEvent(at=at, kind=kind, target=target, params=params))
     events.sort(key=lambda e: e.at)
     if events and events[-1].at > duration:

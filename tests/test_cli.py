@@ -120,6 +120,17 @@ def test_validate_names_an_unreadable_file_once_and_goes_on(tmp_path, fixture_pa
     assert out[2:] == [f"{flow_b}: ok (7 nodes, 7 wires)"]
 
 
+# Deeper than any JSON decoder's recursion limit.
+TOO_DEEP = "[" * 100_000
+
+
+def test_validate_flow_nested_too_deep_exits_2(tmp_path, capsys):
+    flow = tmp_path / "deep.json"
+    flow.write_text(TOO_DEEP)
+    assert main(["validate", "--flow", str(flow)]) == 2
+    assert capsys.readouterr().out == f"{flow}: flow document nests too deep\n"
+
+
 def test_validate_two_cycle_flow_exits_2(tmp_path, capsys):
     bad = tmp_path / "two-cycles.json"
     bad.write_text(json.dumps({"nodes": [
@@ -237,6 +248,13 @@ MALFORMED_SCENARIOS = {
     "duration-boolean": {"duration_ms": True},
     "device-kind-unknown": {"world": {"devices": [dict(SENSOR, kind="camera")]}},
     "sensor-without-period": {"world": {"devices": [{"id": "s", "topic": "t"}]}},
+    "world-empty-list": {"world": []},
+    "params-zero": {"world": {"devices": [SENSOR]},
+                    "events": [{"at_ms": 0, "kind": "value_noise", "target": "s",
+                                "params": 0}]},
+    "value-model-empty-string": {"world": {"devices": [dict(SENSOR, valueModel="")]}},
+    "kind-list": {"world": {"devices": [SENSOR]},
+                  "events": [{"at_ms": 0, "kind": ["device_offline"], "target": "s"}]},
 }
 
 
@@ -262,6 +280,14 @@ def test_run_scenario_that_is_not_a_json_object_exits_2(tmp_path, fixture_path, 
     code = main(["run", "--flow", str(fixture_path("flow_a.json")), "--scenario", str(scenario)])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {scenario}: {message}")
+
+
+def test_run_scenario_nested_too_deep_exits_2(tmp_path, fixture_path, capsys):
+    scenario = tmp_path / "deep.json"
+    scenario.write_text(TOO_DEEP)
+    code = main(["run", "--flow", str(fixture_path("flow_a.json")), "--scenario", str(scenario)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {scenario}: scenario document nests too deep\n"
 
 
 def test_run_out_into_a_missing_directory_exits_3(tmp_path, fixture_path, capsys):
@@ -410,6 +436,13 @@ def test_report_rejects_what_the_log_would_not_add(tmp_path, capsys, rows, messa
     bad.write_text("time_ms,instance,event,node,port,topic,value\n" + rows)
     assert main(["report", "--timeline", str(bad), "--metric", "loss"]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_report_value_nested_too_deep_exits_2(tmp_path, capsys):
+    bad = tmp_path / "deep.csv"
+    bad.write_text(f"time_ms,instance,event,node,port,topic,value\n5,a,emit,n,0,t,{TOO_DEEP}\n")
+    assert main(["report", "--timeline", str(bad), "--metric", "loss"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: not a timeline CSV: ")
 
 
 def test_python_dash_m_runs_the_cli(fixture_path):

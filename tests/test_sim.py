@@ -8,6 +8,7 @@ from healflow.core.graph import parse_flow
 from healflow.persistence import MIN_COMPACT_LINES, Store
 from healflow.sim import (FaultEvent, ScenarioError, Simulation, VirtualDevice,
                           World, WORLD_INSTANCE, apply_fault, parse_scenario)
+from healflow.sim.scenario import FAULTS
 from tests.conftest import build_graph, make_engine, make_spec
 
 
@@ -316,6 +317,29 @@ def test_conservation_each_emission_delivered_once_per_subscriber():
     delivers = [e for e in log if e.kind == "deliver"]
     assert emits == 3
     assert len(delivers) == emits * 2
+
+
+# A target of each sort that a FAULTS row can name, and params each reader takes.
+FAULT_TARGET = {"device": "d", "instance": "solo", "service": "v", "source": "d"}
+FAULT_PARAMS = {"net_delay": {"delay_ms": 50}, "value_noise": {"amp": 0.5},
+                "stuck_value": {"value": 7}}
+
+
+@pytest.mark.parametrize("kind", sorted(FAULTS))
+def test_every_fault_kind_parses_runs_and_logs_one_fault_entry(kind):
+    target, params = FAULT_TARGET[FAULTS[kind][0]], FAULT_PARAMS.get(kind, {})
+    script = parse_scenario(json.dumps({
+        "seed": 1, "duration_ms": 3000,
+        "world": {
+            "devices": [{"id": "d", "kind": "periodicSensor", "topic": "t",
+                         "period_ms": 1000}],
+            "services": [{"id": "v"}],
+            "instances": [{"name": "solo", "address": "10.0.0.1"}],
+        },
+        "events": [{"at_ms": 1500, "kind": kind, "target": target, "params": params}]}))
+    log = Simulation([parse_flow(SINK_FLOW)], script).run()
+    assert [(e.time, e.instance, e.node, e.value) for e in log if e.kind == "fault"] == [
+        (1500, WORLD_INSTANCE, target, {"kind": kind, **({"params": params} if params else {})})]
 
 
 def test_instance_crash_halts_engine_and_restart_revives():
