@@ -24,14 +24,20 @@ def copy_json(value: Payload) -> Payload:
     numbers, bool and None), so for them this is a deep copy: key order is
     kept and no container is shared with the original. Scalars are
     immutable, so sharing them is safe. Tuples, sets and other objects are
-    not JSON and are shared as they are, not copied.
+    not JSON and are shared as they are, not copied. The copy keeps its own
+    stack, so a payload nested past the recursion limit copies too.
     """
-    if isinstance(value, dict):
-        return {k: copy_json(v) if isinstance(v, (dict, list)) else v
-                for k, v in value.items()}
-    if isinstance(value, list):
-        return [copy_json(v) if isinstance(v, (dict, list)) else v for v in value]
-    return value
+    if not isinstance(value, (dict, list)):
+        return value
+    top = dict(value) if isinstance(value, dict) else list(value)
+    stack = [top]
+    while stack:
+        node = stack.pop()
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            if isinstance(child, (dict, list)):
+                node[key] = child = dict(child) if isinstance(child, dict) else list(child)
+                stack.append(child)
+    return top
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,12 +8,16 @@ backwards.
 Entries are named tuples and their values are read-only: an emit and its
 delivers log one payload object, and a timeline read back from CSV shares
 one decoded value between consecutive entries whose value texts are equal.
+Entries read back also share one string per distinct name and one int per
+run of equal time texts. The CSV text is read in slices: one StringIO over
+all of it would hold a copy at four bytes per character during the parse.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from typing import Any, NamedTuple, Optional
 
@@ -25,6 +29,8 @@ KINDS = ("emit", "deliver", "drop", "fault", "role-change", "timer")
 WORLD_INSTANCE = "world"
 # Emits on topics under this prefix are sink deliveries (http-post successes).
 SINK_TOPIC_PREFIX = "service/"
+
+_SLICE = 1 << 16  # characters per StringIO that entries_from_csv feeds the csv reader
 
 CSV_HEADER = ["time_ms", "instance", "event", "node", "port", "topic", "value"]
 
@@ -88,6 +94,15 @@ class TimelineLog:
         return buf.getvalue()
 
 
+def _slices(text: str):
+    """StringIOs over text cut after a "\\n": chained, their lines are one StringIO's."""
+    start, end = 0, len(text)
+    while start < end:  # not str.splitlines, which also ends a line at "\x0b", "\x85", ...
+        cut = text.find("\n", start + _SLICE) + 1 or end
+        yield io.StringIO(text[start:cut])
+        start = cut
+
+
 def entries_from_csv(text: str) -> list[TimelineEntry]:
     """Parse a timeline CSV, applying the rules that TimelineLog.add applies.
 
@@ -98,22 +113,24 @@ def entries_from_csv(text: str) -> list[TimelineEntry]:
     # No field is longer than the text; restore the process-wide limit after.
     old_limit = csv.field_size_limit(len(text) + 1)
     try:
-        reader = csv.reader(io.StringIO(text))
+        reader = csv.reader(itertools.chain.from_iterable(_slices(text)))
         header = next(reader, None)
         if header != CSV_HEADER:
             raise ValueError(f"unexpected timeline header: {header}")
         out = []
-        raw = value = None
-        for time, instance, kind, node, port, topic, value_text in reader:
-            if kind not in KINDS:
+        kinds, name = dict(zip(KINDS, KINDS)), {}.setdefault
+        raw_time = raw = value = None
+        for time_text, instance, kind, node, port, topic, value_text in reader:
+            if kind not in kinds:
                 raise ValueError(f"unknown event kind {kind!r}")
-            time = int(time)
-            if out and time < out[-1].time:
-                raise ValueError("timeline times must be non-decreasing")
+            if time_text != raw_time:
+                raw_time, time = time_text, int(time_text)
+                if out and time < out[-1].time:
+                    raise ValueError("timeline times must be non-decreasing")
             if value_text != raw:
                 raw, value = value_text, json.loads(value_text)
-            out.append(TimelineEntry(time, instance, kind, node,
-                                     None if port == "" else int(port), topic, value))
+            out.append(TimelineEntry(time, name(instance, instance), kinds[kind], name(node, node),
+                                     None if port == "" else int(port), name(topic, topic), value))
     except (csv.Error, RecursionError) as exc:
         raise ValueError(str(exc)) from exc
     finally:

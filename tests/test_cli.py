@@ -290,6 +290,22 @@ def test_run_scenario_nested_too_deep_exits_2(tmp_path, fixture_path, capsys):
     assert capsys.readouterr().err == f"error: {scenario}: scenario document nests too deep\n"
 
 
+@pytest.mark.parametrize("depth", [500, 900])
+def test_run_and_report_a_stuck_value_nested_deep(tmp_path, fixture_path, capsys, depth):
+    value = 1
+    for _ in range(depth):
+        value = [value]
+    scenario = json.loads(fixture_path("scenario_a.json").read_text())
+    scenario["events"].insert(0, {"at_ms": 300000, "kind": "stuck_value", "target": "dht-1",
+                                  "params": {"value": value}})
+    path, out = tmp_path / "deep.json", tmp_path / "t.csv"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", "--flow", str(fixture_path("flow_a.json")), "--scenario", str(path),
+                 "--out", str(out)]) == 0
+    assert "[" * depth + "1" + "]" * depth in out.read_text()
+    assert main(["report", "--timeline", str(out), "--metric", "loss"]) == 0
+
+
 def test_run_out_into_a_missing_directory_exits_3(tmp_path, fixture_path, capsys):
     out = tmp_path / "missing" / "t.csv"
     code = main(["run", "--flow", str(fixture_path("flow_a.json")),

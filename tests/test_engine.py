@@ -303,6 +303,23 @@ def test_copy_json_keeps_key_order_nested_lists_bool_and_none():
     assert copied["z"][1][1] is not value["z"][1][1]
 
 
+def test_copy_json_copies_a_payload_nested_past_the_recursion_limit():
+    value = leaf = []
+    for depth in range(5000):
+        leaf.append({"k": []} if depth % 2 else [])
+        leaf = leaf[0]["k"] if depth % 2 else leaf[0]
+    copied = copy_json(value)
+    original = value
+    for depth in range(5000):  # == would recurse, so walk both copies side by side
+        assert type(copied) is type(original) and copied is not original
+        assert len(copied) == 1
+        copied, original = copied[0], original[0]
+        if depth % 2:
+            assert list(copied) == ["k"] and copied is not original
+            copied, original = copied["k"], original["k"]
+    assert copied == original == [] and copied is not original
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
     lambda children: st.lists(children) | st.dictionaries(st.text(), children),

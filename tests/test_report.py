@@ -1,10 +1,13 @@
 import csv
 import io
+import json
+import tracemalloc
 from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from healflow.core import timeline
 from healflow.core.envelope import encode_json
 from healflow.core.timeline import CSV_HEADER, KINDS, TimelineEntry, TimelineLog, entries_from_csv
 from healflow.report import compute_report, default_bucket, format_report, render_marble
@@ -87,15 +90,15 @@ JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | NAMES,
     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(NAMES, kids, max_size=3),
     max_leaves=8)
-ROWS = st.tuples(st.integers(0, 5), NAMES, st.sampled_from(KINDS), NAMES,
-                 st.none() | st.integers(-5, 99), NAMES)
 
 
 @st.composite
-def logs(draw):
+def logs(draw, names=NAMES):
     """Runs of consecutive entries that log one value object, as an emit and its delivers do."""
     log, time = TimelineLog(), 0
-    runs = st.lists(st.tuples(JSON_VALUES, st.lists(ROWS, min_size=1, max_size=4)), max_size=8)
+    row = st.tuples(st.integers(0, 5), names, st.sampled_from(KINDS), names,
+                    st.none() | st.integers(-5, 99), names)
+    runs = st.lists(st.tuples(JSON_VALUES, st.lists(row, min_size=1, max_size=4)), max_size=8)
     for value, rows in draw(runs):
         for delta, instance, kind, node, port, topic in rows:
             time += delta
@@ -123,6 +126,79 @@ def test_csv_codec_matches_the_per_row_reference(log):
     parsed = entries_from_csv(text)
     assert [e[:6] for e in parsed] == [e[:6] for e in log]
     assert [encode_json(e.value) for e in parsed] == [encode_json(e.value) for e in log]
+
+
+def reference_entries(text):
+    """entries_from_csv as one StringIO reads it, with the rules TimelineLog.add applies."""
+    old_limit = csv.field_size_limit(len(text) + 1)
+    try:
+        reader = csv.reader(io.StringIO(text))
+        header = next(reader, None)
+        if header != CSV_HEADER:
+            raise ValueError(f"unexpected timeline header: {header}")
+        out = []
+        for time, instance, kind, node, port, topic, value in reader:
+            if kind not in KINDS:
+                raise ValueError(f"unknown event kind {kind!r}")
+            if out and int(time) < out[-1].time:
+                raise ValueError("timeline times must be non-decreasing")
+            out.append(TimelineEntry(int(time), instance, kind, node,
+                                     None if port == "" else int(port), topic, json.loads(value)))
+    except csv.Error as exc:
+        raise ValueError(str(exc)) from exc
+    finally:
+        csv.field_size_limit(old_limit)
+    return out
+
+
+def parse_or_error(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# csv.writer leaves "\x0b", "\x0c", "\x1c", "\x85" and "\u2028" unquoted; str.splitlines breaks
+# a line at each of them, one StringIO only at "\n".
+LINE_BREAKS = st.text(st.sampled_from('a,"\n\x0b\x0c\x1c\x85\u2028\u00e9'), max_size=4)
+BAD_TAILS = st.sampled_from(["", "0,a,explode,n,,t,1\n", "-1,a,emit,n,,t,1\n",
+                             "0,a,emit,n,x,t,1\n", '0,a,emit,n,,t,"{\n'])
+
+
+@pytest.mark.parametrize("slice_chars", [1, 7, timeline._SLICE])
+@settings(max_examples=200, deadline=None)
+@given(log=logs(LINE_BREAKS), tail=BAD_TAILS)
+def test_sliced_csv_read_matches_one_stringio(slice_chars, log, tail):
+    text = log.to_csv() + tail
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(timeline, "_SLICE", slice_chars)
+        parsed = parse_or_error(entries_from_csv, text)
+    # repr tells 1, 1.0 and True apart, and takes nan for nan
+    assert repr(parsed) == repr(parse_or_error(reference_entries, text))
+    if isinstance(parsed, str):
+        return
+    shared = {}
+    for e in parsed:
+        assert any(e.kind is kind for kind in KINDS)
+        for name in (e.instance, e.node, e.topic):
+            if len(name) > 1:  # CPython already shares each one-character string
+                assert shared.setdefault(name, name) is name
+
+
+def test_csv_parse_holds_no_copy_of_the_text():
+    log = TimelineLog()
+    value = {"blob": "x" * 20_000}
+    for time in range(200):
+        log.add(time, "a", "emit", "n", 0, "t", value)
+    text = log.to_csv()
+    tracemalloc.start()
+    try:
+        entries = entries_from_csv(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(entries) == 200 and entries[-1].value == value
+    assert peak < len(text), f"peak {peak} bytes for a text of {len(text)} characters"
 
 
 # --- mttr -------------------------------------------------------------------------
