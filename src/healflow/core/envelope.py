@@ -10,9 +10,32 @@ from typing import Any
 # key-value record (lists allowed for tallies and similar aggregates).
 Payload = Any
 
-# Canonical compact JSON text of a value (sorted keys, no spaces): the one
-# encoder behind timeline values, store records and vote keys.
-encode_json = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+# The circular-reference markers of _encode: empty between encodes.
+_markers: dict = {}
+# One C encoder for every encode_json call. JSONEncoder.encode builds a new one
+# per call. Its arguments: markers, default, string encoder, indent, key and
+# item separators, sort_keys, skipkeys, allow_nan.
+_encode = json.encoder.c_make_encoder(
+    _markers, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+    None, ":", ",", True, False, True)
+
+
+def encode_json(value: Payload) -> str:
+    """Canonical compact JSON text of a value: sorted keys, no spaces, ASCII only.
+
+    The one encoder behind timeline values, store records and vote keys. Its
+    text is json.dumps(value, separators=(",", ":"), sort_keys=True), NaN and
+    infinities included. It runs through the C encoder of CPython's _json
+    module, with no fallback for interpreters without one: the supported
+    interpreters are CPython 3.10 to 3.13.
+    """
+    try:
+        return "".join(_encode(value, 0))
+    except BaseException:
+        # A failed encode leaves the markers of the containers it was inside;
+        # a stale one would fail a later encode as a circular reference.
+        _markers.clear()
+        raise
 
 
 def copy_json(value: Payload) -> Payload:

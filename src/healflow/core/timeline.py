@@ -11,6 +11,8 @@ one decoded value between consecutive entries whose value texts are equal.
 Entries read back also share one string per distinct name and one int per
 run of equal time texts. The CSV text is read in slices: one StringIO over
 all of it would hold a copy at four bytes per character during the parse.
+Rows are written as f-strings from field texts made once per name and per
+value object, and joined once.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ WORLD_INSTANCE = "world"
 SINK_TOPIC_PREFIX = "service/"
 
 _SLICE = 1 << 16  # characters per StringIO that entries_from_csv feeds the csv reader
+# The C scanner behind json.loads, with its default decoder's options. It
+# decodes one JSON value at an index and returns the value and its end.
+_scan = json.scanner.make_scanner(json.JSONDecoder())
 
 CSV_HEADER = ["time_ms", "instance", "event", "node", "port", "topic", "value"]
 
@@ -80,18 +85,45 @@ class TimelineLog:
         """Serialize entries with the stable schema; values are compact JSON.
 
         An emit and its delivers log one payload object, so a value that is
-        the previous entry's object reuses that entry's text. csv.writer
-        writes a None port as an empty field.
+        the previous entry's object reuses that entry's text. A None port is
+        an empty field.
         """
-        buf = io.StringIO()
-        writerow = csv.writer(buf, lineterminator="\n").writerow
-        writerow(CSV_HEADER)
+        names = _FieldTexts()
+        rows = [",".join(CSV_HEADER) + "\n"]
+        append = rows.append
         prev, text = object(), ""  # a fresh object is no entry's value
         for time, instance, kind, node, port, topic, value in self.entries:
             if value is not prev:
-                prev, text = value, encode_json(value)
-            writerow((time, instance, kind, node, port, topic, text))
-        return buf.getvalue()
+                prev, text = value, _quote_json(encode_json(value))
+            append(f"{time!s},{names[instance]},{kind},{names[node]},"
+                   f"{'' if port is None else str(port)},{names[topic]},{text}\n")
+        return "".join(rows)
+
+
+class _FieldTexts(dict):
+    """The CSV field text of each name, written by csv.writer once per name.
+
+    csv.writer keeps its own quoting rules, which differ between Python
+    versions for "\n" and "\r". A lookup of a known name, the empty name
+    included, runs at dict speed.
+    """
+
+    def __missing__(self, name: str) -> str:
+        buf = io.StringIO()
+        # A second, empty field: a row of the empty name alone is written '""'.
+        csv.writer(buf, lineterminator="\n").writerow((name, ""))
+        self[name] = text = buf.getvalue()[:-2]  # less "," and "\n"
+        return text
+
+
+def _quote_json(text: str) -> str:
+    """The CSV field of an encode_json text, as csv.writer writes it.
+
+    The text is printable ASCII, so only a '"' or a ',' in it needs quotes.
+    """
+    if '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return f'"{text}"' if "," in text else text
 
 
 def _slices(text: str):
@@ -128,7 +160,13 @@ def entries_from_csv(text: str) -> list[TimelineEntry]:
                 if out and time < out[-1].time:
                     raise ValueError("timeline times must be non-decreasing")
             if value_text != raw:
-                raw, value = value_text, json.loads(value_text)
+                raw = value_text
+                try:
+                    value, end = _scan(value_text, 0)
+                except (StopIteration, ValueError):
+                    end = -1
+                if end != len(value_text):  # whitespace, a BOM, extra data or an error
+                    value = json.loads(value_text)
             out.append(TimelineEntry(time, name(instance, instance), kinds[kind], name(node, node),
                                      None if port == "" else int(port), name(topic, topic), value))
     except (csv.Error, RecursionError) as exc:

@@ -14,9 +14,10 @@ older space-separated format (`CKPT <id> <timestamp> <json>`) do not load:
 each of their lines is skipped like any other corrupt line.
 
 Appends are replayed on load with last-line-wins semantics. A file-backed
-store appends through one handle, opened by the first append, and flushes
-after every line, so each record reaches the OS before the append returns
-(there is no fsync). close() releases the handle; the next append reopens it.
+store appends through one unbuffered handle, opened by the first append, with
+one write per record, so each record reaches the OS before the append returns
+(there is no fsync), and a failed write leaves nothing behind in a buffer.
+close() releases the handle; the next append reopens it.
 
 compact() rewrites the live state (one line per checkpoint slot and device)
 to a temp file and renames it over the store, so a failed compaction leaves
@@ -31,6 +32,8 @@ skipped with a warning and counted in `skipped`. So is a torn last line, one
 without its newline, as a crash mid-append leaves it, even when the fragment
 would parse. The first append after loading a torn file compacts it, which
 drops the fragment, so it can neither swallow the new record nor load later.
+A short write leaves such a fragment too: the append raises StoreError, and
+the next append compacts the file.
 
 A store built with path=None is memory-only but keeps the identical
 semantics, which is what simulated instance restarts rely on: the store
@@ -45,7 +48,7 @@ import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional, TextIO
+from typing import Any, BinaryIO, Optional
 
 from .core.envelope import encode_json
 
@@ -107,7 +110,7 @@ class Store:
         self.path = Path(path) if path is not None else None
         self._ckpt: dict[str, CheckpointRecord] = {}
         self._reg: dict[str, RegistryEntry] = {}
-        self._fh: Optional[TextIO] = None  # the append handle, opened by the first append
+        self._fh: Optional[BinaryIO] = None  # the append handle, opened by the first append
         self._lines = 0      # lines in the file, counted by _load and _append
         self._torn = False   # the file ends in a line without its newline
         self.skipped = 0     # lines _load could not parse, a torn last line included
@@ -191,15 +194,18 @@ class Store:
             # Callers update the live state first, so it holds this record.
             self.compact()
             return
+        data = line.encode("utf-8")
         try:
             if self._fh is None:
-                self._fh = self.path.open("a", encoding="utf-8")
-            self._fh.write(line)
-            self._fh.flush()
+                self._fh = self.path.open("ab", buffering=0)
+            written = self._fh.write(data)
         except OSError as exc:
             with contextlib.suppress(OSError):  # the write error is the one to report
                 self.close()
             raise StoreError(f"store write failed: {exc}") from exc
+        if written != len(data):
+            self._torn = True  # the record's head is in the file without its newline
+            raise StoreError(f"store write failed: {written} of {len(data)} bytes written")
         self._lines += 1
         if self._lines > max(MIN_COMPACT_LINES,
                              LINES_PER_RECORD * (len(self._ckpt) + len(self._reg))):

@@ -355,3 +355,20 @@ ENCODED_VALUES = st.recursive(
 @example({"\u00e9t\u00e9": [[float("nan"), float("-inf")], {"\u03bb": 1, "a": [[]]}]})
 def test_encode_json_matches_compact_sorted_dumps(value):
     assert encode_json(value) == json.dumps(value, separators=(",", ":"), sort_keys=True)
+
+
+def test_a_failed_encode_leaves_no_stale_circular_reference_marker():
+    x = [set()]
+    with pytest.raises(TypeError):
+        encode_json(x)
+    x[0] = 1
+    assert encode_json(x) == "[1]"
+
+
+def test_encode_json_rejects_a_list_that_contains_itself():
+    x = []
+    x.append(x)
+    with pytest.raises(ValueError, match="Circular reference"):
+        encode_json(x)
+    x[0] = 1
+    assert encode_json(x) == "[1]"

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import tempfile
@@ -259,12 +260,35 @@ def test_failed_write_raises_store_error_and_the_next_append_reopens(open_store,
     store = open_store(path)
     real_open = Path.open
     # A read-only handle: its write raises io.UnsupportedOperation, an OSError.
-    monkeypatch.setattr(Path, "open", lambda self, mode, **kw: real_open(self, "r", **kw))
+    monkeypatch.setattr(Path, "open", lambda self, mode, **kw: real_open(self, "rb", **kw))
     with pytest.raises(StoreError):
         store.store_checkpoint("n", "", 1, 1)
     monkeypatch.undo()
     store.store_checkpoint("n", "", 2, 2)
     assert path.read_text() == '["CKPT","n",2,"",2]\n'
+
+
+class HalfWrites(io.FileIO):
+    """A file whose every write stops halfway, as a full disk can stop one."""
+
+    def write(self, data):
+        return super().write(data[:len(data) // 2])
+
+
+def test_short_write_raises_store_error_and_the_next_append_compacts(open_store, tmp_path,
+                                                                     monkeypatch):
+    path = tmp_path / "i.store"
+    store = open_store(path)
+    store.store_checkpoint("a", "", 1, 1)
+    store.close()
+    monkeypatch.setattr(Path, "open", lambda self, mode, **kw: HalfWrites(self, mode))
+    with pytest.raises(StoreError, match="bytes written"):
+        store.store_checkpoint("b", "", 2, 2)
+    monkeypatch.undo()
+    store.store_checkpoint("c", "", 3, 3)
+    reloaded = open_store(path)
+    assert reloaded.skipped == 0
+    assert [reloaded.load_checkpoint(k).payload for k in "abc"] == [1, 2, 3]
 
 
 def test_torn_tail_is_skipped_and_does_not_swallow_the_next_record(open_store, tmp_path):

@@ -113,9 +113,27 @@ def equal_values_of_other_types():
     return log
 
 
+def one_value_per_quoting_branch():
+    """Value texts with and without '"' and ',', logged under the empty topic."""
+    log = TimelineLog()
+    for value in ([], {}, [1], "", "a,b", 1.5, float("nan"), float("-inf")):
+        log.add(0, "a", "emit", "n", 0, "", value)
+    return log
+
+
+def names_that_csv_quotes():
+    """Names holding ',', '"' and '\n', each of which csv.writer quotes."""
+    log = TimelineLog()
+    log.add(0, "a,b", "emit", 'n"1', 0, "t\nu", 1)
+    log.add(1, 'a"', "deliver", "n\n", None, ",", 1)
+    return log
+
+
 @settings(max_examples=200, deadline=None)
 @given(logs())
 @example(equal_values_of_other_types())
+@example(one_value_per_quoting_branch())
+@example(names_that_csv_quotes())
 def test_csv_codec_matches_the_per_row_reference(log):
     text = log.to_csv()
     assert text == reference_csv(log.entries)
@@ -126,6 +144,45 @@ def test_csv_codec_matches_the_per_row_reference(log):
     parsed = entries_from_csv(text)
     assert [e[:6] for e in parsed] == [e[:6] for e in log]
     assert [encode_json(e.value) for e in parsed] == [encode_json(e.value) for e in log]
+
+
+@st.composite
+def value_texts(draw):
+    """encode_json texts, as written or with whitespace around, a BOM, extra data or a cut."""
+    text = encode_json(draw(JSON_VALUES))
+    space = st.text(st.sampled_from(" \t\n\r"), min_size=1, max_size=3)
+    change = draw(st.sampled_from(["none", "lead", "trail", "bom", "extra", "cut"]))
+    if change == "lead":
+        text = draw(space) + text
+    elif change == "trail":
+        text += draw(space)
+    elif change == "bom":
+        text = "\ufeff" + text
+    elif change == "extra":
+        text += "x"
+    elif change == "cut":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(value_texts())
+@example(" 1")
+@example("1\r\n")
+@example("\ufeff[]")
+@example("[]x")
+@example('{"a":')
+def test_value_text_decodes_as_json_loads_decodes_it(text):
+    csv_text = ",".join(CSV_HEADER) + '\n0,a,emit,n,,t,"' + text.replace('"', '""') + '"\n'
+    try:
+        expected = json.loads(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            entries_from_csv(csv_text)
+        assert str(raised.value) == str(exc)
+        return
+    # repr tells 1, 1.0 and True apart, and takes nan for nan
+    assert repr(entries_from_csv(csv_text)[0].value) == repr(expected)
 
 
 def reference_entries(text):
