@@ -2,7 +2,8 @@
 
 Every delivery into a node, wired or external, goes through Engine._enqueue:
 it logs one deliver, or a drop if the flow group is disabled or the engine
-halted, and queues an envelope holding the node's own payload copy.
+halted, and queues the node object with an envelope holding the node's own
+payload copy.
 
 Cascade semantics: a delivery is processed to completion (the target node is
 invoked synchronously and may emit further envelopes, which queue behind it)
@@ -35,9 +36,11 @@ class Engine:
 
     It uses its world's clock, timeline, transport and seed, and takes its
     rank from the world by the order it joined `world.engines`; restart()
-    replaces it there. The engine is single-threaded. Envelopes and
-    timeline entries cannot be changed, but the timeline shares payload
-    objects with the envelopes it logs, so a logged payload is read-only.
+    replaces it there. Its delivery queue holds (node object, ingress,
+    envelope) triples, so a delivery looks up no node by id. The engine is
+    single-threaded. Envelopes and timeline entries cannot be changed, but
+    the timeline shares payload objects with the envelopes it logs, so a
+    logged payload is read-only.
     """
 
     def __init__(self, graph: FlowGraph, *, world, instance: str, address: str, store: Store):
@@ -64,6 +67,7 @@ class Engine:
         self._queue: deque = deque()
         self._draining = False
         self._timers: dict[tuple[str, str], list] = {}  # (node, tag) -> clock entry
+        self._failures: dict[str, int] = {}  # node id -> operator errors so far
 
         red = next((s for s in graph.nodes if s.kind == "redundancy"), None)
         self.cluster: Optional[ClusterAgent] = (
@@ -113,25 +117,26 @@ class Engine:
             raise ValueError("egress index must be non-negative")
         self.log.add(self.clock.now, self.instance, "emit", spec.id, port, topic, payload)
         if port < len(spec.wires):
-            env = Envelope(topic, payload)
+            env = tuple.__new__(Envelope, (topic, payload))
             for dst, ingress in spec.wires[port]:
-                self._enqueue(self.graph.by_id[dst], ingress, env)
+                self._enqueue(self.nodes[dst], ingress, env)
         self._drain()
 
     def deliver_external(self, node_id: str, topic: str, payload,
                          ingress: Optional[int] = None) -> None:
         """Deliver from outside the wire graph: a broker message (ingress None,
         handled by on_external) or a test drive. A halted engine logs a drop."""
-        self._enqueue(self.graph.by_id[node_id], ingress, Envelope(topic, payload))
+        self._enqueue(self.nodes[node_id], ingress, tuple.__new__(Envelope, (topic, payload)))
         self._drain()
 
-    def _enqueue(self, spec, ingress: Optional[int], env: Envelope) -> None:
-        """Log one deliver or drop for spec; a delivery queues its own copy of env."""
+    def _enqueue(self, node, ingress: Optional[int], env: Envelope) -> None:
+        """Log one deliver or drop for node; a delivery queues node with its own copy of env."""
+        spec = node.spec
         deliver = not self.halted and self.flow_enabled.get(spec.flow, True)
         self.log.add(self.clock.now, self.instance, "deliver" if deliver else "drop", spec.id,
                      ingress, env.topic, env.payload)
         if deliver:
-            self._queue.append((spec, ingress, env.fork()))
+            self._queue.append((node, ingress, env.fork()))
 
     def _drain(self) -> None:
         if self._draining:
@@ -139,15 +144,14 @@ class Engine:
         self._draining = True
         try:
             while self._queue:
-                spec, ingress, env = self._queue.popleft()
-                node = self.nodes[spec.id]
+                node, ingress, env = self._queue.popleft()
                 try:
                     if ingress is None:
                         node.on_external(env.topic, env.payload)
                     else:
                         node.on_input(env, ingress)
                 except Exception as exc:  # noqa: BLE001
-                    self._log_operator_error(spec.id, exc)
+                    self._log_operator_error(node.spec.id, exc)
         finally:
             self._draining = False
 
@@ -176,6 +180,12 @@ class Engine:
             self.clock.cancel(old)
 
     def _log_operator_error(self, node_id: str, exc: Exception) -> None:
-        logger.exception("operator %s failed", node_id)
+        """Log one operator-error fault; only the node's first failure in this
+        engine logs a traceback, each later one a DEBUG line with its count."""
+        count = self._failures[node_id] = self._failures.get(node_id, 0) + 1
+        if count == 1:
+            logger.exception("operator %s failed", node_id)
+        else:
+            logger.debug("operator %s failed again, %d failures: %s", node_id, count, exc)
         self.log.add(self.clock.now, self.instance, "fault", node_id,
                      value={"kind": "operator-error", "error": str(exc)})

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 # Payloads are plain JSON values: scalar number, string, bool, or a
 # key-value record (lists allowed for tallies and similar aggregates).
@@ -45,14 +44,28 @@ def copy_json(value: Payload) -> Payload:
 
     Payloads hold only JSON values (dicts with string keys, lists, strings,
     numbers, bool and None), so for them this is a deep copy: key order is
-    kept and no container is shared with the original. Scalars are
-    immutable, so sharing them is safe. Tuples, sets and other objects are
-    not JSON and are shared as they are, not copied. The copy keeps its own
-    stack, so a payload nested past the recursion limit copies too.
+    kept, no container is shared with the original, and a dict or list
+    subclass is rebuilt as a plain dict or list. Scalars are immutable, so
+    sharing them is safe. Tuples, sets and other objects are not JSON and
+    are shared as they are, not copied.
+
+    The top container is copied in one step with dict() or list(); when no
+    child of that copy is a dict or a list, the copy is the result. Only a
+    nested payload is walked, with its own stack, so a payload nested past
+    the recursion limit copies too.
     """
-    if not isinstance(value, (dict, list)):
+    if isinstance(value, dict):
+        top = dict(value)
+        children = top.values()
+    elif isinstance(value, list):
+        top = children = list(value)
+    else:
         return value
-    top = dict(value) if isinstance(value, dict) else list(value)
+    for child in children:
+        if isinstance(child, (dict, list)):
+            break
+    else:
+        return top
     stack = [top]
     while stack:
         node = stack.pop()
@@ -63,13 +76,15 @@ def copy_json(value: Payload) -> Payload:
     return top
 
 
-@dataclass(frozen=True, slots=True)
-class Envelope:
+class Envelope(NamedTuple):
     """One message as a node receives it: its topic and payload.
 
-    When and from where it was sent is in the timeline, not here. Envelopes
-    are immutable values; the engine forks one for every delivery, so state
-    can never leak between branches, subscribers or the timeline.
+    When and from where it was sent is in the timeline, not here. An
+    envelope is a named tuple, so it cannot be changed: assigning a field
+    raises AttributeError. The engine and fork build one with the C tuple
+    constructor, tuple.__new__, in place of the class's generated Python
+    __new__. The engine forks one for every delivery, so state can never
+    leak between branches, subscribers or the timeline.
     """
 
     topic: str
@@ -84,7 +99,7 @@ class Envelope:
         """
         payload = self.payload
         if isinstance(payload, (dict, list)):
-            return Envelope(self.topic, copy_json(payload))
+            return tuple.__new__(Envelope, (self.topic, copy_json(payload)))
         return self
 
 

@@ -5,9 +5,11 @@ diagrams and the golden-file tests all read it, so entry order must be fully
 deterministic: entries are appended in execution order and times never go
 backwards.
 
-Entries are named tuples and their values are read-only: an emit and its
-delivers log one payload object, and a timeline read back from CSV shares
-one decoded value between consecutive entries whose value texts are equal.
+Entries are named tuples, built with the C tuple constructor tuple.__new__
+in place of the class's generated Python __new__. Their values are
+read-only: an emit and its delivers log one payload object, and a timeline
+read back from CSV shares one decoded value between consecutive entries
+whose value texts are equal.
 Entries read back also share one string per distinct name and one int per
 run of equal time texts. The CSV text is read in slices: one StringIO over
 all of it would hold a copy at four bytes per character during the parse.
@@ -67,9 +69,11 @@ class TimelineLog:
             port: Optional[int] = None, topic: str = "", value: Any = None) -> None:
         if kind not in KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
-        if self.entries and time < self.entries[-1].time:
+        entries = self.entries
+        if entries and time < entries[-1][0]:
             raise ValueError("timeline times must be non-decreasing")
-        self.entries.append(TimelineEntry(time, instance, kind, node, port, topic, value))
+        entries.append(tuple.__new__(TimelineEntry,
+                                     (time, instance, kind, node, port, topic, value)))
 
     def __len__(self):
         return len(self.entries)
@@ -157,7 +161,7 @@ def entries_from_csv(text: str) -> list[TimelineEntry]:
                 raise ValueError(f"unknown event kind {kind!r}")
             if time_text != raw_time:
                 raw_time, time = time_text, int(time_text)
-                if out and time < out[-1].time:
+                if out and time < out[-1][0]:
                     raise ValueError("timeline times must be non-decreasing")
             if value_text != raw:
                 raw = value_text
@@ -167,8 +171,9 @@ def entries_from_csv(text: str) -> list[TimelineEntry]:
                     end = -1
                 if end != len(value_text):  # whitespace, a BOM, extra data or an error
                     value = json.loads(value_text)
-            out.append(TimelineEntry(time, name(instance, instance), kinds[kind], name(node, node),
-                                     None if port == "" else int(port), name(topic, topic), value))
+            out.append(tuple.__new__(TimelineEntry, (
+                time, name(instance, instance), kinds[kind], name(node, node),
+                None if port == "" else int(port), name(topic, topic), value)))
     except (csv.Error, RecursionError) as exc:
         raise ValueError(str(exc)) from exc
     finally:

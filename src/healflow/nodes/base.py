@@ -96,14 +96,11 @@ class Node:
     def __init__(self, spec: "NodeSpec", engine: "Engine"):
         self.spec = spec
         self.engine = engine
+        self.cfg: dict = spec.config
 
     @property
     def id(self) -> str:
         return self.spec.id
-
-    @property
-    def cfg(self) -> dict:
-        return self.spec.config
 
     @property
     def now(self) -> int:

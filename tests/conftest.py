@@ -37,6 +37,11 @@ def make_engine(graph: FlowGraph, *, world=None, instance: str = "test",
                   world=world if world is not None else World())
 
 
+def final_seq(clock):
+    """The creation sequence the clock gives its next entry; schedules a no-op to read it."""
+    return clock.at(clock.now, lambda: None, 0)[2]
+
+
 class NodeHarness:
     """Host a single node in a bare engine and drive it by the virtual clock."""
 

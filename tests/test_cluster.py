@@ -12,7 +12,7 @@ from healflow.core.clock import VirtualClock
 from healflow.core.graph import validate_graph
 from healflow.sim import Simulation, VirtualDevice, World, parse_scenario
 from healflow.sim.world import RANK_FAULT, RANK_WORLD
-from tests.conftest import build_graph, make_engine, make_spec
+from tests.conftest import build_graph, final_seq, make_engine, make_spec
 
 
 def redundancy_graph(election_timeout=15000):
@@ -476,10 +476,6 @@ def eager_pings():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(LoopbackTransport, "ping", broadcast_ping)
         yield
-
-
-def final_seq(clock):
-    return clock.at(clock.now, lambda: None, 0)[2]
 
 
 def shipped_and_eager(drive):

@@ -1,5 +1,6 @@
 import copy
 import json
+import logging
 import random
 
 import pytest
@@ -197,6 +198,32 @@ def test_clear_timer_after_a_deferred_rearm_never_fires():
     assert timer_fires(engine) == [(1010, "t")]
 
 
+def test_an_operator_failing_in_a_loop_logs_one_traceback_and_every_fault(caplog):
+    graph = build_graph(make_spec("x", "extract", {"key": "v"}, wires=[[], []]))
+    engine = make_engine(graph, world=World())
+    engine.nodes["x"].on_input = lambda env, ingress: 1 / 0
+    with caplog.at_level(logging.DEBUG, logger="healflow.core.engine"):
+        for _ in range(100):
+            engine.deliver_external("x", "t", {"v": 1}, ingress=0)
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and errors[0].exc_info is not None
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG][-1] == (
+        "operator x failed again, 100 failures: division by zero")
+    faults = [e.value for e in engine.log if e.kind == "fault"]
+    assert faults == [{"kind": "operator-error", "error": "division by zero"}] * 100
+
+
+def test_a_received_envelope_cannot_be_changed():
+    engine = make_engine(fan_out_graph(), world=World())
+    seen = []
+    engine.nodes["a"].on_input = lambda env, ingress: seen.append(env)
+    engine.deliver_external("src", "t0", {"v": 1})
+    [env] = seen
+    with pytest.raises(AttributeError):
+        env.payload = {"v": 2}
+    assert env.payload == {"v": 1}
+
+
 def test_operator_exception_is_logged_not_fatal():
     graph = build_graph(
         make_spec("s", "mqtt-in", {"topic": "t0"}, wires=[[("x", 0)]]),
@@ -337,12 +364,23 @@ def _containers(value):
             yield from _containers(v)
 
 
+class Record(dict):
+    """A dict subclass, which copy_json rebuilds as a plain dict."""
+
+
 @given(JSON_VALUES)
+@example({"v": 21.5, "unit": "C", "ok": True, "n": None})
+@example([1, 2.5, "x", False, None])
+@example({"v": 1, "unit": "C", "tags": ["a", {"k": 2}]})
+@example([1, "x", {"k": [2]}])
+@example(Record(v=1, tags=[1, 2]))
 def test_copy_json_matches_deepcopy_and_shares_no_container(value):
     copied = copy_json(value)
     assert json.dumps(copied) == json.dumps(copy.deepcopy(value))
+    copies = list(_containers(copied))
+    assert all(type(c) in (dict, list) for c in copies)
     originals = {id(c) for c in _containers(value)}
-    assert not originals & {id(c) for c in _containers(copied)}
+    assert not originals & {id(c) for c in copies}
 
 
 ENCODED_VALUES = st.recursive(

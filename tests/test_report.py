@@ -34,6 +34,21 @@ def test_csv_round_trip():
     assert parsed == log.entries
 
 
+def test_logged_and_parsed_entries_are_timeline_entries():
+    log = TimelineLog()
+    log.add(0, "i0", "emit", "s", 0, "lab/t", {"v": 1.5})
+    log.add(10, "world", "fault", "d", value={"kind": "device_offline"})
+    expected = [
+        TimelineEntry(time=0, instance="i0", kind="emit", node="s", port=0, topic="lab/t",
+                      value={"v": 1.5}),
+        TimelineEntry(time=10, instance="world", kind="fault", node="d", port=None, topic="",
+                      value={"kind": "device_offline"})]
+    for entries in (log.entries, entries_from_csv(log.to_csv())):
+        assert [type(e) for e in entries] == [TimelineEntry, TimelineEntry]
+        assert entries == expected
+        assert entries[1]._replace(time=20) == expected[1]._replace(time=20)
+
+
 def test_csv_value_is_compact_sorted_json():
     log = TimelineLog()
     log.add(0, "i", "emit", "n", 0, "", {"b": 1, "a": 2})
