@@ -109,7 +109,7 @@ def _cmd_report(args) -> int:
     text = _read(args.timeline, newline="")
     try:
         entries = entries_from_csv(text)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise _CliError(f"{args.timeline}: not a timeline CSV: {exc}") from exc
     report = compute_report(entries)
     sys.stdout.write(format_report(report, args.metric, sink=args.sink))

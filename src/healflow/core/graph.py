@@ -98,7 +98,7 @@ def parse_flow(text: str) -> FlowGraph:
         if raw["id"] in ids:
             raise FlowParseError(f"duplicate node id {raw['id']!r}")
         if not csv_safe(raw["id"]):
-            raise FlowParseError(f"node id {raw['id']!r} holds a carriage return")
+            raise FlowParseError(f"node id {raw['id']!r} holds a NUL")
         ids.add(raw["id"])
 
     nodes = []

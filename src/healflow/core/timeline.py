@@ -14,7 +14,8 @@ Entries read back also share one string per distinct name and one int per
 run of equal time texts. The CSV text is read in slices: one StringIO over
 all of it would hold a copy at four bytes per character during the parse.
 Rows are written as f-strings from field texts made once per name and per
-value object, and joined once.
+value object, and joined once. Every field follows one rule, _field, so the
+bytes do not depend on the Python that writes them.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ CSV_HEADER = ["time_ms", "instance", "event", "node", "port", "topic", "value"]
 
 
 def csv_safe(name: str) -> bool:
-    """Whether a name survives to_csv: csv.writer leaves a bare carriage return unquoted."""
-    return "\r" not in name
+    """Whether a name survives to_csv and entries_from_csv: it holds no NUL."""
+    return "\0" not in name
 
 
 class TimelineEntry(NamedTuple):
@@ -98,36 +99,25 @@ class TimelineLog:
         prev, text = object(), ""  # a fresh object is no entry's value
         for time, instance, kind, node, port, topic, value in self.entries:
             if value is not prev:
-                prev, text = value, _quote_json(encode_json(value))
+                prev, text = value, _field(encode_json(value))
             append(f"{time!s},{names[instance]},{kind},{names[node]},"
                    f"{'' if port is None else str(port)},{names[topic]},{text}\n")
         return "".join(rows)
 
 
 class _FieldTexts(dict):
-    """The CSV field text of each name, written by csv.writer once per name.
-
-    csv.writer keeps its own quoting rules, which differ between Python
-    versions for "\n" and "\r". A lookup of a known name, the empty name
-    included, runs at dict speed.
-    """
+    """The CSV field of each name, made by _field once; a known name is a dict lookup."""
 
     def __missing__(self, name: str) -> str:
-        buf = io.StringIO()
-        # A second, empty field: a row of the empty name alone is written '""'.
-        csv.writer(buf, lineterminator="\n").writerow((name, ""))
-        self[name] = text = buf.getvalue()[:-2]  # less "," and "\n"
+        self[name] = text = _field(name)
         return text
 
 
-def _quote_json(text: str) -> str:
-    """The CSV field of an encode_json text, as csv.writer writes it.
-
-    The text is printable ASCII, so only a '"' or a ',' in it needs quotes.
-    """
+def _field(text: str) -> str:
+    """RFC 4180's field: quoted if it holds '"', ',', "\\n" or "\\r", with each '"' doubled."""
     if '"' in text:
         return '"' + text.replace('"', '""') + '"'
-    return f'"{text}"' if "," in text else text
+    return f'"{text}"' if "," in text or "\n" in text or "\r" in text else text
 
 
 def _slices(text: str):
@@ -144,8 +134,10 @@ def entries_from_csv(text: str) -> list[TimelineEntry]:
 
     Consecutive rows with equal value texts share one decoded value. Any
     malformed input raises ValueError, a malformed value the first time its
-    text is seen.
+    text is seen. A NUL is malformed anywhere, as no name holds one.
     """
+    if "\0" in text:
+        raise ValueError("the text holds a NUL")
     # No field is longer than the text; restore the process-wide limit after.
     old_limit = csv.field_size_limit(len(text) + 1)
     try:

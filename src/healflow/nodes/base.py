@@ -59,7 +59,7 @@ def _check_value(name: str, value: Any, p: Param) -> list[str]:
     if p.kind == "str" and not isinstance(value, str):
         return [f"config {name!r} must be a string"]
     if p.kind == "str" and not csv_safe(value):
-        return [f"config {name!r} must not hold a carriage return"]
+        return [f"config {name!r} must not hold a NUL"]
     if p.kind == "list" and not isinstance(value, list):
         return [f"config {name!r} must be a list"]
     if p.kind == "choice" and value not in (p.choices or ()):

@@ -82,7 +82,7 @@ def _name(value, what: str) -> str:
     if not isinstance(value, str) or not value:
         raise ScenarioError(f"{what} must be a non-empty string, got {value!r}")
     if not csv_safe(value):
-        raise ScenarioError(f"{what} {value!r} holds a carriage return")
+        raise ScenarioError(f"{what} {value!r} holds a NUL")
     return value
 
 
@@ -153,6 +153,8 @@ def _parse_instance(raw: dict) -> InstanceSpec:
     name = _name(raw.get("name"), "instance name")
     if name == WORLD_INSTANCE:
         raise ScenarioError(f"instance name {name!r} is reserved for world events")
+    if "/" in name:  # the store is the file {name}.store in --store-dir
+        raise ScenarioError(f"instance name {name!r} holds a '/'")
     try:
         election_key(raw.get("address"))
     except ValueError as exc:

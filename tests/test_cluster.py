@@ -117,7 +117,7 @@ def test_decode_rejects_garbage():
             decode_ping(blob)
 
 
-def test_decode_survives_cache_eviction_and_never_caches_an_error():
+def test_decode_is_repeatable_and_raises_on_every_bad_datagram():
     blobs = [encode_ping(f"10.0.0.{octet}", 1, octet) for octet in range(48)]
     for _ in range(2):
         assert [decode_ping(b) for b in blobs] == [

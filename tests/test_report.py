@@ -83,21 +83,19 @@ def test_log_rejects_an_unknown_kind_and_a_time_that_goes_back():
 
 
 def reference_csv(entries):
-    """The per-row encoder: csv.writer plus encode_json on every entry."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for e in entries:
-        writer.writerow([e.time, e.instance, e.kind, e.node, "" if e.port is None else e.port,
-                         e.topic, encode_json(e.value)])
-    return buf.getvalue()
+    """The per-row encoder: csv.writer plus encode_json on every entry.
 
-
-def csv_leaves_bare(name):
-    """True when csv.writer leaves a carriage return in ``name`` unquoted."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([name, ""])
-    return "\r" in name and not buf.getvalue().startswith('"')
+    Each row is written with a "\\r\\n" line end, which makes csv.writer
+    quote a "\\r" on every Python, and then ends in "\\n" instead.
+    """
+    rows = [CSV_HEADER] + [[e.time, e.instance, e.kind, e.node, "" if e.port is None else e.port,
+                            e.topic, encode_json(e.value)] for e in entries]
+    lines = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines)
 
 
 NAMES = st.text(st.sampled_from('a,"\n\r\u00e9\u6f22'), max_size=4)
@@ -137,10 +135,11 @@ def one_value_per_quoting_branch():
 
 
 def names_that_csv_quotes():
-    """Names holding ',', '"' and '\n', each of which csv.writer quotes."""
+    """Names holding ',', '"', '\\n' and '\\r', each of which _field quotes."""
     log = TimelineLog()
     log.add(0, "a,b", "emit", 'n"1', 0, "t\nu", 1)
     log.add(1, 'a"', "deliver", "n\n", None, ",", 1)
+    log.add(1, "a\r", "emit", "\r\n", 0, '\r"', 1)
     return log
 
 
@@ -152,10 +151,6 @@ def names_that_csv_quotes():
 def test_csv_codec_matches_the_per_row_reference(log):
     text = log.to_csv()
     assert text == reference_csv(log.entries)
-    if any(csv_leaves_bare(name) for e in log for name in (e.instance, e.node, e.topic)):
-        with pytest.raises(ValueError):  # the reader takes that "\r" for a line end
-            entries_from_csv(text)
-        return
     parsed = entries_from_csv(text)
     assert [e[:6] for e in parsed] == [e[:6] for e in log]
     assert [encode_json(e.value) for e in parsed] == [encode_json(e.value) for e in log]
@@ -230,7 +225,7 @@ def parse_or_error(parse, text):
         return f"ValueError: {exc}"
 
 
-# csv.writer leaves "\x0b", "\x0c", "\x1c", "\x85" and "\u2028" unquoted; str.splitlines breaks
+# _field leaves "\x0b", "\x0c", "\x1c", "\x85" and "\u2028" unquoted; str.splitlines breaks
 # a line at each of them, one StringIO only at "\n".
 LINE_BREAKS = st.text(st.sampled_from('a,"\n\x0b\x0c\x1c\x85\u2028\u00e9'), max_size=4)
 BAD_TAILS = st.sampled_from(["", "0,a,explode,n,,t,1\n", "-1,a,emit,n,,t,1\n",
@@ -255,6 +250,32 @@ def test_sliced_csv_read_matches_one_stringio(slice_chars, log, tail):
         for name in (e.instance, e.node, e.topic):
             if len(name) > 1:  # CPython already shares each one-character string
                 assert shared.setdefault(name, name) is name
+
+
+def test_csv_read_rejects_a_nul_in_a_quoted_name():
+    log = TimelineLog()
+    log.add(0, "a", "emit", "n", 0, 't,"\0', 1)
+    text = log.to_csv()
+    assert '"t,""\0"' in text
+    with pytest.raises(ValueError, match="NUL"):
+        entries_from_csv(text)
+
+
+CSV_CHARS = st.sampled_from('0123456789-,"\n\r\0 ae[]{}:.') | st.characters()
+CSV_ROWS = (st.lists(st.sampled_from(["0", "-1", "emit", "", '"', '""', "[", "1e999999"])
+                     | st.text(CSV_CHARS, max_size=5), min_size=6, max_size=8).map(",".join)
+            | st.text(CSV_CHARS, max_size=20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(CSV_ROWS, max_size=4), end=st.sampled_from(["\n", "\r\n", "\r"]))
+@example(rows=["0,a,emit,n,,t," + "[" * 100_000], end="\n")
+@example(rows=["0,a,emit,n,,t,1", "-1,a,emit,n,,t,1"], end="\n")
+def test_csv_read_of_any_text_raises_only_value_error(rows, end):
+    try:
+        entries_from_csv(",".join(CSV_HEADER) + "\n" + end.join(rows))
+    except ValueError:
+        pass
 
 
 def test_csv_parse_holds_no_copy_of_the_text():
