@@ -83,12 +83,11 @@ def _cmd_run(args) -> int:
     except ScenarioError as exc:
         raise _CliError(f"{args.scenario}: {exc}") from exc
 
-    nodes = args.nodes.split(",") if args.nodes else None
     if args.format == "marble":
         merged = FlowGraph([n for g in graphs for n in g.nodes])
         try:
             output = render_marble(log.entries, bucket_ms=args.bucket_ms, graph=merged,
-                                   nodes=nodes)
+                                   nodes=args.nodes)
         except ValueError as exc:
             raise _CliError(str(exc)) from exc
     else:
@@ -130,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the scenario seed")
     run_p.add_argument("--out", help="write the timeline/diagram here instead of stdout")
     run_p.add_argument("--format", choices=("csv", "marble"), default="csv")
-    run_p.add_argument("--nodes", help="comma-separated node filter for marble output")
+    run_p.add_argument("--nodes", action="append",
+                       help="node to show in marble output; repeat to show several")
     run_p.add_argument("--bucket-ms", type=int, default=None,
                        help="marble column width (default: fastest period / 4)")
     run_p.add_argument("--store-dir", help="directory for per-instance persistence files")

@@ -1,12 +1,16 @@
 """Durable single-slot checkpoint store and device registry.
 
 Backing format is one append-compacted file per instance. Every line is one
-compact JSON array, written by encode_json: a tag, a key, then the fields.
+compact JSON array, as encode_json writes it: a tag, a key, then the fields.
 
     ["CKPT", nodeId, timestamp, topic, payload]    a checkpoint slot
     ["CKPT", nodeId]                               a cleared slot
     ["REG", deviceId, kind, endpoint, lastSeen, status]
 
+A CKPT line is one f-string: an id or topic is encoded once per name, the int
+timestamp is formatted directly, and a payload that is the object stored last
+reuses its text, as timeline CSV rows do. So a stored payload is read-only, as
+a logged one is: the checkpoint node logs the payload it stores.
 JSON escapes any string, so every id, kind and endpoint reloads unchanged.
 A timestamp or lastSeen is an int, never a bool. A cleared slot is its own
 record, so a checkpointed null stays a message that replays. Files in the
@@ -48,7 +52,7 @@ import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, BinaryIO, Optional
+from typing import Any, BinaryIO, NamedTuple, Optional
 
 from .core.envelope import encode_json
 
@@ -68,10 +72,6 @@ _SHAPES = {
 }
 
 
-def _line(*fields: Any) -> str:
-    return encode_json(fields) + "\n"
-
-
 def _parse(line: str) -> list:
     """The fields of one store line; ValueError unless it has a known shape."""
     record = json.loads(line)
@@ -87,11 +87,20 @@ class StoreError(Exception):
     """Raised when the backing file cannot be written or an op is invalid."""
 
 
-@dataclass
-class CheckpointRecord:
+class CheckpointRecord(NamedTuple):
+    """One checkpoint slot; ``payload`` may be shared with the timeline, so never mutate it."""
+
     timestamp: int
     topic: str
     payload: Any
+
+
+class _JsonTexts(dict):
+    """The encode_json text of each name, made once; a known name is a dict lookup."""
+
+    def __missing__(self, name: str) -> str:
+        self[name] = text = encode_json(name)
+        return text
 
 
 @dataclass
@@ -114,15 +123,17 @@ class Store:
         self._lines = 0      # lines in the file, counted by _load and _append
         self._torn = False   # the file ends in a line without its newline
         self.skipped = 0     # lines _load could not parse, a torn last line included
+        self._names = _JsonTexts()  # the texts of the ids and topics of CKPT lines
+        # The last payload _ckpt_line encoded and its text; a fresh object is no payload.
+        self._payload, self._payload_text = object(), ""
         if self.path is not None and self.path.exists():
             self._load()
 
     # --- checkpoint slots -------------------------------------------------
     def store_checkpoint(self, node_id: str, topic: str, payload: Any, timestamp: int) -> None:
-        record = CheckpointRecord(timestamp, topic, payload)
-        self._ckpt[node_id] = record
+        self._ckpt[node_id] = tuple.__new__(CheckpointRecord, (timestamp, topic, payload))
         if self.path is not None:
-            self._append(self._ckpt_line(node_id, record))
+            self._append(self._ckpt_line(node_id, timestamp, topic, payload))
 
     def load_checkpoint(self, node_id: str) -> Optional[CheckpointRecord]:
         return self._ckpt.get(node_id)
@@ -130,7 +141,7 @@ class Store:
     def clear_checkpoint(self, node_id: str) -> None:
         """Empty the slot, so that its message replays at most once."""
         if self._ckpt.pop(node_id, None) is not None and self.path is not None:
-            self._append(_line("CKPT", node_id))
+            self._append(f'["CKPT",{self._names[node_id]}]\n')
 
     # --- device registry ----------------------------------------------------
     def registry_upsert(self, device_id: str, kind: str, endpoint: str,
@@ -158,7 +169,7 @@ class Store:
     def compact(self) -> None:
         if self.path is None:
             return
-        lines = [self._ckpt_line(node_id, rec) for node_id, rec in sorted(self._ckpt.items())]
+        lines = [self._ckpt_line(node_id, *rec) for node_id, rec in sorted(self._ckpt.items())]
         lines += [self._reg_line(self._reg[k]) for k in sorted(self._reg)]
         tmp = self.path.with_name(self.path.name + ".tmp")
         try:
@@ -177,14 +188,16 @@ class Store:
         if fh is not None:
             fh.close()
 
-    @staticmethod
-    def _ckpt_line(node_id: str, record: CheckpointRecord) -> str:
-        return _line("CKPT", node_id, record.timestamp, record.topic, record.payload)
+    def _ckpt_line(self, node_id: str, timestamp: int, topic: str, payload: Any) -> str:
+        if payload is not self._payload:
+            self._payload, self._payload_text = payload, encode_json(payload)
+        names = self._names
+        return f'["CKPT",{names[node_id]},{timestamp},{names[topic]},{self._payload_text}]\n'
 
     @staticmethod
     def _reg_line(entry: RegistryEntry) -> str:
-        return _line("REG", entry.device_id, entry.kind, entry.endpoint, entry.last_seen,
-                     entry.status)
+        return encode_json(("REG", entry.device_id, entry.kind, entry.endpoint,
+                            entry.last_seen, entry.status)) + "\n"
 
     def _append(self, line: str) -> None:
         """Append one record line; callers build it only for a file-backed store."""
@@ -195,10 +208,11 @@ class Store:
             self.compact()
             return
         data = line.encode("utf-8")
+        fh = self._fh
         try:
-            if self._fh is None:
-                self._fh = self.path.open("ab", buffering=0)
-            written = self._fh.write(data)
+            if fh is None:
+                fh = self._fh = self.path.open("ab", buffering=0)
+            written = fh.write(data)
         except OSError as exc:
             with contextlib.suppress(OSError):  # the write error is the one to report
                 self.close()
@@ -206,9 +220,9 @@ class Store:
         if written != len(data):
             self._torn = True  # the record's head is in the file without its newline
             raise StoreError(f"store write failed: {written} of {len(data)} bytes written")
-        self._lines += 1
-        if self._lines > max(MIN_COMPACT_LINES,
-                             LINES_PER_RECORD * (len(self._ckpt) + len(self._reg))):
+        lines = self._lines = self._lines + 1
+        if (lines > MIN_COMPACT_LINES
+                and lines > LINES_PER_RECORD * (len(self._ckpt) + len(self._reg))):
             self.compact()
 
     def _load(self) -> None:
@@ -236,6 +250,6 @@ class Store:
             if tag == "REG":
                 self._reg[key] = RegistryEntry(key, *fields)
             elif fields:
-                self._ckpt[key] = CheckpointRecord(*fields)
+                self._ckpt[key] = tuple.__new__(CheckpointRecord, fields)
             else:
                 self._ckpt.pop(key, None)

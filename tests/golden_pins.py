@@ -1,5 +1,6 @@
 """Golden timelines: the full SHA-256 of to_csv() for each fixture flow/scenario pair,
-and the loss and MTTR report text of each.
+and the loss and MTTR report text of each; and the golden store file of a pair
+run twice over one store directory.
 
 A change that moves any fixture timeline by even one byte fails these pins. A
 change that alters behaviour on purpose updates them and says so. This module
@@ -8,6 +9,7 @@ pins under pytest and cross_python.py under any supported interpreter.
 """
 
 import hashlib
+import tempfile
 from pathlib import Path
 
 from healflow.core.graph import parse_flow
@@ -67,13 +69,23 @@ REPORTS = {
         'uptime edge,"\n\r: 600000 ms\n',
 }
 
+# flow_a+scenario_a run twice over one store directory: the SHA-256 of
+# instance-0.store after the first run (38 lines) and after the second (78
+# lines), and of the second run's timeline CSV, which replays the first's
+# checkpoints after its restarts.
+STORE_PINS = (
+    "f26bb90ebbe41d7d049ddf05c535626735e47a2fa82f34bb72498137ca92644c",
+    "a21cfd1d1d562684740d51b6ba5aab3c7ea5550476987b678cd1e365574010de",
+    "e076d7edca33ee290746df2d78812ab1a8575c2f6a089cc068e455cb017ceb49",
+)
 
-def run_fixture(name):
-    """The timeline of the named pair."""
+
+def run_fixture(name, store_dir=None):
+    """The timeline of the named pair, its stores in store_dir if one is given."""
     flows, scenario, _ = GOLDEN[name]
     graphs = [parse_flow((DATA / f).read_text()) for f in flows]
     script = parse_scenario((DATA / scenario).read_text())
-    return Simulation(graphs, script).run()
+    return Simulation(graphs, script, store_dir=store_dir).run()
 
 
 def observed(name):
@@ -82,3 +94,14 @@ def observed(name):
     report = compute_report(log)
     return (hashlib.sha256(log.to_csv().encode("utf-8")).hexdigest(),
             format_report(report, "loss") + format_report(report, "mttr"))
+
+
+def observed_store():
+    """The three digests that STORE_PINS holds, from two runs over a fresh directory."""
+    with tempfile.TemporaryDirectory() as store_dir:
+        store = Path(store_dir) / "instance-0.store"
+        run_fixture("flow_a+scenario_a", store_dir)
+        first = hashlib.sha256(store.read_bytes()).hexdigest()
+        log = run_fixture("flow_a+scenario_a", store_dir)
+        second = hashlib.sha256(store.read_bytes()).hexdigest()
+    return first, second, hashlib.sha256(log.to_csv().encode("utf-8")).hexdigest()

@@ -157,7 +157,8 @@ def test_marble_format_renders_rows(tmp_path, fixture_path, capsys):
     code = main(["run", "--flow", str(fixture_path("flow_b.json")),
                  "--scenario", str(fixture_path("scenario_b.json")),
                  "--format", "marble", "--bucket-ms", "1000",
-                 "--nodes", "nfc-in,timing,post-v1,post-v2,post-v3"])
+                 "--nodes", "nfc-in", "--nodes", "timing", "--nodes", "post-v1",
+                 "--nodes", "post-v2", "--nodes", "post-v3"])
     assert code == 0
     out = capsys.readouterr().out
     assert "timing:tooFast" in out
@@ -174,6 +175,16 @@ def test_marble_rows_of_a_device_come_from_its_emits(fixture_path, capsys):
     label, glyphs = row.split(" |")
     assert label == "dht-1:0"  # no flow node: the row is labelled by its egress index
     assert "*" in glyphs
+
+
+def test_marble_node_filter_takes_an_id_holding_a_comma_whole(fixture_path, capsys):
+    code = main(["run", "--flow", str(fixture_path("flow_names.json")),
+                 "--scenario", str(fixture_path("scenario_names.json")),
+                 "--format", "marble", "--nodes", "in,1"])
+    assert code == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert row.split(" |")[0] == "in,1"
+    assert "*" in row
 
 
 def test_marble_unknown_node_exits_2(fixture_path, capsys):

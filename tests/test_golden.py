@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.golden_pins import GOLDEN, REPORTS, observed
+from tests.golden_pins import GOLDEN, REPORTS, STORE_PINS, observed, observed_store
 
 
 @pytest.mark.parametrize("name", list(GOLDEN))
@@ -13,3 +13,7 @@ def test_fixture_timeline_is_byte_identical(name):
 @pytest.mark.parametrize("name", list(REPORTS))
 def test_fixture_report_text_is_pinned(name):
     assert observed(name)[1] == REPORTS[name]
+
+
+def test_store_file_of_two_runs_is_byte_identical():
+    assert observed_store() == STORE_PINS

@@ -332,9 +332,23 @@ def test_a_long_file_is_compacted_on_its_first_append(open_store, tmp_path):
 
 # --- the store against a model ------------------------------------------------------
 
-NODE_IDS = ("a", "b", "n\u0153ud")  # a multi-byte id, so a cut can split a character
+# Strings of characters that JSON escapes (a quote, a backslash, control
+# characters) or writes as \u escapes (non-ASCII, an astral one among them),
+# from an alphabet small enough that draws repeat and overwrite a slot.
+NAMES = st.text(st.sampled_from('a"\\\0\n\x1f\u0153\U0001f600'), max_size=3)
 DEVICE_IDS = ("d1", "d2")
 TIMES = st.integers(0, 50)
+# JSON values, NaN, the infinities and -0.0 among the floats, and dicts whose
+# keys are drawn in no particular order.
+PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.just(-0.0) | NAMES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(NAMES, inner, max_size=3),
+    max_leaves=6)
+
+
+def canonical(value) -> str:
+    """A value's JSON text with sorted keys: equal for a payload and its reload, NaN too."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def render(line) -> str:
@@ -345,7 +359,7 @@ def render(line) -> str:
     else:
         kind, last_seen, status = value
         fields = ["REG", key, kind, "", last_seen, status]
-    return json.dumps(fields, separators=(",", ":")) + "\n"
+    return canonical(fields) + "\n"
 
 
 class StoreModel(RuleBasedStateMachine):
@@ -364,6 +378,7 @@ class StoreModel(RuleBasedStateMachine):
         self.lines: list[tuple] = []
         self.torn = False  # the file ends in a fragment that no append has dropped yet
         self.tables = {"ckpt": {}, "reg": {}}
+        self.nodes: set[str] = set()  # every node id stored at
 
     def teardown(self):
         self.store.close()
@@ -400,13 +415,20 @@ class StoreModel(RuleBasedStateMachine):
         self.store = Store(self.path)
         assert self.store.skipped == self.torn
 
-    @rule(node=st.sampled_from(NODE_IDS), topic=st.sampled_from(["", "t"]),
-          payload=st.none() | st.integers(0, 9), now=TIMES)
+    @rule(node=NAMES, topic=NAMES, payload=PAYLOADS, now=TIMES)
     def store_checkpoint(self, node, topic, payload, now):
         self.store.store_checkpoint(node, topic, payload, now)
+        self.nodes.add(node)
         self.appended("ckpt", node, (now, topic, payload))
 
-    @rule(node=st.sampled_from(NODE_IDS))
+    @rule(nodes=st.lists(NAMES, min_size=2, max_size=4), topic=NAMES, payload=PAYLOADS,
+          now=TIMES)
+    def store_one_payload_along_a_chain(self, nodes, topic, payload, now):
+        # A chain of checkpoint nodes stores one message object at each node in turn.
+        for node in nodes:
+            self.store_checkpoint(node, topic, payload, now)
+
+    @rule(node=NAMES)
     def clear_checkpoint(self, node):
         self.store.clear_checkpoint(node)
         if node in self.tables["ckpt"]:
@@ -458,13 +480,14 @@ class StoreModel(RuleBasedStateMachine):
 
     @invariant()
     def checkpoints_match(self):
-        for node in NODE_IDS:
+        for node in self.nodes:
             want = self.tables["ckpt"].get(node)
             record = self.store.load_checkpoint(node)
             if want is None:
                 assert record is None
             else:
-                assert (record.timestamp, record.topic, record.payload) == want
+                assert (record.timestamp, record.topic, canonical(record.payload)) == (
+                    want[0], want[1], canonical(want[2]))
 
 
 def test_store_matches_a_dict_model(monkeypatch):
@@ -472,3 +495,19 @@ def test_store_matches_a_dict_model(monkeypatch):
     monkeypatch.setattr(persistence, "MIN_COMPACT_LINES", 6)
     run_state_machine_as_test(StoreModel, settings=settings(
         max_examples=60, stateful_step_count=40, deadline=None))
+
+
+def test_store_model_example_with_a_first_null_and_equal_payloads():
+    # Hypothesis takes no @example for a state machine, so this one runs as steps.
+    # After the null come payloads equal to the last one stored but other objects.
+    state = StoreModel()
+    try:
+        state.store_checkpoint(node="a", topic="t", payload=None, now=5)
+        state.checkpoints_match()
+        for payload in (0.0, -0.0, 1, True, 1.0):
+            state.store_checkpoint(node="b", topic="t", payload=payload, now=6)
+        state.store_one_payload_along_a_chain(nodes=["a", "b"], topic="t", payload=None, now=6)
+        state.reload_the_file()
+        state.checkpoints_match()
+    finally:
+        state.teardown()
