@@ -28,6 +28,16 @@ def mean(values: list) -> float:
     return reduce(operator.add, values, 0) / len(values)
 
 
+# The value each aggregating strategy takes from a non-empty list of values.
+AGGREGATES = {
+    "last": lambda values: values[-1],
+    "first": lambda values: values[0],
+    "avg": mean,
+    "max": max,
+    "min": min,
+}
+
+
 @dataclass
 class Param:
     """One config field: type, default, and range constraints.

@@ -1,4 +1,7 @@
-"""Discovery operators: probe the simulated world and track known devices."""
+"""Discovery operators: scan the simulated world and track known devices.
+
+http-aware and network-aware differ only in what they scan for: both run _Scan.
+"""
 
 from __future__ import annotations
 
@@ -7,16 +10,46 @@ from ..persistence import StoreError
 from .base import Node, Param, register
 
 
-@register
-class HttpAware(Node):
-    """Periodically probe the service inventory for appearances/disappearances.
+class _Scan(Node):
+    """Diff what is present against the last scan, at start and every period.
 
-    Every probe diffs (host, port) pairs against the previous one, so the
-    first probe reports everything already running as appeared.
+    A subclass's present() maps each key present now to the fields of its
+    events. Keys that appeared go out on egress 0, then keys that left on
+    egress 1, each in key order and named by its egress label, so the first
+    scan reports all as arrived and an unchanged scan emits nothing. Then the
+    timer TAG, which timer entries log, is re-armed.
     """
 
-    KIND = "http-aware"
     INGRESSES = 0
+    TAG = ""
+
+    def __init__(self, spec, engine):
+        super().__init__(spec, engine)
+        self._seen: dict = {}
+
+    def on_start(self) -> None:
+        self._rescan()
+
+    def on_timer(self, tag: str) -> None:
+        self._rescan()
+
+    def _rescan(self) -> None:
+        current, seen = self.present(), self._seen
+        arrived, departed = self.EGRESS_LABELS
+        for key in sorted(current.keys() - seen.keys()):
+            self.emit(0, {"event": arrived, **current[key]})
+        for key in sorted(seen.keys() - current.keys()):
+            self.emit(1, {"event": departed, **seen[key]})
+        self._seen = current
+        self.set_timer(self.TAG, self.cfg["period"])
+
+
+@register
+class HttpAware(_Scan):
+    """Probe the service inventory for running services, keyed by (host, port)."""
+
+    KIND = "http-aware"
+    TAG = "probe"
     EGRESS_LABELS = ("appeared", "disappeared")
     CONFIG = {
         "ports": Param("list", default=None),
@@ -30,63 +63,26 @@ class HttpAware(Node):
             return [f"config 'ports' must hold integers, got {ports!r}"]
         return []
 
-    def __init__(self, spec, engine):
-        super().__init__(spec, engine)
-        self._seen: dict = {}
-
-    def on_start(self) -> None:
-        self._probe()
-        self.set_timer("probe", self.cfg["period"])
-
-    def on_timer(self, tag: str) -> None:
-        self._probe()
-        self.set_timer("probe", self.cfg["period"])
-
-    def _probe(self) -> None:
+    def present(self) -> dict:
         ports = self.cfg["ports"]
-        current = {}
-        for svc in self.engine.world.services_up():
-            if ports is None or svc.port in ports:
-                current[(svc.host, svc.port)] = svc.id
-        for key in sorted(set(current) - set(self._seen)):
-            self.emit(0, {"event": "appeared", "service": current[key],
-                          "host": key[0], "port": key[1]})
-        for key in sorted(set(self._seen) - set(current)):
-            self.emit(1, {"event": "disappeared", "service": self._seen[key],
-                          "host": key[0], "port": key[1]})
-        self._seen = current
+        return {(svc.host, svc.port): {"service": svc.id, "host": svc.host, "port": svc.port}
+                for svc in self.engine.world.services_up()
+                if ports is None or svc.port in ports}
 
 
 @register
-class NetworkAware(Node):
-    """Periodically scan the world's hosts for joins and departures."""
+class NetworkAware(_Scan):
+    """Scan the world's hosts for joins and departures."""
 
     KIND = "network-aware"
-    INGRESSES = 0
+    TAG = "scan"
     EGRESS_LABELS = ("joined", "left")
     CONFIG = {
         "period": Param("int", minimum=0, exclusive_min=True),
     }
 
-    def __init__(self, spec, engine):
-        super().__init__(spec, engine)
-        self._seen: set = set()
-
-    def on_start(self) -> None:
-        self._scan()
-        self.set_timer("scan", self.cfg["period"])
-
-    def on_timer(self, tag: str) -> None:
-        self._scan()
-        self.set_timer("scan", self.cfg["period"])
-
-    def _scan(self) -> None:
-        current = set(self.engine.world.hosts())
-        for host in sorted(current - self._seen):
-            self.emit(0, {"event": "joined", "host": host})
-        for host in sorted(self._seen - current):
-            self.emit(1, {"event": "left", "host": host})
-        self._seen = current
+    def present(self) -> dict:
+        return {host: {"host": host} for host in self.engine.world.hosts()}
 
 
 # Events that refresh a registry entry vs. mark it lost.
@@ -129,7 +125,7 @@ class DeviceRegistry(Node):
             if event in _ONLINE_EVENTS:
                 entry = self.engine.store.registry_upsert(device_id, kind, endpoint, self.now)
             else:
-                entry = self.engine.store.registry_mark_lost(device_id, self.now)
+                entry = self.engine.store.registry_mark_lost(device_id)
         except StoreError as exc:
             self.emit(1, {"kind": "registry-error", "error": str(exc)}, env.topic)
             return

@@ -4,14 +4,7 @@ from __future__ import annotations
 
 from ..core.envelope import Envelope, is_number
 from ..persistence import StoreError
-from .base import Node, Param, mean, register
-
-STRATEGIES = {
-    "last": lambda history: history[-1],
-    "avg": mean,
-    "max": max,
-    "min": min,
-}
+from .base import AGGREGATES, Node, Param, register
 
 
 @register
@@ -35,7 +28,7 @@ class Compensate(Node):
     CONFIG = {
         "historyMaxSize": Param("int", default=10, minimum=1, exclusive_min=True),
         "interval": Param("int", minimum=0, exclusive_min=True),
-        "strategy": Param("choice", default="last", choices=tuple(STRATEGIES)),
+        "strategy": Param("choice", default="last", choices=("last", "avg", "max", "min")),
         "confidenceDecay": Param("number", default=0.9, minimum=0, maximum=1,
                                  exclusive_min=True),
     }
@@ -71,7 +64,7 @@ class Compensate(Node):
             self.set_timer("interval", self.cfg["interval"])
             self.emit(1, {"kind": "empty-history"})
             return
-        substitute = STRATEGIES[self.cfg["strategy"]](self.history)
+        substitute = AGGREGATES[self.cfg["strategy"]](self.history)
         self.confidence *= self.cfg["confidenceDecay"]
         self._absorb(substitute)
         self.emit(0, {"value": substitute, "substituted": True,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from ..core.envelope import Envelope, encode_json, is_number, topic_matches
-from .base import Node, Param, mean, register
+from .base import AGGREGATES, Node, Param, register
 
 
 @register
@@ -110,12 +110,7 @@ class Debounce(Node):
         if not pending or strategy == "drop-extra":
             self._open = False
             return
-        if strategy == "last":
-            value = pending[-1]
-        elif strategy == "first":
-            value = pending[0]
-        else:
-            value = mean(pending)
+        value = AGGREGATES[strategy](pending)
         self.set_timer("window", self.cfg["window"])
         self.emit(0, value, self._topic)
 

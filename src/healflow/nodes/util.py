@@ -20,21 +20,13 @@ class Debug(Node):
     CONFIG = {}
 
 
-def rbe_process(payload, state: dict) -> bool:
-    """Report-by-exception: forward payload iff it differs from the last one.
-
-    state is a single-slot dict {"last": ...}; equality is deep/structural.
-    Returns True when the payload should be emitted (always on the first).
-    """
-    if "last" in state and state["last"] == payload:
-        return False
-    state["last"] = payload
-    return True
-
-
 @register
 class Rbe(Node):
-    """Deduplicate sequentially repeated messages (report by exception)."""
+    """Deduplicate sequentially repeated messages (report by exception).
+
+    A payload passes unless it equals (==, so deep and structural) the last
+    one that passed; the first always passes.
+    """
 
     KIND = "rbe"
     EGRESS_LABELS = ("out",)
@@ -42,11 +34,13 @@ class Rbe(Node):
 
     def __init__(self, spec, engine):
         super().__init__(spec, engine)
-        self._state: dict = {}
+        self._last = object()  # equals no payload
 
     def on_input(self, env: Envelope, ingress: int) -> None:
-        if rbe_process(env.payload, self._state):
-            self.emit(0, env.payload, env.topic)
+        if self._last == env.payload:
+            return
+        self._last = env.payload
+        self.emit(0, env.payload, env.topic)
 
 
 @register

@@ -10,7 +10,8 @@ compact JSON array, as encode_json writes it: a tag, a key, then the fields.
 A CKPT line is one f-string: an id or topic is encoded once per name, the int
 timestamp is formatted directly, and a payload that is the object stored last
 reuses its text, as timeline CSV rows do. So a stored payload is read-only, as
-a logged one is: the checkpoint node logs the payload it stores.
+a logged one is: the checkpoint node logs the payload it stores. A device is
+a RegistryEntry NamedTuple, and its REG line is encode_json(("REG", *entry)).
 JSON escapes any string, so every id, kind and endpoint reloads unchanged.
 A timestamp or lastSeen is an int, never a bool. A cleared slot is its own
 record, so a checkpointed null stays a message that replays. Files in the
@@ -50,7 +51,6 @@ import contextlib
 import json
 import logging
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, BinaryIO, NamedTuple, Optional
 
@@ -103,8 +103,9 @@ class _JsonTexts(dict):
         return text
 
 
-@dataclass
-class RegistryEntry:
+class RegistryEntry(NamedTuple):
+    """One device; its REG line is ["REG", *entry]."""
+
     device_id: str
     kind: str
     endpoint: str
@@ -148,21 +149,19 @@ class Store:
                         now: int) -> RegistryEntry:
         prev = self._reg.get(device_id)
         last_seen = max(now, prev.last_seen) if prev else now
-        entry = RegistryEntry(device_id, kind, endpoint, last_seen, "online")
-        self._reg[device_id] = entry
-        if self.path is not None:
-            self._append(self._reg_line(entry))
-        return entry
+        return self._put_entry(RegistryEntry(device_id, kind, endpoint, last_seen, "online"))
 
-    def registry_mark_lost(self, device_id: str, now: int) -> RegistryEntry:
+    def registry_mark_lost(self, device_id: str) -> RegistryEntry:
         prev = self._reg.get(device_id)
         if prev is None:
             raise StoreError(f"unknown device {device_id!r}")
         # lastSeen is retained: losing a device is not seeing it.
-        entry = RegistryEntry(device_id, prev.kind, prev.endpoint, prev.last_seen, "lost")
-        self._reg[device_id] = entry
+        return self._put_entry(prev._replace(status="lost"))
+
+    def _put_entry(self, entry: RegistryEntry) -> RegistryEntry:
+        self._reg[entry.device_id] = entry
         if self.path is not None:
-            self._append(self._reg_line(entry))
+            self._append(encode_json(("REG", *entry)) + "\n")
         return entry
 
     # --- file backing -------------------------------------------------------
@@ -170,7 +169,7 @@ class Store:
         if self.path is None:
             return
         lines = [self._ckpt_line(node_id, *rec) for node_id, rec in sorted(self._ckpt.items())]
-        lines += [self._reg_line(self._reg[k]) for k in sorted(self._reg)]
+        lines += [encode_json(("REG", *entry)) + "\n" for entry in sorted(self._reg.values())]
         tmp = self.path.with_name(self.path.name + ".tmp")
         try:
             tmp.write_text("".join(lines), encoding="utf-8")
@@ -193,11 +192,6 @@ class Store:
             self._payload, self._payload_text = payload, encode_json(payload)
         names = self._names
         return f'["CKPT",{names[node_id]},{timestamp},{names[topic]},{self._payload_text}]\n'
-
-    @staticmethod
-    def _reg_line(entry: RegistryEntry) -> str:
-        return encode_json(("REG", entry.device_id, entry.kind, entry.endpoint,
-                            entry.last_seen, entry.status)) + "\n"
 
     def _append(self, line: str) -> None:
         """Append one record line; callers build it only for a file-backed store."""

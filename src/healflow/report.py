@@ -12,6 +12,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from .core.envelope import encode_json
 from .core.graph import FlowGraph
 from .core.timeline import SINK_TOPIC_PREFIX, WORLD_INSTANCE, TimelineEntry
 from .nodes import NODE_KINDS
@@ -81,6 +82,11 @@ def compute_report(entries: Iterable[TimelineEntry]) -> RunReport:
     return report
 
 
+def _shown(name: str) -> str:
+    """name on one line: as it is when printable ASCII without a '"', else its JSON string."""
+    return name if name.isascii() and name.isprintable() and '"' not in name else encode_json(name)
+
+
 def format_report(report: RunReport, metric: str, sink: Optional[str] = None) -> str:
     """Human-readable text for one metric; 'n/a' when nothing applies."""
     lines = []
@@ -102,30 +108,32 @@ def format_report(report: RunReport, metric: str, sink: Optional[str] = None) ->
             lines.append("loss: n/a (no periodic source or sink deliveries)")
         else:
             for name, count in sorted(report.expected.items()):
-                lines.append(f"source {name}: emitted={count}")
+                lines.append(f"source {_shown(name)}: emitted={count}")
             for key in sinks:
                 delivered = report.delivered.get(key, 0)
-                lines.append(f"sink {key}: delivered={delivered} "
+                lines.append(f"sink {_shown(key)}: delivered={delivered} "
                              f"expected={report.expected_total} loss={report.loss(key)}")
     else:
         raise ValueError(f"unknown metric {metric!r}")
     for name, ms in sorted(report.uptime.items()):
-        lines.append(f"uptime {name}: {ms} ms")
+        lines.append(f"uptime {_shown(name)}: {ms} ms")
     return "\n".join(lines) + "\n"
 
 
 # --- marble rendering -----------------------------------------------------------
 
 def _egress_label(graph: Optional[FlowGraph], node: str, port: Optional[int]) -> str:
+    """The marble row label of a node's egress, on one line."""
     port = port or 0
+    label = f"{node}:{port}"
     if graph is not None and node in graph.by_id:
         spec = graph.by_id[node]
         labels = NODE_KINDS[spec.kind].egress_labels(spec.config)
         if len(labels) <= 1:
-            return node
-        if port < len(labels):
-            return f"{node}:{labels[port]}"
-    return f"{node}:{port}"
+            label = node
+        elif port < len(labels):
+            label = f"{node}:{labels[port]}"
+    return _shown(label)
 
 
 def default_bucket(emits, graph: Optional[FlowGraph] = None) -> int:

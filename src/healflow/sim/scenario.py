@@ -142,11 +142,13 @@ def _parse_device(raw: dict) -> VirtualDevice:
     online = raw.get("online", True)
     if not isinstance(online, bool):
         raise ScenarioError(f"{where} online must be true or false, got {online!r}")
-    return VirtualDevice(
-        id=dev_id, kind=kind, topic=topic, period=period,
-        base=_numbers(model.get("base", 0.0), f"{where} valueModel.base"),
-        noise_amp=_numbers(model.get("noiseAmp", 0.0), f"{where} valueModel.noiseAmp", True),
-        reads=sorted(reads), online=online)
+    base = _numbers(model.get("base", 0.0), f"{where} valueModel.base")
+    amp = _numbers(model.get("noiseAmp", 0.0), f"{where} valueModel.noiseAmp", True)
+    if isinstance(amp, dict) and not (isinstance(base, dict) and amp.keys() <= base.keys()):
+        raise ScenarioError(f"{where} valueModel.noiseAmp, an object, needs an object base "
+                            "with each of its fields")
+    return VirtualDevice(id=dev_id, kind=kind, topic=topic, period=period, base=base,
+                         noise_amp=amp, reads=sorted(reads), online=online)
 
 
 def _parse_instance(raw: dict) -> InstanceSpec:

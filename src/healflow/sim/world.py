@@ -137,10 +137,11 @@ class World:
             extra = rng.uniform(-dev.extra_noise, dev.extra_noise) if dev.extra_noise else 0.0
             return base + noise + extra
 
+        amp = dev.noise_amp
         if isinstance(dev.base, dict):
-            amps = dev.noise_amp if isinstance(dev.noise_amp, dict) else {}
+            # A number amp applies to every field, an object one field by field.
+            amps = amp if isinstance(amp, dict) else dict.fromkeys(dev.base, amp)
             return {k: one(dev.base[k], amps.get(k, 0.0)) for k in sorted(dev.base)}
-        amp = dev.noise_amp if not isinstance(dev.noise_amp, dict) else 0.0
         return one(dev.base, amp)
 
     def _device_emit(self, dev: VirtualDevice, value) -> None:

@@ -62,11 +62,11 @@ REPORTS = {
         "uptime red-a: 1320000 ms\n"
         "uptime red-b: 290000 ms\n",
     "flow_names+scenario_names":
-        'source dht,"\r\n: emitted=10\n'
-        'sink service/sink,"\n\r: delivered=8 expected=10 loss=2\n'
-        'uptime edge,"\n\r: 600000 ms\n'
+        'source "dht,\\"\\r\\n": emitted=10\n'
+        'sink "service/sink,\\"\\n\\r": delivered=8 expected=10 loss=2\n'
+        'uptime "edge,\\"\\n\\r": 600000 ms\n'
         "mttr: n/a (no master failover observed)\n"
-        'uptime edge,"\n\r: 600000 ms\n',
+        'uptime "edge,\\"\\n\\r": 600000 ms\n',
 }
 
 # flow_a+scenario_a run twice over one store directory: the SHA-256 of

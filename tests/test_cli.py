@@ -187,6 +187,20 @@ def test_marble_node_filter_takes_an_id_holding_a_comma_whole(fixture_path, caps
     assert "*" in row
 
 
+def test_marble_of_the_names_pair_writes_each_egress_on_one_row(fixture_path, capsys):
+    code = main(["run", "--flow", str(fixture_path("flow_names.json")),
+                 "--scenario", str(fixture_path("scenario_names.json")), "--format", "marble"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "\r" not in out
+    header, *rows = out.split("\n")[:-1]
+    assert header.startswith("# marble ")
+    assert [row.split(" |")[0].rstrip() for row in rows] == [
+        '"dht,\\"\\r\\n:0"', "in,1", '"temp\\r:value"', '"check\\n:reading"',
+        '"post\\":posted"', '"post\\":error"']
+    assert all(row.endswith("|") for row in rows)
+
+
 def test_marble_unknown_node_exits_2(fixture_path, capsys):
     code = main(["run", "--flow", str(fixture_path("flow_b.json")),
                  "--scenario", str(fixture_path("scenario_b.json")),
@@ -235,6 +249,10 @@ MALFORMED_SCENARIOS = {
     "noise-negative": {"world": {"devices": [dict(SENSOR, valueModel={"noiseAmp": -1})]}},
     "noise-field-not-number": {
         "world": {"devices": [dict(SENSOR, valueModel={"noiseAmp": {"t": "x"}})]}},
+    "noise-object-base-number": {
+        "world": {"devices": [dict(SENSOR, valueModel={"base": 1.0, "noiseAmp": {"t": 1}})]}},
+    "noise-field-not-in-base": {"world": {"devices": [
+        dict(SENSOR, valueModel={"base": {"t": 1.0}, "noiseAmp": {"u": 1}})]}},
     "service-without-id": {"world": {"services": [{"port": 80}]}},
     "service-port-not-int": {"world": {"services": [{"id": "v", "port": "http"}]}},
     "service-host-int": {"world": {"services": [{"id": "v", "host": 5}]}},
@@ -437,7 +455,8 @@ def test_report_reads_a_quoted_carriage_return_unchanged(tmp_path, capsys):
     timeline = tmp_path / "t.csv"
     timeline.write_bytes(log.to_csv().encode("utf-8"))
     assert main(["report", "--timeline", str(timeline), "--metric", "loss"]) == 0
-    assert "sink service/x,\r: delivered=1 expected=1 loss=0" in capsys.readouterr().out
+    # The report writes the name as its JSON string, so the line stays one line.
+    assert 'sink "service/x,\\r": delivered=1 expected=1 loss=0' in capsys.readouterr().out
 
 
 def test_report_loss_from_file(tmp_path, fixture_path, capsys):

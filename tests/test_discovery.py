@@ -1,4 +1,7 @@
+from functools import partial
+
 import pytest
+from hypothesis import given, strategies as st
 
 from healflow.core.graph import validate_graph
 from healflow.persistence import Store
@@ -110,6 +113,86 @@ def test_network_aware_two_unchanged_scans_are_silent():
     assert len(engine.log.emits("scan")) == baseline
 
 
+# --- the scan both share ----------------------------------------------------------
+
+PERIOD, T_END = 100, 1000
+TOGGLES = st.lists(st.tuples(st.integers(1, T_END), st.integers(0, 3)), max_size=12)
+
+
+def replay_scans(engine, node, tag, key, toggles, flip, present):
+    """Run node's scan while toggles (time, index) call flip(index) before that
+    time's scan, then replay its events, adding each key on egress 0 and
+    removing it on egress 1. After each scan the replayed keys must be the
+    keys of present() at that time, in the order the rule gives, and a scan
+    that sees no change must emit nothing."""
+    clock = engine.clock
+    truth = {0: {key(v) for v in present()}}
+    for t, i in toggles:
+        clock.at(t, partial(flip, i), rank=0)
+    for t in range(PERIOD, T_END + 1, PERIOD):  # after the toggles of time t, before its scan
+        clock.at(t, lambda t=t: truth.__setitem__(t, {key(v) for v in present()}), rank=0)
+    engine.start()
+    engine.run_until(T_END)
+    emits = engine.log.emits(node)
+    assert {e.time for e in emits} <= truth.keys()
+    assert [(e.time, e.value) for e in engine.log if e.kind == "timer" and e.node == node] == [
+        (t, tag) for t in truth if t]
+    replayed, before = set(), set()
+    for t, now in sorted(truth.items()):
+        events = [(e.port, key(e.value)) for e in emits if e.time == t]
+        assert events == sorted(events)  # arrivals, then departures, each in key order
+        for port, k in events:
+            assert (k in replayed) == bool(port)
+            (replayed.remove if port else replayed.add)(k)
+        assert replayed == now
+        assert bool(events) == (now != before)
+        before = now
+
+
+@given(n=st.integers(1, 4), ports=st.lists(st.sampled_from([80, 443]), min_size=4,
+                                            max_size=4),
+       filtered=st.booleans(), toggles=TOGGLES)
+def test_http_aware_replays_to_the_running_services_at_every_probe(n, ports, filtered,
+                                                                   toggles):
+    services = [Service(f"svc-{i}", f"host-{i}", ports[i]) for i in range(n)]
+    only = [443] if filtered else None
+    engine, world = probe_engine(
+        make_spec("probe", "http-aware", {"period": PERIOD, "ports": only}), services=services)
+
+    def flip(i):
+        svc = world.services.get(f"svc-{i}")
+        if svc is not None:
+            svc.up = not svc.up
+
+    replay_scans(engine, "probe", "probe", lambda v: (v["host"], v["port"]), toggles, flip,
+                 lambda: [{"host": s.host, "port": s.port} for s in world.services_up()
+                          if only is None or s.port in only])
+
+
+@given(devices=st.integers(0, 4), instances=st.integers(0, 4), toggles=TOGGLES)
+def test_network_aware_replays_to_the_hosts_at_every_scan(devices, instances, toggles):
+    engine, world = probe_engine(
+        make_spec("scan", "network-aware", {"period": PERIOD}),
+        devices=[VirtualDevice(id=f"dev-{i}", kind="periodicSensor", topic="t", period=T_END)
+                 for i in range(devices)])
+    peers = build_graph(make_spec("sink", "debug"))
+    for i in range(instances):
+        make_engine(peers, instance=f"peer-{i}", world=world).start()
+
+    def flip(i):
+        if i < devices:
+            world.set_device_online(f"dev-{i}", not world.devices[f"dev-{i}"].online)
+        if i < instances:
+            peer = world.engines[f"peer-{i}"]
+            if peer.halted:
+                peer.restart()
+            else:
+                peer.halt()
+
+    replay_scans(engine, "scan", "scan", lambda v: v["host"], toggles, flip,
+                 lambda: [{"host": h} for h in world.hosts()])
+
+
 # --- device-registry --------------------------------------------------------------
 
 def registry_engine(store=None):
@@ -212,6 +295,6 @@ def test_registry_reloads_every_entry_it_reports_online(tmp_path):
     store.close()
     reloaded = Store(path)
     assert reloaded.skipped == 0
-    endpoints = [reloaded.registry_mark_lost(d, 0).endpoint for d in online]
+    endpoints = [reloaded.registry_mark_lost(d).endpoint for d in online]
     reloaded.close()
     assert endpoints == ["h", "dev-1"]

@@ -67,7 +67,7 @@ def test_reload_from_file_replays_last_state(open_store, tmp_path):
     second = open_store(path)
     assert second.load_checkpoint("a") is None
     assert second.load_checkpoint("b").payload == [1, 2]
-    entry = second.registry_mark_lost("dev-1", 40)
+    entry = second.registry_mark_lost("dev-1")
     assert (entry.device_id, entry.kind, entry.endpoint, entry.last_seen) == (
         "dev-1", "host", "10.0.0.5", 30)
 
@@ -170,13 +170,13 @@ def test_registry_upsert_twice_single_entry(open_store, tmp_path):
 def test_registry_mark_lost_then_upsert_back_online():
     store = Store()
     store.registry_upsert("d", "host", "", 10)
-    assert store.registry_mark_lost("d", 20).status == "lost"
+    assert store.registry_mark_lost("d").status == "lost"
     assert store.registry_upsert("d", "host", "", 30).status == "online"
 
 
 def test_registry_mark_lost_unknown_errors():
     with pytest.raises(StoreError):
-        Store().registry_mark_lost("ghost", 10)
+        Store().registry_mark_lost("ghost")
 
 
 def test_registry_list_empty_and_sorted(open_store, tmp_path):
@@ -222,7 +222,7 @@ def test_odd_tokens_survive_reload(open_store, tmp_path, node_id, device_id, kin
     written = path.read_text()
     reloaded.compact()
     assert path.read_text() == written  # the reloaded state writes the same lines
-    entry = reloaded.registry_mark_lost(device_id, 30)
+    entry = reloaded.registry_mark_lost(device_id)
     assert (entry.device_id, entry.kind, entry.endpoint, entry.last_seen, entry.status) == (
         device_id, kind, endpoint, 20, "lost")
 
@@ -316,7 +316,7 @@ def test_torn_tail_that_parses_is_skipped_and_dropped(open_store, tmp_path):
     torn = open_store(path)
     assert torn.skipped == 1
     with pytest.raises(StoreError):
-        torn.registry_mark_lost("dev", 6)
+        torn.registry_mark_lost("dev")
     torn.registry_upsert("other", "host", "", 7)
     assert path.read_text() == '["REG","other","host","",7,"online"]\n'
 
@@ -444,14 +444,14 @@ class StoreModel(RuleBasedStateMachine):
             value[0], "", value[1], value[2])
         self.appended("reg", device, value)
 
-    @rule(device=st.sampled_from(DEVICE_IDS), now=TIMES)
-    def registry_mark_lost(self, device, now):
+    @rule(device=st.sampled_from(DEVICE_IDS))
+    def registry_mark_lost(self, device):
         prev = self.tables["reg"].get(device)
         if prev is None:
             with pytest.raises(StoreError):
-                self.store.registry_mark_lost(device, now)
+                self.store.registry_mark_lost(device)
             return
-        entry = self.store.registry_mark_lost(device, now)
+        entry = self.store.registry_mark_lost(device)
         assert (entry.kind, entry.last_seen, entry.status) == (prev[0], prev[1], "lost")
         self.appended("reg", device, (prev[0], prev[1], "lost"))
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from healflow.nodes import ThresholdCheck
+from healflow.nodes.probes import ThresholdCheck
 
 
 # --- threshold-check -----------------------------------------------------------
@@ -196,7 +196,7 @@ def test_resource_monitor_malformed_reading_is_error(harness, payload, error):
 
 
 def test_resource_monitor_requires_some_bound():
-    from healflow.nodes import ResourceMonitor
+    from healflow.nodes.probes import ResourceMonitor
     assert ResourceMonitor.validate_config({"metric": "x"}) != []
 
 

@@ -2,7 +2,7 @@ import itertools
 
 from hypothesis import given, strategies as st
 
-from healflow.nodes import vote
+from healflow.nodes.routing import vote
 from healflow.sim import VirtualDevice, World
 from tests.conftest import NodeHarness, build_graph, make_engine, make_spec
 
@@ -67,7 +67,7 @@ def test_weighted_counts_match_proportions_per_cycle(weights, cycles):
 
 
 def test_weighted_round_robin_requires_matching_weights():
-    from healflow.nodes import Balancing
+    from healflow.nodes.routing import Balancing
     assert Balancing.validate_config(
         {"outputs": 3, "strategy": "weightedRoundRobin", "weights": [1, 2]}) != []
     assert Balancing.validate_config(

@@ -180,6 +180,19 @@ def test_record_valued_device_draws_per_field_noise():
     assert 51.0 <= entry.value["humidity"] <= 59.0
 
 
+def test_a_number_noise_amp_draws_noise_for_every_field_of_a_record():
+    script = parse_scenario(json.dumps({"duration_ms": 1000, "world": {"devices": [
+        {"id": "d", "topic": "t", "period_ms": 100,
+         "valueModel": {"base": {"temperature": 22.0, "humidity": 55.0}, "noiseAmp": 2.0}}]}}))
+    world = make_world(devices=script.world.devices)
+    world.start_devices()
+    world.clock.run_until(500)
+    values = [e.value for e in world.log.emits("d")]
+    assert len(values) == 5
+    base = {"temperature": 22.0, "humidity": 55.0}
+    assert all(0 < abs(v[k] - base[k]) <= 2.0 for v in values for k in base)
+
+
 def test_nfc_reader_scripted_reads():
     dev = VirtualDevice(id="nfc", kind="nfcReader", topic="lab/nfc",
                         reads=[(1000, "card-a"), (2500, "card-b")])

@@ -1,6 +1,5 @@
 from hypothesis import given, strategies as st
 
-from healflow.nodes import rbe_process
 from healflow.sim import Service, World
 from tests.conftest import NodeHarness, build_graph, make_engine, make_spec
 
@@ -39,12 +38,16 @@ def test_rbe_deep_structural_equality():
     assert len(h.emits(0)) == 2
 
 
-@given(st.lists(st.integers(0, 3), max_size=30))
-def test_rbe_process_drops_exactly_adjacent_duplicates(values):
-    state = {}
-    emitted = [v for v in values if rbe_process(v, state)]
+@given(st.lists(st.one_of(st.integers(0, 3), st.sampled_from([1.0, float("nan")])),
+                max_size=30))
+def test_rbe_drops_exactly_adjacent_duplicates(values):
+    """Equality is ==, so 1.0 repeats 1, and a NaN equals nothing, itself included."""
+    h = NodeHarness("rbe")
+    for i, v in enumerate(values):
+        h.feed_at(i + 1, v)
+    h.run(len(values) + 1)
     expected = [v for i, v in enumerate(values) if i == 0 or v != values[i - 1]]
-    assert emitted == expected
+    assert [repr(v) for _, v in h.emits(0)] == [repr(v) for v in expected]
 
 
 # --- extract ------------------------------------------------------------------
