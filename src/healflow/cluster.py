@@ -10,9 +10,11 @@ without further messages.
 A ping period costs O(M) work for M instances, not O(M^2). The transport
 keeps one record per sender: its last periodic ping's time and the block
 of clock seqs that tick reserved. Every receiver holding the sender alive
-shares it as its view, so the tick does no work for it. One silence timer
-per sender, due at the earliest holder deadline, materializes each
-holder's exact view: the last ping time, and the expiry at the time and
+shares it as its view, so the tick does no work for it. A receiver joins
+only if its election timeout is at least the sender's ping period, so a
+shared view cannot expire while its sender pings. When the sender stops
+(its engine halts, or another agent takes its address), each holder takes
+its view as its own: the last ping time, and the expiry at the time and
 seq that delivering the ping as an event would have given it. So the
 timeline and every seq are those of a fabric that delivers each ping as
 an event.
@@ -34,10 +36,6 @@ logger = logging.getLogger(__name__)
 
 ROLE_MASTER = "master"
 ROLE_STANDBY = "standby"
-
-# The lowest clock rank, shared with faults: a silence timer keys before every
-# engine's timers at its ms, so before every holder expiry it schedules there.
-SILENCE_RANK = 0
 
 
 class PingDecodeError(ValueError):
@@ -85,18 +83,14 @@ class _Sender:
     group member to its offset there: the seq of the delivery event it
     would have had, then that of the expiry its refresh would re-arm.
     `joiners` are (receiver, offset) pairs that get the ping as an event.
-    The silence timer is due at `last` + `timeout` + 1, at SILENCE_RANK,
-    under the first holder's delivery seq, `base` + `first`, which no entry uses.
     """
 
-    __slots__ = ("last", "base", "size", "holders", "joiners", "timeout", "first", "silence",
-                 "dirty")
+    __slots__ = ("last", "base", "size", "holders", "joiners", "dirty")
 
     def __init__(self):
         self.last = self.base = self.size = 0
         self.holders: dict[ClusterAgent, int] = {}
         self.joiners: list[tuple[ClusterAgent, int]] = []
-        self.silence = None
         self.dirty = True
 
 
@@ -134,6 +128,12 @@ class LoopbackTransport:
         elif src in self._senders:
             self._senders[src].dirty = True
 
+    def stopped(self, src: str) -> None:
+        """src pings no more: each receiver holding it takes its view as its own."""
+        for agent in list(self._senders[src].holders) if src in self._senders else ():
+            agent.release(src)
+        self.changed()
+
     def set_drop(self, src: str, dst: str, drop: bool) -> None:
         """Drop or restore a link. A receiver holding src through its group
         first takes what the link has delivered as its own view."""
@@ -156,17 +156,17 @@ class LoopbackTransport:
             if dst != src:
                 self.send(src, dst, data)
 
-    def ping(self, src: str, epoch: int) -> None:
-        """Broadcast src's periodic ping at `epoch`: as broadcast(), in the
-        same seqs, but only a joiner gets an event.
+    def ping(self, src: str, epoch: int, period: int) -> None:
+        """Broadcast src's periodic ping at `epoch`, the next one due `period`
+        ms on: as broadcast(), in the same seqs, but only a joiner gets an event.
 
         The tick reserves the seqs the eager loop over _agents would draw:
         0 for a dropped link, 1 for a halted receiver (its event does
         nothing) or a joiner (its event), and 2 for a holder (its event,
-        then the expiry its refresh re-arms). The layout is counted again
-        only after the composition changes (changed()). A holder's refresh
-        is then only the record's new time and block, and the silence
-        timer is moved to the earliest holder deadline.
+        then the expiry its refresh re-arms). A receiver whose election
+        timeout is shorter than `period` stays a joiner. The layout is
+        counted again only after the composition changes (changed()). A
+        holder's refresh is then only the record's new time and block.
 
         Refreshing a holder at send time is exact: it moves only the
         holder's peer entry and expiry, which no node code reads, and the
@@ -177,7 +177,7 @@ class LoopbackTransport:
         if sender is None:
             sender = self._senders[src] = _Sender()
         if sender.dirty:
-            self._lay_out(src, sender)
+            self._lay_out(src, sender, period)
         clock = self.clock
         base = clock.reserve(sender.size)
         if sender.joiners:
@@ -185,36 +185,23 @@ class LoopbackTransport:
             for agent, offset in sender.joiners:
                 self.send(src, agent.address, data, base + offset)
         sender.last, sender.base = clock.now, base
-        if sender.holders:
-            sender.silence = clock.rearm(sender.silence, clock.now + sender.timeout + 1,
-                                         self._fall_silent, SILENCE_RANK, src,
-                                         seq=base + sender.first)
 
-    def _lay_out(self, src: str, sender: _Sender) -> None:
+    def _lay_out(self, src: str, sender: _Sender, period: int) -> None:
         """Count src's block over _agents in order; a receiver holding src
-        alive as its own view joins the group here."""
+        alive as its own view joins the group here (hold)."""
         holders, joiners, size = {}, [], 0
         for dst, agent in self._agents.items():
             if dst == src or self._drops.get((src, dst)):
                 continue
             if agent.engine.halted:
                 size += 1
-            elif agent.hold(src, sender):
+            elif agent.hold(src, sender, period):
                 holders[agent] = size
                 size += 2
             else:
                 joiners.append((agent, size))
                 size += 1
         sender.holders, sender.joiners, sender.size, sender.dirty = holders, joiners, size, False
-        if holders:
-            sender.first = next(iter(holders.values()))
-            sender.timeout = min(agent.election_timeout for agent in holders)
-
-    def _fall_silent(self, src: str) -> None:
-        """No ping from src since its last tick's earliest holder deadline:
-        each holder takes its view, with the expiry that ping armed, as its own."""
-        for agent in list(self._senders[src].holders):
-            agent.release(src)
 
 
 # --- runtime agent -----------------------------------------------------------
@@ -233,13 +220,13 @@ class ClusterAgent:
     peer is heard (receive_datagram: joins, boot pings, raw datagrams); it
     fires once, at the last ping's expiry time. At the sender's next tick
     an own view of an alive peer joins the group (hold), dropping its
-    timer, and periodic pings refresh it with no work here. The view
-    becomes the agent's own again (release), with the expiry the last ping
-    armed at its time and seq, when the agent hears the sender itself,
-    halts, is replaced or loses the link, and when the sender's silence
-    timer fires. Reading `peers` brings held entries up to date. Ping
-    ticks, the boot election and expiries run at the engine's cluster
-    rank, after its node timers.
+    timer, if the agent's timeout is at least the sender's ping period,
+    and periodic pings refresh it with no work here. The view becomes the
+    agent's own again (release), with the expiry the last ping armed at
+    its time and seq, when the agent hears the sender itself, halts, is
+    replaced or loses the link, and when the sender stops pinging. Reading
+    `peers` brings held entries up to date. Ping ticks, the boot election
+    and expiries run at the engine's cluster rank, after its node timers.
 
     The agent is configured by the engine's first redundancy node, `spec`:
     its electionTimeout sets the timeouts, and its id is the node of every
@@ -292,18 +279,19 @@ class ClusterAgent:
         clock.after(self.election_timeout, self._boot_election, rank=self.engine.rank_cluster)
 
     def leave(self) -> None:
-        """Take every held view as this agent's own, and have every sender's
-        next tick lay out its block anew: the engine halted, so its events do
-        nothing, or another agent took its address, so it gets none."""
+        """Take every held view as this agent's own, hand back every view of
+        this agent held in its group, and have every sender's next tick lay
+        out its block anew: the engine halted, so it pings no more and its
+        events do nothing, or another agent took its address, so it gets none."""
         for address in list(self._held):
             self.release(address)
-        self.transport.changed()
+        self.transport.stopped(self.address)
 
     # --- timers --------------------------------------------------------------
     def _ping_tick(self) -> None:
         if self.engine.halted:
             return
-        self.transport.ping(self.address, self.epoch)
+        self.transport.ping(self.address, self.epoch, self.ping_period)
         self.engine.clock.after(self.ping_period, self._ping_tick, rank=self.engine.rank_cluster)
 
     def _boot_election(self) -> None:
@@ -348,10 +336,12 @@ class ClusterAgent:
                                             now + self.election_timeout + 1, self._expire,
                                             self.engine.rank_cluster)
 
-    def hold(self, address: str, sender: _Sender) -> bool:
-        """Join `address`'s group if this agent holds it alive; False if it does not."""
+    def hold(self, address: str, sender: _Sender, period: int) -> bool:
+        """Join `address`'s group if this agent holds it alive, with a timeout
+        of at least `period`, the sender's ping period; False if not."""
         peer = self._peers.get(address)
-        if peer is None or not peer[2]:
+        if peer is None or not peer[2] or self.election_timeout < period:
+            self.release(address)  # a view held at a faster agent's period there, if any
             return False
         if address not in self._held:
             self._held[address] = sender

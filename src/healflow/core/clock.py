@@ -48,11 +48,10 @@ class VirtualClock:
     def after(self, delay: int, fn: Callable[[], None], rank: int, seq: int | None = None) -> list:
         return self.at(self.now + delay, fn, rank, seq)
 
-    def rearm(self, entry: list | None, time: int, fn: Callable, rank: int, *args,
-              seq: int | None = None) -> list:
+    def rearm(self, entry: list | None, time: int, fn: Callable, rank: int, *args) -> list:
         """Move the timer `entry` (None for a new one) so that fn(*args) fires
-        at `time` instead, under the next creation sequence or a reserved
-        `seq`, as at() takes them; returns the entry that now holds the timer.
+        at `time` instead, under the next creation sequence; returns the
+        entry that now holds the timer.
 
         A pending entry of the same rank whose heap time is not later than
         `time` keeps its place and callback, and only records the new due;
@@ -60,10 +59,10 @@ class VirtualClock:
         """
         if entry is not None and entry[3] is not None:
             if rank == entry[1] and time >= entry[0]:
-                entry[4] = (time, next(self._seq) if seq is None else seq)
+                entry[4] = (time, next(self._seq))
                 return entry
             entry[3] = None
-        return self.at(time, partial(fn, *args) if args else fn, rank, seq)
+        return self.at(time, partial(fn, *args) if args else fn, rank)
 
     def reserve(self, n: int) -> int:
         """Take the next n creation sequences and schedule nothing; returns the

@@ -47,11 +47,10 @@ class Balancing(Node):
 
     def __init__(self, spec, engine):
         super().__init__(spec, engine)
-        if self.cfg["strategy"] == "weightedRoundRobin":
-            self._cycle = [i for i, w in enumerate(self.cfg["weights"]) for _ in range(w)]
-        else:
-            self._cycle = list(range(self.cfg["outputs"]))
-        self._next = 0
+        # The port whose turn it is, and the messages it took in it: 1, or its weight.
+        self._port = self._taken = 0
+        weighted = self.cfg["strategy"] == "weightedRoundRobin"
+        self._weights = self.cfg["weights"] if weighted else None
         self._rng = None
         if self.cfg["strategy"] == "random":
             seed = self.cfg["seed"]
@@ -61,8 +60,9 @@ class Balancing(Node):
         if self._rng is not None:
             port = self._rng.randrange(self.cfg["outputs"])
         else:
-            port = self._cycle[self._next]
-            self._next = (self._next + 1) % len(self._cycle)
+            port, self._taken = self._port, self._taken + 1
+            if self._taken == (self._weights[port] if self._weights else 1):
+                self._port, self._taken = (port + 1) % self.cfg["outputs"], 0
         self.emit(port, env.payload, env.topic)
 
 

@@ -86,21 +86,31 @@ def _name(value, what: str) -> str:
     return value
 
 
+def _float(value, what: str) -> float:
+    """A number as the float the world draws from; one no float holds is an error."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(f"{what} is too large for a float") from None
+
+
 def _numbers(value, what: str, nonnegative: bool = False):
-    """value when it is a number or an object of numbers, none negative if asked."""
+    """value, a number or an object of numbers, none negative if asked, as floats."""
     for v in value.values() if isinstance(value, dict) else (value,):
         if not is_number(v) or (nonnegative and v < 0):
             sort = "non-negative number" if nonnegative else "number"
             raise ScenarioError(f"{what} must be a {sort} or an object of them, got {value!r}")
-    return value
+    if isinstance(value, dict):
+        return {k: _float(v, f"{what} field {k!r}") for k, v in value.items()}
+    return _float(value, what)
 
 
-def _amp(params: dict):
-    """value_noise's amp: a non-negative number, 0.0 when absent."""
+def _amp(params: dict) -> float:
+    """value_noise's amp: a non-negative number, as a float; 0.0 when absent."""
     amp = params.get("amp", 0.0)
     if not is_number(amp) or amp < 0:
         raise ScenarioError(f"value_noise amp must be a non-negative number, got {amp!r}")
-    return amp
+    return _float(amp, "value_noise amp")
 
 
 def _no_value(params: dict) -> None:

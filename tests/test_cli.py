@@ -246,6 +246,8 @@ MALFORMED_SCENARIOS = {
     "base-field-not-number": {
         "world": {"devices": [dict(SENSOR, valueModel={"base": {"t": [1]}})]}},
     "base-boolean": {"world": {"devices": [dict(SENSOR, valueModel={"base": True})]}},
+    "base-too-large-for-a-float": {
+        "world": {"devices": [dict(SENSOR, valueModel={"base": 10**400})]}},
     "noise-negative": {"world": {"devices": [dict(SENSOR, valueModel={"noiseAmp": -1})]}},
     "noise-field-not-number": {
         "world": {"devices": [dict(SENSOR, valueModel={"noiseAmp": {"t": "x"}})]}},
@@ -269,6 +271,9 @@ MALFORMED_SCENARIOS = {
     "amp-negative": {"world": {"devices": [SENSOR]},
                      "events": [{"at_ms": 0, "kind": "value_noise", "target": "s",
                                  "params": {"amp": -1}}]},
+    "amp-too-large-for-a-float": {"world": {"devices": [SENSOR]},
+                                  "events": [{"at_ms": 0, "kind": "value_noise", "target": "s",
+                                              "params": {"amp": 10**400}}]},
     "amp-object": {"world": {"devices": [SENSOR]},
                    "events": [{"at_ms": 0, "kind": "value_noise", "target": "s",
                                "params": {"amp": {}}}]},

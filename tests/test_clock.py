@@ -162,10 +162,10 @@ class EagerClock:
         heapq.heappush(self._heap, entry)
         return entry
 
-    def rearm(self, entry, time, fn, rank, *args, seq=None):
+    def rearm(self, entry, time, fn, rank, *args):
         if entry is not None:
             self.cancel(entry)
-        return self.at(time, partial(fn, *args) if args else fn, rank, seq)
+        return self.at(time, partial(fn, *args) if args else fn, rank)
 
     def reserve(self, n):
         """n draws, one by one."""
@@ -249,8 +249,8 @@ def test_timers_at_reserved_seqs_keep_unique_keys_and_fire_in_key_order():
     clock.at(10, partial(fired.append, "last"), 0)
     clock.at(10, partial(fired.append, "b"), 0, seq=first + 2)
     clock.after(10, partial(fired.append, "a"), 0, seq=first)
-    entry = clock.rearm(None, 5, fired.append, 0, "c", seq=first + 1)
-    assert clock.rearm(entry, 10, fired.append, 0, "c", seq=first + 3) is entry
+    clock.cancel(clock.at(5, partial(fired.append, "c"), 0, seq=first + 1))
+    clock.at(10, partial(fired.append, "c"), 0, seq=first + 3)
     keys = [tuple(e[:3]) for e in clock._heap]
     assert len(set(keys)) == len(keys)
     clock.run_until(10)
@@ -262,7 +262,8 @@ KEYS = 4
 REACTION_CAP = 150
 
 
-# A block reserves 1 to 4 seqs and re-arms up to that many keys at them, in order.
+# A block reserves 1 to 4 seqs and moves up to that many keys to them, in order,
+# each by a cancel and an at() under its reserved seq.
 timer_op = st.one_of(
     st.tuples(st.just("rearm"), st.integers(0, KEYS - 1), st.integers(0, 10), st.integers(0, 2)),
     st.tuples(st.just("clear"), st.integers(0, KEYS - 1)),
@@ -285,8 +286,9 @@ def drive(clock, program, reactions):
             _, n, arms = step
             first = clock.reserve(n)
             for i, (key, delay, rank) in enumerate(arms[:n]):
-                timers[key] = clock.rearm(timers.get(key), clock.now + delay, fire, rank, key,
-                                          seq=first + i)
+                if key in timers:
+                    clock.cancel(timers[key])
+                timers[key] = clock.at(clock.now + delay, partial(fire, key), rank, seq=first + i)
         elif step[1] in timers:
             clock.cancel(timers.pop(step[1]))
 
@@ -309,8 +311,8 @@ def drive(clock, program, reactions):
 @given(st.lists(st.one_of(timer_op, st.tuples(st.just("run"), st.integers(0, 12))), max_size=40),
        st.lists(st.lists(timer_op, max_size=2), min_size=KEYS, max_size=KEYS))
 def test_rearm_fires_as_the_eager_cancel_and_push_clock_does(program, reactions):
-    """Arms, later, earlier and same-time re-arms, some at seqs of a reserved
-    block, clears of pending, deferred and fired timers, callbacks that re-arm
+    """Arms, later, earlier and same-time re-arms, timers moved to seqs of a
+    reserved block, clears of pending, deferred and fired timers, callbacks that re-arm
     their own or another key, and run_until split over several calls: both
     clocks fire the same keys in the same order at the same now and end on
     the same seq counter."""

@@ -466,7 +466,7 @@ def test_malformed_broadcast_is_logged_by_each_receiver(caplog):
 
 # --- periodic pings taken at send time --------------------------------------------------
 
-def broadcast_ping(transport, src, epoch):
+def broadcast_ping(transport, src, epoch, period):
     transport.broadcast(src, encode_ping(src, epoch, transport.clock.now))
 
 
@@ -504,6 +504,7 @@ def datagram_events(world):
 
 
 LOW, HIGH = SELF, HIGHER
+THIRD = "192.168.1.7"
 
 
 def changes(log, instance):
@@ -560,6 +561,28 @@ def test_an_agent_replaced_at_its_address_hears_nothing_more_and_lets_its_peers_
     assert low.cluster.peers[HIGH] == (election_key(HIGH), 1000, False)
     assert changes(world.log, "low")[-1] == (
         2001, {"role": "master", "epoch": 1, "reason": "election-result"})
+
+
+def test_a_view_held_at_a_fast_twins_period_joins_a_slow_twins_pings_as_events():
+    """Two live agents ping from one address, every 200 and every 999 ms. Low,
+    timing a peer out after 500 ms, holds the fast one's pings; when the slow
+    one lays out the group, low hands its view back and takes its pings as
+    events, as the eager fabric delivers them."""
+    def drive():
+        world = World()
+        low = make_engine(redundancy_graph(500), instance="low", address=LOW, world=world)
+        for name, address in (("fast", HIGH), ("third", THIRD)):
+            make_engine(redundancy_graph(1000), instance=name, address=address, world=world)
+        for engine in list(world.engines.values()):
+            engine.start()
+        world.clock.run_until(1000)
+        make_engine(redundancy_graph(4995), instance="slow", address=HIGH, world=world).start()
+        world.clock.run_until(1900)  # low holds the fast agent's ping of 1800
+        world.transport.set_drop(HIGH, THIRD, True)  # the slow agent's tick at 1999 lays out
+        world.clock.run_until(3000)
+        return world, low
+    world, low = shipped_and_eager(drive)
+    assert low.cluster.peers[HIGH] == (election_key(HIGH), 3000, True)
 
 
 def test_a_halted_receiver_takes_a_ping_as_its_event_would_by_doing_nothing():
@@ -658,6 +681,17 @@ def test_a_node_timer_fires_before_a_cluster_expiry_drawn_earlier_at_the_same_ms
     assert low_at_2001(world.log) == [("timer", "hb"), ("emit", "hb"), ("role-change", "red")]
 
 
+def run_failover():
+    """Three instances with a 1 s election timeout; the master crashes at 3 s
+    and restarts at 6 s. Returns the timeline."""
+    instances = [{"name": f"i{o}", "address": f"10.0.0.{o}"} for o in (1, 2, 3)]
+    script = parse_scenario(json.dumps({"seed": 1, "duration_ms": 10000, "world": {
+        "instances": instances}, "events": [
+            {"at_ms": 3000, "kind": "instance_crash", "target": "i3"},
+            {"at_ms": 6000, "kind": "instance_restart", "target": "i3"}]}))
+    return Simulation([redundancy_graph(1000) for _ in instances], script).run()
+
+
 def test_send_schedules_every_datagram_event_across_a_failover(monkeypatch):
     """Three instances, the master crashes and restarts: every datagram event
     the transport schedules goes through send, one per receive_datagram."""
@@ -671,16 +705,30 @@ def test_send_schedules_every_datagram_event_across_a_failover(monkeypatch):
     monkeypatch.setattr(LoopbackTransport, "send", counted("send", LoopbackTransport.send))
     monkeypatch.setattr(ClusterAgent, "receive_datagram",
                         counted("receive", ClusterAgent.receive_datagram))
-    instances = [{"name": f"i{o}", "address": f"10.0.0.{o}"} for o in (1, 2, 3)]
-    script = parse_scenario(json.dumps({"seed": 1, "duration_ms": 10000, "world": {
-        "instances": instances}, "events": [
-            {"at_ms": 3000, "kind": "instance_crash", "target": "i3"},
-            {"at_ms": 6000, "kind": "instance_restart", "target": "i3"}]}))
-    log = Simulation([redundancy_graph(1000) for _ in instances], script).run()
+    log = run_failover()
     assert [(e.time, e.instance) for e in log if e.kind == "role-change" and e.time > 0
             and e.value["role"] == "master"] == [(3801, "i2"), (6000, "i3")]
     assert counts["receive"] > 8  # more than the boot pings: 3 x 2, and 2 at the restart
     assert counts["send"] == counts["receive"]
+
+
+def test_every_cluster_timer_runs_at_its_engines_delivery_or_cluster_rank(monkeypatch):
+    """Datagram events, ping ticks, boot elections and peer expiries, through
+    a crash and a restart: each clock entry cluster code makes is owned by an
+    agent and sits at its engine's delivery or cluster rank."""
+    scheduled = []
+    at = VirtualClock.at
+
+    def spy(clock, time, fn, rank, seq=None):
+        owner = getattr(fn.func if isinstance(fn, partial) else fn, "__self__", None)
+        if isinstance(owner, (ClusterAgent, LoopbackTransport)):
+            scheduled.append((owner, rank))
+        return at(clock, time, fn, rank, seq)
+    monkeypatch.setattr(VirtualClock, "at", spy)
+    run_failover()
+    assert len(scheduled) > 100
+    assert [(owner, rank) for owner, rank in scheduled if not isinstance(owner, ClusterAgent)
+            or rank not in (owner.engine.rank_deliver, owner.engine.rank_cluster)] == []
 
 
 def refreshes_per_period(count):
@@ -823,10 +871,10 @@ THREE = {"instances": [{"name": "i200", "address": I200}, {"name": "i7", "addres
                        {"name": "i54", "address": I54}],
          "devices": [{"id": "s", "kind": "periodicSensor", "topic": "s/x", "period_ms": 5}]}
 
-# i7 pings every ms until its crash at 10, so its silence timer is due at
-# 9 + 5 + 1 = 15, the ms it restarts: i200 hears the boot ping before the
-# timer fires, i54 after it.
-RESTART_AT_SILENCE = ({"seed": 1, "duration_ms": 30, "events": [
+# i7 pings every ms until its crash at 10, which hands i200 and i54 their
+# views of it, due to expire at 9 + 5 + 1 = 15, the ms i7 restarts: each
+# hears the boot ping at its delivery rank, before that expiry's cluster rank.
+RESTART_AT_EXPIRY = ({"seed": 1, "duration_ms": 30, "events": [
     {"at_ms": 10, "kind": "instance_crash", "target": "i7"},
     {"at_ms": 15, "kind": "instance_restart", "target": "i7"}], "world": THREE},
     [5, 5, 5], 6, [], [])
@@ -853,7 +901,7 @@ MIXED_TIMEOUTS = ({"seed": 1, "duration_ms": 100, "events": [], "world": THREE},
 
 @given(cluster_programs())
 @example(TIED_EXPIRY)
-@example(RESTART_AT_SILENCE)
+@example(RESTART_AT_EXPIRY)
 @example(DIVERGED)
 @example(DROP_BETWEEN_TICKS)
 @example(MIXED_TIMEOUTS)

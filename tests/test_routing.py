@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 from hypothesis import given, strategies as st
 
@@ -34,6 +35,22 @@ def test_weighted_round_robin_matches_cycle_oracle():
         config = {"outputs": len(weights), "strategy": "weightedRoundRobin",
                   "weights": weights}
         assert route_sequence(config, 17) == wrr_cycle_oracle(weights, 17)
+
+
+def test_weighted_round_robin_keeps_no_list_as_long_as_its_weights():
+    """A weight of a million costs no memory: the node counts its turns."""
+    config = {"outputs": 2, "strategy": "weightedRoundRobin", "weights": [10**6, 1]}
+    tracemalloc.start()
+    try:
+        harness = NodeHarness("balancing", config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    for i in range(5):
+        harness.feed_at(i + 1, f"m{i + 1}")
+    harness.run(6)
+    assert [e.port for e in harness.engine.log.emits("n")] == [0] * 5
 
 
 def test_random_strategy_is_seed_deterministic():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -314,6 +315,17 @@ def test_run_scenario_empty_script_steady_state():
     assert len(log.emits("d")) == 5
     delivered = [e for e in log if e.kind == "deliver" and e.node == "in"]
     assert len(delivered) == 5
+
+
+def test_a_noise_amp_of_the_largest_float_size_gives_infinite_readings():
+    """10**308 is read as the float 1e308: the noise span overflows to
+    infinity, and the run logs every reading instead of crashing."""
+    script = parse_scenario(json.dumps({"seed": 1, "duration_ms": 3000, "world": {"devices": [
+        {"id": "d", "topic": "t", "period_ms": 1000, "valueModel": {"noiseAmp": 10**308}}]}}))
+    log = Simulation([parse_flow(SINK_FLOW)], script).run()
+    assert [e.value for e in log.emits("d")] == [math.inf] * 3
+    rows = log.to_csv().splitlines()[1:]  # each reading emitted, delivered, passed on
+    assert len(rows) == 12 and all(row.endswith(",Infinity") for row in rows)
 
 
 def test_conservation_each_emission_delivered_once_per_subscriber():
