@@ -16,7 +16,8 @@ from pathlib import Path
 from .core.graph import Diagnostic, FlowGraph, FlowParseError, parse_flow, validate_graph
 from .core.timeline import entries_from_csv
 from .report import compute_report, format_report, render_marble
-from .sim import ScenarioError, Simulation, parse_scenario
+from .sim.runner import Simulation
+from .sim.scenario import ScenarioError, parse_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -158,7 +159,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -58,7 +58,7 @@ def encode_ping(address: str, epoch: int, now: int) -> bytes:
 
 # Not memoised: a periodic ping to a holder is never decoded, so few repeat.
 def decode_ping(data: bytes) -> tuple[str, int, int]:
-    """Returns (address, epoch, virtual-ms); raises PingDecodeError otherwise."""
+    """Returns (dotted-quad address, epoch, virtual-ms); raises PingDecodeError otherwise."""
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -69,6 +69,7 @@ def decode_ping(data: bytes) -> tuple[str, int, int]:
     if parts[1] != "PING":
         raise PingDecodeError(f"unknown verb {parts[1]!r}")
     try:
+        election_key(parts[2])
         return parts[2], int(parts[3]), int(parts[4])
     except ValueError as exc:
         raise PingDecodeError(f"malformed datagram: {text.strip()!r}") from exc
@@ -312,11 +313,7 @@ class ClusterAgent:
             return
         peer = self._peers.get(address)
         if peer is None:
-            try:
-                key = election_key(address)
-            except ValueError as exc:
-                logger.info("ignoring datagram: %s", exc)
-                return
+            key = election_key(address)
             joined = True
         else:
             key, _, alive = peer

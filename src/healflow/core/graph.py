@@ -86,6 +86,8 @@ def parse_flow(text: str) -> FlowGraph:
                              f"(line {exc.lineno}, column {exc.colno})") from exc
     except RecursionError:
         raise FlowParseError("flow document nests too deep") from None
+    except ValueError:
+        raise FlowParseError("flow document holds an integer with too many digits") from None
 
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
         raise FlowParseError('flow document must be an object with a "nodes" list')

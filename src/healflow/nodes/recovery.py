@@ -43,7 +43,6 @@ class Compensate(Node):
         if len(self.history) >= self.cfg["historyMaxSize"]:
             del self.history[0]
         self.history.append(value)
-        self.set_timer("interval", self.cfg["interval"])
 
     def on_start(self) -> None:
         # The cadence watchdog runs from node init, before any input arrives.
@@ -55,13 +54,15 @@ class Compensate(Node):
             return
         self._topic = env.topic
         self._absorb(env.payload)
+        self.set_timer("interval", self.cfg["interval"])
         self.confidence = 1.0
         self.emit(0, {"value": env.payload, "substituted": False, "confidence": 1.0}, env.topic)
 
     def on_timer(self, tag: str) -> None:
+        # Re-arm first, so an aggregate that raises cannot stop the watchdog.
+        self.set_timer("interval", self.cfg["interval"])
         if not self.history:
             # Fabricating a value from nothing would defeat the pattern.
-            self.set_timer("interval", self.cfg["interval"])
             self.emit(1, {"kind": "empty-history"})
             return
         substitute = AGGREGATES[self.cfg["strategy"]](self.history)

@@ -110,9 +110,8 @@ class Debounce(Node):
         if not pending or strategy == "drop-extra":
             self._open = False
             return
-        value = AGGREGATES[strategy](pending)
         self.set_timer("window", self.cfg["window"])
-        self.emit(0, value, self._topic)
+        self.emit(0, AGGREGATES[strategy](pending), self._topic)
 
 
 @register

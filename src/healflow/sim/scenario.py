@@ -205,6 +205,8 @@ def parse_scenario(text: str) -> ScenarioScript:
                             f"(line {exc.lineno}, column {exc.colno})") from exc
     except RecursionError:
         raise ScenarioError("scenario document nests too deep") from None
+    except ValueError:
+        raise ScenarioError("scenario document holds an integer with too many digits") from None
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
 

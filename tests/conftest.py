@@ -8,7 +8,7 @@ import pytest
 from healflow.core.engine import Engine
 from healflow.core.graph import FlowGraph, NodeSpec, fill_defaults, validate_graph
 from healflow.persistence import Store
-from healflow.sim import World
+from healflow.sim.world import World
 
 DATA = Path(__file__).parent / "data"
 

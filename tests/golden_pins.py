@@ -14,7 +14,8 @@ from pathlib import Path
 
 from healflow.core.graph import parse_flow
 from healflow.report import compute_report, format_report
-from healflow.sim import Simulation, parse_scenario
+from healflow.sim.runner import Simulation
+from healflow.sim.scenario import parse_scenario
 
 DATA = Path(__file__).parent / "data"
 

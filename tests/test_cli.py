@@ -131,6 +131,19 @@ def test_validate_flow_nested_too_deep_exits_2(tmp_path, capsys):
     assert capsys.readouterr().out == f"{flow}: flow document nests too deep\n"
 
 
+# More digits than the interpreter converts from text to an int by default.
+TOO_LONG_INT = "9" * 5001
+
+
+def test_validate_flow_with_an_integer_too_long_exits_2(tmp_path, capsys):
+    flow = tmp_path / "long.json"
+    flow.write_text('{"nodes": [{"id": "x", "type": "debug", "config": {"n": %s}}]}'
+                    % TOO_LONG_INT)
+    assert main(["validate", "--flow", str(flow)]) == 2
+    assert capsys.readouterr().out == (
+        f"{flow}: flow document holds an integer with too many digits\n")
+
+
 def test_validate_two_cycle_flow_exits_2(tmp_path, capsys):
     bad = tmp_path / "two-cycles.json"
     bad.write_text(json.dumps({"nodes": [
@@ -289,14 +302,17 @@ MALFORMED_SCENARIOS = {
     "value-model-empty-string": {"world": {"devices": [dict(SENSOR, valueModel="")]}},
     "kind-list": {"world": {"devices": [SENSOR]},
                   "events": [{"at_ms": 0, "kind": ["device_offline"], "target": "s"}]},
+    # json.dumps cannot write this integer either, so the entry is the document's text.
+    "duration-too-many-digits": '{"seed": 1, "duration_ms": %s}' % TOO_LONG_INT,
 }
 
 
 @pytest.mark.parametrize("shape", sorted(MALFORMED_SCENARIOS))
 def test_run_malformed_scenario_exits_2(tmp_path, fixture_path, capsys, shape):
     scenario = tmp_path / "s.json"
-    scenario.write_text(json.dumps({"seed": 1, "duration_ms": 1000,
-                                    **MALFORMED_SCENARIOS[shape]}))
+    doc = MALFORMED_SCENARIOS[shape]
+    scenario.write_text(doc if isinstance(doc, str) else
+                        json.dumps({"seed": 1, "duration_ms": 1000, **doc}))
     code = main(["run", "--flow", str(fixture_path("flow_c.json")),
                  "--scenario", str(scenario)])
     assert code == 2

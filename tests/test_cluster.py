@@ -10,8 +10,9 @@ from healflow.cluster import (ClusterAgent, LoopbackTransport, PingDecodeError, 
                               election_key, encode_ping)
 from healflow.core.clock import VirtualClock
 from healflow.core.graph import validate_graph
-from healflow.sim import Simulation, VirtualDevice, World, parse_scenario
-from healflow.sim.world import RANK_FAULT, RANK_WORLD
+from healflow.sim.runner import Simulation
+from healflow.sim.scenario import parse_scenario
+from healflow.sim.world import RANK_FAULT, RANK_WORLD, VirtualDevice, World
 from tests.conftest import build_graph, final_seq, make_engine, make_spec
 
 
@@ -112,7 +113,8 @@ def test_decode_rejects_unknown_verb():
 
 
 def test_decode_rejects_garbage():
-    for blob in (b"hello", b"SHEN/2 PING 1.2.3.4 0 0\n", b"SHEN/1 PING x y z\n", b"\xff\xfe"):
+    for blob in (b"hello", b"SHEN/2 PING 1.2.3.4 0 0\n", b"SHEN/1 PING x y z\n", b"\xff\xfe",
+                 b"SHEN/1 PING 10.0.0.999 0 0\n"):
         with pytest.raises(PingDecodeError):
             decode_ping(blob)
 

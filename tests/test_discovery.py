@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from healflow.core.graph import validate_graph
 from healflow.persistence import Store
-from healflow.sim import Service, VirtualDevice, World
+from healflow.sim.world import Service, VirtualDevice, World
 from tests.conftest import build_graph, make_engine, make_spec
 
 

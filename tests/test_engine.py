@@ -8,8 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from healflow.core.envelope import copy_json, encode_json
 from healflow.nodes import NODE_KINDS, Node, Param
-from healflow.sim import VirtualDevice, World
-from healflow.sim.world import RANK_INSTANCE_BASE
+from healflow.sim.world import RANK_INSTANCE_BASE, VirtualDevice, World
 from tests.conftest import build_graph, make_engine, make_spec
 
 

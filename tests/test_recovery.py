@@ -185,6 +185,19 @@ def test_a_non_numeric_reading_never_stops_the_watchdog(harness, strategy):
     assert h.engine.nodes["n"].history == [1.0] * 10
 
 
+def test_an_aggregate_that_raises_never_stops_the_watchdog(harness):
+    # No float holds 10**400, so the mean raises OverflowError until readings evict it.
+    h = harness("compensate", {"interval": 100, "strategy": "avg", "historyMaxSize": 2})
+    h.feed_at(0, 10**400)
+    h.feed_at(250, 1.0)
+    h.feed_at(260, 3.0)
+    log = h.run(500)
+    assert [(e.time, e.value["kind"]) for e in log if e.kind == "fault"] == [
+        (100, "operator-error"), (200, "operator-error")]
+    subs = [(t, p["value"]) for t, p in h.emits(0) if p["substituted"]]
+    assert subs == [(360, 2.0), (460, 2.5)]
+
+
 # --- checkpoint ----------------------------------------------------------------
 
 def test_checkpoint_stores_then_forwards(harness):

@@ -4,7 +4,7 @@ import tracemalloc
 from hypothesis import given, strategies as st
 
 from healflow.nodes.routing import vote
-from healflow.sim import VirtualDevice, World
+from healflow.sim.world import VirtualDevice, World
 from tests.conftest import NodeHarness, build_graph, make_engine, make_spec
 
 
@@ -149,6 +149,17 @@ def test_debounce_first_strategy_takes_first_extra():
         h.feed_at(t, v)
     h.run(3000)
     assert h.emits(0) == [(0, "a"), (1000, "b")]
+
+
+def test_debounce_avg_that_raises_keeps_the_window_going():
+    # No float holds 10**400, so the window's mean raises OverflowError.
+    h = NodeHarness("debounce", {"window": 100, "strategy": "avg"})
+    for t, v in ((0, 1.0), (10, 10**400), (20, 2.0), (500, 3.0), (1000, 4.0)):
+        h.feed_at(t, v)
+    log = h.run(1500)
+    assert [(e.time, e.value["kind"]) for e in log if e.kind == "fault"] == [
+        (100, "operator-error")]
+    assert h.emits(0) == [(0, 1.0), (500, 3.0), (1000, 4.0)]
 
 
 @given(st.lists(st.integers(0, 300), min_size=0, max_size=25), st.integers(10, 60))

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from healflow.core.graph import parse_flow
+from healflow.core.timeline import WORLD_INSTANCE
 from healflow.persistence import MIN_COMPACT_LINES, Store
-from healflow.sim import (FaultEvent, ScenarioError, Simulation, VirtualDevice,
-                          World, WORLD_INSTANCE, apply_fault, parse_scenario)
-from healflow.sim.scenario import FAULTS
+from healflow.sim.runner import Simulation, apply_fault
+from healflow.sim.scenario import FAULTS, FaultEvent, ScenarioError, parse_scenario
+from healflow.sim.world import VirtualDevice, World
 from tests.conftest import build_graph, final_seq, make_engine, make_spec
 
 

@@ -1,6 +1,6 @@
 from hypothesis import given, strategies as st
 
-from healflow.sim import Service, World
+from healflow.sim.world import Service, World
 from tests.conftest import NodeHarness, build_graph, make_engine, make_spec
 
 
