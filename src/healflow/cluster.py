@@ -8,16 +8,17 @@ every instance evaluates the same function over the same set, they agree
 without further messages.
 
 A ping period costs O(M) work for M instances, not O(M^2). The transport
-keeps one record per sender: its last periodic ping's time and the block
-of clock seqs that tick reserved. Every receiver holding the sender alive
-shares it as its view, so the tick does no work for it. A receiver joins
-only if its election timeout is at least the sender's ping period, so a
-shared view cannot expire while its sender pings. When the sender stops
-(its engine halts, or another agent takes its address), each holder takes
-its view as its own: the last ping time, and the expiry at the time and
-seq that delivering the ping as an event would have given it. So the
-timeline and every seq are those of a fabric that delivers each ping as
-an event.
+keeps one record per sender: its last periodic ping's time. Every receiver
+holding the sender alive shares it as its view, so the tick does no work
+for it. A receiver joins only if its election timeout is at least the
+sender's ping period, so a shared view cannot expire while its sender
+pings. When the sender stops (its engine halts, or another agent takes its
+address), each holder takes its view as its own: the last ping time, and
+an expiry at the time that delivering the ping as an event would have
+given it. That expiry draws a later seq than the event's would have, but
+it ties only with its agent's own cluster timers, whose order the timeline
+does not depend on (see core.clock). So the timeline is that of a fabric
+that delivers each ping as an event.
 
 Wire protocol: ASCII lines over datagrams,
 
@@ -80,18 +81,17 @@ def decode_ping(data: bytes) -> tuple[str, int, int]:
 class _Sender:
     """One sender's last periodic ping, as every receiver in its group holds it.
 
-    The tick at `last` reserved `size` seqs from `base`. `holders` maps each
-    group member to its offset there: the seq of the delivery event it
-    would have had, then that of the expiry its refresh would re-arm.
-    `joiners` are (receiver, offset) pairs that get the ping as an event.
+    `holders` are the group's members, in _agents order: a dict, not a set,
+    because stopped() releases them in turn and each release draws a seq.
+    `joiners` are the receivers that get the ping as an event.
     """
 
-    __slots__ = ("last", "base", "size", "holders", "joiners", "dirty")
+    __slots__ = ("last", "holders", "joiners", "dirty")
 
     def __init__(self):
-        self.last = self.base = self.size = 0
-        self.holders: dict[ClusterAgent, int] = {}
-        self.joiners: list[tuple[ClusterAgent, int]] = []
+        self.last = 0
+        self.holders: dict[ClusterAgent, None] = {}
+        self.joiners: list[ClusterAgent] = []
         self.dirty = True
 
 
@@ -121,7 +121,7 @@ class LoopbackTransport:
 
     def changed(self, src: str | None = None) -> None:
         """Have src's next ping tick (every sender's, for None) lay out its
-        block anew: a receiver joined, died, halted, lost or regained the
+        group anew: a receiver joined, died, halted, lost or regained the
         link, registered, or took its view of src as its own."""
         if src is None:
             for sender in self._senders.values():
@@ -144,13 +144,12 @@ class LoopbackTransport:
             agent.release(src)
         self.changed(src)
 
-    def send(self, src: str, dst: str, data: bytes, seq: int | None = None) -> None:
-        """Schedule dst's receive_datagram now, under `seq` if it was reserved."""
+    def send(self, src: str, dst: str, data: bytes) -> None:
+        """Schedule dst's receive_datagram now."""
         agent = self._agents.get(dst)
         if agent is None or self._drops.get((src, dst)):
             return
-        self.clock.after(0, partial(agent.receive_datagram, data), agent.engine.rank_deliver,
-                         seq=seq)
+        self.clock.after(0, partial(agent.receive_datagram, data), agent.engine.rank_deliver)
 
     def broadcast(self, src: str, data: bytes) -> None:
         for dst in self._agents:
@@ -159,15 +158,12 @@ class LoopbackTransport:
 
     def ping(self, src: str, epoch: int, period: int) -> None:
         """Broadcast src's periodic ping at `epoch`, the next one due `period`
-        ms on: as broadcast(), in the same seqs, but only a joiner gets an event.
+        ms on: as broadcast(), but only a joiner gets an event.
 
-        The tick reserves the seqs the eager loop over _agents would draw:
-        0 for a dropped link, 1 for a halted receiver (its event does
-        nothing) or a joiner (its event), and 2 for a holder (its event,
-        then the expiry its refresh re-arms). A receiver whose election
-        timeout is shorter than `period` stays a joiner. The layout is
-        counted again only after the composition changes (changed()). A
-        holder's refresh is then only the record's new time and block.
+        A receiver holding src alive joins its group instead, unless its
+        election timeout is shorter than `period`. The group is laid out
+        again only after the composition changes (changed()). A holder's
+        refresh is then only the record's new time.
 
         Refreshing a holder at send time is exact: it moves only the
         holder's peer entry and expiry, which no node code reads, and the
@@ -179,30 +175,26 @@ class LoopbackTransport:
             sender = self._senders[src] = _Sender()
         if sender.dirty:
             self._lay_out(src, sender, period)
-        clock = self.clock
-        base = clock.reserve(sender.size)
+        now = self.clock.now
         if sender.joiners:
-            data = encode_ping(src, epoch, clock.now)
-            for agent, offset in sender.joiners:
-                self.send(src, agent.address, data, base + offset)
-        sender.last, sender.base = clock.now, base
+            data = encode_ping(src, epoch, now)
+            for agent in sender.joiners:
+                self.send(src, agent.address, data)
+        sender.last = now
 
     def _lay_out(self, src: str, sender: _Sender, period: int) -> None:
-        """Count src's block over _agents in order; a receiver holding src
-        alive as its own view joins the group here (hold)."""
-        holders, joiners, size = {}, [], 0
+        """Sort src's receivers over _agents in order, skipping a dropped link
+        and a halted receiver, whose event would do nothing; a receiver
+        holding src alive as its own view joins the group here (hold)."""
+        holders, joiners = {}, []
         for dst, agent in self._agents.items():
-            if dst == src or self._drops.get((src, dst)):
+            if dst == src or self._drops.get((src, dst)) or agent.engine.halted:
                 continue
-            if agent.engine.halted:
-                size += 1
-            elif agent.hold(src, sender, period):
-                holders[agent] = size
-                size += 2
+            if agent.hold(src, sender, period):
+                holders[agent] = None
             else:
-                joiners.append((agent, size))
-                size += 1
-        sender.holders, sender.joiners, sender.size, sender.dirty = holders, joiners, size, False
+                joiners.append(agent)
+        sender.holders, sender.joiners, sender.dirty = holders, joiners, False
 
 
 # --- runtime agent -----------------------------------------------------------
@@ -223,11 +215,11 @@ class ClusterAgent:
     an own view of an alive peer joins the group (hold), dropping its
     timer, if the agent's timeout is at least the sender's ping period,
     and periodic pings refresh it with no work here. The view becomes the
-    agent's own again (release), with the expiry the last ping armed at
-    its time and seq, when the agent hears the sender itself, halts, is
-    replaced or loses the link, and when the sender stops pinging. Reading
-    `peers` brings held entries up to date. Ping ticks, the boot election
-    and expiries run at the engine's cluster rank, after its node timers.
+    agent's own again (release), with the expiry the last ping armed, when
+    the agent hears the sender itself, halts, is replaced or loses the
+    link, and when the sender stops pinging. Reading `peers` brings held
+    entries up to date. Ping ticks, the boot election and expiries run at
+    the engine's cluster rank, after its node timers.
 
     The agent is configured by the engine's first redundancy node, `spec`:
     its electionTimeout sets the timeouts, and its id is the node of every
@@ -282,7 +274,7 @@ class ClusterAgent:
     def leave(self) -> None:
         """Take every held view as this agent's own, hand back every view of
         this agent held in its group, and have every sender's next tick lay
-        out its block anew: the engine halted, so it pings no more and its
+        out its group anew: the engine halted, so it pings no more and its
         events do nothing, or another agent took its address, so it gets none."""
         for address in list(self._held):
             self.release(address)
@@ -349,18 +341,16 @@ class ClusterAgent:
 
     def release(self, address: str) -> None:
         """Leave `address`'s group, if in it, taking its view as this agent's
-        own: the last ping time, and the expiry that ping armed, at the seq
-        its tick reserved. Either way the sender's next tick lays out its
-        block anew."""
+        own: the last ping time, and the expiry that ping armed. Either way
+        the sender's next tick lays out its group anew."""
         self.transport.changed(address)
         sender = self._held.pop(address, None)
         if sender is None:
             return
-        offset = sender.holders.pop(self)
+        del sender.holders[self]
         self._peers[address] = (self._peers[address][0], sender.last, True)
         self._expiry[address] = self.engine.clock.at(
-            sender.last + self.election_timeout + 1, self._expire, self.engine.rank_cluster,
-            seq=sender.base + offset + 1)
+            sender.last + self.election_timeout + 1, self._expire, self.engine.rank_cluster)
 
     def _expire(self) -> None:
         """Mark every peer silent for longer than the timeout dead, once."""

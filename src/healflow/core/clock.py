@@ -8,13 +8,21 @@ reproducible; the rank lets a co-simulation interleave several engines
 deterministically at equal timestamps. An entry is pending while its callback
 is set; cancel() and firing clear it.
 
-A timer moved later is not pushed again: rearm() reserves the next creation
+A timer moved later is not pushed again: rearm() draws the next creation
 sequence, exactly as the at() of an eager cancel-and-push would, and records
 (time, sequence) as the entry's due. When the entry reaches the top of the
 heap under its old key, run_until() moves it to its due and pushes it back
 without firing. So every live heap key equals the eager schedule's key, and
 callbacks fire in the same order, at the same now, as if each re-arm had
 cancelled its timer and pushed a new one.
+
+Which ties the timeline depends on: an engine owns three ranks, for its
+deliveries, its node timers and its cluster timers (ping ticks, the boot
+election, peer expiries). Ties among one engine's cluster timers are order
+free: fired in any order, they log the same bytes, which the tie-shuffle
+tests in tests/test_cluster.py and tests/test_golden.py check by breaking
+them at random. Ties among node timers are not: broken at random, they move
+flow_a's timeline, so their creation order is part of the contract.
 """
 
 from __future__ import annotations
@@ -33,20 +41,17 @@ class VirtualClock:
         self._heap: list[list] = []
         self._seq = itertools.count()
 
-    def at(self, time: int, fn: Callable[[], None], rank: int, seq: int | None = None) -> list:
-        """Schedule fn at an absolute virtual time (>= now); returns its heap entry.
-
-        It takes the next creation sequence, or `seq`, one that reserve()
-        returned and no other entry was given.
-        """
+    def at(self, time: int, fn: Callable[[], None], rank: int) -> list:
+        """Schedule fn at an absolute virtual time (>= now), under the next
+        creation sequence; returns its heap entry."""
         if time < self.now:
             raise ValueError(f"cannot schedule at {time}, clock is at {self.now}")
-        entry = [time, rank, next(self._seq) if seq is None else seq, fn, None]
+        entry = [time, rank, next(self._seq), fn, None]
         heapq.heappush(self._heap, entry)
         return entry
 
-    def after(self, delay: int, fn: Callable[[], None], rank: int, seq: int | None = None) -> list:
-        return self.at(self.now + delay, fn, rank, seq)
+    def after(self, delay: int, fn: Callable[[], None], rank: int) -> list:
+        return self.at(self.now + delay, fn, rank)
 
     def rearm(self, entry: list | None, time: int, fn: Callable, rank: int, *args) -> list:
         """Move the timer `entry` (None for a new one) so that fn(*args) fires
@@ -63,15 +68,6 @@ class VirtualClock:
                 return entry
             entry[3] = None
         return self.at(time, partial(fn, *args) if args else fn, rank)
-
-    def reserve(self, n: int) -> int:
-        """Take the next n creation sequences and schedule nothing; returns the
-        first. Events applied without their heap entries keep every later
-        sequence where it would be, and an entry scheduled later in their
-        place can be given one of theirs."""
-        first = next(self._seq)
-        self._seq = itertools.count(first + n)
-        return first
 
     @staticmethod
     def cancel(entry: list) -> None:

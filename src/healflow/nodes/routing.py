@@ -19,7 +19,7 @@ class Balancing(Node):
 
     KIND = "balancing"
     CONFIG = {
-        "outputs": Param("int", minimum=2),
+        "outputs": Param("int", minimum=2, maximum=1000),
         "strategy": Param("choice", default="roundRobin",
                           choices=("roundRobin", "weightedRoundRobin", "random")),
         "weights": Param("list", default=None),
@@ -28,8 +28,10 @@ class Balancing(Node):
 
     @classmethod
     def egress_labels(cls, config):
+        """One label per output; two for an `outputs` validate_config rejects,
+        which may be too large to build a label for each."""
         n = config.get("outputs")
-        if not isinstance(n, int) or n < 2:
+        if not isinstance(n, int) or not 2 <= n <= cls.CONFIG["outputs"].maximum:
             return ("out0", "out1")
         return tuple(f"out{i}" for i in range(n))
 

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import contextlib
+import heapq
 import json
+import random
+from functools import partial
 from pathlib import Path
 
 import pytest
 
+from healflow.core.clock import VirtualClock
 from healflow.core.engine import Engine
 from healflow.core.graph import FlowGraph, NodeSpec, fill_defaults, validate_graph
 from healflow.persistence import Store
-from healflow.sim.world import World
+from healflow.sim import world as world_module
+from healflow.sim.world import RANK_INSTANCE_BASE, World
 
 DATA = Path(__file__).parent / "data"
 
@@ -40,6 +46,44 @@ def make_engine(graph: FlowGraph, *, world=None, instance: str = "test",
 def final_seq(clock):
     """The creation sequence the clock gives its next entry; schedules a no-op to read it."""
     return clock.at(clock.now, lambda: None, 0)[2]
+
+
+class TieShuffleClock(VirtualClock):
+    """A VirtualClock that fires same-ms ties among each engine's cluster
+    timers in a seeded random order: an entry at a cluster rank, or the due
+    that rearm() records there, is keyed (random tie key, creation sequence).
+    Entries at other ranks keep their creation order."""
+
+    def __init__(self, seed: int):
+        super().__init__()
+        self._tie_key = random.Random(seed).random
+
+    def _key(self, rank: int, seq: int):
+        if rank >= 3 * RANK_INSTANCE_BASE and rank % 3 == 2:
+            return self._tie_key(), seq
+        return seq
+
+    def at(self, time, fn, rank):
+        if time < self.now:
+            raise ValueError(f"cannot schedule at {time}, clock is at {self.now}")
+        entry = [time, rank, self._key(rank, next(self._seq)), fn, None]
+        heapq.heappush(self._heap, entry)
+        return entry
+
+    def rearm(self, entry, time, fn, rank, *args):
+        moved = super().rearm(entry, time, fn, rank, *args)
+        if moved is entry:  # kept its place: only its due was drawn
+            due_time, seq = entry[4]
+            entry[4] = (due_time, self._key(rank, seq))
+        return moved
+
+
+@contextlib.contextmanager
+def shuffled_cluster_ties(seed: int):
+    """Every World made inside runs on a TieShuffleClock of `seed`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(world_module, "VirtualClock", partial(TieShuffleClock, seed))
+        yield
 
 
 class NodeHarness:

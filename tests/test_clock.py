@@ -155,10 +155,10 @@ class EagerClock:
         self._heap = []
         self._seq = itertools.count()
 
-    def at(self, time, fn, rank, seq=None):
+    def at(self, time, fn, rank):
         if time < self.now:
             raise ValueError(f"cannot schedule at {time}, clock is at {self.now}")
-        entry = [time, rank, next(self._seq) if seq is None else seq, fn]
+        entry = [time, rank, next(self._seq), fn]
         heapq.heappush(self._heap, entry)
         return entry
 
@@ -166,11 +166,6 @@ class EagerClock:
         if entry is not None:
             self.cancel(entry)
         return self.at(time, partial(fn, *args) if args else fn, rank)
-
-    def reserve(self, n):
-        """n draws, one by one."""
-        seqs = [next(self._seq) for _ in range(n)]
-        return seqs[0]
 
     @staticmethod
     def cancel(entry):
@@ -232,43 +227,13 @@ def test_cancel_of_a_deferred_entry_drops_it():
     assert fired == []
 
 
-def test_reserve_takes_a_block_that_later_draws_skip():
-    clock = VirtualClock()
-    assert clock.at(0, lambda: None, 0)[2] == 0
-    assert clock.reserve(3) == 1
-    assert clock.at(0, lambda: None, 0)[2] == 4
-    assert clock.reserve(0) == 5  # the next draw, not taken
-    assert clock.reserve(1) == 5
-    assert clock.at(0, lambda: None, 0)[2] == 6
-
-
-def test_timers_at_reserved_seqs_keep_unique_keys_and_fire_in_key_order():
-    clock = VirtualClock()
-    fired = []
-    first = clock.reserve(4)
-    clock.at(10, partial(fired.append, "last"), 0)
-    clock.at(10, partial(fired.append, "b"), 0, seq=first + 2)
-    clock.after(10, partial(fired.append, "a"), 0, seq=first)
-    clock.cancel(clock.at(5, partial(fired.append, "c"), 0, seq=first + 1))
-    clock.at(10, partial(fired.append, "c"), 0, seq=first + 3)
-    keys = [tuple(e[:3]) for e in clock._heap]
-    assert len(set(keys)) == len(keys)
-    clock.run_until(10)
-    assert fired == ["a", "b", "c", "last"]
-    assert clock.at(10, lambda: None, 0)[2] == first + 5  # four reserved, one drawn
-
-
 KEYS = 4
 REACTION_CAP = 150
 
 
-# A block reserves 1 to 4 seqs and moves up to that many keys to them, in order,
-# each by a cancel and an at() under its reserved seq.
 timer_op = st.one_of(
     st.tuples(st.just("rearm"), st.integers(0, KEYS - 1), st.integers(0, 10), st.integers(0, 2)),
     st.tuples(st.just("clear"), st.integers(0, KEYS - 1)),
-    st.tuples(st.just("block"), st.integers(1, 4), st.lists(st.tuples(
-        st.integers(0, KEYS - 1), st.integers(0, 10), st.integers(0, 2)), max_size=4)),
 )
 
 
@@ -282,13 +247,6 @@ def drive(clock, program, reactions):
         if step[0] == "rearm":
             _, key, delay, rank = step
             timers[key] = clock.rearm(timers.get(key), clock.now + delay, fire, rank, key)
-        elif step[0] == "block":
-            _, n, arms = step
-            first = clock.reserve(n)
-            for i, (key, delay, rank) in enumerate(arms[:n]):
-                if key in timers:
-                    clock.cancel(timers[key])
-                timers[key] = clock.at(clock.now + delay, partial(fire, key), rank, seq=first + i)
         elif step[1] in timers:
             clock.cancel(timers.pop(step[1]))
 
@@ -311,11 +269,10 @@ def drive(clock, program, reactions):
 @given(st.lists(st.one_of(timer_op, st.tuples(st.just("run"), st.integers(0, 12))), max_size=40),
        st.lists(st.lists(timer_op, max_size=2), min_size=KEYS, max_size=KEYS))
 def test_rearm_fires_as_the_eager_cancel_and_push_clock_does(program, reactions):
-    """Arms, later, earlier and same-time re-arms, timers moved to seqs of a
-    reserved block, clears of pending, deferred and fired timers, callbacks that re-arm
-    their own or another key, and run_until split over several calls: both
-    clocks fire the same keys in the same order at the same now and end on
-    the same seq counter."""
+    """Arms, later, earlier and same-time re-arms, clears of pending, deferred
+    and fired timers, callbacks that re-arm their own or another key, and
+    run_until split over several calls: both clocks fire the same keys in the
+    same order at the same now and end on the same seq counter."""
     lazy, eager = VirtualClock(), EagerClock()
     assert drive(lazy, program, reactions) == drive(eager, program, reactions)
     assert lazy.now == eager.now

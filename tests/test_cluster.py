@@ -13,7 +13,7 @@ from healflow.core.graph import validate_graph
 from healflow.sim.runner import Simulation
 from healflow.sim.scenario import parse_scenario
 from healflow.sim.world import RANK_FAULT, RANK_WORLD, VirtualDevice, World
-from tests.conftest import build_graph, final_seq, make_engine, make_spec
+from tests.conftest import build_graph, make_engine, make_spec, shuffled_cluster_ties
 
 
 def redundancy_graph(election_timeout=15000):
@@ -482,13 +482,12 @@ def eager_pings():
 
 def shipped_and_eager(drive):
     """Run drive() as shipped and with eager pings; both runs must log the same
-    bytes and end on the same seq. Returns what the shipped run's drive() returned,
-    whose first item is its world."""
+    bytes. Returns what the shipped run's drive() returned, whose first item is
+    its world."""
     shipped = drive()
     with eager_pings():
         eager = drive()
     assert shipped[0].log.to_csv() == eager[0].log.to_csv()
-    assert final_seq(shipped[0].clock) == final_seq(eager[0].clock)
     return shipped
 
 
@@ -497,10 +496,10 @@ def datagram_events(world):
     events = []
     after = world.clock.after
 
-    def spy(delay, fn, rank, seq=None):
+    def spy(delay, fn, rank):
         if isinstance(fn, partial) and fn.func.__name__ == "receive_datagram":
             events.append((world.clock.now, rank))
-        return after(delay, fn, rank, seq)
+        return after(delay, fn, rank)
     world.clock.after = spy
     return events
 
@@ -595,7 +594,7 @@ def test_a_halted_receiver_takes_a_ping_as_its_event_would_by_doing_nothing():
         del events[:]
         world.clock.run_until(1200)
         return world, low, events
-    # The eager run schedules one event that does nothing; the seqs still match.
+    # The eager run schedules one event that does nothing.
     world, low, events = shipped_and_eager(drive)
     assert events == []
     assert low.cluster.peers[HIGH][1] == 1000
@@ -671,8 +670,8 @@ def test_a_world_delivery_pending_at_the_same_ms_leaves_the_ping_taken():
 
 def test_a_node_timer_fires_before_a_cluster_expiry_drawn_earlier_at_the_same_ms():
     """High's ping re-arms low's expiry of high to 2001 at 1000, and a reading
-    published after the ping re-arms low's heartbeat to 2001: the expiry drew
-    its seq first, yet the heartbeat fires first."""
+    published after the ping re-arms low's heartbeat to 2001: the ping moved
+    the expiry first, yet the heartbeat fires first."""
     world, low, high, events = started_pair(low_graph=LISTENING)
     world.clock.run_until(900)  # high's tick at 1000 is scheduled, with the earlier seq
     world.clock.at(1000, partial(world.publish, "s/x", 1.0, "s"), high.rank_cluster)
@@ -721,11 +720,11 @@ def test_every_cluster_timer_runs_at_its_engines_delivery_or_cluster_rank(monkey
     scheduled = []
     at = VirtualClock.at
 
-    def spy(clock, time, fn, rank, seq=None):
+    def spy(clock, time, fn, rank):
         owner = getattr(fn.func if isinstance(fn, partial) else fn, "__self__", None)
         if isinstance(owner, (ClusterAgent, LoopbackTransport)):
             scheduled.append((owner, rank))
-        return at(clock, time, fn, rank, seq)
+        return at(clock, time, fn, rank)
     monkeypatch.setattr(VirtualClock, "at", spy)
     run_failover()
     assert len(scheduled) > 100
@@ -853,8 +852,7 @@ def run_program(program):
         clock.at(at, partial(transport.set_drop, src, dst, drop), RANK_FAULT)
     for at, rank, dst, data in datagrams:
         clock.at(at, partial(transport.send, GHOST, dst, data), rank)
-    log = sim.run()
-    return log.to_csv(), final_seq(clock)
+    return sim.run().to_csv()
 
 
 # At 5 i7 takes i200's ping while a reading to i7 is pending, so its expiry
@@ -913,8 +911,25 @@ def test_periodic_pings_taken_at_send_time_log_what_their_events_would(program):
     ms, links drop and heal at fault rank, a sensor's readings (delayed, or
     paused) and the heartbeat timers they re-arm tie with peer expiries, and
     raw datagrams, some malformed, arrive at fault and world rank: the
-    timeline bytes and the final seq match the eager fabric's."""
+    timeline bytes match the eager fabric's."""
     shipped = run_program(program)
     with eager_pings():
         eager = run_program(program)
     assert shipped == eager
+
+
+@given(cluster_programs())
+@example(TIED_EXPIRY)
+@example(RESTART_AT_EXPIRY)
+@example(DIVERGED)
+@example(DROP_BETWEEN_TICKS)
+@example(MIXED_TIMEOUTS)
+@settings(max_examples=60, deadline=None)
+def test_cluster_timer_ties_fired_in_any_order_log_the_same_bytes(program):
+    """The tie-order contract of core.clock: ping ticks, boot elections and
+    peer expiries tied at one engine's cluster rank, fired in three seeded
+    random orders, log the bytes that creation order logs."""
+    expected = run_program(program)
+    for seed in range(3):
+        with shuffled_cluster_ties(seed):
+            assert run_program(program) == expected

@@ -2,6 +2,7 @@
 
 import pytest
 
+from tests.conftest import shuffled_cluster_ties
 from tests.golden_pins import GOLDEN, REPORTS, STORE_PINS, observed, observed_store
 
 
@@ -17,3 +18,10 @@ def test_fixture_report_text_is_pinned(name):
 
 def test_store_file_of_two_runs_is_byte_identical():
     assert observed_store() == STORE_PINS
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_fixture_timeline_keeps_its_pin_with_cluster_ties_shuffled(name, seed):
+    with shuffled_cluster_ties(seed):
+        assert observed(name)[0] == GOLDEN[name][2]

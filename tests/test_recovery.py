@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from healflow.core.graph import parse_flow
+from healflow.nodes.recovery import Checkpoint
 from healflow.persistence import Store, StoreError
 from tests.conftest import NodeHarness, make_engine
 
@@ -274,6 +275,12 @@ def test_checkpoint_replays_any_stored_message_once_null_included(harness, paylo
     h.run(50)
     h.engine.restart().restart()  # the second restart finds the slot cleared
     assert h.emits(0) == [(0, payload), (50, payload)]
+
+
+@pytest.mark.parametrize("ttl, problems", [
+    (1, []), (0, ["config 'timeToLive' must be > 0"]), (-1, ["config 'timeToLive' must be > 0"])])
+def test_checkpoint_time_to_live_must_be_positive(ttl, problems):
+    assert Checkpoint.validate_config({"timeToLive": ttl}) == problems
 
 
 def test_checkpoint_empty_store_no_replay(harness):

@@ -3,7 +3,8 @@ import tracemalloc
 
 from hypothesis import given, strategies as st
 
-from healflow.nodes.routing import vote
+from healflow.core.graph import validate_graph
+from healflow.nodes.routing import Balancing, vote
 from healflow.sim.world import VirtualDevice, World
 from tests.conftest import NodeHarness, build_graph, make_engine, make_spec
 
@@ -84,13 +85,24 @@ def test_weighted_counts_match_proportions_per_cycle(weights, cycles):
 
 
 def test_weighted_round_robin_requires_matching_weights():
-    from healflow.nodes.routing import Balancing
     assert Balancing.validate_config(
         {"outputs": 3, "strategy": "weightedRoundRobin", "weights": [1, 2]}) != []
     assert Balancing.validate_config(
         {"outputs": 2, "strategy": "weightedRoundRobin", "weights": [1, 0]}) != []
     assert Balancing.validate_config(
         {"outputs": 2, "strategy": "weightedRoundRobin", "weights": None}) != []
+
+
+def test_outputs_too_many_to_label_is_a_config_error_and_labels_two():
+    """A wired node with 10**10 outputs: validation names `outputs` and
+    builds no label per output."""
+    graph = build_graph(
+        make_spec("b", "balancing", {"outputs": 10**10}, wires=[[("d", 0)]]),
+        make_spec("d", "debug"))
+    assert [(d.severity, d.locus, d.message) for d in validate_graph(graph)] == [
+        ("error", "b", "config 'outputs' must be <= 1000")]
+    assert Balancing.egress_labels({"outputs": 10**10}) == ("out0", "out1")
+    assert len(Balancing.egress_labels({"outputs": 1000})) == 1000
 
 
 # --- debounce -------------------------------------------------------------------
