@@ -2,8 +2,8 @@
 
 Every delivery into a node, wired or external, goes through Engine._enqueue:
 it logs one deliver, or a drop if the flow group is disabled or the engine
-halted, and queues the node object with an envelope holding the node's own
-payload copy.
+halted, and queues the node object with the envelope's one fork. Payloads
+are shared, under the rule stated on Envelope.
 
 Cascade semantics: a delivery is processed to completion (the target node is
 invoked synchronously and may emit further envelopes, which queue behind it)
@@ -38,9 +38,9 @@ class Engine:
     rank from the world by the order it joined `world.engines`; restart()
     replaces it there. Its delivery queue holds (node object, ingress,
     envelope) triples, so a delivery looks up no node by id. The engine is
-    single-threaded. Envelopes and timeline entries cannot be changed, but
-    the timeline shares payload objects with the envelopes it logs, so a
-    logged payload is read-only.
+    single-threaded. Envelopes and timeline entries cannot be changed; the
+    payloads in them are shared between the timeline and every delivery,
+    so no node mutates one it did not build (see Envelope).
     """
 
     def __init__(self, graph: FlowGraph, *, world, instance: str, address: str, store: Store):
@@ -130,7 +130,7 @@ class Engine:
         self._drain()
 
     def _enqueue(self, node, ingress: Optional[int], env: Envelope) -> None:
-        """Log one deliver or drop for node; a delivery queues node with its own copy of env."""
+        """Log one deliver or drop for node; a delivery queues node with env.fork()."""
         spec = node.spec
         deliver = not self.halted and self.flow_enabled.get(spec.flow, True)
         self.log.add(self.clock.now, self.instance, "deliver" if deliver else "drop", spec.id,

@@ -37,69 +37,33 @@ def encode_json(value: Payload) -> str:
         raise
 
 
-def copy_json(value: Payload) -> Payload:
-    """Copy a JSON value: every dict and list is rebuilt, scalars are shared.
-
-    Envelope.fork, the single place payloads are copied, is its only caller.
-
-    Payloads hold only JSON values (dicts with string keys, lists, strings,
-    numbers, bool and None), so for them this is a deep copy: key order is
-    kept, no container is shared with the original, and a dict or list
-    subclass is rebuilt as a plain dict or list. Scalars are immutable, so
-    sharing them is safe. Tuples, sets and other objects are not JSON and
-    are shared as they are, not copied.
-
-    The top container is copied in one step with dict() or list(); when no
-    child of that copy is a dict or a list, the copy is the result. Only a
-    nested payload is walked, with its own stack, so a payload nested past
-    the recursion limit copies too.
-    """
-    if isinstance(value, dict):
-        top = dict(value)
-        children = top.values()
-    elif isinstance(value, list):
-        top = children = list(value)
-    else:
-        return value
-    for child in children:
-        if isinstance(child, (dict, list)):
-            break
-    else:
-        return top
-    stack = [top]
-    while stack:
-        node = stack.pop()
-        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
-            if isinstance(child, (dict, list)):
-                node[key] = child = dict(child) if isinstance(child, dict) else list(child)
-                stack.append(child)
-    return top
-
-
 class Envelope(NamedTuple):
     """One message as a node receives it: its topic and payload.
 
     When and from where it was sent is in the timeline, not here. An
     envelope is a named tuple, so it cannot be changed: assigning a field
-    raises AttributeError. The engine and fork build one with the C tuple
+    raises AttributeError. The engine builds one with the C tuple
     constructor, tuple.__new__, in place of the class's generated Python
-    __new__. The engine forks one for every delivery, so state can never
-    leak between branches, subscribers or the timeline.
+    __new__.
+
+    Payloads are shared, not copied: one payload object reaches every
+    subscriber and branch of a fan-out, and the timeline logs that same
+    object. So no node mutates a payload it did not build, and none mutates
+    one it built once it has emitted it. tests/conftest.py's freeze mode
+    checks this on every in-process test: each delivery gets a payload that
+    raises TypeError on any mutation, and each logged value must encode to
+    the same text at the end of the test as when it was logged.
     """
 
     topic: str
     payload: Payload
 
     def fork(self) -> "Envelope":
-        """Copy for one delivery; the single place payloads are copied.
+        """The envelope one delivery hands its node: this one, payload shared.
 
-        A dict or list payload is copied with copy_json, which relies on the
-        payload being a JSON value; a scalar payload is immutable, so the
-        envelope itself is returned.
+        The engine calls it once per delivery, so it is the one place a
+        delivery's payload could be wrapped or checked.
         """
-        payload = self.payload
-        if isinstance(payload, (dict, list)):
-            return tuple.__new__(Envelope, (self.topic, copy_json(payload)))
         return self
 
 

@@ -94,9 +94,8 @@ class World:
     def publish(self, topic: str, payload, source: str) -> None:
         """Deliver to every matching subscription, honoring net_delay faults.
 
-        Each delivery is an event at the subscriber's delivery rank.
-        Subscribers share the payload: the receiving engine copies it per
-        delivery.
+        Each delivery is an event at the subscriber's delivery rank. Every
+        subscriber gets the payload object itself, as Envelope states.
         """
         delay = self.delays.get(source, 0)
         for (instance, node_id, pattern) in self._subs:
@@ -127,7 +126,7 @@ class World:
         self._device_emit(dev, self.sensor_value(dev))
 
     def sensor_value(self, dev: VirtualDevice):
-        """Draw the next reading: base + uniform noise, or the stuck value (uncopied)."""
+        """Draw the next reading: base + uniform noise, or the stuck value itself, shared."""
         if dev.stuck is not None:
             return dev.stuck
         rng = self._rngs[dev.id]

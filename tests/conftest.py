@@ -11,7 +11,9 @@ import pytest
 
 from healflow.core.clock import VirtualClock
 from healflow.core.engine import Engine
+from healflow.core.envelope import Envelope, encode_json
 from healflow.core.graph import FlowGraph, NodeSpec, fill_defaults, validate_graph
+from healflow.core.timeline import TimelineLog
 from healflow.persistence import Store
 from healflow.sim import world as world_module
 from healflow.sim.world import RANK_INSTANCE_BASE, World
@@ -84,6 +86,111 @@ def shuffled_cluster_ties(seed: int):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(world_module, "VirtualClock", partial(TieShuffleClock, seed))
         yield
+
+
+def _refuse(*args, **kwargs):
+    raise TypeError("a delivered payload is shared; a node may not mutate it")
+
+
+class FrozenDict(dict):
+    """A dict payload as the freeze mode delivers it: every mutation raises TypeError."""
+
+    __slots__ = ()  # no attributes, as on a plain dict
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+
+class FrozenList(list):
+    """A list payload as the freeze mode delivers it: every mutation raises TypeError."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = clear = extend = insert = pop = remove = reverse = sort = _refuse
+
+
+def _shell(value, stack: list):
+    """An empty frozen container for a dict or list, queued on stack to be filled; else value."""
+    if isinstance(value, (FrozenDict, FrozenList)):  # frozen all the way down already
+        return value
+    if isinstance(value, dict):
+        shell = FrozenDict()
+    elif isinstance(value, list):
+        shell = FrozenList()
+    else:
+        return value
+    stack.append((value, shell))
+    return shell
+
+
+def frozen(value):
+    """A deep copy of value whose every dict and list refuses mutation, key order kept.
+
+    Built with an explicit stack, not by recursion, so nesting depth costs
+    no Python frames. Each shell is filled through dict's and list's own
+    methods, past the frozen classes' refusals.
+    """
+    stack: list = []
+    top = _shell(value, stack)
+    while stack:
+        original, shell = stack.pop()
+        if isinstance(shell, dict):
+            for key, child in original.items():
+                dict.__setitem__(shell, key, _shell(child, stack))
+        else:
+            list.extend(shell, [_shell(child, stack) for child in original])
+    return top
+
+
+class PayloadFreeze:
+    """The freeze mode's record: the text each logged container encoded to when first logged.
+
+    A logged value is keyed by its id, and held, so the id is not reused
+    while the record lives.
+    """
+
+    def __init__(self):
+        self.logged: dict[int, tuple] = {}
+
+    def snapshot(self, value) -> None:
+        if isinstance(value, (str, int, float, type(None))) or id(value) in self.logged:
+            return
+        try:
+            text = encode_json(value)
+        except (TypeError, ValueError, RecursionError):
+            return  # not a JSON value, so no text to hold it to
+        self.logged[id(value)] = (value, text)
+
+    def check(self) -> None:
+        """Fail if a logged value no longer encodes to its text from when it was logged."""
+        changed = [(text, now) for value, text in self.logged.values()
+                   if (now := encode_json(value)) != text]
+        assert not changed, f"logged values changed since they were logged: {changed[:3]}"
+
+
+@pytest.fixture(autouse=True)
+def payload_freeze():
+    """Freeze mode, on for every test: it checks that no node mutates a payload it
+    did not build (the rule stated on Envelope).
+
+    Each Envelope.fork delivers frozen(payload), so a node that mutates a
+    payload it received raises TypeError, which its engine logs as an
+    operator-error fault. TimelineLog.add records the text of each logged
+    container, and teardown fails if one changed, as when a node mutates a
+    payload it already emitted.
+    """
+    freeze = PayloadFreeze()
+    add = TimelineLog.add
+
+    def logged_add(log, time, instance, kind, node, port=None, topic="", value=None):
+        add(log, time, instance, kind, node, port, topic, value)
+        freeze.snapshot(value)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Envelope, "fork",
+                   lambda env: tuple.__new__(Envelope, (env.topic, frozen(env.payload))))
+        mp.setattr(TimelineLog, "add", logged_add)
+        yield freeze
+    freeze.check()
 
 
 class NodeHarness:

@@ -1,12 +1,12 @@
-import copy
 import json
 import logging
 import random
+import re
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from healflow.core.envelope import copy_json, encode_json
+from healflow.core.envelope import encode_json
 from healflow.nodes import NODE_KINDS, Node, Param
 from healflow.sim.world import RANK_INSTANCE_BASE, VirtualDevice, World
 from tests.conftest import build_graph, make_engine, make_spec
@@ -301,6 +301,9 @@ def test_log_times_are_non_decreasing():
 
 
 def test_fan_out_payload_copies_are_independent():
+    """A fan-out shares one payload, so a branch that mutates it is an operator
+    error (the freeze mode delivers it frozen), and the other branch, the
+    timeline and the sender all keep reading the original."""
     graph = build_graph(
         make_spec("src", "rbe", wires=[[("a", 0), ("b", 0)]]),
         make_spec("a", "debug"),
@@ -309,77 +312,43 @@ def test_fan_out_payload_copies_are_independent():
     engine = make_engine(graph, world=World())
     seen = []
     engine.nodes["a"].on_input = lambda env, ingress: env.payload.update(tag=True)
-    engine.nodes["b"].on_input = lambda env, ingress: seen.append(dict(env.payload))
+    engine.nodes["b"].on_input = lambda env, ingress: seen.append(env.payload)
     engine.start()
-    engine.deliver_external("a", "t", {"v": 1}, ingress=0)
-    engine.deliver_external("b", "t", {"v": 1}, ingress=0)
-    src = engine.graph.by_id["src"]
-    engine.emit_from(src, 0, {"v": 2}, "t")
-    assert seen[-1] == {"v": 2}
+    payload = {"v": 2}
+    engine.emit_from(engine.graph.by_id["src"], 0, payload, "t")
+    assert seen == [payload] == [{"v": 2}]
+    assert [(e.kind, e.node, e.value) for e in engine.log] == [
+        ("emit", "src", {"v": 2}), ("deliver", "a", {"v": 2}), ("deliver", "b", {"v": 2}),
+        ("fault", "a", {"kind": "operator-error",
+                        "error": "a delivered payload is shared; a node may not mutate it"})]
 
 
-def test_copy_json_keeps_key_order_nested_lists_bool_and_none():
-    value = {"z": [1, [2.5, {"k": None}]], "a": True, "m": False, "n": None, "s": "x"}
-    copied = copy_json(value)
-    assert copied == value
-    assert list(copied) == ["z", "a", "m", "n", "s"]
-    assert copied["a"] is True and copied["m"] is False and copied["n"] is None
-    assert copied["z"] is not value["z"]
-    assert copied["z"][1] is not value["z"][1]
-    assert copied["z"][1][1] is not value["z"][1][1]
+class Tally(Node):
+    """Emits the list of every payload it received, appending to the list it last emitted."""
+
+    KIND = "tally"
+
+    def on_start(self):
+        self.received = []
+
+    def on_input(self, env, ingress):
+        self.received.append(env.payload)
+        self.emit(0, self.received)
 
 
-def test_copy_json_copies_a_payload_nested_past_the_recursion_limit():
-    value = leaf = []
-    for depth in range(5000):
-        leaf.append({"k": []} if depth % 2 else [])
-        leaf = leaf[0]["k"] if depth % 2 else leaf[0]
-    copied = copy_json(value)
-    original = value
-    for depth in range(5000):  # == would recurse, so walk both copies side by side
-        assert type(copied) is type(original) and copied is not original
-        assert len(copied) == 1
-        copied, original = copied[0], original[0]
-        if depth % 2:
-            assert list(copied) == ["k"] and copied is not original
-            copied, original = copied["k"], original["k"]
-    assert copied == original == [] and copied is not original
-
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
-    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
-    max_leaves=20)
-
-
-def _containers(value):
-    if isinstance(value, dict):
-        yield value
-        for v in value.values():
-            yield from _containers(v)
-    elif isinstance(value, list):
-        yield value
-        for v in value:
-            yield from _containers(v)
-
-
-class Record(dict):
-    """A dict subclass, which copy_json rebuilds as a plain dict."""
-
-
-@given(JSON_VALUES)
-@example({"v": 21.5, "unit": "C", "ok": True, "n": None})
-@example([1, 2.5, "x", False, None])
-@example({"v": 1, "unit": "C", "tags": ["a", {"k": 2}]})
-@example([1, "x", {"k": [2]}])
-@example(Record(v=1, tags=[1, 2]))
-def test_copy_json_matches_deepcopy_and_shares_no_container(value):
-    copied = copy_json(value)
-    assert json.dumps(copied) == json.dumps(copy.deepcopy(value))
-    copies = list(_containers(copied))
-    assert all(type(c) in (dict, list) for c in copies)
-    originals = {id(c) for c in _containers(value)}
-    assert not originals & {id(c) for c in copies}
+def test_a_node_that_mutates_a_payload_it_emitted_fails_the_freeze_check(
+        monkeypatch, payload_freeze):
+    monkeypatch.setitem(NODE_KINDS, Tally.KIND, Tally)
+    graph = build_graph(make_spec("t", "tally", wires=[[("d", 0)]]), make_spec("d", "debug"))
+    engine = make_engine(graph, world=World())
+    engine.start()
+    engine.deliver_external("t", "", 1, ingress=0)
+    payload_freeze.check()
+    engine.deliver_external("t", "", 2, ingress=0)
+    assert [e.value for e in engine.log.emits("t")] == [[1, 2], [1, 2]]
+    with pytest.raises(AssertionError, match=re.escape("[('[1]', '[1,2]')]")):
+        payload_freeze.check()
+    engine.nodes["t"].received.pop()  # undo it, so this test's own teardown check passes
 
 
 ENCODED_VALUES = st.recursive(

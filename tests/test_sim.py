@@ -81,8 +81,12 @@ def test_publish_gives_each_subscriber_an_independent_copy():
             lambda topic, payload: seen.append(payload))
     world.start_devices()
     world.clock.run_until(300)
-    # Three stuck readings: neither the mutating subscriber nor an earlier
-    # reading may leak into a later one, the world's emits or the deliveries.
+    # Three stuck readings, one shared object: the freeze mode delivers it
+    # frozen, so each mutation is an operator error in i0, and reaches
+    # neither i1, a later reading, the world's emits, the deliveries nor
+    # the device.
+    assert [(e.instance, e.value["kind"]) for e in world.log if e.kind == "fault"] == [
+        ("i0", "operator-error")] * 3
     assert seen == [original] * 3
     assert [e.value for e in world.log.emits("d")] == [original] * 3
     delivered = [e.value for e in world.log if e.kind == "deliver"]
