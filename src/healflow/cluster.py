@@ -12,13 +12,12 @@ keeps one record per sender: its last periodic ping's time. Every receiver
 holding the sender alive shares it as its view, so the tick does no work
 for it. A receiver joins only if its election timeout is at least the
 sender's ping period, so a shared view cannot expire while its sender
-pings. When the sender stops (its engine halts, or another agent takes its
-address), each holder takes its view as its own: the last ping time, and
-an expiry at the time that delivering the ping as an event would have
-given it. That expiry draws a later seq than the event's would have, but
-it ties only with its agent's own cluster timers, whose order the timeline
-does not depend on (see core.clock). So the timeline is that of a fabric
-that delivers each ping as an event.
+pings. When the sender's engine halts, each holder takes its view as its
+own: the last ping time, and an expiry at the time that delivering the
+ping as an event would have given it. That expiry draws a later seq than
+the event's would have, but it ties only with its agent's own cluster
+timers, whose order the timeline does not depend on (see core.clock). So
+the timeline is that of a fabric that delivers each ping as an event.
 
 Wire protocol: ASCII lines over datagrams,
 
@@ -79,18 +78,15 @@ def decode_ping(data: bytes) -> tuple[str, int, int]:
 # --- transport ---------------------------------------------------------------
 
 class _Sender:
-    """One sender's last periodic ping, as every receiver in its group holds it.
-
-    `holders` are the group's members, in _agents order: a dict, not a set,
-    because stopped() releases them in turn and each release draws a seq.
-    `joiners` are the receivers that get the ping as an event.
+    """One sender's last periodic ping, which every receiver holding the
+    sender alive reads as its view; each such agent records the group in
+    its `_held`. `joiners` are the receivers that get the ping as an event.
     """
 
-    __slots__ = ("last", "holders", "joiners", "dirty")
+    __slots__ = ("last", "joiners", "dirty")
 
     def __init__(self):
         self.last = 0
-        self.holders: dict[ClusterAgent, None] = {}
         self.joiners: list[ClusterAgent] = []
         self.dirty = True
 
@@ -102,7 +98,8 @@ class LoopbackTransport:
     its delivery rank, at the send's virtual ms. A periodic ping (ping())
     is one of those events only for a receiver that does not hold the
     sender alive; every receiver that does shares one record per sender,
-    its group (`_senders`), and does no work on the sender's tick.
+    its group (`_senders`), and does no work on the sender's tick. One
+    running agent holds each address.
     """
 
     def __init__(self, clock):
@@ -112,17 +109,18 @@ class LoopbackTransport:
         self._senders: dict[str, _Sender] = {}
 
     def register(self, agent: ClusterAgent) -> None:
-        """Add agent; one it replaces at its address leaves every group."""
+        """Add agent in place of a halted one at its address, which has left
+        every group; ValueError if a running agent has the address."""
         old = self._agents.get(agent.address)
+        if old is not None and not old.engine.halted:
+            raise ValueError(f"address {agent.address} is taken by a running agent")
         self._agents[agent.address] = agent
-        if old is not None:
-            old.leave()
         self.changed()
 
     def changed(self, src: str | None = None) -> None:
         """Have src's next ping tick (every sender's, for None) lay out its
-        group anew: a receiver joined, died, halted, lost or regained the
-        link, registered, or took its view of src as its own."""
+        group anew: an agent registered or halted, a link dropped or came
+        back, or a receiver came to hold src alive or took its view as its own."""
         if src is None:
             for sender in self._senders.values():
                 sender.dirty = True
@@ -130,8 +128,8 @@ class LoopbackTransport:
             self._senders[src].dirty = True
 
     def stopped(self, src: str) -> None:
-        """src pings no more: each receiver holding it takes its view as its own."""
-        for agent in list(self._senders[src].holders) if src in self._senders else ():
+        """src pings no more: each agent holding it takes its view as its own."""
+        for agent in self._agents.values():
             agent.release(src)
         self.changed()
 
@@ -186,15 +184,13 @@ class LoopbackTransport:
         """Sort src's receivers over _agents in order, skipping a dropped link
         and a halted receiver, whose event would do nothing; a receiver
         holding src alive as its own view joins the group here (hold)."""
-        holders, joiners = {}, []
+        joiners = []
         for dst, agent in self._agents.items():
             if dst == src or self._drops.get((src, dst)) or agent.engine.halted:
                 continue
-            if agent.hold(src, sender, period):
-                holders[agent] = None
-            else:
+            if not agent.hold(src, sender, period):
                 joiners.append(agent)
-        sender.holders, sender.joiners, sender.dirty = holders, joiners, False
+        sender.joiners, sender.dirty = joiners, False
 
 
 # --- runtime agent -----------------------------------------------------------
@@ -216,10 +212,10 @@ class ClusterAgent:
     timer, if the agent's timeout is at least the sender's ping period,
     and periodic pings refresh it with no work here. The view becomes the
     agent's own again (release), with the expiry the last ping armed, when
-    the agent hears the sender itself, halts, is replaced or loses the
-    link, and when the sender stops pinging. Reading `peers` brings held
-    entries up to date. Ping ticks, the boot election and expiries run at
-    the engine's cluster rank, after its node timers.
+    the agent hears the sender itself, halts or loses the link, and when
+    the sender halts. `peers` reads a held view's time through its group.
+    Ping ticks, the boot election and expiries run at the engine's cluster
+    rank, after its node timers.
 
     The agent is configured by the engine's first redundancy node, `spec`:
     its electionTimeout sets the timeouts, and its id is the node of every
@@ -246,7 +242,7 @@ class ClusterAgent:
         self.transport = engine.world.transport
         self.role_node = spec.id
         self._listeners: list[Callable[[str, int], None]] = []
-        self._expiry: dict[str, list] = {}  # address -> own view's expiry clock entry
+        self._expiry: dict[str, list] = {}  # address -> own view's expiry (cancelled if held)
         self._held: dict[str, _Sender] = {}  # address -> group record holding the view
         # Register at construction, before any instance of the setup pass
         # starts, so every boot ping reaches every agent; nothing fires early.
@@ -254,8 +250,8 @@ class ClusterAgent:
 
     @property
     def peers(self) -> dict[str, tuple[tuple[int, str], int, bool]]:
-        """address -> (election key, last ping time, alive), held views brought up to date."""
-        peers = self._peers
+        """A snapshot: address -> (election key, last ping time, alive)."""
+        peers = dict(self._peers)
         for address, sender in self._held.items():
             peers[address] = (peers[address][0], sender.last, True)
         return peers
@@ -275,7 +271,7 @@ class ClusterAgent:
         """Take every held view as this agent's own, hand back every view of
         this agent held in its group, and have every sender's next tick lay
         out its group anew: the engine halted, so it pings no more and its
-        events do nothing, or another agent took its address, so it gets none."""
+        events do nothing."""
         for address in list(self._held):
             self.release(address)
         self.transport.stopped(self.address)
@@ -312,6 +308,7 @@ class ClusterAgent:
             joined = not alive
         self._heard(address, key)
         if joined:
+            self.transport.changed(address)
             self.run_election("master-recovered")
 
     def _heard(self, address: str, key: tuple[int, str]) -> None:
@@ -330,24 +327,20 @@ class ClusterAgent:
         of at least `period`, the sender's ping period; False if not."""
         peer = self._peers.get(address)
         if peer is None or not peer[2] or self.election_timeout < period:
-            self.release(address)  # a view held at a faster agent's period there, if any
             return False
         if address not in self._held:
             self._held[address] = sender
-            entry = self._expiry.pop(address, None)
-            if entry is not None:
-                self.engine.clock.cancel(entry)
+            self.engine.clock.cancel(self._expiry[address])
         return True
 
     def release(self, address: str) -> None:
         """Leave `address`'s group, if in it, taking its view as this agent's
-        own: the last ping time, and the expiry that ping armed. Either way
-        the sender's next tick lays out its group anew."""
-        self.transport.changed(address)
+        own: the last ping time, and the expiry that ping armed. The sender's
+        next tick then lays out its group anew."""
         sender = self._held.pop(address, None)
         if sender is None:
             return
-        del sender.holders[self]
+        self.transport.changed(address)
         self._peers[address] = (self._peers[address][0], sender.last, True)
         self._expiry[address] = self.engine.clock.at(
             sender.last + self.election_timeout + 1, self._expire, self.engine.rank_cluster)
@@ -360,7 +353,6 @@ class ClusterAgent:
         died = False
         for address, (key, last_ping, alive) in self.peers.items():
             if alive and now - last_ping > self.election_timeout:
-                self.release(address)
                 self._peers[address] = (key, last_ping, False)
                 died = True
         if died:

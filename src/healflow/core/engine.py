@@ -167,7 +167,6 @@ class Engine:
     def _fire_node_timer(self, node_id: str, tag: str) -> None:
         if self.halted:
             return
-        self._timers.pop((node_id, tag), None)
         self.log.add(self.clock.now, self.instance, "timer", node_id, value=tag)
         try:
             self.nodes[node_id].on_timer(tag)

@@ -8,6 +8,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from healflow.core.clock import VirtualClock
 from healflow.core.engine import Engine
@@ -19,6 +20,17 @@ from healflow.sim import world as world_module
 from healflow.sim.world import RANK_INSTANCE_BASE, World
 
 DATA = Path(__file__).parent / "data"
+
+# A long search that tries the same examples on every run:
+# pytest --hypothesis-profile=search gives each property that asks examples() 1,500.
+settings.register_profile("search", max_examples=1500, deadline=None, derandomize=True)
+
+
+def examples(tier1: int) -> int:
+    """A property's example count: tier1, or the search profile's when it is loaded."""
+    if settings.get_current_profile_name() == "search":
+        return settings.default.max_examples
+    return tier1
 
 
 def make_spec(node_id: str, kind: str, config: dict | None = None, **kwargs) -> NodeSpec:

@@ -13,7 +13,8 @@ from healflow.core.graph import validate_graph
 from healflow.sim.runner import Simulation
 from healflow.sim.scenario import parse_scenario
 from healflow.sim.world import RANK_FAULT, RANK_WORLD, VirtualDevice, World
-from tests.conftest import build_graph, make_engine, make_spec, shuffled_cluster_ties
+from tests.conftest import (build_graph, examples, make_engine, make_spec,
+                            shuffled_cluster_ties)
 
 
 def redundancy_graph(election_timeout=15000):
@@ -505,7 +506,6 @@ def datagram_events(world):
 
 
 LOW, HIGH = SELF, HIGHER
-THIRD = "192.168.1.7"
 
 
 def changes(log, instance):
@@ -549,41 +549,37 @@ def test_a_dropped_link_gets_no_ping_either_way():
     assert low.cluster.peers[HIGH][1] == 1000
 
 
-def test_an_agent_replaced_at_its_address_hears_nothing_more_and_lets_its_peers_die():
+def test_one_running_agent_holds_an_address_and_a_restart_replaces_it():
+    """A second running engine at a taken address is refused and leaves the
+    first agent's peers holding it alive; a restart there replaces it."""
     def drive():
         world, low, high, events = started_pair()
         world.clock.run_until(1000)
-        make_engine(redundancy_graph(1000), instance="low2", address=LOW, world=world).start()
+        with pytest.raises(ValueError, match=LOW):
+            make_engine(redundancy_graph(1000), instance="low2", address=LOW, world=world)
         world.clock.run_until(3000)
-        low.halt()
-        world.clock.run_until(3500)
-        return world, low
-    world, low = shipped_and_eager(drive)
-    assert low.cluster.peers[HIGH] == (election_key(HIGH), 1000, False)
-    assert changes(world.log, "low")[-1] == (
-        2001, {"role": "master", "epoch": 1, "reason": "election-result"})
+        assert high.cluster.peers[LOW] == (election_key(LOW), 3000, True)
+        restarted = low.restart()
+        world.clock.run_until(5000)
+        return world, restarted, high
+    world, low, high = shipped_and_eager(drive)
+    assert world.engines["low"] is low
+    assert high.cluster.peers[LOW] == (election_key(LOW), 5000, True)
+    assert low.cluster.peers[HIGH] == (election_key(HIGH), 5000, True)
+    assert roles(world.log, "high") == [(0, "master")]
 
 
-def test_a_view_held_at_a_fast_twins_period_joins_a_slow_twins_pings_as_events():
-    """Two live agents ping from one address, every 200 and every 999 ms. Low,
-    timing a peer out after 500 ms, holds the fast one's pings; when the slow
-    one lays out the group, low hands its view back and takes its pings as
-    events, as the eager fabric delivers them."""
-    def drive():
-        world = World()
-        low = make_engine(redundancy_graph(500), instance="low", address=LOW, world=world)
-        for name, address in (("fast", HIGH), ("third", THIRD)):
-            make_engine(redundancy_graph(1000), instance=name, address=address, world=world)
-        for engine in list(world.engines.values()):
-            engine.start()
-        world.clock.run_until(1000)
-        make_engine(redundancy_graph(4995), instance="slow", address=HIGH, world=world).start()
-        world.clock.run_until(1900)  # low holds the fast agent's ping of 1800
-        world.transport.set_drop(HIGH, THIRD, True)  # the slow agent's tick at 1999 lays out
-        world.clock.run_until(3000)
-        return world, low
-    world, low = shipped_and_eager(drive)
-    assert low.cluster.peers[HIGH] == (election_key(HIGH), 3000, True)
+def test_a_peers_snapshot_changed_by_its_reader_changes_no_election():
+    """Low reads peers and adds a higher peer, alive for ever, to what it got:
+    when high halts, low still expires high and becomes master."""
+    world, low, high, events = started_pair()
+    world.clock.run_until(1000)
+    low.cluster.peers["192.168.1.250"] = (election_key("192.168.1.250"), 10**9, True)
+    high.halt()
+    world.clock.run_until(3000)
+    assert changes(world.log, "low") == [
+        (2001, {"role": "master", "epoch": 1, "reason": "election-result"})]
+    assert "192.168.1.250" not in low.cluster.peers
 
 
 def test_a_halted_receiver_takes_a_ping_as_its_event_would_by_doing_nothing():
@@ -905,7 +901,7 @@ MIXED_TIMEOUTS = ({"seed": 1, "duration_ms": 100, "events": [], "world": THREE},
 @example(DIVERGED)
 @example(DROP_BETWEEN_TICKS)
 @example(MIXED_TIMEOUTS)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_periodic_pings_taken_at_send_time_log_what_their_events_would(program):
     """Instances with one or mixed election timeouts crash and restart at any
     ms, links drop and heal at fault rank, a sensor's readings (delayed, or
@@ -924,7 +920,7 @@ def test_periodic_pings_taken_at_send_time_log_what_their_events_would(program):
 @example(DIVERGED)
 @example(DROP_BETWEEN_TICKS)
 @example(MIXED_TIMEOUTS)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_cluster_timer_ties_fired_in_any_order_log_the_same_bytes(program):
     """The tie-order contract of core.clock: ping ticks, boot elections and
     peer expiries tied at one engine's cluster rank, fired in three seeded

@@ -225,6 +225,17 @@ def parse_or_error(parse, text):
         return f"ValueError: {exc}"
 
 
+# The time and port fields read any text int() reads. A faster reader keeps
+# this rule or changes it on purpose, here.
+@pytest.mark.parametrize("text, number", [("1_0", 10), ("+5", 5), (" 5", 5), ("\u0665", 5),
+                                          ("-3", -3), ("05", 5)])
+def test_time_and_port_texts_read_as_int_reads_them(text, number):
+    csv_text = ",".join(CSV_HEADER) + f"\n{text},a,emit,n,{text},t,1\n"
+    parsed = entries_from_csv(csv_text)
+    assert parsed == reference_entries(csv_text)
+    assert (parsed[0].time, parsed[0].port) == (number, number)
+
+
 # _field leaves "\x0b", "\x0c", "\x1c", "\x85" and "\u2028" unquoted; str.splitlines breaks
 # a line at each of them, one StringIO only at "\n".
 LINE_BREAKS = st.text(st.sampled_from('a,"\n\x0b\x0c\x1c\x85\u2028\u00e9'), max_size=4)
