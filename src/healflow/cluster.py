@@ -80,15 +80,15 @@ def decode_ping(data: bytes) -> tuple[str, int, int]:
 class _Sender:
     """One sender's last periodic ping, which every receiver holding the
     sender alive reads as its view; each such agent records the group in
-    its `_held`. `joiners` are the receivers that get the ping as an event.
+    its `_held`. `joiners` are the receivers that get the ping as an event,
+    None until the next tick lays them out anew.
     """
 
-    __slots__ = ("last", "joiners", "dirty")
+    __slots__ = ("last", "joiners")
 
     def __init__(self):
         self.last = 0
-        self.joiners: list[ClusterAgent] = []
-        self.dirty = True
+        self.joiners: list[ClusterAgent] | None = None
 
 
 class LoopbackTransport:
@@ -123,9 +123,9 @@ class LoopbackTransport:
         back, or a receiver came to hold src alive or took its view as its own."""
         if src is None:
             for sender in self._senders.values():
-                sender.dirty = True
+                sender.joiners = None
         elif src in self._senders:
-            self._senders[src].dirty = True
+            self._senders[src].joiners = None
 
     def stopped(self, src: str) -> None:
         """src pings no more: each agent holding it takes its view as its own."""
@@ -171,8 +171,8 @@ class LoopbackTransport:
         sender = self._senders.get(src)
         if sender is None:
             sender = self._senders[src] = _Sender()
-        if sender.dirty:
-            self._lay_out(src, sender, period)
+        if sender.joiners is None:
+            sender.joiners = self._lay_out(src, sender, period)
         now = self.clock.now
         if sender.joiners:
             data = encode_ping(src, epoch, now)
@@ -180,17 +180,17 @@ class LoopbackTransport:
                 self.send(src, agent.address, data)
         sender.last = now
 
-    def _lay_out(self, src: str, sender: _Sender, period: int) -> None:
-        """Sort src's receivers over _agents in order, skipping a dropped link
-        and a halted receiver, whose event would do nothing; a receiver
-        holding src alive as its own view joins the group here (hold)."""
+    def _lay_out(self, src: str, sender: _Sender, period: int) -> list[ClusterAgent]:
+        """src's joiners, over _agents in order, skipping a dropped link and a
+        halted receiver, whose event would do nothing; a receiver holding src
+        alive as its own view joins the group here (hold) instead."""
         joiners = []
         for dst, agent in self._agents.items():
             if dst == src or self._drops.get((src, dst)) or agent.engine.halted:
                 continue
             if not agent.hold(src, sender, period):
                 joiners.append(agent)
-        sender.joiners, sender.dirty = joiners, False
+        return joiners
 
 
 # --- runtime agent -----------------------------------------------------------
@@ -205,17 +205,18 @@ class ClusterAgent:
     timeout.
 
     A view of a peer is the agent's own or held in the sender's group. An
-    own view has an expiry timer, moved through VirtualClock.rearm when the
-    peer is heard (receive_datagram: joins, boot pings, raw datagrams); it
-    fires once, at the last ping's expiry time. At the sender's next tick
-    an own view of an alive peer joins the group (hold), dropping its
-    timer, if the agent's timeout is at least the sender's ping period,
-    and periodic pings refresh it with no work here. The view becomes the
-    agent's own again (release), with the expiry the last ping armed, when
-    the agent hears the sender itself, halts or loses the link, and when
-    the sender halts. `peers` reads a held view's time through its group.
-    Ping ticks, the boot election and expiries run at the engine's cluster
-    rank, after its node timers.
+    own view has an expiry timer, moved by _heard alone, when the peer is
+    heard (receive_datagram: joins, boot pings, raw datagrams) or a held
+    view becomes its own; it fires once, at the last ping's expiry time,
+    and marks only that peer dead. At the sender's next tick an own view
+    of an alive peer joins the group (hold), dropping its timer, if the
+    agent's timeout is at least the sender's ping period, and periodic
+    pings refresh it with no work here. The view becomes the agent's own
+    again (release), with the expiry the last ping armed, when the agent
+    hears the sender itself, halts or loses the link, and when the sender
+    halts. `peers` reads a held view's time through its group. Ping ticks,
+    the boot election and expiries run at the engine's cluster rank, after
+    its node timers.
 
     The agent is configured by the engine's first redundancy node, `spec`:
     its electionTimeout sets the timeouts, and its id is the node of every
@@ -299,28 +300,20 @@ class ClusterAgent:
             return
         if address == self.address:
             return
-        peer = self._peers.get(address)
-        if peer is None:
-            key = election_key(address)
-            joined = True
-        else:
-            key, _, alive = peer
-            joined = not alive
-        self._heard(address, key)
-        if joined:
+        self.release(address)
+        key, _, alive = self._peers.get(address) or (election_key(address), 0, False)
+        self._heard(address, key, self.engine.clock.now)
+        if not alive:
             self.transport.changed(address)
             self.run_election("master-recovered")
 
-    def _heard(self, address: str, key: tuple[int, str]) -> None:
-        """Mark the peer alive as of now, as an own view, and move its expiry
-        to one ms past the timeout."""
-        self.release(address)
-        clock = self.engine.clock
-        now = clock.now
-        self._peers[address] = (key, now, True)
-        self._expiry[address] = clock.rearm(self._expiry.get(address),
-                                            now + self.election_timeout + 1, self._expire,
-                                            self.engine.rank_cluster)
+    def _heard(self, address: str, key: tuple[int, str], last: int) -> None:
+        """Mark the peer alive as of `last`, as an own view, and move its
+        expiry to one ms past the timeout through VirtualClock.rearm."""
+        self._peers[address] = (key, last, True)
+        self._expiry[address] = self.engine.clock.rearm(
+            self._expiry.get(address), last + self.election_timeout + 1, self._expire,
+            self.engine.rank_cluster, address)
 
     def hold(self, address: str, sender: _Sender, period: int) -> bool:
         """Join `address`'s group if this agent holds it alive, with a timeout
@@ -341,22 +334,16 @@ class ClusterAgent:
         if sender is None:
             return
         self.transport.changed(address)
-        self._peers[address] = (self._peers[address][0], sender.last, True)
-        self._expiry[address] = self.engine.clock.at(
-            sender.last + self.election_timeout + 1, self._expire, self.engine.rank_cluster)
+        self._heard(address, self._peers[address][0], sender.last)
 
-    def _expire(self) -> None:
-        """Mark every peer silent for longer than the timeout dead, once."""
+    def _expire(self, address: str) -> None:
+        """Mark the peer dead, its own view's last ping one timeout and a ms
+        old, and run an election."""
         if self.engine.halted:
             return
-        now = self.engine.clock.now
-        died = False
-        for address, (key, last_ping, alive) in self.peers.items():
-            if alive and now - last_ping > self.election_timeout:
-                self._peers[address] = (key, last_ping, False)
-                died = True
-        if died:
-            self.run_election("election-result")
+        key, last, _ = self._peers[address]
+        self._peers[address] = (key, last, False)
+        self.run_election("election-result")
 
     # --- elections ----------------------------------------------------------
     def run_election(self, reason: str) -> None:

@@ -37,6 +37,20 @@ def encode_json(value: Payload) -> str:
         raise
 
 
+def decode_document(text: str, what: str, error: type[Exception]) -> Payload:
+    """The JSON value of an outside document, `what` naming it in the
+    `error` raised for text json.loads rejects."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} syntax error: {exc.msg} "
+                    f"(line {exc.lineno}, column {exc.colno})") from exc
+    except RecursionError:
+        raise error(f"{what} document nests too deep") from None
+    except ValueError:
+        raise error(f"{what} document holds an integer with too many digits") from None
+
+
 class Envelope(NamedTuple):
     """One message as a node receives it: its topic and payload.
 

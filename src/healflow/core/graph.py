@@ -16,11 +16,11 @@ at once. Both run once, where a flow is loaded; Engine trusts the graph.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 
 from ..nodes import NODE_KINDS
+from .envelope import decode_document
 from .timeline import csv_safe
 
 
@@ -79,16 +79,7 @@ def fill_defaults(kind: str, config: dict) -> dict:
 
 def parse_flow(text: str) -> FlowGraph:
     """Parse a flow document, filling config defaults from the node schemas."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FlowParseError(f"flow syntax error: {exc.msg} "
-                             f"(line {exc.lineno}, column {exc.colno})") from exc
-    except RecursionError:
-        raise FlowParseError("flow document nests too deep") from None
-    except ValueError:
-        raise FlowParseError("flow document holds an integer with too many digits") from None
-
+    doc = decode_document(text, "flow", FlowParseError)
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
         raise FlowParseError('flow document must be an object with a "nodes" list')
 

@@ -26,6 +26,13 @@ class Redundancy(Node):
         "controlledFlows": Param("list", default=[]),
     }
 
+    @classmethod
+    def check_config(cls, config):
+        flows = config.get("controlledFlows")
+        if flows is not None and not all(isinstance(f, str) for f in flows):
+            return [f"config 'controlledFlows' must hold strings, got {flows!r}"]
+        return []
+
     def on_start(self) -> None:
         self.engine.cluster.add_listener(self._on_transition)
 

@@ -43,7 +43,7 @@ class Balancing(Node):
                 return ["weightedRoundRobin requires weights"]
             if len(weights) != config["outputs"]:
                 return ["weights length must equal outputs"]
-            if any(not isinstance(w, int) or w <= 0 for w in weights):
+            if any(type(w) is not int or w <= 0 for w in weights):  # bool is no weight
                 return ["weights must be positive integers"]
         return []
 

@@ -13,12 +13,11 @@ parse_scenario checks events against and apply_fault applies.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..cluster import election_key
-from ..core.envelope import is_number
+from ..core.envelope import decode_document, is_number
 from ..core.timeline import WORLD_INSTANCE, csv_safe
 from .world import Service, VirtualDevice
 
@@ -198,15 +197,7 @@ def parse_scenario(text: str) -> ScenarioScript:
 
     This is the one check a script gets: Simulation takes it as given.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario syntax error: {exc.msg} "
-                            f"(line {exc.lineno}, column {exc.colno})") from exc
-    except RecursionError:
-        raise ScenarioError("scenario document nests too deep") from None
-    except ValueError:
-        raise ScenarioError("scenario document holds an integer with too many digits") from None
+    doc = decode_document(text, "scenario", ScenarioError)
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
 

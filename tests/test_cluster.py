@@ -148,11 +148,26 @@ def test_detection_boundary_alive_at_timeout_dead_after():
     engine.run_until(15000)
     assert engine.cluster.peers[HIGHER][2] is True    # still alive at last + timeout
     engine.run_until(15001)
-    # HIGHER's expiry checks every peer; the other is at exactly last + timeout
+    # HIGHER's own expiry marks only HIGHER; the other is at exactly last + timeout
     assert engine.cluster.peers[HIGHER][2] is False
     assert engine.cluster.peers["192.168.1.12"][2] is True
     engine.run_until(15002)
     assert engine.cluster.peers["192.168.1.12"][2] is False
+
+
+def test_two_peers_expiring_at_the_same_ms_log_one_role_change():
+    """Each own view's expiry marks only its own peer dead and runs an
+    election; the first leaves a higher peer alive, so only the second
+    changes the role."""
+    engine = agent()
+    ping(engine, HIGHER, 0)
+    ping(engine, "192.168.1.200", 0)
+    engine.run_until(15000)
+    assert transitions(engine) == []
+    engine.run_until(15001)
+    assert transitions(engine) == [
+        (15001, {"role": "master", "epoch": 1, "reason": "election-result"})]
+    assert [alive for _, _, alive in engine.cluster.peers.values()] == [False, False]
 
 
 def test_peer_pinging_every_ms_dies_exactly_one_ms_past_its_last_ping_plus_timeout():
@@ -254,6 +269,13 @@ def test_election_agreement_is_order_independent(data):
 
 
 # --- role transitions -------------------------------------------------------------
+
+@pytest.mark.parametrize("flows", [[1, None], ["ingest", 7], [["ingest"]], [True]])
+def test_redundancy_rejects_a_controlled_flow_that_is_not_a_string(flows):
+    graph = build_graph(make_spec("red", "redundancy", {"controlledFlows": flows}))
+    [problem] = [d.message for d in validate_graph(graph) if d.severity == "error"]
+    assert "config 'controlledFlows' must hold strings" in problem
+
 
 def test_standby_becomes_master_when_alone():
     engine = agent()
@@ -758,8 +780,8 @@ def test_a_stable_cluster_fires_no_peer_expiry(monkeypatch):
     sender's group at the sender's next tick, which drops its own timer."""
     fired = []
     expire = ClusterAgent._expire
-    monkeypatch.setattr(ClusterAgent, "_expire", lambda agent: fired.append(agent.address)
-                        or expire(agent))
+    monkeypatch.setattr(ClusterAgent, "_expire", lambda agent, address:
+                        fired.append((agent.address, address)) or expire(agent, address))
     world = World()
     for n in (1, 2, 3):
         make_engine(redundancy_graph(1000), instance=f"i{n}", address=f"10.0.0.{n}",

@@ -93,6 +93,12 @@ def test_weighted_round_robin_requires_matching_weights():
         {"outputs": 2, "strategy": "weightedRoundRobin", "weights": None}) != []
 
 
+def test_weighted_round_robin_rejects_a_bool_weight():
+    assert Balancing.validate_config(
+        {"outputs": 2, "strategy": "weightedRoundRobin", "weights": [True, 1]}) == [
+        "weights must be positive integers"]
+
+
 def test_outputs_too_many_to_label_is_a_config_error_and_labels_two():
     """A wired node with 10**10 outputs: validation names `outputs` and
     builds no label per output."""
