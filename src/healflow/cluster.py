@@ -163,10 +163,10 @@ class LoopbackTransport:
         again only after the composition changes (changed()). A holder's
         refresh is then only the record's new time.
 
-        Refreshing a holder at send time is exact: it moves only the
-        holder's peer entry and expiry, which no node code reads, and the
-        expiry runs at the holder's cluster rank, where it ties only with that
-        agent's own timers, whatever deliveries to it are pending.
+        Refreshing a holder at send time is exact: it moves only the last
+        ping time of the holder's view, which no node code reads, and the
+        expiry that time arms runs at the holder's cluster rank, where it ties
+        only with that agent's own timers, whatever deliveries to it are pending.
         """
         sender = self._senders.get(src)
         if sender is None:
@@ -198,11 +198,10 @@ class LoopbackTransport:
 class ClusterAgent:
     """Per-engine cluster runtime: pings, liveness timers, elections.
 
-    The agent holds its cluster state: its `role` and `epoch`,
-    `election_timeout` and `ping_period`, its own election `key`, and
-    `peers`, a map from address to (election key, last ping time, alive).
-    A peer is alive until one virtual millisecond past last ping + election
-    timeout.
+    The agent holds its `role` and `epoch`, `election_timeout` and
+    `ping_period`, its own election `key`, and `_alive`, which maps each alive
+    peer's address to its election key: all that an election reads. A peer
+    is alive until one virtual ms past last ping + election timeout.
 
     A view of a peer is the agent's own or held in the sender's group. An
     own view has an expiry timer, moved by _heard alone, when the peer is
@@ -214,9 +213,9 @@ class ClusterAgent:
     pings refresh it with no work here. The view becomes the agent's own
     again (release), with the expiry the last ping armed, when the agent
     hears the sender itself, halts or loses the link, and when the sender
-    halts. `peers` reads a held view's time through its group. Ping ticks,
-    the boot election and expiries run at the engine's cluster rank, after
-    its node timers.
+    halts. A view's last ping time is kept only in its group record or in
+    its expiry's due. Ping ticks, the boot election and expiries run at the
+    engine's cluster rank, after its node timers.
 
     The agent is configured by the engine's first redundancy node, `spec`:
     its electionTimeout sets the timeouts, and its id is the node of every
@@ -239,7 +238,7 @@ class ClusterAgent:
         self.epoch = 0
         self.election_timeout = spec.config["electionTimeout"]
         self.ping_period = max(1, self.election_timeout // 5)
-        self._peers: dict[str, tuple[tuple[int, str], int, bool]] = {}
+        self._alive: dict[str, tuple[int, str]] = {}  # alive peer's address -> election key
         self.transport = engine.world.transport
         self.role_node = spec.id
         self._listeners: list[Callable[[str, int], None]] = []
@@ -248,14 +247,6 @@ class ClusterAgent:
         # Register at construction, before any instance of the setup pass
         # starts, so every boot ping reaches every agent; nothing fires early.
         self.transport.register(self)
-
-    @property
-    def peers(self) -> dict[str, tuple[tuple[int, str], int, bool]]:
-        """A snapshot: address -> (election key, last ping time, alive)."""
-        peers = dict(self._peers)
-        for address, sender in self._held.items():
-            peers[address] = (peers[address][0], sender.last, True)
-        return peers
 
     def add_listener(self, fn: Callable[[str, int], None]) -> None:
         self._listeners.append(fn)
@@ -301,16 +292,17 @@ class ClusterAgent:
         if address == self.address:
             return
         self.release(address)
-        key, _, alive = self._peers.get(address) or (election_key(address), 0, False)
-        self._heard(address, key, self.engine.clock.now)
-        if not alive:
+        revived = address not in self._alive
+        self._heard(address, self.engine.clock.now)
+        if revived:
             self.transport.changed(address)
             self.run_election("master-recovered")
 
-    def _heard(self, address: str, key: tuple[int, str], last: int) -> None:
+    def _heard(self, address: str, last: int) -> None:
         """Mark the peer alive as of `last`, as an own view, and move its
         expiry to one ms past the timeout through VirtualClock.rearm."""
-        self._peers[address] = (key, last, True)
+        if address not in self._alive:
+            self._alive[address] = election_key(address)
         self._expiry[address] = self.engine.clock.rearm(
             self._expiry.get(address), last + self.election_timeout + 1, self._expire,
             self.engine.rank_cluster, address)
@@ -318,8 +310,7 @@ class ClusterAgent:
     def hold(self, address: str, sender: _Sender, period: int) -> bool:
         """Join `address`'s group if this agent holds it alive, with a timeout
         of at least `period`, the sender's ping period; False if not."""
-        peer = self._peers.get(address)
-        if peer is None or not peer[2] or self.election_timeout < period:
+        if address not in self._alive or self.election_timeout < period:
             return False
         if address not in self._held:
             self._held[address] = sender
@@ -334,22 +325,20 @@ class ClusterAgent:
         if sender is None:
             return
         self.transport.changed(address)
-        self._heard(address, self._peers[address][0], sender.last)
+        self._heard(address, sender.last)
 
     def _expire(self, address: str) -> None:
-        """Mark the peer dead, its own view's last ping one timeout and a ms
-        old, and run an election."""
+        """Mark the peer dead, a timeout and a ms past its last ping, and run an election."""
         if self.engine.halted:
             return
-        key, last, _ = self._peers[address]
-        self._peers[address] = (key, last, False)
+        del self._alive[address]
         self.run_election("election-result")
 
     # --- elections ----------------------------------------------------------
     def run_election(self, reason: str) -> None:
         """Take the role the alive set gives this agent; log and notify on a change."""
-        alive = [key for key, _, up in self._peers.values() if up]
-        role = ROLE_MASTER if max(alive, default=self.key) <= self.key else ROLE_STANDBY
+        top = max(self._alive.values(), default=self.key)
+        role = ROLE_MASTER if top <= self.key else ROLE_STANDBY
         if role == self.role:
             return
         self.role = role

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
@@ -64,6 +65,8 @@ def _check_value(name: str, value: Any, p: Param) -> list[str]:
     problems = []
     if p.kind == "number" and not is_number(value):
         return [f"config {name!r} must be a number"]
+    if p.kind == "number" and isinstance(value, float) and not math.isfinite(value):
+        return [f"config {name!r} must be finite"]
     if p.kind == "int" and not (isinstance(value, int) and not isinstance(value, bool)):
         return [f"config {name!r} must be an integer"]
     if p.kind == "str" and not isinstance(value, str):

@@ -157,6 +157,9 @@ def default_bucket(emits, graph: Optional[FlowGraph] = None) -> int:
     return max(1, min(periods) // 4) if periods else 1000
 
 
+MAX_BUCKETS = 100_000  # marble columns: a default bucket widens to fit, a finer explicit one fails
+
+
 def render_marble(entries: Iterable[TimelineEntry], *, bucket_ms: Optional[int] = None,
                   graph: Optional[FlowGraph] = None,
                   nodes: Optional[list[str]] = None) -> str:
@@ -165,7 +168,8 @@ def render_marble(entries: Iterable[TimelineEntry], *, bucket_ms: Optional[int] 
     Glyphs: '.' nothing, '*' one emission, '2'..'9' that many, '+' ten or more.
     """
     emits = [e for e in entries if e.kind == "emit"]
-    if bucket_ms is None:
+    widen = bucket_ms is None
+    if widen:
         bucket_ms = default_bucket(emits, graph)
     elif bucket_ms < 1:
         raise ValueError(f"bucket_ms must be at least 1, got {bucket_ms}")
@@ -182,7 +186,11 @@ def render_marble(entries: Iterable[TimelineEntry], *, bucket_ms: Optional[int] 
         return f"# marble bucket_ms={bucket_ms} (no emissions)\n"
 
     t_end = max(e.time for e in emits)
+    if widen:
+        bucket_ms = max(bucket_ms, t_end // MAX_BUCKETS + 1)
     n_buckets = t_end // bucket_ms + 1
+    if n_buckets > MAX_BUCKETS:
+        raise ValueError(f"bucket_ms {bucket_ms} gives {n_buckets} columns, over {MAX_BUCKETS}")
 
     rows: dict[str, list[int]] = {}
     if graph is not None and nodes is not None:

@@ -144,6 +144,21 @@ def test_validate_flow_with_an_integer_too_long_exits_2(tmp_path, capsys):
         f"{flow}: flow document holds an integer with too many digits\n")
 
 
+@pytest.mark.parametrize("kind, config, names", [
+    ("compensate", '{"interval": 100, "confidenceDecay": NaN}', ["confidenceDecay"]),
+    ("threshold-check", '{"low": NaN, "high": 5}', ["low"]),
+    ("kalman-filter", '{"r": Infinity, "q": NaN}', ["q", "r"]),
+    ("readings-watcher", '{"maxDelta": -Infinity}', ["maxDelta"]),
+], ids=["compensate-nan", "threshold-nan", "kalman-inf-nan", "watcher-minus-inf"])
+def test_validate_flow_with_a_non_finite_config_number_exits_2(kind, config, names, tmp_path,
+                                                               capsys):
+    flow = tmp_path / "nan.json"
+    flow.write_text('{"nodes": [{"id": "x", "type": "%s", "config": %s}]}' % (kind, config))
+    assert main(["validate", "--flow", str(flow)]) == 2
+    assert capsys.readouterr().out == "".join(
+        f"{flow}: error: x: config {name!r} must be finite\n" for name in names)
+
+
 def test_validate_two_cycle_flow_exits_2(tmp_path, capsys):
     bad = tmp_path / "two-cycles.json"
     bad.write_text(json.dumps({"nodes": [
@@ -230,6 +245,20 @@ def test_marble_empty_timeline_exits_0(tmp_path, capsys):
                  "--format", "marble"])
     assert code == 0
     assert "no emissions" in capsys.readouterr().out
+
+
+def test_marble_bucket_giving_too_many_columns_exits_2(tmp_path, capsys):
+    flow = tmp_path / "f.json"
+    flow.write_text(json.dumps({"nodes": [{"id": "d", "type": "debug"}]}))
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps({"seed": 1, "duration_ms": 10**10 + 1, "world": {"devices": [
+        {"id": "nfc", "kind": "nfcReader", "topic": "t", "reads": [{"at_ms": 10**10}]}]}}))
+    code = main(["run", "--flow", str(flow), "--scenario", str(scenario),
+                 "--format", "marble", "--bucket-ms", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: bucket_ms 1 gives 10000000001 columns, over 100000\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("bucket", ["0", "-5"])

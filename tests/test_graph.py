@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -197,9 +198,13 @@ def test_unknown_config_key_is_flagged():
     (Param("int", minimum=0, exclusive_min=True), {"f": 0}, "config 'f' must be > 0"),
     (Param("int", minimum=1), {"f": 0}, "config 'f' must be >= 1"),
     (Param("number", maximum=1), {"f": 1.5}, "config 'f' must be <= 1"),
+    (Param("number", minimum=0, maximum=1), {"f": math.nan}, "config 'f' must be finite"),
+    (Param("number", minimum=0), {"f": math.inf}, "config 'f' must be finite"),
+    (Param("number"), {"f": -math.inf}, "config 'f' must be finite"),
     (Param("int"), {}, "missing required config 'f'"),
 ], ids=["number-str", "number-bool", "int-float", "int-bool", "str-int", "list-str",
-        "choice", "exclusive-minimum", "minimum", "maximum", "missing"])
+        "choice", "exclusive-minimum", "minimum", "maximum", "number-nan", "number-inf",
+        "number-minus-inf", "missing"])
 def test_config_value_rejections(param, config, message):
     kind = type("OneParam", (Node,), {"KIND": "one-param", "CONFIG": {"f": param}})
     assert kind.validate_config(config) == [message]

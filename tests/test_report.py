@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from healflow.core import timeline
 from healflow.core.envelope import encode_json
 from healflow.core.timeline import CSV_HEADER, KINDS, TimelineEntry, TimelineLog, entries_from_csv
-from healflow.report import compute_report, default_bucket, format_report, render_marble
+from healflow.report import (MAX_BUCKETS, compute_report, default_bucket, format_report,
+                             render_marble)
 from tests.conftest import build_graph, make_spec
 
 
@@ -570,6 +571,22 @@ def test_marble_unknown_node_filter_errors():
 def test_marble_bucket_below_1_is_a_value_error(bucket):
     with pytest.raises(ValueError, match="bucket_ms"):
         render_marble([entry(0, "i", "emit", "s", 0, "t", 1)], bucket_ms=bucket)
+
+
+def test_marble_bucket_giving_more_than_max_buckets_columns_is_a_value_error():
+    last = [entry(MAX_BUCKETS - 1, "i", "emit", "s", 0, "t", 1)]
+    assert f"buckets={MAX_BUCKETS}" in render_marble(last, bucket_ms=1)
+    for time in (MAX_BUCKETS, 10**10):
+        with pytest.raises(ValueError, match=f"gives {time + 1} columns, over {MAX_BUCKETS}"):
+            render_marble([entry(time, "i", "emit", "s", 0, "t", 1)], bucket_ms=1)
+
+
+def test_marble_default_bucket_widens_to_at_most_max_buckets_columns():
+    entries = [entry(t, "i", "emit", "s", 0, "t", 1) for t in (0, 4, 10**10)]
+    header, row = render_marble(entries).splitlines()
+    assert default_bucket(entries) == 1
+    assert header == f"# marble bucket_ms={10**10 // MAX_BUCKETS + 1} buckets={MAX_BUCKETS}"
+    assert row == "s:0 |2" + "." * (MAX_BUCKETS - 2) + "*|"
 
 
 def test_default_bucket_prefers_graph_periods():
