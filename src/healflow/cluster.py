@@ -7,17 +7,21 @@ highest last address octet with the full address as tie-break. Because
 every instance evaluates the same function over the same set, they agree
 without further messages.
 
-A ping period costs O(M) work for M instances, not O(M^2). The transport
+A ping period of a stable cluster puts nothing on the clock. The transport
 keeps one record per sender: its last periodic ping's time. Every receiver
 holding the sender alive shares it as its view, so the tick does no work
 for it. A receiver joins only if its election timeout is at least the
 sender's ping period, so a shared view cannot expire while its sender
-pings. When the sender's engine halts, each holder takes its view as its
-own: the last ping time, and an expiry at the time that delivering the
-ping as an event would have given it. That expiry draws a later seq than
-the event's would have, but it ties only with its agent's own cluster
-timers, whose order the timeline does not depend on (see core.clock). So
-the timeline is that of a fabric that delivers each ping as an event.
+pings. A tick that leaves no receiver to send an event to parks: later
+ticks are implied, one every ping period, until the group's composition
+changes, which resumes them from the latest implied tick that has fired.
+When the sender's engine halts, each holder takes its view as its own: the
+last ping time, and an expiry at the time that delivering the ping as an
+event would have given it. That expiry, and a resumed tick, draw later seqs
+than the eager schedule's would have, but they tie only with their agent's
+own cluster timers, whose order the timeline does not depend on (see
+core.clock). So the timeline is that of a fabric that delivers each ping as
+an event.
 
 Wire protocol: ASCII lines over datagrams,
 
@@ -81,14 +85,30 @@ class _Sender:
     """One sender's last periodic ping, which every receiver holding the
     sender alive reads as its view; each such agent records the group in
     its `_held`. `joiners` are the receivers that get the ping as an event,
-    None until the next tick lays them out anew.
+    None until the next tick lays them out anew. A tick that finds no joiner
+    parks its agent here (`parked`): its later ticks are implied, one every
+    ping period from `last`, until LoopbackTransport.changed() resumes them.
     """
 
-    __slots__ = ("last", "joiners")
+    __slots__ = ("last", "joiners", "parked")
 
     def __init__(self):
         self.last = 0
         self.joiners: list[ClusterAgent] | None = None
+        self.parked: ClusterAgent | None = None
+
+    def last_tick(self, clock) -> int:
+        """The time of the sender's latest tick that has fired, implied ones
+        included. An implied tick at clock.now has fired iff its rank, the
+        parked agent's cluster rank, is below clock.firing_rank."""
+        agent = self.parked
+        if agent is None:
+            return self.last
+        now, period = clock.now, agent.ping_period
+        tick = now - (now - self.last) % period
+        if self.last < tick == now and clock.firing_rank <= agent.engine.rank_cluster:
+            tick -= period  # implied at now, but not yet fired
+        return tick
 
 
 class LoopbackTransport:
@@ -120,12 +140,25 @@ class LoopbackTransport:
     def changed(self, src: str | None = None) -> None:
         """Have src's next ping tick (every sender's, for None) lay out its
         group anew: an agent registered or halted, a link dropped or came
-        back, or a receiver came to hold src alive or took its view as its own."""
+        back, or a receiver came to hold src alive or took its view as its own.
+
+        A parked sender resumes here: its `last` becomes its latest tick that
+        has fired, and its next tick is scheduled a ping period on, at its
+        cluster rank. That reaches every reader of `last`, as release()
+        calls changed() before it reads it.
+        """
         if src is None:
-            for sender in self._senders.values():
-                sender.joiners = None
-        elif src in self._senders:
-            self._senders[src].joiners = None
+            senders = self._senders.values()
+        else:
+            senders = [self._senders[src]] if src in self._senders else ()
+        for sender in senders:
+            sender.joiners = None
+            agent = sender.parked
+            if agent is not None:
+                sender.last = sender.last_tick(self.clock)
+                sender.parked = None
+                self.clock.at(sender.last + agent.ping_period, agent._ping_tick,
+                              agent.engine.rank_cluster)
 
     def stopped(self, src: str) -> None:
         """src pings no more: each agent holding it takes its view as its own."""
@@ -154,14 +187,17 @@ class LoopbackTransport:
             if dst != src:
                 self.send(src, dst, data)
 
-    def ping(self, src: str, epoch: int, period: int) -> None:
+    def ping(self, src: str, epoch: int, period: int) -> bool:
         """Broadcast src's periodic ping at `epoch`, the next one due `period`
-        ms on: as broadcast(), but only a joiner gets an event.
+        ms on: as broadcast(), but only a joiner gets an event. True if the
+        tick parks src's agent, which then schedules no next tick.
 
         A receiver holding src alive joins its group instead, unless its
         election timeout is shorter than `period`. The group is laid out
         again only after the composition changes (changed()). A holder's
-        refresh is then only the record's new time.
+        refresh is then only the record's new time. A group with no joiner
+        parks: each later tick would only move that time, so the ticks are
+        implied (_Sender.last_tick) until changed() resumes them.
 
         Refreshing a holder at send time is exact: it moves only the last
         ping time of the holder's view, which no node code reads, and the
@@ -173,12 +209,14 @@ class LoopbackTransport:
             sender = self._senders[src] = _Sender()
         if sender.joiners is None:
             sender.joiners = self._lay_out(src, sender, period)
-        now = self.clock.now
-        if sender.joiners:
-            data = encode_ping(src, epoch, now)
-            for agent in sender.joiners:
-                self.send(src, agent.address, data)
-        sender.last = now
+        now = sender.last = self.clock.now
+        if not sender.joiners:
+            sender.parked = self._agents[src]
+            return True
+        data = encode_ping(src, epoch, now)
+        for agent in sender.joiners:
+            self.send(src, agent.address, data)
+        return False
 
     def _lay_out(self, src: str, sender: _Sender, period: int) -> list[ClusterAgent]:
         """src's joiners, over _agents in order, skipping a dropped link and a
@@ -270,9 +308,8 @@ class ClusterAgent:
 
     # --- timers --------------------------------------------------------------
     def _ping_tick(self) -> None:
-        if self.engine.halted:
+        if self.engine.halted or self.transport.ping(self.address, self.epoch, self.ping_period):
             return
-        self.transport.ping(self.address, self.epoch, self.ping_period)
         self.engine.clock.after(self.ping_period, self._ping_tick, rank=self.engine.rank_cluster)
 
     def _boot_election(self) -> None:

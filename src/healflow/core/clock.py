@@ -6,7 +6,8 @@ unique, which keeps the callback out of every comparison. The sequence number
 makes ties fire in creation order, which is what keeps whole runs
 reproducible; the rank lets a co-simulation interleave several engines
 deterministically at equal timestamps. An entry is pending while its callback
-is set; cancel() and firing clear it.
+is set; cancel() and firing clear it. While a callback runs, `firing_rank` is
+its entry's rank; between run_until() calls it is +inf, above every rank.
 
 A timer moved later is not pushed again: rearm() draws the next creation
 sequence, exactly as the at() of an eager cancel-and-push would, and records
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from functools import partial
 from typing import Callable
 
@@ -38,6 +40,7 @@ class VirtualClock:
 
     def __init__(self):
         self.now = 0
+        self.firing_rank = math.inf
         self._heap: list[list] = []
         self._seq = itertools.count()
 
@@ -100,5 +103,7 @@ class VirtualClock:
                 continue
             entry[3] = None
             self.now = entry[0]
+            self.firing_rank = entry[1]
             fn()
         self.now = t_end
+        self.firing_rank = math.inf

@@ -53,12 +53,13 @@ def ping(engine, address, at):
 
 def peers(agent):
     """address -> (election key, last ping time, alive) for every peer the
-    agent has heard. A held view's time is its group's; an own view's is its
-    expiry's due time less the timeout and a ms."""
+    agent has heard. A held view's time is its group's latest tick that has
+    fired, as the transport reads it; an own view's is its expiry's due time
+    less the timeout and a ms."""
     view = {}
     for address, entry in agent._expiry.items():
         if address in agent._held:
-            last = agent._held[address].last
+            last = agent._held[address].last_tick(agent.engine.clock)
         else:
             due = entry[4][0] if entry[3] is not None and entry[4] is not None else entry[0]
             last = due - agent.election_timeout - 1
@@ -747,20 +748,22 @@ def test_every_cluster_timer_runs_at_its_engines_delivery_or_cluster_rank(monkey
     at = VirtualClock.at
 
     def spy(clock, time, fn, rank):
-        owner = getattr(fn.func if isinstance(fn, partial) else fn, "__self__", None)
+        func = fn.func if isinstance(fn, partial) else fn
+        owner = getattr(func, "__self__", None)
         if isinstance(owner, (ClusterAgent, LoopbackTransport)):
-            scheduled.append((owner, rank))
+            scheduled.append((owner, func.__name__, rank))
         return at(clock, time, fn, rank)
     monkeypatch.setattr(VirtualClock, "at", spy)
     run_failover()
-    assert len(scheduled) > 100
-    assert [(owner, rank) for owner, rank in scheduled if not isinstance(owner, ClusterAgent)
+    assert {name for _, name, _ in scheduled} == {
+        "_ping_tick", "_boot_election", "_expire", "receive_datagram"}
+    assert [(owner, rank) for owner, _, rank in scheduled if not isinstance(owner, ClusterAgent)
             or rank not in (owner.engine.rank_deliver, owner.engine.rank_cluster)] == []
 
 
-def refreshes_per_period(count):
-    """Per-receiver refreshes (_heard) plus clock re-arms per ping period, in a
-    stable cluster of `count` instances, over 20 periods after boot."""
+def calls_over_stable_periods(count):
+    """VirtualClock.at and rearm calls and per-receiver refreshes (_heard) over
+    20 ping periods of a stable cluster of `count` instances, after boot."""
     world = World()
     engines = [make_engine(redundancy_graph(1000), instance=f"i{n}", address=f"10.0.0.{n}",
                            world=world) for n in range(1, count + 1)]
@@ -771,16 +774,17 @@ def refreshes_per_period(count):
 
     def counted(fn):
         def wrapper(*args, **kwargs):
-            calls.append(fn)
+            calls.append(fn.__name__)
             return fn(*args, **kwargs)
         return wrapper
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ClusterAgent, "_heard", counted(ClusterAgent._heard))
-        mp.setattr(VirtualClock, "rearm", counted(VirtualClock.rearm))
+        for owner, name in ((ClusterAgent, "_heard"), (VirtualClock, "at"),
+                            (VirtualClock, "rearm")):
+            mp.setattr(owner, name, counted(getattr(owner, name)))
         world.clock.run_until(2000 + 20 * 200)
     assert [e.instance for e in engines if e.cluster.role == "master"] == [f"i{count}"]
     assert [e for e in world.log if e.kind == "role-change" and e.time > 2000] == []
-    return len(calls) / 20
+    return calls
 
 
 def test_a_stable_cluster_fires_no_peer_expiry(monkeypatch):
@@ -798,10 +802,10 @@ def test_a_stable_cluster_fires_no_peer_expiry(monkeypatch):
     assert fired == []
 
 
-def test_a_ping_period_costs_work_linear_in_the_cluster_size():
-    """Each tick refreshes every receiver holding the sender alive as one
-    group: doubling the cluster doubles the work per period, not quadruples it."""
-    assert refreshes_per_period(16) <= 2.2 * refreshes_per_period(8)
+def test_a_stable_clusters_ping_periods_put_nothing_on_the_clock():
+    """Every tick of a stable cluster finds its group with no joiner and
+    parks: its ping periods schedule, re-arm and refresh nothing, at any size."""
+    assert calls_over_stable_periods(8) == calls_over_stable_periods(16) == []
 
 
 def watched_graph(election_timeout, heartbeat_timeout):
@@ -925,6 +929,22 @@ DROP_BETWEEN_TICKS = ({"seed": 1, "duration_ms": 40, "events": [
 MIXED_TIMEOUTS = ({"seed": 1, "duration_ms": 100, "events": [], "world": THREE},
                   [200, 5, 23], 23, [], [])
 
+# With 23 ms timeouts every instance ticks at 4, 8, 12, ..., and each tick
+# from 4 on finds no joiner, so the ticks from 8 on are implied. Each engine
+# owns ranks deliver, timer, cluster: i200 6-8, i7 9-11, i54 12-14.
+# i200 crashes at 8, at fault rank, before its tick at 8: i7 and i54 take
+# the tick at 4 as their view of i200, dead at 28.
+CRASH_ON_TICK = ({"seed": 1, "duration_ms": 40, "events": [
+    {"at_ms": 8, "kind": "instance_crash", "target": "i200"}], "world": THREE},
+    [23, 23, 23], 23, [], [])
+
+# At 8 a ping with i200's address reaches i54 at rank 12, after i200's tick
+# at 8 (rank 8); at 12 one with i54's address reaches i7 at rank 9, before
+# i54's tick at 12 (rank 14). Each receiver takes its view as its own.
+DATAGRAMS_ON_TICKS = ({"seed": 1, "duration_ms": 40, "events": [], "world": THREE},
+                      [23, 23, 23], 23, [],
+                      [(8, 12, I54, encode_ping(I200, 0, 0)), (12, 9, I7, encode_ping(I54, 0, 0))])
+
 
 @given(cluster_programs())
 @example(TIED_EXPIRY)
@@ -932,6 +952,8 @@ MIXED_TIMEOUTS = ({"seed": 1, "duration_ms": 100, "events": [], "world": THREE},
 @example(DIVERGED)
 @example(DROP_BETWEEN_TICKS)
 @example(MIXED_TIMEOUTS)
+@example(CRASH_ON_TICK)
+@example(DATAGRAMS_ON_TICKS)
 @settings(max_examples=examples(60), deadline=None)
 def test_periodic_pings_taken_at_send_time_log_what_their_events_would(program):
     """Instances with one or mixed election timeouts crash and restart at any
@@ -951,6 +973,8 @@ def test_periodic_pings_taken_at_send_time_log_what_their_events_would(program):
 @example(DIVERGED)
 @example(DROP_BETWEEN_TICKS)
 @example(MIXED_TIMEOUTS)
+@example(CRASH_ON_TICK)
+@example(DATAGRAMS_ON_TICKS)
 @settings(max_examples=examples(60), deadline=None)
 def test_cluster_timer_ties_fired_in_any_order_log_the_same_bytes(program):
     """The tie-order contract of core.clock: ping ticks, boot elections and

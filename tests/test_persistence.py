@@ -330,6 +330,26 @@ def test_a_long_file_is_compacted_on_its_first_append(open_store, tmp_path):
                                 '["CKPT","n",1999,"",1999]\n')
 
 
+def test_a_file_of_min_compact_lines_is_kept_and_the_next_append_compacts(open_store, tmp_path):
+    path = tmp_path / "i.store"
+    n = persistence.MIN_COMPACT_LINES
+    path.write_text("".join(f'["CKPT","n",{i},"",{i}]\n' for i in range(n - 1)))
+    store = open_store(path)
+    store.store_checkpoint("n", "", n - 1, n - 1)
+    assert len(path.read_text().splitlines()) == n
+    store.store_checkpoint("n", "", n, n)
+    assert path.read_text() == f'["CKPT","n",{n},"",{n}]\n'
+
+
+def test_the_torn_tail_warning_names_the_line_after_the_whole_ones(tmp_path, caplog):
+    path = tmp_path / "i.store"
+    path.write_text('["CKPT","a",1,"",1]\n["CKPT","b",2,"",2]\n["CKPT","c",3')
+    with caplog.at_level("WARNING", logger="healflow.persistence"):
+        store = Store(path)
+    assert store.skipped == 1
+    assert caplog.messages == [f"skipping torn last line 3 in {path}"]
+
+
 # --- the store against a model ------------------------------------------------------
 
 # Strings of characters that JSON escapes (a quote, a backslash, control

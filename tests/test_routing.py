@@ -1,10 +1,11 @@
 import itertools
 import tracemalloc
 
+import pytest
 from hypothesis import given, strategies as st
 
 from healflow.core.graph import validate_graph
-from healflow.nodes.routing import Balancing, vote
+from healflow.nodes.routing import ActionAudit, Balancing, ReplicationVoter, vote
 from healflow.sim.world import VirtualDevice, World
 from tests.conftest import NodeHarness, build_graph, make_engine, make_spec
 
@@ -255,6 +256,12 @@ def test_audit_topic_predicate_filters_acks():
     assert h.emits(0) == [(2000, "good")]
 
 
+@pytest.mark.parametrize("timeout, problems", [
+    (1, []), (0, ["config 'timeout' must be > 0"]), (-1, ["config 'timeout' must be > 0"])])
+def test_audit_timeout_must_be_positive(timeout, problems):
+    assert ActionAudit.validate_config({"timeout": timeout}) == problems
+
+
 # --- replication-voter ----------------------------------------------------------
 # Oracle: brute-force majority over the multiset.
 
@@ -345,6 +352,12 @@ def test_vote_deep_equality_on_records():
     assert winner == {"a": 1, "b": 2}
 
 
+@pytest.mark.parametrize("window, problems", [
+    (1, []), (0, ["config 'window' must be > 0"]), (-1, ["config 'window' must be > 0"])])
+def test_voter_window_must_be_positive(window, problems):
+    assert ReplicationVoter.validate_config({"expected": 2, "window": window}) == problems
+
+
 # --- flow-control ----------------------------------------------------------------
 
 def flow_engine():
@@ -398,3 +411,4 @@ def test_flow_control_malformed_command():
     [entry] = engine.log.emits("ctl")
     assert entry.port == 1
     assert entry.value["kind"] == "malformed"
+
