@@ -23,7 +23,11 @@ election, peer expiries). Ties among one engine's cluster timers are order
 free: fired in any order, they log the same bytes, which the tie-shuffle
 tests in tests/test_cluster.py and tests/test_golden.py check by breaking
 them at random. Ties among node timers are not: broken at random, they move
-flow_a's timeline, so their creation order is part of the contract.
+flow_a's timeline, so their creation order is part of the contract. Nor are
+ties among deliveries (broker deliveries and datagram events): broken at
+random, they move the seed-1 timeline of every benchmark workload, though no
+fixture pin. So their creation order is part of the contract too, and with it
+the subscription order in which World.publish schedules a topic's deliveries.
 """
 
 from __future__ import annotations

@@ -157,7 +157,7 @@ def _parse_device(raw: dict) -> VirtualDevice:
         raise ScenarioError(f"{where} valueModel.noiseAmp, an object, needs an object base "
                             "with each of its fields")
     return VirtualDevice(id=dev_id, kind=kind, topic=topic, period=period, base=base,
-                         noise_amp=amp, reads=sorted(reads), online=online)
+                         noise_amp=amp, reads=sorted(reads, key=lambda r: r[0]), online=online)
 
 
 def _parse_instance(raw: dict) -> InstanceSpec:

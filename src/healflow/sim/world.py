@@ -50,7 +50,13 @@ class Service:
 
 
 class World:
-    """Shared simulated environment; `engines` maps instance names to engines in join order."""
+    """Shared simulated environment; `engines` maps instance names to engines in join order.
+
+    The broker holds each subscription once, in the order first subscribed,
+    and routes each published topic to the subscriptions it matches, in that
+    order. subscribe is the one change to the routes: a new key clears them,
+    and a restarted engine re-subscribing adds no key.
+    """
 
     def __init__(self, seed: int = 0, devices: list[VirtualDevice] = (),
                  services: list[Service] = ()):
@@ -64,6 +70,7 @@ class World:
         self.engines: dict[str, Any] = {}
         self.delays: dict[str, int] = {}  # per-source constant net delay
         self._subs: dict[tuple[str, str, str], None] = {}
+        self._routes: dict[str, list[tuple[str, str]]] = {}  # topic -> matching subs
         self._rngs = {d: random.Random(f"{seed}/device/{d}") for d in self.devices}
 
     # --- engine attachment ----------------------------------------------------
@@ -77,8 +84,11 @@ class World:
         return RANK_INSTANCE_BASE + (names.index(instance) if instance in names else len(names))
 
     def subscribe(self, instance: str, node_id: str, pattern: str) -> None:
-        # Keyed so a restarted engine re-subscribing keeps the original order.
-        self._subs[(instance, node_id, pattern)] = None
+        # Keyed so a restarted engine re-subscribing keeps the order and routes.
+        key = (instance, node_id, pattern)
+        if key not in self._subs:
+            self._subs[key] = None
+            self._routes.clear()
 
     # --- inventories -------------------------------------------------------------
     def hosts(self) -> list[str]:
@@ -94,13 +104,20 @@ class World:
     def publish(self, topic: str, payload, source: str) -> None:
         """Deliver to every matching subscription, honoring net_delay faults.
 
-        Each delivery is an event at the subscriber's delivery rank. Every
-        subscriber gets the payload object itself, as Envelope states.
+        Each delivery is an event at the subscriber's delivery rank, one per
+        matching subscription, scheduled in subscription order. Every
+        subscriber gets the payload object itself, as Envelope states. A
+        topic's route, its matching (instance, node id) pairs, is built by
+        topic_matches on its first publish and kept until a subscribe adds a
+        new key.
         """
+        route = self._routes.get(topic)
+        if route is None:
+            route = self._routes[topic] = [
+                (instance, node_id) for (instance, node_id, pattern) in self._subs
+                if topic_matches(pattern, topic)]
         delay = self.delays.get(source, 0)
-        for (instance, node_id, pattern) in self._subs:
-            if not topic_matches(pattern, topic):
-                continue
+        for instance, node_id in route:
             deliver = partial(self._deliver, instance, node_id, topic, payload)
             self.clock.after(delay, deliver, self.engines[instance].rank_deliver)
 

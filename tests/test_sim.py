@@ -6,9 +6,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from healflow.core.envelope import topic_matches
 from healflow.core.graph import parse_flow
 from healflow.core.timeline import WORLD_INSTANCE
 from healflow.persistence import MIN_COMPACT_LINES, Store
+from healflow.sim import world as world_module
 from healflow.sim.runner import Simulation, apply_fault
 from healflow.sim.scenario import FAULTS, FaultEvent, ScenarioError, parse_scenario
 from healflow.sim.world import VirtualDevice, World
@@ -92,6 +94,92 @@ def test_publish_gives_each_subscriber_an_independent_copy():
     delivered = [e.value for e in world.log if e.kind == "deliver"]
     assert delivered == [original] * 6
     assert dev.stuck == original
+
+
+def broker_deliveries(world):
+    """(instance, node, value) of each broker delivery, in timeline order;
+    subscriber_engine's sink is fed by a wire, not the broker."""
+    return [(e.instance, e.node, e.value) for e in world.log
+            if e.kind == "deliver" and e.node != "sink"]
+
+
+def test_a_subscription_added_after_a_publish_gets_the_topics_next_publish():
+    world = make_world()
+    subscriber_engine(world)
+    world.publish("lab/temp", 1, source="dev")
+    world.clock.run_until(10)
+    late = make_engine(build_graph(make_spec("late", "mqtt-in", {"topic": "lab/+"})),
+                       instance="i1", world=world)
+    late.start()
+    world.publish("lab/temp", 2, source="dev")
+    world.clock.run_until(20)
+    assert broker_deliveries(world) == [("i0", "in", 1), ("i0", "in", 2), ("i1", "late", 2)]
+
+
+@pytest.mark.parametrize("patterns", [("lab/temp", "lab/+"), ("lab/+", "lab/temp")])
+def test_one_publish_reaches_each_matching_subscription_in_subscription_order(patterns):
+    world = make_world()
+    graph = build_graph(*(make_spec(f"in-{n}", "mqtt-in", {"topic": pattern})
+                          for n, pattern in enumerate(patterns)))
+    make_engine(graph, instance="i0", world=world).start()
+    world.publish("lab/temp", 5, source="dev")
+    world.clock.run_until(10)
+    assert broker_deliveries(world) == [("i0", "in-0", 5), ("i0", "in-1", 5)]
+
+
+def test_each_publish_after_a_restart_delivers_once_per_subscription():
+    world = make_world()
+    subscriber_engine(world)
+    make_engine(build_graph(make_spec("wild", "mqtt-in", {"topic": "lab/+"})),
+                instance="i1", world=world).start()
+    world.publish("lab/temp", 1, source="dev")
+    world.clock.run_until(10)
+    apply_fault(FaultEvent(10, "instance_restart", "i0"), world)
+    for value in (2, 3):
+        world.publish("lab/temp", value, source="dev")
+        world.clock.run_until(world.clock.now + 10)
+    assert broker_deliveries(world) == [
+        (instance, node, value) for value in (1, 2, 3)
+        for instance, node in (("i0", "in"), ("i1", "wild"))]
+
+
+def test_each_topic_is_matched_once_until_a_subscription_is_added(monkeypatch):
+    """Routes are built on a topic's first publish and kept until subscribe
+    adds a new key: N publishes over K topics and S subscriptions make K * S
+    topic_matches calls, not N * S, and a restart's re-subscription none."""
+    calls = []
+
+    def counting(pattern, topic):
+        calls.append((pattern, topic))
+        return topic_matches(pattern, topic)
+
+    monkeypatch.setattr(world_module, "topic_matches", counting)
+    world = make_world()
+    patterns = ["lab/temp", "lab/+", "attic/+"]
+    graph = build_graph(*(make_spec(f"in-{n}", "mqtt-in", {"topic": pattern})
+                          for n, pattern in enumerate(patterns)))
+    make_engine(graph, instance="i0", world=world).start()
+    topics = ["lab/temp", "lab/hum", "attic/temp", "cellar"]
+    for value in range(5):
+        for topic in topics:
+            world.publish(topic, value, source="dev")
+    assert len(calls) == len(topics) * len(patterns)
+    world.clock.run_until(10)
+    apply_fault(FaultEvent(10, "instance_restart", "i0"), world)
+    world.publish("lab/temp", 5, source="dev")
+    assert len(calls) == len(topics) * len(patterns)
+
+    calls.clear()
+    make_engine(build_graph(make_spec("any", "mqtt-in", {"topic": "+"})),
+                instance="i1", world=world).start()
+    for _ in range(2):
+        for topic in topics:
+            world.publish(topic, 6, source="dev")
+    assert calls == [(pattern, topic) for topic in topics for pattern in patterns + ["+"]]
+    world.clock.run_until(20)
+    # At one ms, i0's deliveries fire before i1's: engines rank in join order.
+    assert [node for _, node, value in broker_deliveries(world) if value == 6] == [
+        "in-0", "in-1", "in-1", "in-2"] * 2 + ["any"] * 2
 
 
 # --- faults ----------------------------------------------------------------------
@@ -222,6 +310,24 @@ def test_nfc_reader_offline_misses_its_scripted_read():
     world.clock.run_until(5000)
     assert [(e.time, e.value) for e in world.log.emits("nfc")] == [(2500, "card-b")]
     assert [e.time for e in world.log if e.kind == "deliver" and e.node == "in"] == [2500]
+
+
+def nfc_emits(*reads):
+    """(time, value) of each emit of an nfcReader scripted with `reads`, run to 100 ms."""
+    script = parse_scenario(json.dumps({"seed": 1, "duration_ms": 100, "world": {"devices": [
+        {"id": "nfc", "kind": "nfcReader", "topic": "t",
+         "reads": [{"at_ms": at, "value": value} for at, value in reads]}]}}))
+    log = Simulation([parse_flow(SINK_FLOW)], script).run()
+    return [(e.time, e.value) for e in log.emits("nfc")]
+
+
+def test_nfc_reads_at_one_ms_with_object_values_run_in_document_order():
+    reads = [(5, {"card": "b"}), (5, {"card": "a"})]
+    assert nfc_emits(*reads) == reads
+
+
+def test_nfc_reads_are_sorted_by_time_only_keeping_document_order_at_one_ms():
+    assert nfc_emits((5, 2), (5, 1), (3, 9)) == [(3, 9), (5, 2), (5, 1)]
 
 
 def test_seed_determinism_device_emissions():
