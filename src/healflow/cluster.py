@@ -7,21 +7,21 @@ highest last address octet with the full address as tie-break. Because
 every instance evaluates the same function over the same set, they agree
 without further messages.
 
-A ping period of a stable cluster puts nothing on the clock. The transport
-keeps one record per sender: its last periodic ping's time. Every receiver
-holding the sender alive shares it as its view, so the tick does no work
-for it. A receiver joins only if its election timeout is at least the
-sender's ping period, so a shared view cannot expire while its sender
-pings. A tick that leaves no receiver to send an event to parks: later
-ticks are implied, one every ping period, until the group's composition
-changes, which resumes them from the latest implied tick that has fired.
+A ping period of a stable cluster puts nothing on the clock. Each sender
+keeps the time of its last periodic ping. Every receiver holding the sender
+alive reads that time as its view, so the tick does no work for it. A
+receiver joins only if its election timeout is at least the sender's ping
+period, so a shared view cannot expire while its sender pings. A tick that
+leaves no receiver to send an event to parks: later ticks are implied, one
+every ping period, until the group's composition changes, which resumes
+them from the latest implied tick that has fired.
 When the sender's engine halts, each holder takes its view as its own: the
 last ping time, and an expiry at the time that delivering the ping as an
-event would have given it. That expiry, and a resumed tick, draw later seqs
-than the eager schedule's would have, but they tie only with their agent's
-own cluster timers, whose order the timeline does not depend on (see
-core.clock). So the timeline is that of a fabric that delivers each ping as
-an event.
+event would have given it. That expiry draws a later seq than the eager
+schedule's would have, but it ties only with its agent's own cluster timers,
+whose order the timeline does not depend on (see core.clock); a resumed tick,
+drawn late too, is alone at its agent's ping rank. So the timeline is that
+of a fabric that delivers each ping as an event.
 
 Wire protocol: ASCII lines over datagrams,
 
@@ -81,44 +81,14 @@ def decode_ping(data: bytes) -> tuple[str, int, int]:
 
 # --- transport ---------------------------------------------------------------
 
-class _Sender:
-    """One sender's last periodic ping, which every receiver holding the
-    sender alive reads as its view; each such agent records the group in
-    its `_held`. `joiners` are the receivers that get the ping as an event,
-    None until the next tick lays them out anew. A tick that finds no joiner
-    parks its agent here (`parked`): its later ticks are implied, one every
-    ping period from `last`, until LoopbackTransport.changed() resumes them.
-    """
-
-    __slots__ = ("last", "joiners", "parked")
-
-    def __init__(self):
-        self.last = 0
-        self.joiners: list[ClusterAgent] | None = None
-        self.parked: ClusterAgent | None = None
-
-    def last_tick(self, clock) -> int:
-        """The time of the sender's latest tick that has fired, implied ones
-        included. An implied tick at clock.now has fired iff its rank, the
-        parked agent's cluster rank, is below clock.firing_rank."""
-        agent = self.parked
-        if agent is None:
-            return self.last
-        now, period = clock.now, agent.ping_period
-        tick = now - (now - self.last) % period
-        if self.last < tick == now and clock.firing_rank <= agent.engine.rank_cluster:
-            tick -= period  # implied at now, but not yet fired
-        return tick
-
-
 class LoopbackTransport:
     """In-memory datagram fabric between ClusterAgents, with per-link drop.
 
     send() schedules every datagram event: the agent's receive_datagram at
     its delivery rank, at the send's virtual ms. A periodic ping (ping())
     is one of those events only for a receiver that does not hold the
-    sender alive; every receiver that does shares one record per sender,
-    its group (`_senders`), and does no work on the sender's tick. One
+    sender alive; every receiver that does reads the sender's own last
+    ping time as its view, and does no work on the sender's tick. One
     running agent holds each address.
     """
 
@@ -126,7 +96,6 @@ class LoopbackTransport:
         self.clock = clock
         self._agents: dict[str, ClusterAgent] = {}
         self._drops: dict[tuple[str, str], bool] = {}
-        self._senders: dict[str, _Sender] = {}
 
     def register(self, agent: ClusterAgent) -> None:
         """Add agent in place of a halted one at its address, which has left
@@ -138,33 +107,26 @@ class LoopbackTransport:
         self.changed()
 
     def changed(self, src: str | None = None) -> None:
-        """Have src's next ping tick (every sender's, for None) lay out its
-        group anew: an agent registered or halted, a link dropped or came
-        back, or a receiver came to hold src alive or took its view as its own.
+        """Resume src's ping ticks (every agent's, for None) if they are
+        parked: an agent registered, a link dropped or came back, or a
+        receiver came to hold src alive or took its view as its own.
 
-        A parked sender resumes here: its `last` becomes its latest tick that
-        has fired, and its next tick is scheduled a ping period on, at its
-        cluster rank. That reaches every reader of `last`, as release()
-        calls changed() before it reads it.
+        The parked agent's `last` becomes its latest tick that has fired, and
+        its next tick is scheduled a ping period on, at its ping rank. That
+        reaches every reader of `last`, as release() calls changed() before
+        it reads it.
         """
-        if src is None:
-            senders = self._senders.values()
-        else:
-            senders = [self._senders[src]] if src in self._senders else ()
-        for sender in senders:
-            sender.joiners = None
-            agent = sender.parked
-            if agent is not None:
-                sender.last = sender.last_tick(self.clock)
-                sender.parked = None
-                self.clock.at(sender.last + agent.ping_period, agent._ping_tick,
-                              agent.engine.rank_cluster)
+        for agent in self._agents.values() if src is None else [self._agents.get(src)]:
+            if agent is not None and agent.parked:
+                agent.last = agent.last_tick()
+                agent.parked = False
+                self.clock.at(agent.last + agent.ping_period, agent._ping_tick,
+                              agent.engine.rank_ping)
 
     def stopped(self, src: str) -> None:
         """src pings no more: each agent holding it takes its view as its own."""
         for agent in self._agents.values():
             agent.release(src)
-        self.changed()
 
     def set_drop(self, src: str, dst: str, drop: bool) -> None:
         """Drop or restore a link. A receiver holding src through its group
@@ -192,43 +154,31 @@ class LoopbackTransport:
         ms on: as broadcast(), but only a joiner gets an event. True if the
         tick parks src's agent, which then schedules no next tick.
 
-        A receiver holding src alive joins its group instead, unless its
-        election timeout is shorter than `period`. The group is laid out
-        again only after the composition changes (changed()). A holder's
-        refresh is then only the record's new time. A group with no joiner
-        parks: each later tick would only move that time, so the ticks are
-        implied (_Sender.last_tick) until changed() resumes them.
+        Each tick lays out its group over _agents in order, skipping a dropped
+        link and a halted receiver, whose event would do nothing. A receiver
+        holding src alive joins the group instead (hold), unless its election
+        timeout is shorter than `period`; a holder's refresh is then only the
+        sender's new `last`. A tick with no joiner parks: each later tick would
+        only move that time, so the ticks are implied (ClusterAgent.last_tick)
+        until changed() resumes them.
 
         Refreshing a holder at send time is exact: it moves only the last
         ping time of the holder's view, which no node code reads, and the
         expiry that time arms runs at the holder's cluster rank, where it ties
         only with that agent's own timers, whatever deliveries to it are pending.
         """
-        sender = self._senders.get(src)
-        if sender is None:
-            sender = self._senders[src] = _Sender()
-        if sender.joiners is None:
-            sender.joiners = self._lay_out(src, sender, period)
+        sender = self._agents[src]
+        joining = [agent for dst, agent in self._agents.items()
+                   if dst != src and not self._drops.get((src, dst))
+                   and not agent.engine.halted and not agent.hold(sender, period)]
         now = sender.last = self.clock.now
-        if not sender.joiners:
-            sender.parked = self._agents[src]
+        if not joining:
+            sender.parked = True
             return True
         data = encode_ping(src, epoch, now)
-        for agent in sender.joiners:
+        for agent in joining:
             self.send(src, agent.address, data)
         return False
-
-    def _lay_out(self, src: str, sender: _Sender, period: int) -> list[ClusterAgent]:
-        """src's joiners, over _agents in order, skipping a dropped link and a
-        halted receiver, whose event would do nothing; a receiver holding src
-        alive as its own view joins the group here (hold) instead."""
-        joiners = []
-        for dst, agent in self._agents.items():
-            if dst == src or self._drops.get((src, dst)) or agent.engine.halted:
-                continue
-            if not agent.hold(src, sender, period):
-                joiners.append(agent)
-        return joiners
 
 
 # --- runtime agent -----------------------------------------------------------
@@ -251,9 +201,15 @@ class ClusterAgent:
     pings refresh it with no work here. The view becomes the agent's own
     again (release), with the expiry the last ping armed, when the agent
     hears the sender itself, halts or loses the link, and when the sender
-    halts. A view's last ping time is kept only in its group record or in
-    its expiry's due. Ping ticks, the boot election and expiries run at the
-    engine's cluster rank, after its node timers.
+    halts. A view's last ping time is kept only in the sender's `last` or
+    in its expiry's due. The boot election and expiries run at the engine's
+    cluster rank, after its node timers, and ping ticks at its ping rank,
+    after those.
+
+    As a sender, the agent keeps `last`, the time of its last periodic tick,
+    and `parked`: True when that tick found no joiner, so that its later
+    ticks are implied, one every ping period from `last`, until
+    LoopbackTransport.changed() resumes them.
 
     The agent is configured by the engine's first redundancy node, `spec`:
     its electionTimeout sets the timeouts, and its id is the node of every
@@ -281,7 +237,9 @@ class ClusterAgent:
         self.role_node = spec.id
         self._listeners: list[Callable[[str, int], None]] = []
         self._expiry: dict[str, list] = {}  # address -> own view's expiry (cancelled if held)
-        self._held: dict[str, _Sender] = {}  # address -> group record holding the view
+        self._held: dict[str, ClusterAgent] = {}  # address -> sender whose ping refreshes the view
+        self.last = 0
+        self.parked = False
         # Register at construction, before any instance of the setup pass
         # starts, so every boot ping reaches every agent; nothing fires early.
         self.transport.register(self)
@@ -294,23 +252,35 @@ class ClusterAgent:
         # Every boot ping is an event: start() may run inside a fault, and a
         # later fault at the same ms may halt a receiver before it lands.
         self.transport.broadcast(self.address, encode_ping(self.address, self.epoch, clock.now))
-        clock.after(self.ping_period, self._ping_tick, rank=self.engine.rank_cluster)
+        clock.after(self.ping_period, self._ping_tick, rank=self.engine.rank_ping)
         clock.after(self.election_timeout, self._boot_election, rank=self.engine.rank_cluster)
 
     def leave(self) -> None:
-        """Take every held view as this agent's own, hand back every view of
-        this agent held in its group, and have every sender's next tick lay
-        out its group anew: the engine halted, so it pings no more and its
-        events do nothing."""
+        """Take every held view as this agent's own and hand back every view
+        of this agent held in its group: the engine halted, so it pings no
+        more and its events do nothing."""
         for address in list(self._held):
             self.release(address)
         self.transport.stopped(self.address)
 
     # --- timers --------------------------------------------------------------
+    def last_tick(self) -> int:
+        """The time of this agent's latest ping tick that has fired, implied
+        ones included. An implied tick at clock.now has fired iff its rank,
+        this engine's ping rank, is below clock.firing_rank."""
+        if not self.parked:
+            return self.last
+        clock, period = self.engine.clock, self.ping_period
+        now = clock.now
+        tick = now - (now - self.last) % period
+        if self.last < tick == now and clock.firing_rank <= self.engine.rank_ping:
+            tick -= period  # implied at now, but not yet fired
+        return tick
+
     def _ping_tick(self) -> None:
         if self.engine.halted or self.transport.ping(self.address, self.epoch, self.ping_period):
             return
-        self.engine.clock.after(self.ping_period, self._ping_tick, rank=self.engine.rank_cluster)
+        self.engine.clock.after(self.ping_period, self._ping_tick, rank=self.engine.rank_ping)
 
     def _boot_election(self) -> None:
         if not self.engine.halted:
@@ -344,9 +314,10 @@ class ClusterAgent:
             self._expiry.get(address), last + self.election_timeout + 1, self._expire,
             self.engine.rank_cluster, address)
 
-    def hold(self, address: str, sender: _Sender, period: int) -> bool:
-        """Join `address`'s group if this agent holds it alive, with a timeout
+    def hold(self, sender: ClusterAgent, period: int) -> bool:
+        """Join sender's group if this agent holds it alive, with a timeout
         of at least `period`, the sender's ping period; False if not."""
+        address = sender.address
         if address not in self._alive or self.election_timeout < period:
             return False
         if address not in self._held:
@@ -356,8 +327,8 @@ class ClusterAgent:
 
     def release(self, address: str) -> None:
         """Leave `address`'s group, if in it, taking its view as this agent's
-        own: the last ping time, and the expiry that ping armed. The sender's
-        next tick then lays out its group anew."""
+        own: the last ping time, and the expiry that ping armed. A parked
+        sender resumes its ticks first, so that its next one lays out its group."""
         sender = self._held.pop(address, None)
         if sender is None:
             return

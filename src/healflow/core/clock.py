@@ -17,17 +17,19 @@ without firing. So every live heap key equals the eager schedule's key, and
 callbacks fire in the same order, at the same now, as if each re-arm had
 cancelled its timer and pushed a new one.
 
-Which ties the timeline depends on: an engine owns three ranks, for its
-deliveries, its node timers and its cluster timers (ping ticks, the boot
-election, peer expiries). Ties among one engine's cluster timers are order
-free: fired in any order, they log the same bytes, which the tie-shuffle
-tests in tests/test_cluster.py and tests/test_golden.py check by breaking
-them at random. Ties among node timers are not: broken at random, they move
-flow_a's timeline, so their creation order is part of the contract. Nor are
-ties among deliveries (broker deliveries and datagram events): broken at
-random, they move the seed-1 timeline of every benchmark workload, though no
-fixture pin. So their creation order is part of the contract too, and with it
-the subscription order in which World.publish schedules a topic's deliveries.
+Which ties the timeline depends on: an engine owns four ranks, for its
+deliveries, its node timers, its cluster timers (the boot election, peer
+expiries) and its ping tick, whose pings fire next when they land at a lower
+delivery rank, so it must not tie with an expiry. Ties among one engine's
+cluster timers, and at its ping rank, are order free: fired in any order, they
+log the same bytes, which the tie-shuffle tests in tests/test_cluster.py and
+tests/test_golden.py check by breaking them at random. Ties among node timers
+are not: broken at random, they move flow_a's timeline, so their creation
+order is part of the contract. Nor are ties among deliveries (broker
+deliveries and datagram events): broken at random, they move the seed-1
+timeline of every benchmark workload, though no fixture pin. So their creation
+order is part of the contract too, and with it the subscription order in which
+World.publish schedules a topic's deliveries.
 """
 
 from __future__ import annotations

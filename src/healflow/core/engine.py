@@ -53,10 +53,12 @@ class Engine:
         # External deliveries beat node timers at equal timestamps: silence
         # windows are half-open, (t - timeout, t], so a message landing
         # exactly on a deadline counts as activity and suppresses the timer.
-        # The cluster agent's timers come last and are all that run there.
-        self.rank_deliver = 3 * rank
-        self.rank_timer = 3 * rank + 1
-        self.rank_cluster = 3 * rank + 2
+        # The cluster agent's timers come last and are all that run there,
+        # its ping tick after its boot election and expiries (see core.clock).
+        self.rank_deliver = 4 * rank
+        self.rank_timer = 4 * rank + 1
+        self.rank_cluster = 4 * rank + 2
+        self.rank_ping = 4 * rank + 3
         self.clock = world.clock
         self.log = world.log
         self.store = store

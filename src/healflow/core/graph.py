@@ -9,9 +9,10 @@ parse_flow owns structure: it rejects syntax errors, unknown or non-string
 kinds, duplicate ids, dangling or ill-typed wires, a non-bool enabled and a
 non-string flow outright, and sets each absent or null config field to its
 default.
-validate_graph checks only meaning (configs, port ranges, cycles, flow-group
-flags, redundancy count) and returns diagnostics, so a caller can show all
-at once. Both run once, where a flow is loaded; Engine trusts the graph.
+validate_graph checks only meaning (configs, port ranges, cycles, broker
+loops, flow-group flags, redundancy count) and returns diagnostics, so a
+caller can show all at once. Both run once, where a flow is loaded; Engine
+trusts the graph.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 
 from ..nodes import NODE_KINDS
-from .envelope import decode_document
+from .envelope import decode_document, topic_matches
 from .timeline import csv_safe
 
 
@@ -147,10 +148,13 @@ def validate_graph(g: FlowGraph) -> list[Diagnostic]:
     diags = [Diagnostic("error", n.id, problem)
              for n in g.nodes for problem in NODE_KINDS[n.kind].validate_config(n.config)]
 
-    # Wires must stay inside each node's declared ports; their sources feed the cycle check.
+    # Wires must stay inside each node's declared ports; their ends feed the cycle
+    # and broker-loop checks.
     predecessors: dict[str, list[str]] = {n.id: [] for n in g.nodes}
+    successors: dict[str, list[str]] = {n.id: [] for n in g.nodes}
     for src_id, port, dst_id, ingress in g.wires():
         predecessors[dst_id].append(src_id)
+        successors[src_id].append(dst_id)
         locus = f"{src_id}[{port}] -> {dst_id}[{ingress}]"
         src, dst = g.by_id[src_id], g.by_id[dst_id]
         if port >= len(NODE_KINDS[src.kind].egress_labels(src.config)):
@@ -165,6 +169,25 @@ def validate_graph(g: FlowGraph) -> list[Diagnostic]:
     except CycleError as exc:
         loop = exc.args[1]
         diags.append(Diagnostic("error", loop[0], "cycle: " + " -> ".join(loop)))
+
+    # An mqtt-out that wires reach from an mqtt-in matching its topic hands every
+    # publish back to that subscriber within the same ms, so a run never ends.
+    outs = {n.id: n.config["topic"] for n in g.nodes
+            if n.kind == "mqtt-out" and isinstance(n.config.get("topic"), str)}
+    for n in g.nodes:
+        pattern = n.config.get("topic")
+        if not outs or n.kind != "mqtt-in" or not isinstance(pattern, str):
+            continue
+        reached, stack = set(), [n.id]
+        while stack:
+            for dst_id in successors[stack.pop()]:
+                if dst_id not in reached:
+                    reached.add(dst_id)
+                    stack.append(dst_id)
+        for out_id, topic in outs.items():
+            if out_id in reached and topic_matches(pattern, topic):
+                diags.append(Diagnostic("error", out_id, f"publishes {topic!r} back to "
+                                        f"{n.id!r}, whose wires reach it: a broker loop"))
 
     # Mixed enabled flags inside one flow-group are almost always an authoring slip.
     members: dict[str, set[bool]] = {}

@@ -64,16 +64,17 @@ def final_seq(clock):
 
 class TieShuffleClock(VirtualClock):
     """A VirtualClock that fires same-ms ties among each engine's cluster
-    timers in a seeded random order: an entry at a cluster rank, or the due
-    that rearm() records there, is keyed (random tie key, creation sequence).
-    Entries at other ranks keep their creation order."""
+    timers, and at its ping rank, in a seeded random order: an entry at a
+    cluster or ping rank, or the due that rearm() records there, is keyed
+    (random tie key, creation sequence). Entries at other ranks keep their
+    creation order."""
 
     def __init__(self, seed: int):
         super().__init__()
         self._tie_key = random.Random(seed).random
 
     def _key(self, rank: int, seq: int):
-        if rank >= 3 * RANK_INSTANCE_BASE and rank % 3 == 2:
+        if rank >= 4 * RANK_INSTANCE_BASE and rank % 4 >= 2:
             return self._tie_key(), seq
         return seq
 

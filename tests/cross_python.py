@@ -4,12 +4,13 @@ imports alone, under each Python interpreter given.
     python tests/cross_python.py python3.10 python3.11 python3.12 python3.13
 
 Each interpreter runs every golden pair, and the store pair twice over one
-store directory, in one fresh process. One line is printed per interpreter and
-pair, and one for the store. Then it imports each module under src/healflow in
-a fresh process of its own with warnings as errors, and one line gives the
-count. The exit status is 1 if any timeline digest, report text or store digest
-differs from its pin, an interpreter fails to run the pairs, or a module fails
-to import alone.
+store directory, and renders the palette schema, in one fresh process. One line
+is printed per interpreter and pair, one for the store and one for the schema.
+Then it imports each module under src/healflow in a fresh process of its own
+with warnings as errors, and one line gives the count. The exit status is 1 if
+any timeline digest, report text, store digest or the schema text differs from
+its pin, an interpreter fails to run the pairs, or a module fails to import
+alone.
 Only the standard library is needed, in this process and in each child.
 """
 
@@ -27,26 +28,27 @@ MODULES = sorted(
     for path in (SRC / "healflow").rglob("*.py"))
 sys.path[:0] = PATH.split(os.pathsep)
 
-from golden_pins import GOLDEN, REPORTS, STORE_PINS  # noqa: E402
+from golden_pins import GOLDEN, REPORTS, SCHEMA, STORE_PINS  # noqa: E402
 
 # Printed by each child: its version, the digest and report text of each pair,
-# then the store digests.
+# the store digests, then the schema text.
 CHILD = """
 import json, sys
-from golden_pins import GOLDEN, observed, observed_store
+from golden_pins import GOLDEN, observed, observed_store, schema_text
 print(json.dumps([sys.version.split()[0], {name: observed(name) for name in GOLDEN},
-                  observed_store()]))
+                  observed_store(), schema_text()]))
 """
 
 
 def check(python: str) -> bool:
-    """Run the pairs under python, print one line per pair, and say whether all match."""
+    """Run the pairs and the schema under python, print one line for each pair, the
+    store and the schema, and say whether all match."""
     done = subprocess.run([python, "-W", "error", "-c", CHILD], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=PATH))
     if done.returncode != 0:
         print(f"{python}: exit {done.returncode}: {done.stderr.strip()}")
         return False
-    version, seen, store = json.loads(done.stdout)
+    version, seen, store, schema = json.loads(done.stdout)
     ok = True
     for name, (digest, report) in seen.items():
         pinned = GOLDEN[name][2]
@@ -58,7 +60,9 @@ def check(python: str) -> bool:
     same = tuple(store) == STORE_PINS
     print(f"{version} store of flow_a+scenario_a twice: sha256 "
           f"{' '.join(digest[:12] for digest in store)} {'ok' if same else 'DIFFERS'}")
-    return ok and same
+    print(f"{version} palette schema: {schema.count(chr(10))} lines "
+          f"{'ok' if schema == SCHEMA else 'DIFFERS'}")
+    return ok and same and schema == SCHEMA
 
 
 def imports_alone(python: str) -> bool:

@@ -1,6 +1,7 @@
 """Golden timelines: the full SHA-256 of to_csv() for each fixture flow/scenario pair,
-and the loss and MTTR report text of each; and the golden store file of a pair
-run twice over one store directory.
+and the loss and MTTR report text of each; the golden store file of a pair
+run twice over one store directory; and the palette schema, every node kind's
+CONFIG as text.
 
 A change that moves any fixture timeline by even one byte fails these pins. A
 change that alters behaviour on purpose updates them and says so. This module
@@ -9,10 +10,12 @@ pins under pytest and cross_python.py under any supported interpreter.
 """
 
 import hashlib
+import json
 import tempfile
 from pathlib import Path
 
 from healflow.core.graph import parse_flow
+from healflow.nodes import NODE_KINDS
 from healflow.report import compute_report, format_report
 from healflow.sim.runner import Simulation
 from healflow.sim.scenario import parse_scenario
@@ -81,6 +84,59 @@ STORE_PINS = (
 )
 
 
+# schema_text(): each kind's CONFIG, so that a moved bound, default, kind or
+# choice shows as a diff of this pin
+SCHEMA = (
+    'action-audit.timeout: int, required, > 0\n'
+    'action-audit.match: str, default null\n'
+    'balancing.outputs: int, required, >= 2, <= 1000\n'
+    'balancing.strategy: choice, default "roundRobin"'
+    ', one of ["roundRobin", "weightedRoundRobin", "random"]\n'
+    'balancing.weights: list, default null\n'
+    'balancing.seed: int, default null\n'
+    'checkpoint.timeToLive: int, required, > 0\n'
+    'compensate.historyMaxSize: int, default 10, > 1\n'
+    'compensate.interval: int, required, > 0\n'
+    'compensate.strategy: choice, default "last", one of ["last", "avg", "max", "min"]\n'
+    'compensate.confidenceDecay: number, default 0.9, > 0, <= 1\n'
+    'debounce.window: int, required, > 0\n'
+    'debounce.strategy: choice, default "last", one of ["last", "first", "avg", "drop-extra"]\n'
+    'debug: no config\n'
+    'device-registry: no config\n'
+    'extract.key: str, required\n'
+    'flow-control: no config\n'
+    'heartbeat.ping: any, default "ping"\n'
+    'heartbeat.ok: any, default "ok"\n'
+    'heartbeat.error: any, default "heartbeat-error"\n'
+    'heartbeat.mode: choice, default "passive", one of ["passive", "active"]\n'
+    'heartbeat.timeout: int, required, > 0\n'
+    'http-aware.ports: list, default null\n'
+    'http-aware.period: int, required, > 0\n'
+    'http-post.service: str, required\n'
+    'kalman-filter.q: number, default 0.0, >= 0\n'
+    'kalman-filter.r: number, required, > 0\n'
+    'mqtt-in.topic: str, required\n'
+    'mqtt-out.topic: str, default null\n'
+    'network-aware.period: int, required, > 0\n'
+    'rbe: no config\n'
+    'readings-watcher.minDelta: number, default 0, >= 0\n'
+    'readings-watcher.maxDelta: number, default null, > 0\n'
+    'readings-watcher.stuckCount: int, default 2, >= 2\n'
+    'redundancy.electionTimeout: int, default 15000, > 0\n'
+    'redundancy.controlledFlows: list, default []\n'
+    'replication-voter.expected: int, required, >= 2\n'
+    'replication-voter.quorum: choice, default "majority", one of ["majority", "unanimity"]\n'
+    'replication-voter.window: int, required, > 0\n'
+    'resource-monitor.metric: str, required\n'
+    'resource-monitor.nearMin: number, default null\n'
+    'resource-monitor.nearMax: number, default null\n'
+    'threshold-check.low: number, required\n'
+    'threshold-check.high: number, required\n'
+    'timing-check.expected: int, required, > 0\n'
+    'timing-check.tolerance: number, default 0, >= 0\n'
+)
+
+
 def run_fixture(name, store_dir=None):
     """The timeline of the named pair, its stores in store_dir if one is given."""
     flows, scenario, _ = GOLDEN[name]
@@ -106,3 +162,25 @@ def observed_store():
         log = run_fixture("flow_a+scenario_a", store_dir)
         second = hashlib.sha256(store.read_bytes()).hexdigest()
     return first, second, hashlib.sha256(log.to_csv().encode("utf-8")).hexdigest()
+
+
+def schema_text() -> str:
+    """Every node kind's CONFIG as SCHEMA holds it, kinds by name and fields in
+    declaration order: one line per field with its Param kind, its default as
+    JSON (or "required"), its bounds and its choices; one line for a kind
+    without fields."""
+    lines = []
+    for kind in sorted(NODE_KINDS):
+        config = NODE_KINDS[kind].CONFIG
+        if not config:
+            lines.append(f"{kind}: no config")
+        for name, p in config.items():
+            parts = [p.kind, f"default {json.dumps(p.default)}" if p.has_default else "required"]
+            if p.minimum is not None:
+                parts.append(f"{'>' if p.exclusive_min else '>='} {p.minimum}")
+            if p.maximum is not None:
+                parts.append(f"<= {p.maximum}")
+            if p.choices is not None:
+                parts.append(f"one of {json.dumps(list(p.choices))}")
+            lines.append(f"{kind}.{name}: {', '.join(parts)}")
+    return "".join(f"{line}\n" for line in lines)

@@ -168,6 +168,21 @@ def test_validate_two_cycle_flow_exits_2(tmp_path, capsys):
     assert capsys.readouterr().out.count("cycle:") == 1
 
 
+def test_a_flow_that_publishes_back_to_its_own_subscriber_exits_2(tmp_path, capsys):
+    """Run would republish each reading within its ms without end; validate refuses it."""
+    flow, scenario = tmp_path / "loop.json", tmp_path / "scenario.json"
+    flow.write_text(json.dumps({"nodes": [
+        {"id": "in", "type": "mqtt-in", "config": {"topic": "t"}, "wires": [[["out", 0]]]},
+        {"id": "out", "type": "mqtt-out", "config": {"topic": "t"}}]}))
+    scenario.write_text(json.dumps({"seed": 1, "duration_ms": 5000, "world": {"devices": [
+        {"id": "s", "kind": "periodicSensor", "topic": "t", "period_ms": 1000}]}}))
+    message = "error: out: publishes 't' back to 'in', whose wires reach it: a broker loop"
+    assert main(["validate", "--flow", str(flow)]) == 2
+    assert capsys.readouterr().out == f"{flow}: {message}\n"
+    assert main(["run", "--flow", str(flow), "--scenario", str(scenario)]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, value", [("config", "ab"), ("wires", [5]), ("type", ["x"])],
                          ids=["config-str", "port-int", "kind-list"])
 def test_ill_typed_config_or_wires_exits_2_naming_the_node(field, value, tmp_path, fixture_path,

@@ -53,13 +53,13 @@ def ping(engine, address, at):
 
 def peers(agent):
     """address -> (election key, last ping time, alive) for every peer the
-    agent has heard. A held view's time is its group's latest tick that has
+    agent has heard. A held view's time is its sender's latest tick that has
     fired, as the transport reads it; an own view's is its expiry's due time
     less the timeout and a ms."""
     view = {}
     for address, entry in agent._expiry.items():
         if address in agent._held:
-            last = agent._held[address].last_tick(agent.engine.clock)
+            last = agent._held[address].last_tick()
         else:
             due = entry[4][0] if entry[3] is not None and entry[4] is not None else entry[0]
             last = due - agent.election_timeout - 1
@@ -701,7 +701,7 @@ def test_a_node_timer_fires_before_a_cluster_expiry_drawn_earlier_at_the_same_ms
     the expiry first, yet the heartbeat fires first."""
     world, low, high, events = started_pair(low_graph=LISTENING)
     world.clock.run_until(900)  # high's tick at 1000 is scheduled, with the earlier seq
-    world.clock.at(1000, partial(world.publish, "s/x", 1.0, "s"), high.rank_cluster)
+    world.clock.at(1000, partial(world.publish, "s/x", 1.0, "s"), high.rank_ping)
     world.clock.run_until(1000)
     high.halt()
     world.clock.run_until(2100)
@@ -743,7 +743,8 @@ def test_send_schedules_every_datagram_event_across_a_failover(monkeypatch):
 def test_every_cluster_timer_runs_at_its_engines_delivery_or_cluster_rank(monkeypatch):
     """Datagram events, ping ticks, boot elections and peer expiries, through
     a crash and a restart: each clock entry cluster code makes is owned by an
-    agent and sits at its engine's delivery or cluster rank."""
+    agent and sits at its engine's delivery rank (datagram events), ping rank
+    (ping ticks) or cluster rank (the rest)."""
     scheduled = []
     at = VirtualClock.at
 
@@ -757,8 +758,10 @@ def test_every_cluster_timer_runs_at_its_engines_delivery_or_cluster_rank(monkey
     run_failover()
     assert {name for _, name, _ in scheduled} == {
         "_ping_tick", "_boot_election", "_expire", "receive_datagram"}
-    assert [(owner, rank) for owner, _, rank in scheduled if not isinstance(owner, ClusterAgent)
-            or rank not in (owner.engine.rank_deliver, owner.engine.rank_cluster)] == []
+    ranks = {"receive_datagram": "rank_deliver", "_ping_tick": "rank_ping"}
+    assert [(owner, name, rank) for owner, name, rank in scheduled
+            if not isinstance(owner, ClusterAgent)
+            or rank != getattr(owner.engine, ranks.get(name, "rank_cluster"))] == []
 
 
 def calls_over_stable_periods(count):
@@ -931,19 +934,47 @@ MIXED_TIMEOUTS = ({"seed": 1, "duration_ms": 100, "events": [], "world": THREE},
 
 # With 23 ms timeouts every instance ticks at 4, 8, 12, ..., and each tick
 # from 4 on finds no joiner, so the ticks from 8 on are implied. Each engine
-# owns ranks deliver, timer, cluster: i200 6-8, i7 9-11, i54 12-14.
+# owns ranks deliver, timer, cluster, ping: i200 8-11, i7 12-15, i54 16-19.
 # i200 crashes at 8, at fault rank, before its tick at 8: i7 and i54 take
 # the tick at 4 as their view of i200, dead at 28.
 CRASH_ON_TICK = ({"seed": 1, "duration_ms": 40, "events": [
     {"at_ms": 8, "kind": "instance_crash", "target": "i200"}], "world": THREE},
     [23, 23, 23], 23, [], [])
 
-# At 8 a ping with i200's address reaches i54 at rank 12, after i200's tick
-# at 8 (rank 8); at 12 one with i54's address reaches i7 at rank 9, before
-# i54's tick at 12 (rank 14). Each receiver takes its view as its own.
+# At 8 a ping with i200's address reaches i54 at rank 16, after i200's tick
+# at 8 (rank 11); at 12 one with i54's address reaches i7 at rank 12, before
+# i54's tick at 12 (rank 19). Each receiver takes its view as its own.
 DATAGRAMS_ON_TICKS = ({"seed": 1, "duration_ms": 40, "events": [], "world": THREE},
                       [23, 23, 23], 23, [],
-                      [(8, 12, I54, encode_ping(I200, 0, 0)), (12, 9, I7, encode_ping(I54, 0, 0))])
+                      [(8, 16, I54, encode_ping(I200, 0, 0)), (12, 12, I7, encode_ping(I54, 0, 0))])
+
+# Every link out of i200 drops at 1, after the boot pings, so its tick at 4
+# finds no joiner and no holder and parks. It crashes at 10 and restarts at
+# 20, where its boot ping reaches no one; its tick at 24 parks again, until
+# the link to i7 comes back at 30 and resumes it: i7 takes the tick at 32 as a join.
+PARKED_ALONE_RESTART = ({"seed": 1, "duration_ms": 50, "events": [
+    {"at_ms": 10, "kind": "instance_crash", "target": "i200"},
+    {"at_ms": 20, "kind": "instance_restart", "target": "i200"}], "world": THREE},
+    [23, 23, 23], 23, [(1, I200, I7, True), (1, I200, I54, True), (30, I200, I7, False)], [])
+
+# i200 and i7 ping every 40 ms and hold each other; i54 times a peer out
+# after 23 ms, below their ping period, so each of their ticks sends i54 a
+# join while i7 still holds i200. i54's own ticks, every 4 ms, find only
+# holders and park. i200 crashes at 90, after its tick at 80.
+MIXED_GROUP = ({"seed": 1, "duration_ms": 130, "events": [
+    {"at_ms": 90, "kind": "instance_crash", "target": "i200"}], "world": THREE},
+    [200, 200, 23], 23, [], [])
+
+# i4 pings every 40 ms, but i3 times a peer out after 23 ms, so i3's expiry
+# of i4's ping at 40 falls at 64, where i3 also ticks. i2 restarts at 61 and
+# first hears i3 at that tick, at i2's delivery rank, below i3's ranks: i2's
+# role change must follow i3's, whichever of i3's timers fires first.
+TICK_TIED_WITH_AN_EXPIRY = ({"seed": 1, "duration_ms": 64, "events": [
+    {"at_ms": 61, "kind": "instance_restart", "target": "i2"}], "world": {
+    "instances": [{"name": "i1", "address": "10.0.1.1"}, {"name": "i2", "address": "10.0.2.2"},
+                  {"name": "i3", "address": "10.0.0.3"}, {"name": "i4", "address": "10.0.1.4"}],
+    "devices": [{"id": "s", "kind": "periodicSensor", "topic": "s/x", "period_ms": 1}]}},
+    [5, 5, 23, 200], 5, [], [])
 
 
 @given(cluster_programs())
@@ -954,6 +985,9 @@ DATAGRAMS_ON_TICKS = ({"seed": 1, "duration_ms": 40, "events": [], "world": THRE
 @example(MIXED_TIMEOUTS)
 @example(CRASH_ON_TICK)
 @example(DATAGRAMS_ON_TICKS)
+@example(PARKED_ALONE_RESTART)
+@example(MIXED_GROUP)
+@example(TICK_TIED_WITH_AN_EXPIRY)
 @settings(max_examples=examples(60), deadline=None)
 def test_periodic_pings_taken_at_send_time_log_what_their_events_would(program):
     """Instances with one or mixed election timeouts crash and restart at any
@@ -975,11 +1009,15 @@ def test_periodic_pings_taken_at_send_time_log_what_their_events_would(program):
 @example(MIXED_TIMEOUTS)
 @example(CRASH_ON_TICK)
 @example(DATAGRAMS_ON_TICKS)
+@example(PARKED_ALONE_RESTART)
+@example(MIXED_GROUP)
+@example(TICK_TIED_WITH_AN_EXPIRY)
 @settings(max_examples=examples(60), deadline=None)
 def test_cluster_timer_ties_fired_in_any_order_log_the_same_bytes(program):
-    """The tie-order contract of core.clock: ping ticks, boot elections and
-    peer expiries tied at one engine's cluster rank, fired in three seeded
-    random orders, log the bytes and leave the peer views that creation order does."""
+    """The tie-order contract of core.clock: boot elections and peer expiries
+    tied at one engine's cluster rank, and ping ticks at its ping rank, fired
+    in three seeded random orders, log the bytes and leave the peer views that
+    creation order does."""
     expected = run_program(program)
     for seed in range(3):
         with shuffled_cluster_ties(seed):

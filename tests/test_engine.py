@@ -134,9 +134,10 @@ def test_engines_rank_in_the_order_they_joined_their_world():
     engines = [make_engine(build_graph(make_spec("d", "debug")), instance=name, world=world)
                for name in ("b", "a", "c")]
     ranks = [RANK_INSTANCE_BASE + i for i in range(3)]
-    assert [e.rank_deliver for e in engines] == [3 * r for r in ranks]
-    assert [e.rank_timer for e in engines] == [3 * r + 1 for r in ranks]
-    assert [e.rank_cluster for e in engines] == [3 * r + 2 for r in ranks]
+    assert [e.rank_deliver for e in engines] == [4 * r for r in ranks]
+    assert [e.rank_timer for e in engines] == [4 * r + 1 for r in ranks]
+    assert [e.rank_cluster for e in engines] == [4 * r + 2 for r in ranks]
+    assert [e.rank_ping for e in engines] == [4 * r + 3 for r in ranks]
 
 
 def test_restart_replaces_the_engine_in_place_and_replays_the_checkpoint_once():

@@ -3,7 +3,8 @@
 import pytest
 
 from tests.conftest import shuffled_cluster_ties
-from tests.golden_pins import GOLDEN, REPORTS, STORE_PINS, observed, observed_store
+from tests.golden_pins import (GOLDEN, REPORTS, SCHEMA, STORE_PINS, observed, observed_store,
+                                schema_text)
 
 
 @pytest.mark.parametrize("name", list(GOLDEN))
@@ -18,6 +19,10 @@ def test_fixture_report_text_is_pinned(name):
 
 def test_store_file_of_two_runs_is_byte_identical():
     assert observed_store() == STORE_PINS
+
+
+def test_palette_schema_is_pinned():
+    assert schema_text() == SCHEMA
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -175,6 +175,29 @@ def test_long_chain_and_ring_validate_without_recursion():
     assert len(cycle_errors(build_graph(*ring(*ids)))) == 1
 
 
+def broker_loop(pattern, topic):
+    """mqtt-in on `pattern`, through an rbe, to mqtt-out on `topic`."""
+    return build_graph(make_spec("in", "mqtt-in", {"topic": pattern}, wires=[[("mid", 0)]]),
+                       make_spec("mid", "rbe", wires=[[("out", 0)]]),
+                       make_spec("out", "mqtt-out", {"topic": topic}))
+
+
+def test_a_publish_wired_back_to_its_own_subscriber_is_a_broker_loop():
+    for pattern in ("lab/t", "lab/+"):
+        assert validate_graph(broker_loop(pattern, "lab/t")) == [Diagnostic(
+            "error", "out", "publishes 'lab/t' back to 'in', whose wires reach it: a broker loop")]
+
+
+def test_a_publish_to_another_topic_or_from_an_unwired_subscriber_is_no_loop():
+    assert validate_graph(broker_loop("lab/t", "lab/u")) == []
+    assert validate_graph(broker_loop("lab/+", "alarm")) == []
+    graph = build_graph(make_spec("in", "mqtt-in", {"topic": "t"}, wires=[[("sink", 0)]]),
+                        make_spec("sink", "debug"),
+                        make_spec("feed", "rbe", wires=[[("out", 0)]]),
+                        make_spec("out", "mqtt-out", {"topic": "t"}))
+    assert validate_graph(graph) == []
+
+
 def test_threshold_low_above_high_is_flagged():
     graph = build_graph(make_spec("t", "threshold-check", {"low": 10, "high": 5}))
     diags = validate_graph(graph)
