@@ -1,7 +1,7 @@
 """Command-line entry point: validate flows, run scenarios, render reports.
 
-Each input is checked once, where it is read: a flow file by _load_flow, a
-scenario by parse_scenario; the Simulation and its engines trust both.
+Each input is checked once, where it is read: a flow file by _load_flow, a run's
+flows together by loop_errors and a scenario by parse_scenario; Simulation trusts them.
 
 Exit codes: 0 ok, 2 validation error (bad files, bad graphs, bad scripts),
 3 runtime I/O error.
@@ -13,7 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .core.graph import Diagnostic, FlowGraph, FlowParseError, parse_flow, validate_graph
+from .core.graph import (Diagnostic, FlowGraph, FlowParseError, loop_errors, parse_flow,
+                         validate_graph)
 from .core.timeline import entries_from_csv
 from .report import compute_report, format_report, render_marble
 from .sim.runner import Simulation
@@ -77,6 +78,8 @@ def _cmd_run(args) -> int:
         if errors:
             raise _CliError("\n  ".join([f"{path}: invalid flow", *map(str, errors)]))
         graphs.append(graph)
+    if loops := loop_errors([(f"{path}:", g) for path, g in zip(args.flow, graphs)]):
+        raise _CliError("\n  ".join(["flows loop when run together", *map(str, loops)]))
     try:
         script = parse_scenario(_read(args.scenario))
         sim = Simulation(graphs, script, seed=args.seed, store_dir=args.store_dir)

@@ -9,10 +9,10 @@ parse_flow owns structure: it rejects syntax errors, unknown or non-string
 kinds, duplicate ids, dangling or ill-typed wires, a non-bool enabled and a
 non-string flow outright, and sets each absent or null config field to its
 default.
-validate_graph checks only meaning (configs, port ranges, cycles, broker
-loops, flow-group flags, redundancy count) and returns diagnostics, so a
-caller can show all at once. Both run once, where a flow is loaded; Engine
-trusts the graph.
+validate_graph checks only meaning (configs, port ranges, loops, flow-group
+flags, redundancy count) and returns diagnostics, so a caller can show all at
+once. Both run once, where a flow is loaded; Engine trusts the graph. A loop is a
+cycle of wires and broker routes (loop_errors), in one flow or across a run's flows.
 """
 
 from __future__ import annotations
@@ -142,19 +142,14 @@ def parse_flow(text: str) -> FlowGraph:
 def validate_graph(g: FlowGraph) -> list[Diagnostic]:
     """Check what a parsed graph means; an empty list means the graph is runnable.
 
-    g must be as parse_flow builds it: known kinds, unique ids, every wire
-    to a node in g. A flow with cycles gets one cycle diagnostic.
+    g must be as parse_flow builds it: known kinds, unique ids, every wire to a
+    node in g. Its loops, of wires and broker routes alike, are loop_errors' to find.
     """
     diags = [Diagnostic("error", n.id, problem)
              for n in g.nodes for problem in NODE_KINDS[n.kind].validate_config(n.config)]
 
-    # Wires must stay inside each node's declared ports; their ends feed the cycle
-    # and broker-loop checks.
-    predecessors: dict[str, list[str]] = {n.id: [] for n in g.nodes}
-    successors: dict[str, list[str]] = {n.id: [] for n in g.nodes}
+    # Wires must stay inside each node's declared ports.
     for src_id, port, dst_id, ingress in g.wires():
-        predecessors[dst_id].append(src_id)
-        successors[src_id].append(dst_id)
         locus = f"{src_id}[{port}] -> {dst_id}[{ingress}]"
         src, dst = g.by_id[src_id], g.by_id[dst_id]
         if port >= len(NODE_KINDS[src.kind].egress_labels(src.config)):
@@ -163,31 +158,7 @@ def validate_graph(g: FlowGraph) -> list[Diagnostic]:
         if ingress >= NODE_KINDS[dst.kind].INGRESSES:
             diags.append(Diagnostic("error", locus,
                                     f"ingress {ingress} not declared by {dst.kind!r}"))
-
-    try:
-        TopologicalSorter(predecessors).prepare()
-    except CycleError as exc:
-        loop = exc.args[1]
-        diags.append(Diagnostic("error", loop[0], "cycle: " + " -> ".join(loop)))
-
-    # An mqtt-out that wires reach from an mqtt-in matching its topic hands every
-    # publish back to that subscriber within the same ms, so a run never ends.
-    outs = {n.id: n.config["topic"] for n in g.nodes
-            if n.kind == "mqtt-out" and isinstance(n.config.get("topic"), str)}
-    for n in g.nodes:
-        pattern = n.config.get("topic")
-        if not outs or n.kind != "mqtt-in" or not isinstance(pattern, str):
-            continue
-        reached, stack = set(), [n.id]
-        while stack:
-            for dst_id in successors[stack.pop()]:
-                if dst_id not in reached:
-                    reached.add(dst_id)
-                    stack.append(dst_id)
-        for out_id, topic in outs.items():
-            if out_id in reached and topic_matches(pattern, topic):
-                diags.append(Diagnostic("error", out_id, f"publishes {topic!r} back to "
-                                        f"{n.id!r}, whose wires reach it: a broker loop"))
+    diags += loop_errors([("", g)])
 
     # Mixed enabled flags inside one flow-group are almost always an authoring slip.
     members: dict[str, set[bool]] = {}
@@ -204,3 +175,33 @@ def validate_graph(g: FlowGraph) -> list[Diagnostic]:
         diags.append(Diagnostic("warning", reds[1],
                                 "multiple redundancy nodes; the first one drives the cluster"))
     return diags
+
+
+def loop_errors(flows: list[tuple[str, FlowGraph]]) -> list[Diagnostic]:
+    """One cycle diagnostic, naming each node by its flow's prefix and id, if the flows
+    loop when run together. An mqtt-out with a topic routes to each matching mqtt-in
+    of any flow; a pass-through one (topic null) routes nowhere: upstream sets its topic.
+    """
+    # Key: the node's id, after its flow's position and a NUL past flow 0 (ids hold no NUL).
+    successors, publishes, patterns = {}, {}, {}
+    for i, (_, g) in enumerate(flows):
+        tag = f"{i}\0" if i else ""
+        for n in g.nodes:
+            successors[tag + n.id] = out = []
+            for targets in n.wires:
+                for dst, _ in targets:
+                    out.append(tag + dst)
+            if n.kind in ("mqtt-out", "mqtt-in") and isinstance(n.config.get("topic"), str):
+                (publishes if n.kind == "mqtt-out" else patterns)[tag + n.id] = n.config["topic"]
+    for key, topic in publishes.items():
+        successors[key] += [s for s, pattern in patterns.items() if topic_matches(pattern, topic)]
+    try:
+        # Read as predecessors, successors make the reversed graph: same cycles, backwards.
+        TopologicalSorter(successors).prepare()
+        return []
+    except CycleError as exc:
+        loop = exc.args[1][::-1]
+    names = [flows[int(pos or 0)][0] + n for pos, _, n in (k.rpartition("\0") for k in loop)]
+    hops = [f"{n} publishes {publishes[k]!r}" for k, n in zip(loop, names[:-1]) if k in publishes]
+    broker = f" through the broker ({', '.join(hops)})" if hops else ""
+    return [Diagnostic("error", names[0], "cycle: " + " -> ".join(names) + broker)]

@@ -122,11 +122,11 @@ def format_report(report: RunReport, metric: str, sink: Optional[str] = None) ->
 
 # --- marble rendering -----------------------------------------------------------
 
-def _egress_label(graph: Optional[FlowGraph], node: str, port: Optional[int]) -> str:
+def _egress_label(graph: FlowGraph, node: str, port: Optional[int]) -> str:
     """The marble row label of a node's egress, on one line."""
     port = port or 0
     label = f"{node}:{port}"
-    if graph is not None and node in graph.by_id:
+    if node in graph.by_id:
         spec = graph.by_id[node]
         labels = NODE_KINDS[spec.kind].egress_labels(spec.config)
         if len(labels) <= 1:
@@ -136,18 +136,17 @@ def _egress_label(graph: Optional[FlowGraph], node: str, port: Optional[int]) ->
     return _shown(label)
 
 
-def default_bucket(emits, graph: Optional[FlowGraph] = None) -> int:
+def default_bucket(emits, graph: FlowGraph) -> int:
     """A quarter of the fastest configured cadence, or of the one observed in emit entries."""
     periods = []
-    if graph is not None:
-        for spec in graph.nodes:
-            # Only timing-check's expected is a period; the voter's is a value count.
-            keys = ("period", "interval", "window") + (
-                ("expected",) if spec.kind == "timing-check" else ())
-            for key in keys:
-                value = spec.config.get(key)
-                if isinstance(value, int) and value > 0:
-                    periods.append(value)
+    for spec in graph.nodes:
+        # Only timing-check's expected is a period; the voter's is a value count.
+        keys = ("period", "interval", "window") + (
+            ("expected",) if spec.kind == "timing-check" else ())
+        for key in keys:
+            value = spec.config.get(key)
+            if isinstance(value, int) and value > 0:
+                periods.append(value)
     if not periods:
         by_node: dict[str, int] = {}
         for e in emits:
@@ -161,8 +160,7 @@ MAX_BUCKETS = 100_000  # marble columns: a default bucket widens to fit, a finer
 
 
 def render_marble(entries: Iterable[TimelineEntry], *, bucket_ms: Optional[int] = None,
-                  graph: Optional[FlowGraph] = None,
-                  nodes: Optional[list[str]] = None) -> str:
+                  graph: FlowGraph, nodes: Optional[list[str]] = None) -> str:
     """Text marble diagram: one row per (node, egress), one column per bucket.
 
     Glyphs: '.' nothing, '*' one emission, '2'..'9' that many, '+' ten or more.
@@ -174,9 +172,7 @@ def render_marble(entries: Iterable[TimelineEntry], *, bucket_ms: Optional[int] 
     elif bucket_ms < 1:
         raise ValueError(f"bucket_ms must be at least 1, got {bucket_ms}")
     if nodes is not None:
-        known = {e.node for e in emits}
-        if graph is not None:
-            known |= set(graph.by_id)
+        known = {e.node for e in emits} | set(graph.by_id)
         for n in nodes:
             if n not in known:
                 raise ValueError(f"unknown node in filter: {n!r}")
@@ -193,7 +189,7 @@ def render_marble(entries: Iterable[TimelineEntry], *, bucket_ms: Optional[int] 
         raise ValueError(f"bucket_ms {bucket_ms} gives {n_buckets} columns, over {MAX_BUCKETS}")
 
     rows: dict[str, list[int]] = {}
-    if graph is not None and nodes is not None:
+    if nodes is not None:
         # Pre-create every egress row of the filtered nodes so silent
         # classes still show as empty tracks.
         for name in nodes:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from healflow.cli import main
 from healflow.core import graph
 from healflow.core.timeline import TimelineLog
 from healflow.persistence import Store
+from tests.golden_pins import GOLDEN
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -176,11 +178,74 @@ def test_a_flow_that_publishes_back_to_its_own_subscriber_exits_2(tmp_path, caps
         {"id": "out", "type": "mqtt-out", "config": {"topic": "t"}}]}))
     scenario.write_text(json.dumps({"seed": 1, "duration_ms": 5000, "world": {"devices": [
         {"id": "s", "kind": "periodicSensor", "topic": "t", "period_ms": 1000}]}}))
-    message = "error: out: publishes 't' back to 'in', whose wires reach it: a broker loop"
+    message = "error: in: cycle: in -> out -> in through the broker (out publishes 't')"
     assert main(["validate", "--flow", str(flow)]) == 2
     assert capsys.readouterr().out == f"{flow}: {message}\n"
     assert main(["run", "--flow", str(flow), "--scenario", str(scenario)]) == 2
     assert message in capsys.readouterr().err
+
+
+def relay(n, pattern, topic):
+    """mqtt-in `in<n>` on `pattern`, wired to mqtt-out `out<n>` on `topic`."""
+    return [{"id": f"in{n}", "type": "mqtt-in", "config": {"topic": pattern},
+             "wires": [[[f"out{n}", 0]]]},
+            {"id": f"out{n}", "type": "mqtt-out", "config": {"topic": topic}}]
+
+
+def write_flows(tmp_path, *flows):
+    """Each node list as a flow file, and a scenario whose world publishes nothing."""
+    paths = []
+    for i, nodes in enumerate(flows):
+        paths.append(tmp_path / f"flow{i}.json")
+        paths[-1].write_text(json.dumps({"nodes": nodes}))
+    (tmp_path / "quiet.json").write_text(json.dumps({"seed": 1, "duration_ms": 1000}))
+    return [str(p) for p in paths], str(tmp_path / "quiet.json")
+
+
+def test_a_flow_whose_relays_publish_to_each_other_exits_2(tmp_path, capsys):
+    [flow], scenario = write_flows(tmp_path, relay(1, "a", "b") + relay(2, "b", "a"))
+    message = ("error: in1: cycle: in1 -> out1 -> in2 -> out2 -> in1 "
+               "through the broker (out1 publishes 'b', out2 publishes 'a')")
+    assert main(["validate", "--flow", flow]) == 2
+    assert capsys.readouterr().out == f"{flow}: {message}\n"
+    assert main(["run", "--flow", flow, "--scenario", scenario]) == 2
+    assert capsys.readouterr().err == f"error: {flow}: invalid flow\n  {message}\n"
+
+
+def test_instances_whose_relays_publish_to_each_other_exit_2_when_run_together(tmp_path, capsys):
+    """Each flow alone is no loop; run together, a publish would come back without end."""
+    (a, b), scenario = write_flows(tmp_path, relay(1, "t", "u"), relay(1, "u", "t"))
+    assert main(["validate", "--flow", a]) == main(["validate", "--flow", b]) == 0
+    capsys.readouterr()
+    assert main(["run", "--flow", a, "--flow", b, "--scenario", scenario]) == 2
+    assert capsys.readouterr().err == (
+        f"error: flows loop when run together\n"
+        f"  error: {a}:in1: cycle: {a}:in1 -> {a}:out1 -> {b}:in1 -> {b}:out1 -> {a}:in1 "
+        f"through the broker ({a}:out1 publishes 'u', {b}:out1 publishes 't')\n")
+
+
+UNWIRED_SUBSCRIBER = [
+    {"id": "in", "type": "mqtt-in", "config": {"topic": "t"}, "wires": [[["sink", 0]]]},
+    {"id": "sink", "type": "debug"},
+    {"id": "out", "type": "mqtt-out", "config": {"topic": "t"}}]
+
+
+@pytest.mark.parametrize("flows", [
+    [relay(1, "t", "u")], [UNWIRED_SUBSCRIBER], [relay(1, "t", "u"), relay(1, "u", "v")],
+    [relay(1, "t", "u"), relay(1, "t", "u")],
+], ids=["other-topic", "unwired-subscriber", "chain", "same-flow-twice"])
+def test_flows_with_no_way_back_to_a_subscriber_run(flows, tmp_path):
+    paths, scenario = write_flows(tmp_path, *flows)
+    assert main(["run", *(a for p in paths for a in ("--flow", p)), "--scenario", scenario]) == 0
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_each_golden_pair_runs_through_the_cli_to_its_pinned_bytes(name, tmp_path, fixture_path):
+    flows, scenario, digest = GOLDEN[name]
+    out = tmp_path / "t.csv"
+    assert main(["run", *(a for f in flows for a in ("--flow", str(fixture_path(f)))),
+                 "--scenario", str(fixture_path(scenario)), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("field, value", [("config", "ab"), ("wires", [5]), ("type", ["x"])],

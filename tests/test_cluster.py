@@ -977,17 +977,21 @@ TICK_TIED_WITH_AN_EXPIRY = ({"seed": 1, "duration_ms": 64, "events": [
     [5, 5, 23, 200], 5, [], [])
 
 
+# Both cluster properties run these programs first, then their random ones.
+CLUSTER_EXAMPLES = (TIED_EXPIRY, RESTART_AT_EXPIRY, DIVERGED, DROP_BETWEEN_TICKS, MIXED_TIMEOUTS,
+                    CRASH_ON_TICK, DATAGRAMS_ON_TICKS, PARKED_ALONE_RESTART, MIXED_GROUP,
+                    TICK_TIED_WITH_AN_EXPIRY)
+
+
+def cluster_examples(test):
+    """test with each of CLUSTER_EXAMPLES as an explicit Hypothesis example."""
+    for program in reversed(CLUSTER_EXAMPLES):
+        test = example(program)(test)
+    return test
+
+
 @given(cluster_programs())
-@example(TIED_EXPIRY)
-@example(RESTART_AT_EXPIRY)
-@example(DIVERGED)
-@example(DROP_BETWEEN_TICKS)
-@example(MIXED_TIMEOUTS)
-@example(CRASH_ON_TICK)
-@example(DATAGRAMS_ON_TICKS)
-@example(PARKED_ALONE_RESTART)
-@example(MIXED_GROUP)
-@example(TICK_TIED_WITH_AN_EXPIRY)
+@cluster_examples
 @settings(max_examples=examples(60), deadline=None)
 def test_periodic_pings_taken_at_send_time_log_what_their_events_would(program):
     """Instances with one or mixed election timeouts crash and restart at any
@@ -1002,16 +1006,7 @@ def test_periodic_pings_taken_at_send_time_log_what_their_events_would(program):
 
 
 @given(cluster_programs())
-@example(TIED_EXPIRY)
-@example(RESTART_AT_EXPIRY)
-@example(DIVERGED)
-@example(DROP_BETWEEN_TICKS)
-@example(MIXED_TIMEOUTS)
-@example(CRASH_ON_TICK)
-@example(DATAGRAMS_ON_TICKS)
-@example(PARKED_ALONE_RESTART)
-@example(MIXED_GROUP)
-@example(TICK_TIED_WITH_AN_EXPIRY)
+@cluster_examples
 @settings(max_examples=examples(60), deadline=None)
 def test_cluster_timer_ties_fired_in_any_order_log_the_same_bytes(program):
     """The tie-order contract of core.clock: boot elections and peer expiries

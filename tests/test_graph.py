@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from healflow.core.graph import Diagnostic, FlowParseError, parse_flow, validate_graph
+from healflow.core.graph import (Diagnostic, FlowParseError, loop_errors, parse_flow,
+                                 validate_graph)
 from healflow.nodes import Node, Param
 from tests.conftest import build_graph, make_spec
 
@@ -185,7 +186,30 @@ def broker_loop(pattern, topic):
 def test_a_publish_wired_back_to_its_own_subscriber_is_a_broker_loop():
     for pattern in ("lab/t", "lab/+"):
         assert validate_graph(broker_loop(pattern, "lab/t")) == [Diagnostic(
-            "error", "out", "publishes 'lab/t' back to 'in', whose wires reach it: a broker loop")]
+            "error", "in", "cycle: in -> mid -> out -> in through the broker (out publishes 'lab/t')")]
+
+
+def relay(n, pattern, topic):
+    """mqtt-in `in<n>` on `pattern`, wired to mqtt-out `out<n>` on `topic`."""
+    return [make_spec(f"in{n}", "mqtt-in", {"topic": pattern}, wires=[[(f"out{n}", 0)]]),
+            make_spec(f"out{n}", "mqtt-out", {"topic": topic})]
+
+
+def test_two_relays_that_publish_to_each_other_are_one_broker_loop():
+    assert validate_graph(build_graph(*relay(1, "a", "b"), *relay(2, "b", "a"))) == [Diagnostic(
+        "error", "in1", "cycle: in1 -> out1 -> in2 -> out2 -> in1 "
+                        "through the broker (out1 publishes 'b', out2 publishes 'a')")]
+
+
+def test_relays_in_two_flows_loop_only_when_run_together():
+    # Both flows hold the same ids: their nodes are told apart by the flow's position.
+    a, b, c = (build_graph(*relay(1, *topics)) for topics in (("t", "u"), ("u", "t"), ("u", "v")))
+    assert validate_graph(a) == validate_graph(b) == []
+    assert loop_errors([("a:", a), ("b:", b)]) == [Diagnostic(
+        "error", "a:in1", "cycle: a:in1 -> a:out1 -> b:in1 -> b:out1 -> a:in1 "
+                          "through the broker (a:out1 publishes 'u', b:out1 publishes 't')")]
+    assert loop_errors([("a:", a), ("c:", c)]) == []
+    assert loop_errors([("a:", a), ("a:", a)]) == []
 
 
 def test_a_publish_to_another_topic_or_from_an_unwired_subscriber_is_no_loop():

@@ -523,14 +523,15 @@ def test_fold_matches_the_multi_pass_reference(timeline):
 # --- marble ---------------------------------------------------------------------------
 
 def test_marble_single_emission():
-    out = render_marble([entry(0, "i", "emit", "s", 0, "t", 1)], bucket_ms=100)
+    out = render_marble([entry(0, "i", "emit", "s", 0, "t", 1)], bucket_ms=100,
+                        graph=build_graph())
     lines = out.splitlines()
     assert lines[1].startswith("s ") or lines[1].startswith("s|") or "s" in lines[1]
     assert "|*|" in lines[1].replace(" ", "")
 
 
 def test_marble_empty_timeline():
-    out = render_marble([], bucket_ms=100)
+    out = render_marble([], bucket_ms=100, graph=build_graph())
     assert "no emissions" in out
 
 
@@ -540,7 +541,7 @@ def test_marble_buckets_and_counts():
         entry(50, "i", "emit", "s", 0, "t", 2),   # same bucket -> digit 2
         entry(250, "i", "emit", "s", 0, "t", 3),
     ]
-    out = render_marble(entries, bucket_ms=100)
+    out = render_marble(entries, bucket_ms=100, graph=build_graph())
     row = next(line for line in out.splitlines() if line.startswith("s"))
     assert "|2.*|" in row.replace(" ", "")
 
@@ -560,7 +561,7 @@ def test_marble_multi_egress_rows_use_labels():
 def test_marble_unknown_node_filter_errors():
     entries = [entry(0, "i", "emit", "s", 0, "t", 1)]
     try:
-        render_marble(entries, bucket_ms=10, nodes=["ghost"])
+        render_marble(entries, bucket_ms=10, graph=build_graph(), nodes=["ghost"])
     except ValueError as exc:
         assert "ghost" in str(exc)
     else:
@@ -570,21 +571,23 @@ def test_marble_unknown_node_filter_errors():
 @pytest.mark.parametrize("bucket", [0, -5])
 def test_marble_bucket_below_1_is_a_value_error(bucket):
     with pytest.raises(ValueError, match="bucket_ms"):
-        render_marble([entry(0, "i", "emit", "s", 0, "t", 1)], bucket_ms=bucket)
+        render_marble([entry(0, "i", "emit", "s", 0, "t", 1)], bucket_ms=bucket,
+                      graph=build_graph())
 
 
 def test_marble_bucket_giving_more_than_max_buckets_columns_is_a_value_error():
     last = [entry(MAX_BUCKETS - 1, "i", "emit", "s", 0, "t", 1)]
-    assert f"buckets={MAX_BUCKETS}" in render_marble(last, bucket_ms=1)
+    assert f"buckets={MAX_BUCKETS}" in render_marble(last, bucket_ms=1, graph=build_graph())
     for time in (MAX_BUCKETS, 10**10):
         with pytest.raises(ValueError, match=f"gives {time + 1} columns, over {MAX_BUCKETS}"):
-            render_marble([entry(time, "i", "emit", "s", 0, "t", 1)], bucket_ms=1)
+            render_marble([entry(time, "i", "emit", "s", 0, "t", 1)], bucket_ms=1,
+                          graph=build_graph())
 
 
 def test_marble_default_bucket_widens_to_at_most_max_buckets_columns():
     entries = [entry(t, "i", "emit", "s", 0, "t", 1) for t in (0, 4, 10**10)]
-    header, row = render_marble(entries).splitlines()
-    assert default_bucket(entries) == 1
+    header, row = render_marble(entries, graph=build_graph()).splitlines()
+    assert default_bucket(entries, build_graph()) == 1
     assert header == f"# marble bucket_ms={10**10 // MAX_BUCKETS + 1} buckets={MAX_BUCKETS}"
     assert row == "s:0 |2" + "." * (MAX_BUCKETS - 2) + "*|"
 
@@ -613,4 +616,4 @@ def test_marble_does_not_read_the_voters_expected_count_as_a_period():
 
 def test_default_bucket_falls_back_to_observed_cadence():
     entries = [entry(t, "i", "emit", "s", 0, "t", 1) for t in (0, 400, 800)]
-    assert default_bucket(entries) == 100
+    assert default_bucket(entries, build_graph()) == 100
